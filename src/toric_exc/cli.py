@@ -216,12 +216,13 @@ def _run_pair_sweep(collection, method, sample, full_report, threads) -> Report:
     else:
         sampled = True
     data = collection_to_dict(collection)
-    chunks = [sample[k::threads] for k in range(threads)]
+    # chunk k is empty for k >= len(sample), so no worker idles
+    chunks = [sample[k::threads] for k in range(min(threads, len(sample)))]
     checked = 0
     violations = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         for part_checked, part_violations in pool.map(
-                _verify_worker, [(data, method, c) for c in chunks if c]):
+                _verify_worker, [(data, method, c) for c in chunks]):
             checked += part_checked
             violations.extend(part_violations)
     violations.sort(key=lambda v: (v.source, v.target))
@@ -305,7 +306,12 @@ def cmd_verify(args) -> int:
     if method == "forbidden" and n >= 8 and not args.allow_large:
         return _usage("the forbidden-cone sweep is slow for dim >= 8; "
                       "pass --allow-large to run it")
-    threads = int(os.environ.get("TORIC_EXC_THREADS", "1"))
+    try:
+        threads = int(os.environ.get("TORIC_EXC_THREADS", "1"))
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        return _usage("TORIC_EXC_THREADS must be a positive integer")
     report = _run_pair_sweep(collection, method, sample, args.full_report,
                              threads)
     payload = _report_payload(report, what)

@@ -9,16 +9,24 @@ On the centrally symmetric fans the pattern factors through slots: with
 z_i = <m, u_{e_i}> every slot independently lands in one of at most three
 viable states, the induced subcomplex depends only on how many slots hold
 a full antipodal pair, a plus ray, or a minus ray, and the character
-count is a bounded sum-zero lattice count. That gives an exact engine
-polynomial in the number of contributing patterns instead of 2^(#rays).
+count is a bounded sum-zero lattice count. Slots with the same pair of
+coefficients (a_plus, a_minus) have the same viable states, so the engine
+groups them and enumerates only how many slots of each group take each
+state, weighting each choice by its multinomial number of slot
+assignments. A difference of two members of G_n has at most four groups,
+so the loop is polynomial in n where a walk over slot assignments takes
+up to 3^(n+1) steps.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
+from operator import itemgetter
 
 from .fan import Fan, build_Vn, complex_CI
 from .picard import DivisorClass, ray_coefficients
@@ -59,14 +67,21 @@ def cohomology(fan: Fan, divisor) -> GradedCohomology:
     """All cohomology ranks of O(divisor).
 
     The divisor is either a DivisorClass (centrally symmetric fans only)
-    or a sequence of per-ray coefficients in the fan's ray order.
+    or a sequence of per-ray coefficients in the fan's ray order. Input
+    of the wrong kind or length raises ValueError.
     """
     if isinstance(divisor, DivisorClass):
-        assert fan.kind == "centrally-symmetric", "divisor classes need the symmetric basis"
+        if fan.kind != "centrally-symmetric":
+            raise ValueError("divisor classes need the centrally symmetric basis")
+        if divisor.n != fan.rank:
+            raise ValueError(
+                f"divisor class of dimension {divisor.n} on a rank {fan.rank} fan"
+            )
         coeffs = ray_coefficients(fan.rank, divisor)
     else:
         coeffs = tuple(int(x) for x in divisor)
-    assert len(coeffs) == fan.nrays
+    if len(coeffs) != fan.nrays:
+        raise ValueError(f"{len(coeffs)} coefficients for {fan.nrays} rays")
     if fan.kind == "centrally-symmetric":
         return _symmetric_engine(fan, coeffs)
     if fan.kind == "projective-space":
@@ -160,26 +175,53 @@ def _count_sum_zero(bounds) -> int:
     return dp[target]
 
 
+def _group_options(states, size: int, base: int):
+    """Ways to spread `size` slots with the same viable states over them.
+
+    Each option is (weight, key, bounds): the weight is the number of slot
+    assignments with these state counts, key holds the numbers of pair,
+    plus and minus slots as three digits in base `base`, and bounds holds
+    one (lo, hi) per slot.
+    """
+    options = []
+    for chosen in combinations_with_replacement(states, size):
+        tally = Counter(state for state, _, _ in chosen)
+        weight = factorial(size)
+        for k in tally.values():
+            weight //= factorial(k)
+        key = (tally[_PAIR] * base + tally[_PLUS]) * base + tally[_MINUS]
+        bounds = [(lo, hi) for _, lo, hi in chosen]
+        options.append((weight, key, bounds))
+    return options
+
+
 def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
+    """Cohomology ranks summed over slot multisets.
+
+    Slots with equal (a_plus, a_minus) have the same viable states, and
+    both the pattern class and the character count are symmetric in the
+    slots, so one combination of per-group state counts stands for all
+    its multinomially many slot assignments.
+    """
     n = fan.rank
     half = n + 1
-    plus, minus = coeffs[:half], coeffs[half:]
-    options = [_slot_states(plus[i], minus[i]) for i in range(half)]
+    groups = Counter(zip(coeffs[:half], coeffs[half:]))
+    # no slot count reaches the base, so the keys of a combination add
+    # digit by digit and one sum gives its pattern class
+    base = half + 1
+    options = [_group_options(_slot_states(ap, am), size, base)
+               for (ap, am), size in groups.items()]
     h = [0] * (n + 1)
+    key_of = itemgetter(1)
     for combo in product(*options):
-        pairs = nplus = nminus = 0
-        for state, _, _ in combo:
-            if state == _PAIR:
-                pairs += 1
-            elif state == _PLUS:
-                nplus += 1
-            elif state == _MINUS:
-                nminus += 1
+        pairs, rest = divmod(sum(map(key_of, combo)), base * base)
+        nplus, nminus = divmod(rest, base)
         ranks, torsion = _pattern_homology(n, pairs, nplus, nminus)
         if not any(ranks):
             continue
-        los = [lo for _, lo, _ in combo]
-        his = [hi for _, _, hi in combo]
+        weights, _, group_bounds = zip(*combo)
+        los = [lo for bounds in group_bounds for lo, _ in bounds]
+        his = [hi for bounds in group_bounds for _, hi in bounds]
         open_below = any(lo is None for lo in los)
         open_above = any(hi is None for hi in his)
         if open_below and open_above:
@@ -206,6 +248,7 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
             warnings.warn(
                 f"torsion in a contributing pattern on V_{n}", TorsionEncountered
             )
+        count *= prod(weights)
         for p, r in enumerate(ranks):
             if r:
                 h[p] += count * r

@@ -170,7 +170,8 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     """Grade every ordered pair of distinct positions, plus the size check.
 
     sample restricts the sweep to the given (source, target) flat index
-    pairs; the size check still runs. The report never raises on its own,
+    pairs; the size check still runs, and a pair that is not two distinct
+    positions raises ValueError. The report never raises on its own,
     call raise_if_failed for that.
     """
     if method not in METHODS:
@@ -187,6 +188,10 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         sampled = False
     else:
         pairs = [(int(i), int(j)) for i, j in sample]
+        for i, j in pairs:
+            if i == j or not (0 <= i < len(members) and 0 <= j < len(members)):
+                raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
+                                 f"positions in 0..{len(members) - 1}")
         sampled = True
 
     results = []

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .cohomology import _pattern_homology
 from .fan import Fan, complex_CI, primitive_collections
 from .picard import DivisorClass, ray_coefficients
 from .polyhedra import feasible, polyhedron
@@ -94,26 +95,6 @@ def _filter_visible(fan, candidates):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _pattern_profile(fan: Fan, pairs: int, nplus: int, nminus: int):
-    """Profile of the slot pattern class, via one representative."""
-    if nplus > nminus:
-        nplus, nminus = nminus, nplus
-    half = fan.slots
-    rays = []
-    slot = 0
-    for _ in range(pairs):
-        rays += [slot, slot + half]
-        slot += 1
-    for _ in range(nplus):
-        rays.append(slot)
-        slot += 1
-    for _ in range(nminus):
-        rays.append(slot + half)
-        slot += 1
-    return _profile_of(fan, rays)
-
-
 def _symmetric_specs(fan: Fan):
     """Closed-form union-of-primitive-collections enumeration by slots.
 
@@ -136,7 +117,7 @@ def _symmetric_specs(fan: Fan):
                     for b in range(len(rest2) + 1):
                         if b and p + b < need:
                             continue
-                        profile = _pattern_profile(fan, p, a, b)
+                        profile = _pattern_homology(fan.rank, p, a, b)[0]
                         if not any(profile):
                             continue
                         for minus_set in combinations(rest2, b):

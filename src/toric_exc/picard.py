@@ -78,7 +78,9 @@ def canonical_class(n: int) -> DivisorClass:
 def make_F(n: int, c: int, J) -> DivisorClass:
     """The class c(E - H) - sum_{j in J} E_j."""
     J = frozenset(J)
-    assert J <= set(range(n + 1))
+    outside = J - set(range(n + 1))
+    if outside:
+        raise ValueError(f"labels {sorted(outside)} outside 0..{n}")
     return DivisorClass((-c,) + tuple(c - 1 if j in J else c for j in range(n + 1)))
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import pathlib
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 from toric_exc.cli import main, sample_pairs
+
+cli = importlib.import_module("toric_exc.cli")
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -193,6 +196,41 @@ def test_verify_threads_match_on_failure(capsys, monkeypatch):
                                  "--method", "oracle", "--mutate", "add:0,0")
     assert code == 1
     assert threaded["violations"] == sequential["violations"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_verify_threads_rejects_bad_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("TORIC_EXC_THREADS", value)
+    code, out, err = run(capsys, "verify", "--dim", "2", "--method", "oracle")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "TORIC_EXC_THREADS" in err
+
+
+def test_verify_threads_pool_sized_by_chunks(capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process; starts no workers."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    argv = ("verify", "--dim", "4", "--method", "oracle", "--sample", "3")
+    _, sequential, _ = run_json(capsys, *argv)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("TORIC_EXC_THREADS", "1000000")
+    code, threaded, _ = run_json(capsys, *argv)
+    assert sizes == [3]
+    assert code == 0 and threaded == sequential
 
 
 # -- verify: other whats ------------------------------------------------------
@@ -405,3 +443,14 @@ def test_python_dash_m_entry():
         [sys.executable, "-m", "toric_exc", "verify", "--dim", "5"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_add_label_out_of_range_exits_2_under_optimize():
+    # -O strips asserts, so the label check must not be one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "toric_exc", "verify", "--dim", "2",
+         "--mutate", "add:0,7"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -2,6 +2,9 @@
 
 import importlib
 import math
+import random
+import warnings
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from toric_exc.cohomology import (
     cohomology,
     euler_pairing,
 )
+from toric_exc.collection import apply_mutation, build_Gn
 from toric_exc.fan import Fan, build_Pn, build_Vn, complex_CI
 from toric_exc.picard import (
     DivisorClass,
@@ -151,6 +155,137 @@ def test_symmetric_engine_matches_generic_V4():
     ]:
         coeffs = ray_coefficients(4, D)
         assert cohomology(fan, coeffs) == cohomology(clone, coeffs)
+
+
+# -- slot-multiset engine against the per-slot product ----------------------
+
+coh = importlib.import_module("toric_exc.cohomology")
+
+
+def per_slot_reference(fan, coeffs):
+    """The engine before slot grouping: one step per slot assignment."""
+    n = fan.rank
+    half = n + 1
+    plus, minus = coeffs[:half], coeffs[half:]
+    options = [coh._slot_states(plus[i], minus[i]) for i in range(half)]
+    h = [0] * (n + 1)
+    for combo in product(*options):
+        pairs = nplus = nminus = 0
+        for state, _, _ in combo:
+            if state == coh._PAIR:
+                pairs += 1
+            elif state == coh._PLUS:
+                nplus += 1
+            elif state == coh._MINUS:
+                nminus += 1
+        ranks, torsion = coh._pattern_homology(n, pairs, nplus, nminus)
+        if not any(ranks):
+            continue
+        los = [lo for _, lo, _ in combo]
+        his = [hi for _, _, hi in combo]
+        open_below = any(lo is None for lo in los)
+        open_above = any(hi is None for hi in his)
+        if open_below and open_above:
+            raise UnboundedRegionWithHomology(
+                f"pattern with {pairs} pairs, {nplus} plus, {nminus} minus slots"
+            )
+        if open_below:
+            total_hi = sum(his)
+            los = [
+                hi - total_hi if lo is None else max(lo, hi - total_hi)
+                for lo, hi in zip(los, his)
+            ]
+        elif open_above:
+            total_lo = sum(los)
+            his = [
+                lo - total_lo if hi is None else min(hi, lo - total_lo)
+                for lo, hi in zip(los, his)
+            ]
+        count = coh._count_sum_zero(list(zip(los, his)))
+        if not count:
+            continue
+        if torsion:
+            warnings.warn(
+                f"torsion in a contributing pattern on V_{n}", TorsionEncountered
+            )
+        for p, r in enumerate(ranks):
+            if r:
+                h[p] += count * r
+    return GradedCohomology(tuple(h))
+
+
+def outcome(engine, fan, coeffs):
+    try:
+        return engine(fan, coeffs)
+    except UnboundedRegionWithHomology:
+        return UnboundedRegionWithHomology
+
+
+def assert_engines_agree(members, pairs):
+    n = members[0].n
+    fan = build_Vn(n)
+    for i, j in pairs:
+        coeffs = ray_coefficients(n, members[j] - members[i])
+        assert outcome(cohomology, fan, coeffs) == outcome(
+            per_slot_reference, fan, coeffs
+        ), (i, j)
+
+
+def test_engine_matches_per_slot_all_pairs_G4():
+    members = build_Gn(4).members
+    size = len(members)
+    assert_engines_agree(
+        members, [(i, j) for i in range(size) for j in range(size) if i != j]
+    )
+
+
+@pytest.mark.parametrize("n, count", [(6, 300), (8, 100)])
+def test_engine_matches_per_slot_seeded_pairs(n, count):
+    members = build_Gn(n).members
+    rng = random.Random(n)
+    assert_engines_agree(
+        members, [rng.sample(range(len(members)), 2) for _ in range(count)]
+    )
+
+
+@pytest.mark.parametrize("n, mutation, placed, count", [
+    # the added member sits at the end of block 0; a swap moves two members
+    (6, "add:1,0-1-2", (2,), None),
+    (8, "swap:0,600", (0, 600), 60),
+])
+def test_engine_matches_per_slot_mutated_members(n, mutation, placed, count):
+    original = build_Gn(n).members
+    members = apply_mutation(build_Gn(n), mutation).members
+    assert all(members[k] != original[k] for k in placed)
+    pairs = [(k, j) for k in placed for j in range(len(members)) if j != k]
+    pairs += [(j, k) for k, j in pairs]
+    if count is not None:
+        pairs = random.Random(n).sample(pairs, count)
+    assert_engines_agree(members, pairs)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_engine_matches_per_slot_random_vectors(n, data):
+    fan = build_Vn(n)
+    coeffs = data.draw(st.tuples(*(st.integers(-3, 3) for _ in range(fan.nrays))))
+    assert outcome(cohomology, fan, coeffs) == outcome(
+        per_slot_reference, fan, coeffs
+    )
+
+
+def test_cohomology_rejects_divisor_class_on_other_fans():
+    with pytest.raises(ValueError, match="centrally symmetric"):
+        cohomology(build_Pn(2), DivisorClass((0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="dimension 4"):
+        cohomology(build_Vn(2), DivisorClass((0,) * 6))
+
+
+@pytest.mark.parametrize("length", [5, 7, 0])
+def test_cohomology_rejects_wrong_length(length):
+    with pytest.raises(ValueError, match=f"{length} coefficients for 6 rays"):
+        cohomology(build_Vn(2), (0,) * length)
 
 
 def test_bott_formula_line_bundles():

@@ -163,6 +163,13 @@ def test_sample_restricts_pair_sweep():
     assert not report.complete and not report.ok
 
 
+@pytest.mark.parametrize("pair", [(0, 6), (6, 0), (-1, 0), (0, -6), (2, 2)])
+def test_sample_rejects_bad_pairs(pair):
+    # G_2 has positions 0..5: out of range, negative, and i == j
+    with pytest.raises(ValueError, match=rf"\({pair[0]}, {pair[1]}\)"):
+        verify_exceptional(build_Gn(2), "oracle", sample=[(0, 1), pair])
+
+
 # -- mutations are caught --------------------------------------------------------
 
 
@@ -210,7 +217,7 @@ def test_swap_within_block_is_harmless():
 
 def test_mutation_grammar_errors():
     col = build_Gn(2)
-    for bad in ("drop:99", "swap:0,99", "frob:1", "drop:x"):
+    for bad in ("drop:99", "swap:0,99", "frob:1", "drop:x", "add:0,7"):
         with pytest.raises(ValueError):
             apply_mutation(col, bad)
 

@@ -56,6 +56,12 @@ def test_make_F_coordinates():
     assert make_F(4, -1, {2, 3}).coeffs == (1, -1, -1, -2, -2, -1)
 
 
+@pytest.mark.parametrize("J", [{7}, {-1}, {0, 3}])
+def test_make_F_rejects_labels_outside_range(J):
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        make_F(2, 0, J)
+
+
 def test_canonical_class_hexagon():
     assert canonical_class(2).coeffs == (-3, 1, 1, 1)
 

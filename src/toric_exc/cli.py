@@ -8,7 +8,9 @@ failed, 2 means the invocation itself was malformed.
 Heavy sweeps are kept off the default path: the cohomology oracle over
 all ordered pairs is only run in full for dim 2 and 4, larger dimensions
 fall back to a seeded 500-pair sample unless --allow-large forces the
-full sweep. TORIC_EXC_THREADS splits oracle sweeps across processes;
+full sweep. The full forbidden-cone sweep at dim 8 and above also needs
+--allow-large; a --sample run does not. --out to a path that cannot be
+written exits 2. TORIC_EXC_THREADS splits oracle sweeps across processes;
 output is sorted, so the thread count never changes what is printed.
 """
 
@@ -65,7 +67,10 @@ def main(argv=None) -> int:
         "gram": cmd_gram,
         "certificate": cmd_certificate,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OutputError as exc:
+        return _usage(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,6 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputError(Exception):
+    """The --out file cannot be opened for writing."""
+
+
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -125,7 +134,11 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        with fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:
@@ -303,7 +316,7 @@ def cmd_verify(args) -> int:
         sample = sample_pairs(collection.size, args.sample, args.seed)
     elif method == "oracle" and n >= 6 and not args.allow_large:
         sample = sample_pairs(collection.size, DEFAULT_SAMPLE, args.seed)
-    if method == "forbidden" and n >= 8 and not args.allow_large:
+    if method == "forbidden" and n >= 8 and sample is None and not args.allow_large:
         return _usage("the forbidden-cone sweep is slow for dim >= 8; "
                       "pass --allow-large to run it")
     try:

@@ -70,6 +70,21 @@ def cohomology(fan: Fan, divisor) -> GradedCohomology:
     or a sequence of per-ray coefficients in the fan's ray order. Input
     of the wrong kind or length raises ValueError.
     """
+    coeffs = divisor_coefficients(fan, divisor)
+    if fan.kind == "centrally-symmetric":
+        return _symmetric_engine(fan, coeffs)
+    if fan.kind == "projective-space":
+        return _projective_engine(fan, coeffs)
+    return _generic_engine(fan, coeffs)
+
+
+def divisor_coefficients(fan: Fan, divisor) -> tuple[int, ...]:
+    """Per-ray coefficients of a DivisorClass or of a coefficient sequence.
+
+    Raises ValueError for a class on a fan that is not centrally
+    symmetric, a class of another dimension, or a number of coefficients
+    other than the fan's number of rays.
+    """
     if isinstance(divisor, DivisorClass):
         if fan.kind != "centrally-symmetric":
             raise ValueError("divisor classes need the centrally symmetric basis")
@@ -79,14 +94,10 @@ def cohomology(fan: Fan, divisor) -> GradedCohomology:
             )
         coeffs = ray_coefficients(fan.rank, divisor)
     else:
-        coeffs = tuple(int(x) for x in divisor)
+        coeffs = tuple(map(int, divisor))
     if len(coeffs) != fan.nrays:
         raise ValueError(f"{len(coeffs)} coefficients for {fan.nrays} rays")
-    if fan.kind == "centrally-symmetric":
-        return _symmetric_engine(fan, coeffs)
-    if fan.kind == "projective-space":
-        return _projective_engine(fan, coeffs)
-    return _generic_engine(fan, coeffs)
+    return coeffs
 
 
 def euler_pairing(fan: Fan, first: DivisorClass, second: DivisorClass) -> int:
@@ -96,7 +107,9 @@ def euler_pairing(fan: Fan, first: DivisorClass, second: DivisorClass) -> int:
 
 # -- centrally symmetric engine ----------------------------------------------
 
-_NEITHER, _PLUS, _MINUS, _PAIR = 0, 1, 2, 3
+# a slot's state is the sum of the codes of its rays in the pattern
+_NEITHER, _PLUS, _MINUS = 0, 1, 2
+_PAIR = _PLUS + _MINUS
 
 
 @lru_cache(maxsize=None)

@@ -13,19 +13,39 @@ single character sitting exactly on the boundary of a pair cone, so a
 strict test would wrongly certify it acyclic. The strict variant is kept
 as an explicit option only.
 
+On the centrally symmetric fans every slot of a pattern is untouched,
+a full pair, a plus ray or a minus ray, and its interval of admissible
+values is the one `cohomology._slot_states` gives for that state, so
+the region is non-empty exactly when no slot's state is infeasible and
+the summed interval ends admit zero. Slots with equal coefficients have
+equal intervals, so the certificates never walk the ray sets: they
+enumerate how many slots of each coefficient group take each state, as
+the cohomology engine does, and look up a pattern class's homology only
+when its region is non-empty. `enumerate_forbidden`, `in_forbidden_cone`
+and `forbidden_witness` walk the ray sets one by one; they name the cone
+that is hit and serve as the reference the certificates are tested
+against. Other fans certify by that walk, with an LP per ray set.
+
 The inequality predicates at the bottom certify vanishing for every
 member of a whole (c, k, l) family at once, with no region sweeps.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from .cohomology import _pattern_homology
+from .cohomology import (
+    _MINUS,
+    _PLUS,
+    _group_options,
+    _pattern_homology,
+    _slot_states,
+    divisor_coefficients,
+)
 from .fan import Fan, complex_CI, primitive_collections
-from .picard import DivisorClass, ray_coefficients
 from .polyhedra import feasible, polyhedron
 from .simplicial import reduced_homology
 
@@ -135,13 +155,9 @@ def in_forbidden_cone(fan: Fan, spec: ForbiddenConeSpec, divisor, strict: bool =
 
     Closed inequalities by default; strict=True uses the open version,
     which is unsound as a vanishing certificate (see the module docstring).
+    Input of the wrong kind or length raises ValueError.
     """
-    if isinstance(divisor, DivisorClass):
-        assert fan.kind == "centrally-symmetric"
-        coeffs = ray_coefficients(fan.rank, divisor)
-    else:
-        coeffs = tuple(int(x) for x in divisor)
-    assert len(coeffs) == fan.nrays
+    coeffs = divisor_coefficients(fan, divisor)
     if fan.kind == "centrally-symmetric" and not strict:
         return _interval_hit(fan, spec.rays, coeffs)
     rows = []
@@ -153,57 +169,94 @@ def in_forbidden_cone(fan: Fan, spec: ForbiddenConeSpec, divisor, strict: bool =
     return feasible(polyhedron(fan.rank, rows))
 
 
+def _meets(lo_total, hi_total) -> bool:
+    """Closed test on summed slot bounds; None marks an open end."""
+    return (lo_total is None or lo_total <= 0) and (hi_total is None or hi_total >= 0)
+
+
+def _sum_bounds(ends):
+    """Sum of interval ends, or None when any of them is open."""
+    return None if None in ends else sum(ends)
+
+
 def _interval_hit(fan: Fan, rays, coeffs) -> bool:
-    """Exact real feasibility through per-slot intervals; O(n)."""
+    """Exact real feasibility through the per-slot intervals of _slot_states; O(n)."""
     half = fan.slots
-    lo_total = 0
-    hi_total = 0
-    lo_open = hi_open = False
+    los = []
+    his = []
     for i in range(half):
-        ap, am = coeffs[i], coeffs[i + half]
-        e_in = i in rays
-        m_in = (i + half) in rays
-        if e_in and m_in:
-            lo, hi = am + 1, -ap - 1
-        elif e_in:
-            lo, hi = None, min(-ap - 1, am)
-        elif m_in:
-            lo, hi = max(-ap, am + 1), None
+        state = _PLUS * (i in rays) + _MINUS * ((i + half) in rays)
+        for viable, lo, hi in _slot_states(coeffs[i], coeffs[i + half]):
+            if viable == state:
+                los.append(lo)
+                his.append(hi)
+                break
         else:
-            lo, hi = -ap, am
-        if lo is not None and hi is not None and lo > hi:
             return False
-        if lo is None:
-            lo_open = True
-        else:
-            lo_total += lo
-        if hi is None:
-            hi_open = True
-        else:
-            hi_total += hi
-    ok_lo = lo_open or lo_total <= 0
-    ok_hi = hi_open or hi_total >= 0
-    return ok_lo and ok_hi
+    return _meets(_sum_bounds(los), _sum_bounds(his))
+
+
+def _slot_count_hit(fan: Fan, coeffs, higher_only: bool) -> bool:
+    """Whether the divisor meets some forbidden cone, decided on slot counts.
+
+    Each combination of per-group state counts is one pattern class
+    (pairs, plus, minus). It must pass the one-sided filter of
+    _symmetric_specs and the closed test before its homology is read, so
+    the pattern table fills only for classes whose region is non-empty.
+    """
+    n = fan.rank
+    half = fan.slots
+    need = n // 2 + 1
+    base = half + 1
+    options = []
+    for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
+        options.append([
+            (key, _sum_bounds([lo for lo, _ in bounds]),
+             _sum_bounds([hi for _, hi in bounds]))
+            for _, key, bounds in _group_options(_slot_states(ap, am), size, base)
+        ])
+    for combo in product(*options):
+        keys, los, his = zip(*combo)
+        key = sum(keys)
+        if higher_only and not key:
+            continue
+        pairs, rest = divmod(key, base * base)
+        nplus, nminus = divmod(rest, base)
+        if nplus and pairs + nplus < need or nminus and pairs + nminus < need:
+            continue
+        if not _meets(_sum_bounds(los), _sum_bounds(his)):
+            continue
+        if any(_pattern_homology(n, pairs, nplus, nminus)[0]):
+            return True
+    return False
 
 
 def forbidden_witness(fan: Fan, divisor, higher_only: bool = False):
     """First forbidden cone hit by the divisor, or None if all are avoided."""
+    coeffs = divisor_coefficients(fan, divisor)
     for spec in enumerate_forbidden(fan):
         if higher_only and not spec.rays:
             continue
-        if in_forbidden_cone(fan, spec, divisor):
+        if in_forbidden_cone(fan, spec, coeffs):
             return spec
     return None
 
 
+def _certify(fan: Fan, divisor, higher_only: bool) -> bool:
+    if fan.kind == "centrally-symmetric":
+        coeffs = divisor_coefficients(fan, divisor)
+        return not _slot_count_hit(fan, coeffs, higher_only)
+    return forbidden_witness(fan, divisor, higher_only) is None
+
+
 def certify_acyclic(fan: Fan, divisor) -> bool:
     """True guarantees every cohomology group of O(divisor) vanishes."""
-    return forbidden_witness(fan, divisor) is None
+    return _certify(fan, divisor, higher_only=False)
 
 
 def certify_higher_acyclic(fan: Fan, divisor) -> bool:
     """True guarantees H^p(O(divisor)) = 0 for all p >= 1; h^0 is unconstrained."""
-    return forbidden_witness(fan, divisor, higher_only=True) is None
+    return _certify(fan, divisor, higher_only=True)
 
 
 # -- family-level inequality predicates ---------------------------------------

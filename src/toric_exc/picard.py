@@ -30,8 +30,10 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) >= 3
-        assert all(isinstance(x, int) for x in self.coeffs)
+        if len(self.coeffs) < 3:
+            raise ValueError(f"{len(self.coeffs)} coordinates; a class needs at least 3")
+        if not all(isinstance(x, int) for x in self.coeffs):
+            raise ValueError(f"non-integer coordinates {self.coeffs}")
 
     @property
     def n(self) -> int:

@@ -169,6 +169,25 @@ def test_verify_forbidden_large_dim_needs_flag(capsys):
     assert "--allow-large" in err
 
 
+def test_verify_forbidden_large_dim_sampled_needs_no_flag(capsys):
+    code, doc, _ = run_json(capsys, "verify", "--dim", "8", "--method",
+                            "forbidden", "--sample", "20")
+    assert code == 0
+    assert doc["ok"] is True
+    assert doc["pairs_checked"] == 20
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, command, "--dim", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot write") and str(target) in err
+    assert not target.exists()
+
+
 def test_sample_pairs_helper():
     pairs = sample_pairs(6, 10, seed=0)
     assert len(pairs) == 10

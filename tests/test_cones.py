@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_exc import cones
 from toric_exc.cohomology import cohomology
+from toric_exc.collection import apply_mutation, build_Gn
 from toric_exc.cones import (
     ForbiddenConeSpec,
     HypothesisViolated,
@@ -19,7 +21,7 @@ from toric_exc.cones import (
     lemma_acyclic_predicate,
 )
 from toric_exc.fan import Fan, build_Pn, build_Vn, complex_CI
-from toric_exc.picard import divisor, orbit_Fckl, ray_coefficients
+from toric_exc.picard import DivisorClass, divisor, make_F, orbit_Fckl, ray_coefficients
 from toric_exc.simplicial import reduced_homology
 
 
@@ -200,6 +202,113 @@ def test_structure_sheaf_only_hits_effective_cone():
     assert hits == [frozenset()]
     assert certify_higher_acyclic(fan, o)
     assert not certify_acyclic(fan, o)
+
+
+# -- slot-count certificates against the spec walk ----------------------------
+
+
+def witness_verdicts(fan, divisor):
+    """(forbidden_witness(fan, d) is None, the same with higher_only=True).
+
+    One walk serves both: the empty ray set is the only spec the higher
+    flavour skips, so the full flavour adds a single test of it.
+    """
+    higher = forbidden_witness(fan, divisor, higher_only=True) is None
+    empty = enumerate_forbidden(fan)[0]
+    assert not empty.rays
+    return higher and not in_forbidden_cone(fan, empty, divisor), higher
+
+
+def certificate_verdicts(fan, divisor):
+    return certify_acyclic(fan, divisor), certify_higher_acyclic(fan, divisor)
+
+
+def assert_certificates_match_walk(fan, differences):
+    for d in differences:
+        expected = witness_verdicts(fan, d)
+        assert certificate_verdicts(fan, d) == expected, d
+        raw = ray_coefficients(fan.rank, d)
+        assert certificate_verdicts(fan, raw) == expected, raw
+
+
+def test_slot_count_certificates_all_pairs_G4():
+    fan = build_Vn(4)
+    members = build_Gn(4).members
+    differences = [b - a for a in members for b in members if a != b]
+    assert len(differences) == 870
+    assert_certificates_match_walk(fan, differences)
+
+
+def test_slot_count_certificates_sampled_pairs_G6():
+    fan = build_Vn(6)
+    members = build_Gn(6).members
+    rng = random.Random(6)
+    pairs = [rng.sample(range(len(members)), 2) for _ in range(200)]
+    assert_certificates_match_walk(fan, [members[j] - members[i] for i, j in pairs])
+
+
+def test_slot_count_certificates_added_member_G6():
+    fan = build_Vn(6)
+    members = build_Gn(6).members
+    added = make_F(6, 1, {0, 1, 2})
+    assert added not in members
+    assert added in apply_mutation(build_Gn(6), "add:1,0-1-2").members
+    differences = [m - added for m in members] + [added - m for m in members]
+    assert_certificates_match_walk(fan, differences)
+
+
+@pytest.mark.parametrize("n, examples", [(2, 60), (4, 40), (6, 8)])
+def test_slot_count_certificates_random_vectors(n, examples):
+    fan = build_Vn(n)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(raw=st.tuples(*[coeff] * fan.nrays))
+    def check(raw):
+        assert certificate_verdicts(fan, raw) == witness_verdicts(fan, raw)
+
+    check()
+
+
+@settings(max_examples=15, deadline=None)
+@given(raw=st.tuples(*[coeff] * 6))
+def test_generic_fan_certificates_keep_the_walk(raw):
+    fan = build_Vn(2)
+    assert certificate_verdicts(generic_clone(fan), raw) \
+        == certificate_verdicts(fan, raw)
+
+
+def test_symmetric_certificates_skip_the_spec_walk(monkeypatch):
+    fan = build_Vn(6)
+    members = build_Gn(6).members
+    differences = [members[5] - members[70], members[70] - members[5],
+                   members[3] - members[3]]
+    expected = [certificate_verdicts(fan, d) for d in differences]
+
+    def walked(*args, **kwargs):
+        raise AssertionError("the spec walk ran")
+
+    for name in ("enumerate_forbidden", "in_forbidden_cone", "forbidden_witness"):
+        monkeypatch.setattr(cones, name, walked)
+    assert [certificate_verdicts(fan, d) for d in differences] == expected
+    assert expected[2] == (False, True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DivisorClass((1,)),
+    lambda: DivisorClass((1.5, 0, 0)),
+    lambda: in_forbidden_cone(build_Vn(2), enumerate_forbidden(build_Vn(2))[0], (0,) * 7),
+    lambda: in_forbidden_cone(build_Vn(2), enumerate_forbidden(build_Vn(2))[0], (0,) * 5),
+    lambda: in_forbidden_cone(generic_clone(build_Vn(2)),
+                              enumerate_forbidden(build_Vn(2))[0], divisor(0, [0, 0, 0])),
+    lambda: certify_acyclic(build_Vn(2), (0,) * 7),
+    lambda: certify_higher_acyclic(build_Vn(2), divisor(0, [0] * 5)),
+    lambda: certify_acyclic(generic_clone(build_Vn(2)), divisor(0, [0, 0, 0])),
+], ids=["short-class", "float-class", "long-vector", "short-vector",
+        "class-on-generic-fan", "certify-long-vector", "certify-other-dimension",
+        "certify-class-on-generic-fan"])
+def test_bad_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # -- family predicates --------------------------------------------------------

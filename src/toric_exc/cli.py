@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .cohomology import cohomology
 from .collection import (
+    METHODS,
     Report,
     apply_mutation,
     build_Fn,
@@ -48,7 +49,6 @@ from .windows import (
 )
 
 WHATS = ("exceptional", "stability", "cardinality", "generation", "walls")
-METHODS = ("inequalities", "forbidden", "oracle")
 FORMATS = ("text", "json", "csv")
 DEFAULT_SAMPLE = 500
 REPORT_SCHEMA = "toric-exc/report/1"
@@ -403,8 +403,6 @@ def cmd_figure(args) -> int:
     n = args.dim
     points = build_Fn(n)
     note = FIGURE_NOTE if n == 8 else None
-    if note:
-        print(note, file=sys.stderr)
     if args.format == "json":
         payload = {"schema": "toric-exc/figure/1", "n": n,
                    "points": [[c, ell] for c, ell in points]}
@@ -415,6 +413,9 @@ def cmd_figure(args) -> int:
         _emit(args, "\n".join(["c,ell"] + [f"{c},{ell}" for c, ell in points]))
     else:
         _emit(args, "\n".join(f"c = {c:3d}  l = {ell}" for c, ell in points))
+    # after the payload, so an --out that cannot be written prints one line
+    if note:
+        print(note, file=sys.stderr)
     return 0
 
 

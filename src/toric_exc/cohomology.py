@@ -10,12 +10,19 @@ z_i = <m, u_{e_i}> every slot independently lands in one of at most three
 viable states, the induced subcomplex depends only on how many slots hold
 a full antipodal pair, a plus ray, or a minus ray, and the character
 count is a bounded sum-zero lattice count. Slots with the same pair of
-coefficients (a_plus, a_minus) have the same viable states, so the engine
+coefficients (a_plus, a_minus) have the same viable states, so the walk
 groups them and enumerates only how many slots of each group take each
 state, weighting each choice by its multinomial number of slot
 assignments. A difference of two members of G_n has at most four groups,
 so the loop is polynomial in n where a walk over slot assignments takes
 up to 3^(n+1) steps.
+
+That walk, `_visible_classes`, serves both the engine here and the
+forbidden-cone certificates in `cones`. It runs its filters cheapest
+first: the one-sided filter (a set that is not a union of primitive
+collections has a cone point), then the closed test on the summed slot
+bounds, and only then the pattern homology table, so a Smith form runs
+only for a class that has characters.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
-from operator import itemgetter
 
 from .fan import Fan, build_Vn, complex_CI
 from .picard import DivisorClass, ray_coefficients
@@ -141,11 +147,20 @@ def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int):
     for _ in range(nminus):
         indices.append(slot + half)
         slot += 1
-    hom = reduced_homology(complex_CI(fan, indices))
-    ranks = [0] * (n + 1)
+    return _subcomplex_homology(fan, indices)
+
+
+def _subcomplex_homology(fan: Fan, rays):
+    """(ranks by degree, torsion) of the subcomplex induced on the rays.
+
+    Reduced homology in degree p - 1 feeds H^p, so the ranks run over
+    H^0..H^n; torsion tells whether any degree has torsion.
+    """
+    hom = reduced_homology(complex_CI(fan, rays))
+    ranks = [0] * (fan.rank + 1)
     torsion = False
     for degree, (rank, tors) in hom.items():
-        if 0 <= degree + 1 <= n:
+        if 0 <= degree + 1 <= fan.rank:
             ranks[degree + 1] = rank
         if tors:
             torsion = True
@@ -188,13 +203,23 @@ def _count_sum_zero(bounds) -> int:
     return dp[target]
 
 
+def _meets(lo_total, hi_total) -> bool:
+    """Closed test on summed slot bounds; None marks an open end."""
+    return (lo_total is None or lo_total <= 0) and (hi_total is None or hi_total >= 0)
+
+
+def _sum_bounds(ends):
+    """Sum of interval ends, or None when any of them is open."""
+    return None if None in ends else sum(ends)
+
+
 def _group_options(states, size: int, base: int):
     """Ways to spread `size` slots with the same viable states over them.
 
-    Each option is (weight, key, bounds): the weight is the number of slot
-    assignments with these state counts, key holds the numbers of pair,
-    plus and minus slots as three digits in base `base`, and bounds holds
-    one (lo, hi) per slot.
+    Each option is (weight, key, bounds, lo, hi): the weight is the number
+    of slot assignments with these state counts, key holds the numbers of
+    pair, plus and minus slots as three digits in base `base`, bounds
+    holds one (lo, hi) per slot, and lo and hi are their summed ends.
     """
     options = []
     for chosen in combinations_with_replacement(states, size):
@@ -204,8 +229,44 @@ def _group_options(states, size: int, base: int):
             weight //= factorial(k)
         key = (tally[_PAIR] * base + tally[_PLUS]) * base + tally[_MINUS]
         bounds = [(lo, hi) for _, lo, hi in chosen]
-        options.append((weight, key, bounds))
+        options.append((weight, key, bounds,
+                        _sum_bounds([lo for lo, _ in bounds]),
+                        _sum_bounds([hi for _, hi in bounds])))
     return options
+
+
+def _visible_classes(n: int, coeffs, higher_only: bool = False):
+    """Pattern classes of O(coeffs) on V_n with characters and homology.
+
+    One combination of per-group state counts is one pattern class. The
+    closed test holds exactly when the class has a character, because
+    every slot interval is non-empty with integer ends. Yields (pairs,
+    nplus, nminus, ranks, torsion, combo) for each class with non-zero
+    ranks, combo holding the chosen _group_options entries; higher_only
+    skips the empty class.
+    """
+    half = n + 1
+    need = n // 2 + 1
+    # no slot count reaches the base, so the keys of a combination add
+    # digit by digit and one sum gives its pattern class
+    base = half + 1
+    options = [_group_options(_slot_states(ap, am), size, base)
+               for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items()]
+    for combo in product(*options):
+        _, keys, _, los, his = zip(*combo)
+        key = sum(keys)
+        if higher_only and not key:
+            continue
+        pairs, rest = divmod(key, base * base)
+        nplus, nminus = divmod(rest, base)
+        # not a union of primitive collections: a cone point, no homology
+        if nplus and pairs + nplus < need or nminus and pairs + nminus < need:
+            continue
+        if not _meets(_sum_bounds(los), _sum_bounds(his)):
+            continue
+        ranks, torsion = _pattern_homology(n, pairs, nplus, nminus)
+        if any(ranks):
+            yield pairs, nplus, nminus, ranks, torsion, combo
 
 
 def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
@@ -214,29 +275,17 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
     Slots with equal (a_plus, a_minus) have the same viable states, and
     both the pattern class and the character count are symmetric in the
     slots, so one combination of per-group state counts stands for all
-    its multinomially many slot assignments.
+    its multinomially many slot assignments. Every class the walk yields
+    has at least one character, so each count here is positive.
     """
     n = fan.rank
-    half = n + 1
-    groups = Counter(zip(coeffs[:half], coeffs[half:]))
-    # no slot count reaches the base, so the keys of a combination add
-    # digit by digit and one sum gives its pattern class
-    base = half + 1
-    options = [_group_options(_slot_states(ap, am), size, base)
-               for (ap, am), size in groups.items()]
     h = [0] * (n + 1)
-    key_of = itemgetter(1)
-    for combo in product(*options):
-        pairs, rest = divmod(sum(map(key_of, combo)), base * base)
-        nplus, nminus = divmod(rest, base)
-        ranks, torsion = _pattern_homology(n, pairs, nplus, nminus)
-        if not any(ranks):
-            continue
-        weights, _, group_bounds = zip(*combo)
+    for pairs, nplus, nminus, ranks, torsion, combo in _visible_classes(n, coeffs):
+        weights, _, group_bounds, group_los, group_his = zip(*combo)
         los = [lo for bounds in group_bounds for lo, _ in bounds]
         his = [hi for bounds in group_bounds for _, hi in bounds]
-        open_below = any(lo is None for lo in los)
-        open_above = any(hi is None for hi in his)
+        open_below = None in group_los
+        open_above = None in group_his
         if open_below and open_above:
             # both ends open and slotwise nonempty: infinitely many characters
             raise UnboundedRegionWithHomology(
@@ -254,14 +303,11 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
                 lo - total_lo if hi is None else min(hi, lo - total_lo)
                 for lo, hi in zip(los, his)
             ]
-        count = _count_sum_zero(list(zip(los, his)))
-        if not count:
-            continue
         if torsion:
             warnings.warn(
                 f"torsion in a contributing pattern on V_{n}", TorsionEncountered
             )
-        count *= prod(weights)
+        count = _count_sum_zero(list(zip(los, his))) * prod(weights)
         for p, r in enumerate(ranks):
             if r:
                 h[p] += count * r
@@ -296,13 +342,8 @@ def _generic_engine(fan: Fan, coeffs) -> GradedCohomology:
     h = [0] * (n + 1)
     for mask in range(1 << fan.nrays):
         inside = [i for i in range(fan.nrays) if mask >> i & 1]
-        hom = reduced_homology(complex_CI(fan, inside))
-        profile = {
-            deg + 1: (rank, tors)
-            for deg, (rank, tors) in hom.items()
-            if rank or tors
-        }
-        if not profile:
+        ranks, torsion = _subcomplex_homology(fan, inside)
+        if not any(ranks) and not torsion:
             continue
         rows = []
         for i in range(fan.nrays):
@@ -319,11 +360,8 @@ def _generic_engine(fan: Fan, coeffs) -> GradedCohomology:
         count = len(lattice_points(region))
         if not count:
             continue
-        for p, (rank, tors) in profile.items():
-            if tors:
-                warnings.warn(
-                    f"torsion at ray subset {inside}", TorsionEncountered
-                )
-            if 0 <= p <= n:
-                h[p] += count * rank
+        if torsion:
+            warnings.warn(f"torsion at ray subset {inside}", TorsionEncountered)
+        for p, r in enumerate(ranks):
+            h[p] += count * r
     return GradedCohomology(tuple(h))

@@ -7,24 +7,26 @@ form a cone in the Picard lattice, and a divisor avoiding every cone is
 certified acyclic. The real relaxation is one-sided by design: a miss
 proves vanishing, a hit proves nothing.
 
-Membership is tested with closed inequalities. The boundary matters: on
-the hexagon the class -H - E_0 + E_1 + E_2 has h^1 = 1 carried by a
-single character sitting exactly on the boundary of a pair cone, so a
-strict test would wrongly certify it acyclic. The strict variant is kept
-as an explicit option only.
+Membership is tested with closed inequalities only. The boundary
+matters: on the hexagon the class -H - E_0 + E_1 + E_2 has h^1 = 1
+carried by a single character sitting exactly on the boundary of a pair
+cone, so a strict test would wrongly certify it acyclic.
 
 On the centrally symmetric fans every slot of a pattern is untouched,
 a full pair, a plus ray or a minus ray, and its interval of admissible
 values is the one `cohomology._slot_states` gives for that state, so
 the region is non-empty exactly when no slot's state is infeasible and
-the summed interval ends admit zero. Slots with equal coefficients have
-equal intervals, so the certificates never walk the ray sets: they
-enumerate how many slots of each coefficient group take each state, as
-the cohomology engine does, and look up a pattern class's homology only
-when its region is non-empty. `enumerate_forbidden`, `in_forbidden_cone`
-and `forbidden_witness` walk the ray sets one by one; they name the cone
-that is hit and serve as the reference the certificates are tested
-against. Other fans certify by that walk, with an LP per ray set.
+the summed interval ends admit zero. The certificates there run the
+same slot-class walk as the cohomology engine,
+`cohomology._visible_classes`: per coefficient group it enumerates how
+many slots take each state, drops the empty class for the higher
+certificate, then classes that are not unions of primitive collections,
+then classes whose closed region is empty, and only then reads a
+class's homology. A divisor is certified when the walk yields nothing.
+`enumerate_forbidden`, `in_forbidden_cone` and `forbidden_witness` walk
+the ray sets one by one; they name the cone that is hit and serve as
+the reference the certificates are tested against. Other fans certify
+by that walk, with an LP per ray set.
 
 The inequality predicates at the bottom certify vanishing for every
 member of a whole (c, k, l) family at once, with no region sweeps.
@@ -32,22 +34,23 @@ member of a whole (c, k, l) family at once, with no region sweeps.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .cohomology import (
     _MINUS,
     _PLUS,
-    _group_options,
+    _meets,
     _pattern_homology,
     _slot_states,
+    _subcomplex_homology,
+    _sum_bounds,
+    _visible_classes,
     divisor_coefficients,
 )
-from .fan import Fan, complex_CI, primitive_collections
+from .fan import Fan, primitive_collections
 from .polyhedra import feasible, polyhedron
-from .simplicial import reduced_homology
 
 
 class HypothesisViolated(Exception):
@@ -64,15 +67,6 @@ class ForbiddenConeSpec:
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(p for p, r in enumerate(self.profile) if r)
-
-
-def _profile_of(fan: Fan, rays) -> tuple[int, ...]:
-    hom = reduced_homology(complex_CI(fan, rays))
-    ranks = [0] * (fan.rank + 1)
-    for degree, (rank, _) in hom.items():
-        if 0 <= degree + 1 <= fan.rank:
-            ranks[degree + 1] = rank
-    return tuple(ranks)
 
 
 @lru_cache(maxsize=8)
@@ -108,7 +102,7 @@ def enumerate_forbidden(fan: Fan, restrict_to_primitive_unions: bool = True):
 def _filter_visible(fan, candidates):
     out = []
     for s in candidates:
-        profile = _profile_of(fan, s)
+        profile, _ = _subcomplex_homology(fan, s)
         if any(profile):
             out.append(ForbiddenConeSpec(s, profile))
     out.sort(key=lambda spec: (len(spec.rays), sorted(spec.rays)))
@@ -150,33 +144,22 @@ def _symmetric_specs(fan: Fan):
     return tuple(out)
 
 
-def in_forbidden_cone(fan: Fan, spec: ForbiddenConeSpec, divisor, strict: bool = False) -> bool:
+def in_forbidden_cone(fan: Fan, spec: ForbiddenConeSpec, divisor) -> bool:
     """Whether the divisor's character region for this pattern has a real point.
 
-    Closed inequalities by default; strict=True uses the open version,
-    which is unsound as a vanishing certificate (see the module docstring).
-    Input of the wrong kind or length raises ValueError.
+    The test uses closed inequalities (see the module docstring). Input of
+    the wrong kind or length raises ValueError.
     """
     coeffs = divisor_coefficients(fan, divisor)
-    if fan.kind == "centrally-symmetric" and not strict:
+    if fan.kind == "centrally-symmetric":
         return _interval_hit(fan, spec.rays, coeffs)
     rows = []
     for i in range(fan.nrays):
         if i in spec.rays:
-            rows.append((tuple(-x for x in fan.rays[i]), coeffs[i] + 1, strict))
+            rows.append((tuple(-x for x in fan.rays[i]), coeffs[i] + 1))
         else:
-            rows.append((fan.rays[i], -coeffs[i], strict))
+            rows.append((fan.rays[i], -coeffs[i]))
     return feasible(polyhedron(fan.rank, rows))
-
-
-def _meets(lo_total, hi_total) -> bool:
-    """Closed test on summed slot bounds; None marks an open end."""
-    return (lo_total is None or lo_total <= 0) and (hi_total is None or hi_total >= 0)
-
-
-def _sum_bounds(ends):
-    """Sum of interval ends, or None when any of them is open."""
-    return None if None in ends else sum(ends)
 
 
 def _interval_hit(fan: Fan, rays, coeffs) -> bool:
@@ -196,41 +179,6 @@ def _interval_hit(fan: Fan, rays, coeffs) -> bool:
     return _meets(_sum_bounds(los), _sum_bounds(his))
 
 
-def _slot_count_hit(fan: Fan, coeffs, higher_only: bool) -> bool:
-    """Whether the divisor meets some forbidden cone, decided on slot counts.
-
-    Each combination of per-group state counts is one pattern class
-    (pairs, plus, minus). It must pass the one-sided filter of
-    _symmetric_specs and the closed test before its homology is read, so
-    the pattern table fills only for classes whose region is non-empty.
-    """
-    n = fan.rank
-    half = fan.slots
-    need = n // 2 + 1
-    base = half + 1
-    options = []
-    for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
-        options.append([
-            (key, _sum_bounds([lo for lo, _ in bounds]),
-             _sum_bounds([hi for _, hi in bounds]))
-            for _, key, bounds in _group_options(_slot_states(ap, am), size, base)
-        ])
-    for combo in product(*options):
-        keys, los, his = zip(*combo)
-        key = sum(keys)
-        if higher_only and not key:
-            continue
-        pairs, rest = divmod(key, base * base)
-        nplus, nminus = divmod(rest, base)
-        if nplus and pairs + nplus < need or nminus and pairs + nminus < need:
-            continue
-        if not _meets(_sum_bounds(los), _sum_bounds(his)):
-            continue
-        if any(_pattern_homology(n, pairs, nplus, nminus)[0]):
-            return True
-    return False
-
-
 def forbidden_witness(fan: Fan, divisor, higher_only: bool = False):
     """First forbidden cone hit by the divisor, or None if all are avoided."""
     coeffs = divisor_coefficients(fan, divisor)
@@ -245,7 +193,7 @@ def forbidden_witness(fan: Fan, divisor, higher_only: bool = False):
 def _certify(fan: Fan, divisor, higher_only: bool) -> bool:
     if fan.kind == "centrally-symmetric":
         coeffs = divisor_coefficients(fan, divisor)
-        return not _slot_count_hit(fan, coeffs, higher_only)
+        return next(_visible_classes(fan.rank, coeffs, higher_only), None) is None
     return forbidden_witness(fan, divisor, higher_only) is None
 
 

@@ -216,37 +216,14 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
-    a = [[Fraction(v) for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the rational kernel (column null space)."""
+def _row_reduce(matrix: Sequence[Sequence[int]]):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
     a = [[Fraction(v) for v in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
-    r = 0
     for col in range(n):
+        r = len(pivots)
         pivot = next((i for i in range(r, m) if a[i][col]), None)
         if pivot is None:
             continue
@@ -258,9 +235,20 @@ def kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
+    return a, pivots
+
+
+def rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals via exact Gaussian elimination."""
+    return len(_row_reduce(matrix)[1])
+
+
+def kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the rational kernel (column null space)."""
+    a, pivots = _row_reduce(matrix)
+    n = len(a[0]) if a else 0
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for j in free:

@@ -65,8 +65,12 @@ def divisor(h: int, d) -> DivisorClass:
 
 
 def class_of_ray(n: int, ray_index: int) -> DivisorClass:
-    """Divisor class of the ray at the given index (e_0..e_n, then negatives)."""
-    assert 0 <= ray_index < 2 * (n + 1)
+    """Divisor class of the ray at the given index (e_0..e_n, then negatives).
+
+    An index outside 0..2n+1 raises ValueError.
+    """
+    if not 0 <= ray_index < 2 * (n + 1):
+        raise ValueError(f"ray index {ray_index} outside 0..{2 * n + 1}")
     if ray_index <= n:
         return DivisorClass((0,) + tuple(1 if i == ray_index else 0 for i in range(n + 1)))
     slot = ray_index - (n + 1)
@@ -107,9 +111,13 @@ def antipodal_involution(D: DivisorClass) -> DivisorClass:
 
 
 def permute(perm, D: DivisorClass) -> DivisorClass:
-    """Relabel E-coordinates: E_i maps to E_{perm[i]}."""
+    """Relabel E-coordinates: E_i maps to E_{perm[i]}.
+
+    A perm that is not a permutation of 0..n raises ValueError.
+    """
     n = D.n
-    assert sorted(perm) == list(range(n + 1))
+    if sorted(perm) != list(range(n + 1)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n}")
     d = [0] * (n + 1)
     for i, target in enumerate(perm):
         d[target] = D.d[i]

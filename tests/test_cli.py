@@ -177,10 +177,14 @@ def test_verify_forbidden_large_dim_sampled_needs_no_flag(capsys):
     assert doc["pairs_checked"] == 20
 
 
-@pytest.mark.parametrize("command", ["verify", "build"])
-def test_unwritable_out_exits_2(capsys, tmp_path, command):
-    target = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, command, "--dim", "2", "--out", str(target))
+@pytest.mark.parametrize("command, dim, name", [
+    ("verify", "2", "x.json"), ("build", "2", "x.json"),
+    # figure prints a note at n = 8, and only after the payload is written
+    ("figure", "8", "x.csv"),
+], ids=["verify", "build", "figure"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command, dim, name):
+    target = tmp_path / "missing" / name
+    code, out, err = run(capsys, command, "--dim", dim, "--out", str(target))
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1

@@ -18,7 +18,7 @@ from toric_exc.cohomology import (
     cohomology,
     euler_pairing,
 )
-from toric_exc.collection import apply_mutation, build_Gn
+from toric_exc.collection import apply_mutation, build_Gn, verify_exceptional
 from toric_exc.fan import Fan, build_Pn, build_Vn, complex_CI
 from toric_exc.picard import (
     DivisorClass,
@@ -344,6 +344,21 @@ def test_pattern_homology_profiles():
     # all antipodal pairs give the boundary sphere
     ranks, _ = _pattern_homology(2, 3, 0, 0)
     assert ranks == (0, 0, 1)
+
+
+def test_oracle_on_G4_runs_no_smith_form(monkeypatch):
+    # The walk's one-sided filter and closed test run before the pattern
+    # table, so on G_4 only the empty class is read and its homology needs
+    # no boundary matrix.
+    simplicial = importlib.import_module("toric_exc.simplicial")
+
+    def refuse(matrix):
+        raise RuntimeError("Smith form reached")
+
+    coh._pattern_homology.cache_clear()
+    monkeypatch.setattr(simplicial, "smith_normal_form", refuse)
+    report = verify_exceptional(build_Gn(4), "oracle")
+    assert report.ok and report.pairs_checked == 870
 
 
 def test_unbounded_region_raises():

@@ -22,6 +22,7 @@ from toric_exc.cones import (
 )
 from toric_exc.fan import Fan, build_Pn, build_Vn, complex_CI
 from toric_exc.picard import DivisorClass, divisor, make_F, orbit_Fckl, ray_coefficients
+from toric_exc.polyhedra import feasible, polyhedron
 from toric_exc.simplicial import reduced_homology
 
 
@@ -128,8 +129,14 @@ def test_boundary_class_needs_closed_test():
     closed_hits = [s.rays for s in enumerate_forbidden(fan)
                    if in_forbidden_cone(fan, s, d)]
     assert closed_hits == [frozenset({0, 3})]
-    assert not any(in_forbidden_cone(fan, s, d, strict=True)
-                   for s in enumerate_forbidden(fan))
+    coeffs = ray_coefficients(2, d)
+
+    def open_hit(rays):
+        rows = [((tuple(-x for x in ray), coeffs[i] + 1, True) if i in rays
+                 else (ray, -coeffs[i], True)) for i, ray in enumerate(fan.rays)]
+        return feasible(polyhedron(fan.rank, rows))
+
+    assert not any(open_hit(s.rays) for s in enumerate_forbidden(fan))
     assert not certify_acyclic(fan, d)
     assert forbidden_witness(fan, d).rays == frozenset({0, 3})
 

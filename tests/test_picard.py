@@ -72,6 +72,19 @@ def test_class_of_ray_values():
     assert class_of_ray(2, 4).coeffs == (1, -1, 0, -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: class_of_ray(2, 6),
+    lambda: class_of_ray(2, 9),
+    lambda: class_of_ray(2, -1),
+    lambda: permute((0, 0, 1), divisor(0, [1, 2, 3])),
+    lambda: permute((0, 1), divisor(0, [1, 2, 3])),
+], ids=["ray-6", "ray-9", "ray-minus-1", "perm-repeat", "perm-short"])
+def test_bad_ray_index_or_permutation_raises(call):
+    # a real check, not an assert: python -O must not strip it
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_sum_of_ray_classes_is_anticanonical():
     for n in (2, 4, 6):
         total = class_of_ray(n, 0)

@@ -10,18 +10,15 @@ all ordered pairs is only run in full for dim 2 and 4, larger dimensions
 fall back to a seeded 500-pair sample unless --allow-large forces the
 full sweep. The full forbidden-cone sweep at dim 8 and above also needs
 --allow-large; a --sample run does not. --out to a path that cannot be
-written exits 2. TORIC_EXC_THREADS splits oracle sweeps across processes;
-output is sorted, so the thread count never changes what is printed.
+written exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cohomology import cohomology
 from .collection import (
@@ -30,7 +27,6 @@ from .collection import (
     apply_mutation,
     build_Fn,
     build_Gn,
-    collection_from_dict,
     collection_to_dict,
     expected_size,
     gram_matrix,
@@ -38,7 +34,7 @@ from .collection import (
     verify_stability,
 )
 from .fan import build_Vn
-from .picard import DivisorClass
+from .picard import DivisorClass, parse_F
 from .windows import (
     KoszulEscape,
     WallMismatch,
@@ -174,7 +170,6 @@ def cmd_build(args) -> int:
     if args.format == "json":
         _emit(args, _dumps(collection_to_dict(collection)))
     elif args.format == "csv":
-        from .picard import parse_F
         lines = ["block,ell,c,J"]
         for bi, block in enumerate(collection.blocks):
             for m in block.members:
@@ -184,7 +179,6 @@ def cmd_build(args) -> int:
     else:
         lines = [f"collection for dim {n}: {collection.size} members "
                  f"in {len(collection.blocks)} blocks"]
-        from .picard import parse_F
         for bi, block in enumerate(collection.blocks):
             parts = []
             for m in block.members:
@@ -210,39 +204,6 @@ def sample_pairs(size: int, count: int, seed: int):
         i, r = divmod(p, size - 1)
         pairs.append((i, r + (r >= i)))
     return pairs
-
-
-def _verify_worker(payload):
-    data, method, chunk = payload
-    report = verify_exceptional(collection_from_dict(data), method, sample=chunk)
-    return report.pairs_checked, report.violations
-
-
-def _run_pair_sweep(collection, method, sample, full_report, threads) -> Report:
-    if threads <= 1 or full_report:
-        return verify_exceptional(collection, method, sample=sample,
-                                  full_report=full_report)
-    if sample is None:
-        size = collection.size
-        sample = [(i, j) for i in range(size) for j in range(size) if i != j]
-        sampled = False
-    else:
-        sampled = True
-    data = collection_to_dict(collection)
-    # chunk k is empty for k >= len(sample), so no worker idles
-    chunks = [sample[k::threads] for k in range(min(threads, len(sample)))]
-    checked = 0
-    violations = []
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for part_checked, part_violations in pool.map(
-                _verify_worker, [(data, method, c) for c in chunks]):
-            checked += part_checked
-            violations.extend(part_violations)
-    violations.sort(key=lambda v: (v.source, v.target))
-    return Report(
-        n=collection.n, method=method, size=collection.size,
-        expected=expected_size(collection.n), pairs_checked=checked,
-        violations=tuple(violations), sampled=sampled)
 
 
 def cmd_verify(args) -> int:
@@ -319,14 +280,8 @@ def cmd_verify(args) -> int:
     if method == "forbidden" and n >= 8 and sample is None and not args.allow_large:
         return _usage("the forbidden-cone sweep is slow for dim >= 8; "
                       "pass --allow-large to run it")
-    try:
-        threads = int(os.environ.get("TORIC_EXC_THREADS", "1"))
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        return _usage("TORIC_EXC_THREADS must be a positive integer")
-    report = _run_pair_sweep(collection, method, sample, args.full_report,
-                             threads)
+    report = verify_exceptional(collection, method, sample=sample,
+                                full_report=args.full_report)
     payload = _report_payload(report, what)
     _emit_report(args, payload, _report_text(report))
     return 0 if report.ok else 1

@@ -31,7 +31,7 @@ from .cones import (
     lemma_acyclic_predicate,
 )
 from .fan import build_Vn
-from .picard import DivisorClass, act, group_generators, make_F, parse_F
+from .picard import DivisorClass, act, family_of_parsed, group_generators, make_F, parse_F
 
 METHODS = ("inequalities", "forbidden", "oracle")
 
@@ -194,6 +194,11 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                                  f"positions in 0..{len(members) - 1}")
         sampled = True
 
+    # The verdict of a pair depends only on the S_{n+1}-orbit of its
+    # difference, the family (c, k, l), and on the block relation, so each
+    # key is graded once per call. A member outside F_{c,J} has no family:
+    # its pairs are graded one by one.
+    grades = {}
     results = []
     violations = []
     checked = 0
@@ -201,7 +206,15 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         checked += 1
         relation = _pair_relation(block_of[i], block_of[j])
         need_all = relation != "forward"
-        ok, detail = _grade_pair(n, fan, method, members, parsed, i, j, need_all)
+        family = family_of_parsed(parsed[j], parsed[i])
+        key = None if family is None else (family, need_all)
+        grade = grades.get(key)
+        if grade is None:
+            grade = _grade_pair(fan, method, members[j] - members[i], family,
+                                need_all)
+            if key is not None:
+                grades[key] = grade
+        ok, detail = grade
         result = PairResult(i, j, relation, ok, detail)
         if not ok:
             violations.append(result)
@@ -215,25 +228,22 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     )
 
 
-def _grade_pair(n, fan, method, members, parsed, i, j, need_all):
+def _grade_pair(fan, method, D, family, need_all):
     if method == "oracle":
-        ranks = cohomology(fan, members[j] - members[i]).ranks
+        ranks = cohomology(fan, D).ranks
         bad = any(ranks) if need_all else any(ranks[1:])
         return not bad, f"h = {ranks}"
     if method == "forbidden":
         certify = certify_acyclic if need_all else certify_higher_acyclic
-        return certify(fan, members[j] - members[i]), "forbidden-cone sweep"
-    ps, pt = parsed[i], parsed[j]
-    if ps is None or pt is None:
+        return certify(fan, D), "forbidden-cone sweep"
+    if family is None:
         return False, "member outside the F_{c,J} family"
-    (cs, js), (ct, jt) = ps, pt
-    t = len(js & jt)
-    c, k, ell = ct - cs, len(js) - t, len(jt) - t
+    c, k, ell = family
     label = f"(c, k, l) = ({c}, {k}, {ell})"
     if not need_all:
-        return higher_acyclic_predicate(n, c, k, ell), label
+        return higher_acyclic_predicate(D.n, c, k, ell), label
     try:
-        return lemma_acyclic_predicate(n, c, k, ell), label
+        return lemma_acyclic_predicate(D.n, c, k, ell), label
     except HypothesisViolated as e:
         return False, f"{label}: {e}"
 
@@ -287,12 +297,27 @@ def verify_stability(collection: Collection) -> StabilityReport:
 
 
 def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
-    """Euler pairings chi(E_i, E_j) over flat positions, by the oracle."""
+    """Euler pairings chi(E_i, E_j) over flat positions, by the oracle.
+
+    chi(E_i, E_j) depends only on the family of E_j - E_i, so each family
+    is computed once; the diagonal is the family (0, 0, 0). An entry with
+    a member outside F_{c,J} is computed on its own.
+    """
     fan = build_Vn(collection.n)
     members = collection.members
-    return tuple(
-        tuple(euler_pairing(fan, a, b) for b in members) for a in members
-    )
+    parsed = [parse_F(m) for m in members]
+    by_family = {}
+
+    def entry(i, j):
+        family = family_of_parsed(parsed[j], parsed[i])
+        if family is None:
+            return euler_pairing(fan, members[i], members[j])
+        if family not in by_family:
+            by_family[family] = euler_pairing(fan, members[i], members[j])
+        return by_family[family]
+
+    indices = range(len(members))
+    return tuple(tuple(entry(i, j) for j in indices) for i in indices)
 
 
 # -- mutations -------------------------------------------------------------------
@@ -351,7 +376,8 @@ def collection_to_dict(collection: Collection) -> dict:
         members = []
         for m in block.members:
             parsed = parse_F(m)
-            assert parsed is not None, "only F_{c,J} members serialize"
+            if parsed is None:
+                raise ValueError(f"member {m.coeffs} is not an F_{{c,J}} class")
             c, j = parsed
             members.append({"c": c, "J": sorted(j)})
         blocks.append({"ell": block.ell, "members": members})

@@ -45,7 +45,8 @@ class Fan:
         return self.rank + 1
 
     def antipode(self, i: int) -> int:
-        assert self.kind == "centrally-symmetric"
+        if self.kind != "centrally-symmetric" or not 0 <= i < self.nrays:
+            raise ValueError(f"ray {i} has no antipode on this {self.kind} fan")
         half = self.slots
         return i - half if i >= half else i + half
 
@@ -54,7 +55,8 @@ class Fan:
         s = frozenset(indices)
         if not s:
             return True
-        assert all(0 <= i < self.nrays for i in s)
+        if not all(0 <= i < self.nrays for i in s):
+            raise ValueError(f"ray indices {sorted(s)} not all in 0..{self.nrays - 1}")
         if self.kind == "centrally-symmetric":
             half = self.slots
             plus = {i for i in s if i < half}
@@ -189,5 +191,7 @@ def circuit_relation(fan: Fan, circuit) -> tuple[int, ...]:
     idx = sorted(circuit)
     matrix = [[fan.rays[i][r] for i in idx] for r in range(fan.rank)]
     basis = kernel_basis(matrix)
-    assert len(basis) == 1, "not a circuit: dependence space is not a line"
+    if len(basis) != 1:
+        raise ValueError(f"{idx} is not a circuit: its dependence space "
+                         f"has dimension {len(basis)}")
     return basis[0]

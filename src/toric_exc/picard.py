@@ -165,20 +165,31 @@ def orbit_Fckl(n: int, c: int, k: int, ell: int) -> list[DivisorClass]:
     return out
 
 
+def family_of_parsed(first, second) -> tuple[int, int, int] | None:
+    """Parameters (c, k, l) of F_{c1,J1} - F_{c2,J2} from parsed (c, J) pairs.
+
+    The difference lies in the family with c = c1 - c2, k = |J2 - J1| and
+    l = |J1 - J2|, a single S_{n+1}-orbit. None, parse_F's answer for a
+    class outside F_{c,J}, on either side gives None.
+    """
+    if first is None or second is None:
+        return None
+    (c1, J1), (c2, J2) = first, second
+    t = len(J1 & J2)
+    return c1 - c2, len(J2) - t, len(J1) - t
+
+
 def difference_family(n: int, D1: DivisorClass, D2: DivisorClass) -> tuple[int, int, int]:
     """Parameters (c, k, l) with D1 - D2 in the (c, k, l) family.
 
-    Both arguments must be of the form F_{c,J}; the difference then lies in
-    the family with c = c1 - c2, k = |J2 - J1|, l = |J1 - J2|.
+    Both arguments must be of the form F_{c,J}; see family_of_parsed.
     """
     p1 = parse_F(D1)
     p2 = parse_F(D2)
     if p1 is None or p2 is None:
         bad = "first" if p1 is None else "second"
         raise NotInFamily(f"{bad} argument is not an F_(c,J) class")
-    (c1, J1), (c2, J2) = p1, p2
-    t = len(J1 & J2)
-    return c1 - c2, len(J2) - t, len(J1) - t
+    return family_of_parsed(p1, p2)
 
 
 def ray_coefficients(n: int, D: DivisorClass) -> tuple[int, ...]:

@@ -230,7 +230,8 @@ def certificate_to_dict(certificate: Certificate) -> dict:
             components = []
             for component in piece.components:
                 parsed = parse_F(component)
-                assert parsed is not None
+                if parsed is None:
+                    raise ValueError(f"component {component.coeffs} is not an F_{{c,J}} class")
                 c, j = parsed
                 components.append({"c": c, "J": sorted(j)})
             pieces.append({"a": piece.a, "w": piece.w, "branch": piece.branch,

@@ -1,12 +1,17 @@
 """Collection construction, pairwise verification, stability, mutations."""
 
+import importlib
 import math
+import random
 
 import pytest
 
+from toric_exc.cohomology import cohomology, euler_pairing
 from toric_exc.collection import (
+    METHODS,
     Block,
     Collection,
+    PairResult,
     VerificationFailed,
     apply_mutation,
     build_Fn,
@@ -18,7 +23,19 @@ from toric_exc.collection import (
     verify_exceptional,
     verify_stability,
 )
-from toric_exc.picard import make_F, parse_F
+from toric_exc.cones import (
+    HypothesisViolated,
+    certify_acyclic,
+    certify_higher_acyclic,
+    higher_acyclic_predicate,
+    lemma_acyclic_predicate,
+)
+from toric_exc.fan import build_Pn, build_Vn, circuit_relation
+from toric_exc.picard import NotInFamily, difference_family, divisor, make_F, parse_F
+from toric_exc.windows import Certificate, WallPiece, WallRecord, certificate_to_dict
+
+# the module itself: the package attribute of the same name may be shadowed
+collection_module = importlib.import_module("toric_exc.collection")
 
 DIMS = (2, 4, 6, 8)
 
@@ -170,6 +187,131 @@ def test_sample_rejects_bad_pairs(pair):
         verify_exceptional(build_Gn(2), "oracle", sample=[(0, 1), pair])
 
 
+# -- the reduced sweep against a flat per-pair sweep -------------------------------
+
+
+def reference_sweep(col, method, pairs):
+    """Grade each pair on its own, with no grouping by family."""
+    fan = build_Vn(col.n)
+    members = col.members
+    block_of = [bi for bi, _ in col.positions()]
+    out = []
+    for i, j in pairs:
+        bs, bt = block_of[i], block_of[j]
+        relation = ("same-block" if bs == bt
+                    else "forward" if bs < bt else "backward")
+        need_all = relation != "forward"
+        D = members[j] - members[i]
+        if method == "oracle":
+            ranks = cohomology(fan, D).ranks
+            ok = not (any(ranks) if need_all else any(ranks[1:]))
+            detail = f"h = {ranks}"
+        elif method == "forbidden":
+            certify = certify_acyclic if need_all else certify_higher_acyclic
+            ok, detail = certify(fan, D), "forbidden-cone sweep"
+        else:
+            try:
+                c, k, ell = difference_family(col.n, members[j], members[i])
+            except NotInFamily:
+                ok, detail = False, "member outside the F_{c,J} family"
+            else:
+                detail = f"(c, k, l) = ({c}, {k}, {ell})"
+                try:
+                    ok = (lemma_acyclic_predicate(col.n, c, k, ell) if need_all
+                          else higher_acyclic_predicate(col.n, c, k, ell))
+                except HypothesisViolated as e:
+                    ok, detail = False, f"{detail}: {e}"
+        out.append(PairResult(i, j, relation, ok, detail))
+    return tuple(out)
+
+
+def all_pairs(col):
+    return [(i, j) for i in range(col.size) for j in range(col.size) if i != j]
+
+
+def with_stranger(col):
+    """col with a member that is not an F_{c,J} appended to its first block."""
+    stranger = divisor(0, (1,) + (0,) * col.n)
+    assert parse_F(stranger) is None
+    first = col.blocks[0]
+    blocks = (Block(first.ell, first.members + (stranger,)),) + col.blocks[1:]
+    return Collection(col.n, blocks)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n, mutation", [
+    (n, m) for n in (2, 4)
+    for m in (None, "drop:3", "add:1,0-1", "swap:0,5", "swap:1,20")
+    if not (n == 2 and m == "swap:1,20")  # G_2 has only 6 positions
+])
+def test_reduced_sweep_matches_flat_sweep(method, n, mutation):
+    col = build_Gn(n)
+    if mutation:
+        col = apply_mutation(col, mutation)
+    report = verify_exceptional(col, method, full_report=True)
+    reference = reference_sweep(col, method, all_pairs(col))
+    assert report.pair_results == reference
+    assert report.violations == tuple(r for r in reference if not r.ok)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_reduced_sweep_matches_flat_sweep_on_sampled_dim6_mutant(method):
+    col = apply_mutation(build_Gn(6), "add:1,0-1-2")
+    pairs = random.Random(7).sample(all_pairs(col), 300)
+    report = verify_exceptional(col, method, sample=pairs, full_report=True)
+    assert report.pair_results == reference_sweep(col, method, pairs)
+
+
+def count_calls(monkeypatch, names):
+    calls = []
+    for name in names:
+        original = getattr(collection_module, name)
+
+        def counted(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(collection_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method, graders", [
+    ("oracle", ["cohomology"]),
+    ("forbidden", ["certify_acyclic", "certify_higher_acyclic"]),
+])
+def test_stranger_pairs_graded_one_by_one(monkeypatch, method, graders):
+    col = build_Gn(2)
+    strange = with_stranger(col)
+    calls = count_calls(monkeypatch, graders)
+    verify_exceptional(col, method)
+    intact = len(calls)
+    calls.clear()
+    report = verify_exceptional(strange, method, full_report=True)
+    # the 12 ordered pairs with the stranger add one call each, no family
+    assert len(calls) == intact + 2 * col.size
+    assert report.pair_results == reference_sweep(strange, method, all_pairs(strange))
+
+
+def test_stranger_pairs_fail_the_inequalities():
+    strange = with_stranger(build_Gn(2))
+    report = verify_exceptional(strange, "inequalities", full_report=True)
+    at = len(strange.blocks[0].members) - 1
+    outside = [r for r in report.pair_results if at in (r.source, r.target)]
+    assert len(outside) == 12
+    assert all(not r.ok and r.detail == "member outside the F_{c,J} family"
+               for r in outside)
+    assert report.pair_results == reference_sweep(strange, "inequalities",
+                                                  all_pairs(strange))
+
+
+def test_full_dim6_oracle_sweep_grades_each_family_once(monkeypatch):
+    col = build_Gn(6)
+    calls = count_calls(monkeypatch, ["cohomology"])
+    report = verify_exceptional(col, "oracle")
+    assert report.ok and report.pairs_checked == 19460
+    assert len(calls) <= 129
+
+
 # -- mutations are caught --------------------------------------------------------
 
 
@@ -276,6 +418,14 @@ def test_gram_matrix_dim4_unitriangular():
         assert all(row[j] == 0 for j in range(i))
 
 
+def test_gram_matrix_matches_flat_euler_pairings():
+    col = build_Gn(4)
+    fan = build_Vn(4)
+    flat = tuple(tuple(euler_pairing(fan, a, b) for b in col.members)
+                 for a in col.members)
+    assert gram_matrix(col) == flat
+
+
 # -- serialization ------------------------------------------------------------------
 
 
@@ -293,3 +443,27 @@ def test_schema_guard():
     data["schema"] = "something/9"
     with pytest.raises(ValueError):
         collection_from_dict(data)
+
+
+# -- input validation -----------------------------------------------------------------
+
+
+def _stranger_certificate():
+    piece = WallPiece(0, 0, "base", (divisor(0, (1, 0, 0)),))
+    return Certificate(2, 0, (WallRecord(frozenset(), (0, 0), (0, 0), (piece,)),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_Vn(2).is_face([99]),
+    lambda: build_Vn(2).is_face([-1]),
+    lambda: build_Pn(2).antipode(0),
+    lambda: build_Vn(2).antipode(6),
+    lambda: circuit_relation(build_Vn(2), {0, 1}),
+    lambda: collection_to_dict(with_stranger(build_Gn(2))),
+    lambda: certificate_to_dict(_stranger_certificate()),
+], ids=["face-99", "face-minus-1", "antipode-projective", "antipode-6",
+        "not-a-circuit", "collection-stranger", "certificate-stranger"])
+def test_public_inputs_checked_without_assert(call):
+    # a real check, not an assert: python -O must not strip it
+    with pytest.raises(ValueError):
+        call()

@@ -9,21 +9,23 @@ Euler pairing that the Gram matrix of a collection is made of.
 import math
 
 from toric_exc import (
-    build_Pn,
     build_Vn,
     canonical_class,
     cohomology,
     divisor,
     euler_pairing,
     make_F,
+    reference,
 )
 
 
 def projective_space():
+    # P^3 is not a V_n: its fan and the engine that enumerates every ray
+    # subset come from the reference layer
     print("sections of O(d) on P^3:")
-    fan = build_Pn(3)
+    fan = reference.build_Pn(3)
     for d in range(5):
-        graded = cohomology(fan, (d, 0, 0, 0))
+        graded = reference.cohomology(fan, (d, 0, 0, 0))
         formula = math.comb(3 + d, 3)
         print(f"  d = {d}: h^0 = {graded[0]} (binomial says {formula})")
     print()

@@ -3,168 +3,43 @@
 The package builds the even-dimensional varieties V_n from their fans,
 assembles the symmetric collection of line bundles on them, and verifies
 exceptionality, stability, and generation with exact integer arithmetic.
+The names below are the ones the README and the demos use; everything
+else is imported from its module. `toric_exc.reference` holds other fans
+and the general algorithms the tests check the closed forms against.
 """
 
-from .cohomology import (
-    GradedCohomology,
-    TorsionEncountered,
-    UnboundedRegionWithHomology,
-    cohomology,
-    euler_pairing,
-)
+from .cohomology import cohomology, euler_pairing
 from .collection import (
-    Block,
-    Collection,
-    Report,
-    StabilityReport,
-    VerificationFailed,
     apply_mutation,
-    build_Fn,
     build_Gn,
-    collection_from_dict,
-    collection_to_dict,
     expected_size,
-    gram_matrix,
     verify_exceptional,
     verify_stability,
 )
-from .cones import (
-    ForbiddenConeSpec,
-    HypothesisViolated,
-    certify_acyclic,
-    certify_higher_acyclic,
-    enumerate_forbidden,
-    forbidden_witness,
-    higher_acyclic_predicate,
-    in_forbidden_cone,
-    lemma_acyclic_predicate,
-)
-from .fan import (
-    Fan,
-    OddDimension,
-    build_Pn,
-    build_Vn,
-    circuit_relation,
-    circuits,
-    complex_CI,
-    primitive_collections,
-)
-from .linalg import (
-    SmithResult,
-    determinant,
-    kernel_basis,
-    primitive_vector,
-    rank,
-    smith_normal_form,
-)
-from .picard import (
-    DivisorClass,
-    InvalidShape,
-    NotInFamily,
-    antipodal_involution,
-    canonical_class,
-    class_of_ray,
-    difference_family,
-    divisor,
-    group_generators,
-    make_F,
-    orbit_Fckl,
-    parse_F,
-    permute,
-    ray_coefficients,
-)
-from .windows import (
-    BranchGap,
-    Certificate,
-    JTooLarge,
-    KoszulEscape,
-    WallMismatch,
-    WallPiece,
-    WallRecord,
-    WindowViolation,
-    build_certificate,
-    certificate_from_dict,
-    certificate_to_dict,
-    default_gauge,
-    koszul_components,
-    verify_walls,
-    wall_record,
-    weight,
-    weight_matrix,
-)
+from .cones import certify_acyclic, enumerate_forbidden, forbidden_witness
+from .fan import build_Vn
+from .picard import canonical_class, divisor, make_F, parse_F
+from .windows import build_certificate, default_gauge, verify_walls, wall_record, weight
 
 __all__ = [
-    "Block",
-    "BranchGap",
-    "Certificate",
-    "Collection",
-    "DivisorClass",
-    "Fan",
-    "ForbiddenConeSpec",
-    "GradedCohomology",
-    "HypothesisViolated",
-    "InvalidShape",
-    "JTooLarge",
-    "KoszulEscape",
-    "NotInFamily",
-    "OddDimension",
-    "Report",
-    "SmithResult",
-    "StabilityReport",
-    "TorsionEncountered",
-    "UnboundedRegionWithHomology",
-    "VerificationFailed",
-    "WallMismatch",
-    "WallPiece",
-    "WallRecord",
-    "WindowViolation",
-    "antipodal_involution",
     "apply_mutation",
-    "build_Fn",
     "build_Gn",
-    "build_Pn",
     "build_Vn",
     "build_certificate",
     "canonical_class",
-    "certificate_from_dict",
-    "certificate_to_dict",
     "certify_acyclic",
-    "certify_higher_acyclic",
-    "circuit_relation",
-    "circuits",
-    "class_of_ray",
     "cohomology",
-    "collection_from_dict",
-    "collection_to_dict",
-    "complex_CI",
     "default_gauge",
-    "determinant",
-    "difference_family",
     "divisor",
     "enumerate_forbidden",
     "euler_pairing",
     "expected_size",
     "forbidden_witness",
-    "gram_matrix",
-    "group_generators",
-    "higher_acyclic_predicate",
-    "in_forbidden_cone",
-    "kernel_basis",
-    "koszul_components",
-    "lemma_acyclic_predicate",
     "make_F",
-    "orbit_Fckl",
     "parse_F",
-    "permute",
-    "primitive_collections",
-    "primitive_vector",
-    "rank",
-    "ray_coefficients",
-    "smith_normal_form",
     "verify_exceptional",
     "verify_stability",
     "verify_walls",
     "wall_record",
     "weight",
-    "weight_matrix",
 ]

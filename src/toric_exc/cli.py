@@ -1,9 +1,11 @@
 """Command line front end.
 
 Six subcommands: build, verify, cohomology, figure, gram, certificate.
-All take --dim for the even ambient dimension. Exit codes: 0 means the
-requested check passed or the object was emitted, 1 means a verification
-failed, 2 means the invocation itself was malformed.
+All take --dim for the even ambient dimension, from 2 to MAX_DIM. Exit
+codes: 0 means the requested check passed or the object was emitted, 1
+means a verification failed, 2 means the invocation itself was malformed
+(one line on stderr), 3 means an internal error (one line on stderr,
+"error: internal: <type>: <message>", no traceback).
 
 Heavy sweeps are kept off the default path: the cohomology oracle over
 all ordered pairs is only run in full for dim 2 and 4, larger dimensions
@@ -47,6 +49,9 @@ from .windows import (
 WHATS = ("exceptional", "stability", "cardinality", "generation", "walls")
 FORMATS = ("text", "json", "csv")
 DEFAULT_SAMPLE = 500
+# G_n and its checks grow about 4x in memory per step of 2; n = 22 would
+# take most of an 8 GB machine
+MAX_DIM = 20
 REPORT_SCHEMA = "toric-exc/report/1"
 
 
@@ -55,6 +60,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.dim < 2 or args.dim % 2:
         return _usage("n must be even")
+    if args.dim > MAX_DIM:
+        return _usage(f"n must be at most {MAX_DIM}")
     handler = {
         "build": cmd_build,
         "verify": cmd_verify,
@@ -67,6 +74,10 @@ def main(argv=None) -> int:
         return handler(args)
     except OutputError as exc:
         return _usage(str(exc))
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 def build_parser() -> argparse.ArgumentParser:

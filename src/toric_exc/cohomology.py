@@ -1,11 +1,13 @@
-"""Sheaf cohomology of line bundles on complete toric varieties.
+"""Sheaf cohomology of line bundles on V_n.
 
 Cohomology is graded by lattice characters: each character m contributes
 to H^p exactly the reduced homology in degree p - 1 of the subcomplex of
 the fan induced on the rays where <m, u> <= -a - 1. The engine partitions
-M by that ray pattern and counts characters per pattern.
+M by that ray pattern and counts characters per pattern. The engine for
+other fans, which enumerates every ray subset and counts lattice points
+in a polytope, is `toric_exc.reference.cohomology`.
 
-On the centrally symmetric fans the pattern factors through slots: with
+On the centrally symmetric fan the pattern factors through slots: with
 z_i = <m, u_{e_i}> every slot independently lands in one of at most three
 viable states, the induced subcomplex depends only on how many slots hold
 a full antipodal pair, a plus ray, or a minus ray, and the character
@@ -34,9 +36,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
-from .fan import Fan, build_Vn, complex_CI
+from .fan import Fan, complex_CI, require_Vn
 from .picard import DivisorClass, ray_coefficients
-from .polyhedra import coordinate_range, lattice_points, polyhedron
 from .simplicial import reduced_homology
 
 
@@ -70,30 +71,24 @@ class GradedCohomology:
 
 
 def cohomology(fan: Fan, divisor) -> GradedCohomology:
-    """All cohomology ranks of O(divisor).
+    """All cohomology ranks of O(divisor) on V_n.
 
-    The divisor is either a DivisorClass (centrally symmetric fans only)
-    or a sequence of per-ray coefficients in the fan's ray order. Input
-    of the wrong kind or length raises ValueError.
+    The divisor is either a DivisorClass or a sequence of per-ray
+    coefficients in the fan's ray order. Another fan, or input of the
+    wrong type or length, raises ValueError.
     """
-    coeffs = divisor_coefficients(fan, divisor)
-    if fan.kind == "centrally-symmetric":
-        return _symmetric_engine(fan, coeffs)
-    if fan.kind == "projective-space":
-        return _projective_engine(fan, coeffs)
-    return _generic_engine(fan, coeffs)
+    return _symmetric_engine(fan, divisor_coefficients(fan, divisor))
 
 
 def divisor_coefficients(fan: Fan, divisor) -> tuple[int, ...]:
     """Per-ray coefficients of a DivisorClass or of a coefficient sequence.
 
-    Raises ValueError for a class on a fan that is not centrally
-    symmetric, a class of another dimension, or a number of coefficients
-    other than the fan's number of rays.
+    Raises ValueError for a fan other than that of a V_n, a class of
+    another dimension, or a number of coefficients other than the fan's
+    number of rays.
     """
+    require_Vn(fan)
     if isinstance(divisor, DivisorClass):
-        if fan.kind != "centrally-symmetric":
-            raise ValueError("divisor classes need the centrally symmetric basis")
         if divisor.n != fan.rank:
             raise ValueError(
                 f"divisor class of dimension {divisor.n} on a rank {fan.rank} fan"
@@ -119,11 +114,6 @@ _PAIR = _PLUS + _MINUS
 
 
 @lru_cache(maxsize=None)
-def _cached_fan(n: int) -> Fan:
-    return build_Vn(n)
-
-
-@lru_cache(maxsize=None)
 def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int):
     """Contribution profile of the pattern class: (ranks by degree, torsion).
 
@@ -133,7 +123,7 @@ def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int):
     """
     if nplus > nminus:
         nplus, nminus = nminus, nplus
-    fan = _cached_fan(n)
+    fan = Fan(n)
     half = n + 1
     assert pairs + nplus + nminus <= half
     indices = []
@@ -311,57 +301,4 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
         for p, r in enumerate(ranks):
             if r:
                 h[p] += count * r
-    return GradedCohomology(tuple(h))
-
-
-# -- projective space --------------------------------------------------------
-
-
-def _projective_engine(fan: Fan, coeffs) -> GradedCohomology:
-    """Only the empty and the full ray set are homologically visible."""
-    n = fan.rank
-    h = [0] * (n + 1)
-    sections = polyhedron(
-        n, [(fan.rays[i], -coeffs[i]) for i in range(fan.nrays)]
-    )
-    h[0] = len(lattice_points(sections))
-    dual = polyhedron(
-        n,
-        [(tuple(-x for x in fan.rays[i]), coeffs[i] + 1) for i in range(fan.nrays)],
-    )
-    h[n] = len(lattice_points(dual))
-    return GradedCohomology(tuple(h))
-
-
-# -- generic fans ------------------------------------------------------------
-
-
-def _generic_engine(fan: Fan, coeffs) -> GradedCohomology:
-    assert fan.nrays <= 16, "generic engine enumerates all ray subsets"
-    n = fan.rank
-    h = [0] * (n + 1)
-    for mask in range(1 << fan.nrays):
-        inside = [i for i in range(fan.nrays) if mask >> i & 1]
-        ranks, torsion = _subcomplex_homology(fan, inside)
-        if not any(ranks) and not torsion:
-            continue
-        rows = []
-        for i in range(fan.nrays):
-            if mask >> i & 1:
-                rows.append((tuple(-x for x in fan.rays[i]), coeffs[i] + 1))
-            else:
-                rows.append((fan.rays[i], -coeffs[i]))
-        region = polyhedron(n, rows)
-        spans = [coordinate_range(region, j) for j in range(n)]
-        if "empty" in spans:
-            continue
-        if any(lo is None or hi is None for lo, hi in spans):
-            raise UnboundedRegionWithHomology(f"ray subset {inside}")
-        count = len(lattice_points(region))
-        if not count:
-            continue
-        if torsion:
-            warnings.warn(f"torsion at ray subset {inside}", TorsionEncountered)
-        for p, r in enumerate(ranks):
-            h[p] += count * r
     return GradedCohomology(tuple(h))

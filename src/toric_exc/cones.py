@@ -12,12 +12,12 @@ matters: on the hexagon the class -H - E_0 + E_1 + E_2 has h^1 = 1
 carried by a single character sitting exactly on the boundary of a pair
 cone, so a strict test would wrongly certify it acyclic.
 
-On the centrally symmetric fans every slot of a pattern is untouched,
+On the centrally symmetric fan every slot of a pattern is untouched,
 a full pair, a plus ray or a minus ray, and its interval of admissible
 values is the one `cohomology._slot_states` gives for that state, so
 the region is non-empty exactly when no slot's state is infeasible and
-the summed interval ends admit zero. The certificates there run the
-same slot-class walk as the cohomology engine,
+the summed interval ends admit zero. The certificates run the same
+slot-class walk as the cohomology engine,
 `cohomology._visible_classes`: per coefficient group it enumerates how
 many slots take each state, drops the empty class for the higher
 certificate, then classes that are not unions of primitive collections,
@@ -25,8 +25,9 @@ then classes whose closed region is empty, and only then reads a
 class's homology. A divisor is certified when the walk yields nothing.
 `enumerate_forbidden`, `in_forbidden_cone` and `forbidden_witness` walk
 the ray sets one by one; they name the cone that is hit and serve as
-the reference the certificates are tested against. Other fans certify
-by that walk, with an LP per ray set.
+the reference the certificates are tested against. Other fans, and the
+LP membership test these are checked against, are in
+`toric_exc.reference`.
 
 The inequality predicates at the bottom certify vanishing for every
 member of a whole (c, k, l) family at once, with no region sweeps.
@@ -44,13 +45,11 @@ from .cohomology import (
     _meets,
     _pattern_homology,
     _slot_states,
-    _subcomplex_homology,
     _sum_bounds,
     _visible_classes,
     divisor_coefficients,
 )
-from .fan import Fan, primitive_collections
-from .polyhedra import feasible, polyhedron
+from .fan import Fan, require_Vn
 
 
 class HypothesisViolated(Exception):
@@ -70,52 +69,16 @@ class ForbiddenConeSpec:
 
 
 @lru_cache(maxsize=8)
-def enumerate_forbidden(fan: Fan, restrict_to_primitive_unions: bool = True):
+def enumerate_forbidden(fan: Fan):
     """All homologically visible ray patterns, as ForbiddenConeSpec objects.
 
-    With the default restriction the patterns run over unions of primitive
-    collections, which is exhaustive: any other ray set has a contractible
-    subcomplex. Passing False enumerates every ray subset instead, which
-    is only feasible for small fans and exists to validate the claim.
+    The patterns run over unions of primitive collections, which is
+    exhaustive: any other ray set has a contractible subcomplex. A union
+    assigns each slot one of: untouched, full pair, plus ray only, minus
+    ray only. One-sided rays need a one-sided collection inside the set,
+    so each used side must reach n/2 + 1 slots counting the pairs.
     """
-    if restrict_to_primitive_unions and fan.kind == "centrally-symmetric":
-        return _symmetric_specs(fan)
-    if restrict_to_primitive_unions:
-        assert fan.nrays <= 12, "primitive-union enumeration needs a small fan"
-        collections = primitive_collections(fan)
-        candidates = []
-        for mask in range(1 << fan.nrays):
-            s = frozenset(i for i in range(fan.nrays) if mask >> i & 1)
-            inside = [p for p in collections if p <= s]
-            covered = frozenset().union(*inside) if inside else frozenset()
-            if s == covered:
-                candidates.append(s)
-        return _filter_visible(fan, candidates)
-    assert fan.nrays <= 12, "subset enumeration needs a small fan"
-    candidates = [
-        frozenset(i for i in range(fan.nrays) if mask >> i & 1)
-        for mask in range(1 << fan.nrays)
-    ]
-    return _filter_visible(fan, candidates)
-
-
-def _filter_visible(fan, candidates):
-    out = []
-    for s in candidates:
-        profile, _ = _subcomplex_homology(fan, s)
-        if any(profile):
-            out.append(ForbiddenConeSpec(s, profile))
-    out.sort(key=lambda spec: (len(spec.rays), sorted(spec.rays)))
-    return tuple(out)
-
-
-def _symmetric_specs(fan: Fan):
-    """Closed-form union-of-primitive-collections enumeration by slots.
-
-    A union assigns each slot one of: untouched, full pair, plus ray only,
-    minus ray only. One-sided rays need a one-sided collection inside the
-    set, so each used side must reach n/2 + 1 slots counting the pairs.
-    """
+    require_Vn(fan)
     half = fan.slots
     need = fan.rank // 2 + 1
     out = []
@@ -147,28 +110,16 @@ def _symmetric_specs(fan: Fan):
 def in_forbidden_cone(fan: Fan, spec: ForbiddenConeSpec, divisor) -> bool:
     """Whether the divisor's character region for this pattern has a real point.
 
-    The test uses closed inequalities (see the module docstring). Input of
-    the wrong kind or length raises ValueError.
+    The test uses closed inequalities (see the module docstring) on the
+    per-slot intervals of `_slot_states`, in O(n). Input of the wrong type
+    or length raises ValueError.
     """
     coeffs = divisor_coefficients(fan, divisor)
-    if fan.kind == "centrally-symmetric":
-        return _interval_hit(fan, spec.rays, coeffs)
-    rows = []
-    for i in range(fan.nrays):
-        if i in spec.rays:
-            rows.append((tuple(-x for x in fan.rays[i]), coeffs[i] + 1))
-        else:
-            rows.append((fan.rays[i], -coeffs[i]))
-    return feasible(polyhedron(fan.rank, rows))
-
-
-def _interval_hit(fan: Fan, rays, coeffs) -> bool:
-    """Exact real feasibility through the per-slot intervals of _slot_states; O(n)."""
     half = fan.slots
     los = []
     his = []
     for i in range(half):
-        state = _PLUS * (i in rays) + _MINUS * ((i + half) in rays)
+        state = _PLUS * (i in spec.rays) + _MINUS * ((i + half) in spec.rays)
         for viable, lo, hi in _slot_states(coeffs[i], coeffs[i + half]):
             if viable == state:
                 los.append(lo)
@@ -191,10 +142,8 @@ def forbidden_witness(fan: Fan, divisor, higher_only: bool = False):
 
 
 def _certify(fan: Fan, divisor, higher_only: bool) -> bool:
-    if fan.kind == "centrally-symmetric":
-        coeffs = divisor_coefficients(fan, divisor)
-        return next(_visible_classes(fan.rank, coeffs, higher_only), None) is None
-    return forbidden_witness(fan, divisor, higher_only) is None
+    coeffs = divisor_coefficients(fan, divisor)
+    return next(_visible_classes(fan.rank, coeffs, higher_only), None) is None
 
 
 def certify_acyclic(fan: Fan, divisor) -> bool:

@@ -1,4 +1,4 @@
-"""Complete simplicial fans: the centrally symmetric family and projective space.
+"""The fan of V_n: faces, primitive collections, induced subcomplexes, circuits.
 
 The dimension-n centrally symmetric fan has 2(n+1) rays indexed in a fixed
 order: e_0 = (-1, ..., -1), e_i = the i-th standard vector for 1 <= i <= n,
@@ -7,12 +7,19 @@ by {e_i : i in A} and {ebar_i : i in B} for disjoint slot sets A, B of size
 n/2 each, giving (n+1)! / ((n/2)!)^2 cones. Rays come in antipodal pairs
 (index i versus i + n + 1), and a subset of rays spans a cone exactly when
 it avoids every antipodal pair and uses at most n/2 slots on each side.
+
+`Fan` is this fan and no other. Its face test, antipodes and primitive
+collections are closed forms, so the maximal cones are listed only when
+something reads them. Other fans live in `toric_exc.reference`;
+`complex_CI`, `circuits` and `circuit_relation` read only `rank`, `rays`
+and `is_face`, so they serve those fans as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import kernel_basis, rank
@@ -29,24 +36,47 @@ class OddDimension(Exception):
 
 @dataclass(frozen=True)
 class Fan:
-    rank: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[frozenset, ...]
-    kind: str = "generic"
+    """The fan of V_n, for the even dimension n = rank >= 2."""
 
-    @property
-    def nrays(self) -> int:
-        return len(self.rays)
+    rank: int
+
+    def __post_init__(self):
+        if self.rank % 2:
+            raise OddDimension(self.rank)
+        if self.rank < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.rank}")
 
     @property
     def slots(self) -> int:
-        # antipodal ray pairs share a slot; only meaningful for kind
-        # "centrally-symmetric"
+        """Number of antipodal ray pairs; the rays i and i + slots share slot i."""
         return self.rank + 1
 
+    @property
+    def nrays(self) -> int:
+        return 2 * self.slots
+
+    @cached_property
+    def rays(self) -> tuple[tuple[int, ...], ...]:
+        n = self.rank
+        plus = [tuple(-1 for _ in range(n))]
+        for i in range(1, n + 1):
+            plus.append(tuple(1 if j == i - 1 else 0 for j in range(n)))
+        return tuple(plus + [tuple(-x for x in r) for r in plus])
+
+    @cached_property
+    def max_cones(self) -> tuple[frozenset, ...]:
+        half = self.slots
+        cones = []
+        for a_set in combinations(range(half), self.rank // 2):
+            rest = [i for i in range(half) if i not in a_set]
+            for b_set in combinations(rest, self.rank // 2):
+                cones.append(frozenset(a_set) | frozenset(i + half for i in b_set))
+        cones.sort(key=sorted)
+        return tuple(cones)
+
     def antipode(self, i: int) -> int:
-        if self.kind != "centrally-symmetric" or not 0 <= i < self.nrays:
-            raise ValueError(f"ray {i} has no antipode on this {self.kind} fan")
+        if not 0 <= i < self.nrays:
+            raise ValueError(f"ray {i} not in 0..{self.nrays - 1}")
         half = self.slots
         return i - half if i >= half else i + half
 
@@ -57,68 +87,39 @@ class Fan:
             return True
         if not all(0 <= i < self.nrays for i in s):
             raise ValueError(f"ray indices {sorted(s)} not all in 0..{self.nrays - 1}")
-        if self.kind == "centrally-symmetric":
-            half = self.slots
-            plus = {i for i in s if i < half}
-            minus = {i - half for i in s if i >= half}
-            if plus & minus:
-                return False
-            cap = self.rank // 2
-            return len(plus) <= cap and len(minus) <= cap
-        if self.kind == "projective-space":
-            return len(s) <= self.rank
-        return any(s <= cone for cone in self.max_cones)
+        half = self.slots
+        plus = {i for i in s if i < half}
+        minus = {i - half for i in s if i >= half}
+        if plus & minus:
+            return False
+        cap = self.rank // 2
+        return len(plus) <= cap and len(minus) <= cap
+
+
+def require_Vn(fan) -> None:
+    """Raise ValueError unless fan is a `Fan`, the fan of some V_n."""
+    if not isinstance(fan, Fan):
+        raise ValueError(
+            f"{type(fan).__name__} is not the centrally symmetric fan of a V_n; "
+            "other fans are served by toric_exc.reference")
 
 
 def build_Vn(n: int) -> Fan:
     """The n-dimensional centrally symmetric fan; n must be even and >= 2."""
-    if n % 2:
-        raise OddDimension(n)
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
-    plus = [tuple(-1 for _ in range(n))]
-    for i in range(1, n + 1):
-        plus.append(tuple(1 if j == i - 1 else 0 for j in range(n)))
-    rays = plus + [tuple(-x for x in r) for r in plus]
-    half = n + 1
-    cones = []
-    for a_set in combinations(range(half), n // 2):
-        rest = [i for i in range(half) if i not in a_set]
-        for b_set in combinations(rest, n // 2):
-            cones.append(frozenset(a_set) | frozenset(i + half for i in b_set))
-    cones.sort(key=sorted)
-    return Fan(n, tuple(rays), tuple(cones), "centrally-symmetric")
-
-
-def build_Pn(n: int) -> Fan:
-    """The fan of n-dimensional projective space."""
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
-    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rays.append(tuple(-1 for _ in range(n)))
-    cones = [frozenset(c) for c in combinations(range(n + 1), n)]
-    return Fan(n, tuple(rays), tuple(cones), "projective-space")
+    return Fan(n)
 
 
 def primitive_collections(fan: Fan) -> list[frozenset]:
-    """Minimal sets of rays that do not span a cone, sorted by size."""
-    if fan.kind == "centrally-symmetric":
-        half = fan.slots
-        k = fan.rank // 2 + 1
-        out = [frozenset({i, i + half}) for i in range(half)]
-        out += [frozenset(c) for c in combinations(range(half), k)]
-        out += [frozenset(i + half for i in c) for c in combinations(range(half), k)]
-    elif fan.kind == "projective-space":
-        out = [frozenset(range(fan.nrays))]
-    else:
-        assert fan.nrays <= 16, "brute-force search needs a small ray count"
-        out = []
-        for size in range(1, fan.nrays + 1):
-            for cand in combinations(range(fan.nrays), size):
-                if fan.is_face(cand):
-                    continue
-                if all(fan.is_face(cand[:i] + cand[i + 1 :]) for i in range(size)):
-                    out.append(frozenset(cand))
+    """Minimal sets of rays that do not span a cone, sorted by size.
+
+    These are the antipodal pairs and the (n/2 + 1)-sets of rays on one side.
+    """
+    require_Vn(fan)
+    half = fan.slots
+    k = fan.rank // 2 + 1
+    out = [frozenset({i, i + half}) for i in range(half)]
+    out += [frozenset(c) for c in combinations(range(half), k)]
+    out += [frozenset(i + half for i in c) for c in combinations(range(half), k)]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

@@ -196,7 +196,9 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss, fraction free)."""
     n = len(matrix)
     a = [[int(v) for v in row] for row in matrix]
-    assert all(len(row) == n for row in a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"determinant needs a square matrix, got row lengths "
+                         f"{[len(row) for row in a]} for {n} rows")
     if n == 0:
         return 1
     sign = 1

@@ -40,7 +40,8 @@ class RationalPolyhedron:
     constraints: tuple[Constraint, ...]
 
     def contains(self, point: Sequence[int | Fraction]) -> bool:
-        assert len(point) == self.dim
+        if len(point) != self.dim:
+            raise ValueError(f"point of length {len(point)} in dimension {self.dim}")
         return all(c.holds(point) for c in self.constraints)
 
 
@@ -53,8 +54,10 @@ def polyhedron(dim: int, rows: Iterable) -> RationalPolyhedron:
     cons = []
     for row in rows:
         coeffs, bound, *rest = row
+        coeffs = tuple(coeffs)
         strict = rest[0] if rest else False
-        assert len(tuple(coeffs)) == dim
+        if len(coeffs) != dim:
+            raise ValueError(f"row with {len(coeffs)} coefficients in dimension {dim}")
         cons.append(constraint(coeffs, bound, strict))
     return RationalPolyhedron(dim, tuple(cons))
 

@@ -216,6 +216,56 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_production_path_loads_no_reference_layer():
+    # the generic-fan and LP code is a reference layer that no command loads
+    code = (
+        "import contextlib, io, sys\n"
+        "from toric_exc.cli import main\n"
+        "runs = [['verify', '--dim', '4', '--method', m]\n"
+        "        for m in ('inequalities', 'forbidden', 'oracle')]\n"
+        "runs += [['verify', '--dim', '4', '--what', 'generation'],\n"
+        "         ['verify', '--dim', '4', '--what', 'walls'],\n"
+        "         ['cohomology', '--dim', '4', '--coeffs=-1,-1,1,1,0,2'],\n"
+        "         ['build', '--dim', '4', '--fan']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in runs]\n"
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m in ('toric_exc.reference', 'toric_exc.polyhedra')))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
+# -- bounds and internal errors -------------------------------------------------
+
+
+def test_dim_above_bound_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--dim", "22")
+    assert code == 2 and out == ""
+    assert err == "error: n must be at most 20\n"
+
+
+def test_internal_error_exits_3(capsys):
+    # the sum-zero count cannot size a table this large
+    code, out, err = run(capsys, "cohomology", "--dim", "2",
+                         "--coeffs=100000000000000000000000000000,0,0,0")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: OverflowError: ")
+    assert err.count("\n") == 1
+
+
+def test_keyboard_interrupt_not_caught(monkeypatch):
+    from toric_exc import cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_build", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["build", "--dim", "2"])
+
+
 # -- verify: other whats ------------------------------------------------------
 
 

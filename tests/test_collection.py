@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from toric_exc import reference
 from toric_exc.cohomology import cohomology, euler_pairing
 from toric_exc.collection import (
     METHODS,
@@ -30,7 +31,7 @@ from toric_exc.cones import (
     higher_acyclic_predicate,
     lemma_acyclic_predicate,
 )
-from toric_exc.fan import build_Pn, build_Vn, circuit_relation
+from toric_exc.fan import build_Vn, circuit_relation
 from toric_exc.picard import NotInFamily, difference_family, divisor, make_F, parse_F
 from toric_exc.windows import Certificate, WallPiece, WallRecord, certificate_to_dict
 
@@ -456,12 +457,12 @@ def _stranger_certificate():
 @pytest.mark.parametrize("call", [
     lambda: build_Vn(2).is_face([99]),
     lambda: build_Vn(2).is_face([-1]),
-    lambda: build_Pn(2).antipode(0),
     lambda: build_Vn(2).antipode(6),
+    lambda: reference.build_Pn(2).is_face([3]),
     lambda: circuit_relation(build_Vn(2), {0, 1}),
     lambda: collection_to_dict(with_stranger(build_Gn(2))),
     lambda: certificate_to_dict(_stranger_certificate()),
-], ids=["face-99", "face-minus-1", "antipode-projective", "antipode-6",
+], ids=["face-99", "face-minus-1", "antipode-6", "generic-face-3",
         "not-a-circuit", "collection-stranger", "certificate-stranger"])
 def test_public_inputs_checked_without_assert(call):
     # a real check, not an assert: python -O must not strip it

@@ -84,8 +84,8 @@ def divisor_coefficients(fan: Fan, divisor) -> tuple[int, ...]:
     """Per-ray coefficients of a DivisorClass or of a coefficient sequence.
 
     Raises ValueError for a fan other than that of a V_n, a class of
-    another dimension, or a number of coefficients other than the fan's
-    number of rays.
+    another dimension, a coefficient that is not an int, or a number of
+    coefficients other than the fan's number of rays.
     """
     require_Vn(fan)
     if isinstance(divisor, DivisorClass):
@@ -95,7 +95,9 @@ def divisor_coefficients(fan: Fan, divisor) -> tuple[int, ...]:
             )
         coeffs = ray_coefficients(fan.rank, divisor)
     else:
-        coeffs = tuple(map(int, divisor))
+        coeffs = tuple(divisor)
+        if not all(isinstance(x, int) for x in coeffs):
+            raise ValueError(f"non-integer coefficients {coeffs}")
     if len(coeffs) != fan.nrays:
         raise ValueError(f"{len(coeffs)} coefficients for {fan.nrays} rays")
     return coeffs
@@ -124,20 +126,7 @@ def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int):
     if nplus > nminus:
         nplus, nminus = nminus, nplus
     fan = Fan(n)
-    half = n + 1
-    assert pairs + nplus + nminus <= half
-    indices = []
-    slot = 0
-    for _ in range(pairs):
-        indices += [slot, slot + half]
-        slot += 1
-    for _ in range(nplus):
-        indices.append(slot)
-        slot += 1
-    for _ in range(nminus):
-        indices.append(slot + half)
-        slot += 1
-    return _subcomplex_homology(fan, indices)
+    return _subcomplex_homology(fan, fan.class_rays(pairs, nplus, nminus))
 
 
 def _subcomplex_homology(fan: Fan, rays):

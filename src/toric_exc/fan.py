@@ -10,9 +10,15 @@ it avoids every antipodal pair and uses at most n/2 slots on each side.
 
 `Fan` is this fan and no other. Its face test, antipodes and primitive
 collections are closed forms, so the maximal cones are listed only when
-something reads them. Other fans live in `toric_exc.reference`;
-`complex_CI`, `circuits` and `circuit_relation` read only `rank`, `rays`
-and `is_face`, so they serve those fans as well.
+something reads them. Slot permutations act on it by lattice
+automorphisms, so a ray set is determined up to symmetry by its slot
+class: the numbers of pair, plus-only and minus-only slots it uses.
+`Fan.class_rays` builds one representative per class, for the pattern
+homology table and for the wall check. Other fans live in
+`toric_exc.reference`; `complex_CI`, `circuits` and `circuit_relation`
+read only `rank`, `rays` and `is_face`, so they serve those fans as well.
+No command runs the generic `circuits` search: the wall check walks slot
+classes, and the tests compare that walk with it.
 """
 
 from __future__ import annotations
@@ -73,6 +79,22 @@ class Fan:
                 cones.append(frozenset(a_set) | frozenset(i + half for i in b_set))
         cones.sort(key=sorted)
         return tuple(cones)
+
+    def class_rays(self, pairs: int, nplus: int, nminus: int) -> tuple[int, ...]:
+        """Sorted ray indices of the representative of a slot class.
+
+        The first `pairs` slots hold both of their rays, the next `nplus`
+        slots their plus ray and the next `nminus` slots their minus ray.
+        Slot permutations act on the fan by lattice automorphisms, so this
+        set stands for every ray set with the same three slot counts.
+        """
+        half = self.slots
+        if min(pairs, nplus, nminus) < 0 or pairs + nplus + nminus > half:
+            raise ValueError(f"slot counts ({pairs}, {nplus}, {nminus}) do not fit "
+                             f"in {half} slots")
+        plus_end = pairs + nplus
+        minus_slots = [*range(pairs), *range(plus_end, plus_end + nminus)]
+        return tuple(range(plus_end)) + tuple(i + half for i in minus_slots)
 
     def antipode(self, i: int) -> int:
         if not 0 <= i < self.nrays:

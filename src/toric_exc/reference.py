@@ -92,7 +92,9 @@ def _coefficients(fan, divisor) -> tuple[int, ...]:
     if isinstance(divisor, DivisorClass):
         raise ValueError("divisor classes need the centrally symmetric basis of V_n "
                          "and its production path; pass per-ray coefficients")
-    coeffs = tuple(map(int, divisor))
+    coeffs = tuple(divisor)
+    if not all(isinstance(x, int) for x in coeffs):
+        raise ValueError(f"non-integer coefficients {coeffs}")
     if len(coeffs) != fan.nrays:
         raise ValueError(f"{len(coeffs)} coefficients for {fan.nrays} rays")
     return coeffs

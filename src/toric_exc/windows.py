@@ -13,16 +13,24 @@ restriction of the witness twist to that stratum is resolved by a Koszul
 complex whose 2^{|J|} terms all lie in the collection again. Chaining
 the walls from large J down to the empty set empties the category, so a
 clean pass certifies that the collection generates.
+
+The wall subgroups are read off the circuits of the fan: every circuit
+is an antipodal pair or picks one ray per slot, and then its relation is
+the weight pattern of the subgroup indexed by its plus-side slots.
+`verify_walls` checks this once per slot class of ray sets, with the
+class multiplicities; the generic search `fan.circuits` is the reference
+the tests compare that walk with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .collection import Collection, build_Gn
-from .fan import build_Vn, circuit_relation, circuits
+from .fan import Fan, build_Vn, circuit_relation
+from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, make_F, parse_F
 
 
@@ -63,14 +71,36 @@ def weight_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col[r] for col in columns) for r in range(n + 2))
 
 
-def weight(n: int, J, divisor: DivisorClass) -> int:
-    """Pairing of the subgroup indexed by J with the divisor class."""
+def _labels(n: int, J) -> frozenset:
+    """J as a frozenset; a label outside 0..n raises ValueError."""
     J = frozenset(J)
+    outside = J - set(range(n + 1))
+    if outside:
+        raise ValueError(f"labels {sorted(outside)} outside 0..{n}")
+    return J
+
+
+def weight(n: int, J, divisor: DivisorClass) -> int:
+    """Pairing of the subgroup indexed by J with the divisor class.
+
+    A label outside 0..n or a class of another dimension raises ValueError.
+    """
+    J = _labels(n, J)
+    if divisor.n != n:
+        raise ValueError(f"divisor class of dimension {divisor.n}, expected {n}")
+    return _weight(J, divisor)
+
+
+def _weight(J: frozenset, divisor: DivisorClass) -> int:
     return (1 - len(J)) * divisor.h - sum(divisor.d[j] for j in J)
 
 
 def koszul_components(J, twist: DivisorClass) -> tuple[DivisorClass, ...]:
-    """The 2^|J| Koszul terms twist - sum_{i in L} E_i, L inside J."""
+    """The 2^|J| Koszul terms twist - sum_{i in L} E_i, L inside J.
+
+    A label outside 0..n, for the twist's dimension n, raises ValueError.
+    """
+    J = _labels(twist.n, J)
     out = []
     for size in range(len(J) + 1):
         for sub in combinations(sorted(J), size):
@@ -102,9 +132,10 @@ def wall_record(n: int, J, d: int | None = None) -> WallRecord:
 
     Weights in the window above the wall range are handled by the window
     shift alone; each weight a in the wall range gets a witness twist by
-    w = -a, low twists plain, high twists corrected along J^c.
+    w = -a, low twists plain, high twists corrected along J^c. A label
+    outside 0..n raises ValueError.
     """
-    J = frozenset(J)
+    J = _labels(n, J)
     if 2 * len(J) - n - 1 > 0:
         raise JTooLarge(f"|J| = {len(J)} exceeds n/2 = {n // 2}")
     if d is None:
@@ -144,10 +175,12 @@ def build_certificate(n: int, collection: Collection | None = None) -> Certifica
     Raises WindowViolation if any member weight leaves any window and
     KoszulEscape if any resolution term is missing from the collection;
     a returned certificate means every check passed down to the empty
-    category.
+    category. A collection of another dimension raises ValueError.
     """
     if collection is None:
         collection = build_Gn(n)
+    if collection.n != n:
+        raise ValueError(f"collection of dimension {collection.n}, expected {n}")
     members = collection.members
     member_set = set(members)
     d = default_gauge(n)
@@ -157,7 +190,7 @@ def build_certificate(n: int, collection: Collection | None = None) -> Certifica
             record = wall_record(n, frozenset(j), d)
             lo, hi = record.window
             for m in members:
-                lam = weight(n, record.J, m)
+                lam = _weight(record.J, m)
                 if not lo <= lam <= hi:
                     raise WindowViolation(
                         f"weight {lam} of {m.coeffs} outside [{lo}, {hi}] "
@@ -184,6 +217,29 @@ class WallCheck:
     sign_choice_count: int
 
 
+def _circuit_classes(fan: Fan):
+    """Slot classes of circuits: (pairs, nplus, nminus, rays, multiplicity).
+
+    A class is an ordered triple of slot counts and rays is its
+    representative `Fan.class_rays`; multiplicity counts the ray sets in
+    the class. A circuit of a rank n fan has 2 to n + 1 rays, and a ray set
+    is a circuit exactly when its dependence space is one-dimensional with
+    full support.
+    """
+    half = fan.slots
+    for pairs, nplus, nminus in product(range(half + 1), repeat=3):
+        if not 2 <= 2 * pairs + nplus + nminus <= half:
+            continue
+        rays = fan.class_rays(pairs, nplus, nminus)
+        kernel = kernel_basis([[fan.rays[i][r] for i in rays] for r in range(fan.rank)])
+        if len(kernel) != 1 or not all(kernel[0]):
+            continue
+        multiplicity = math.factorial(half) // (
+            math.factorial(pairs) * math.factorial(nplus) * math.factorial(nminus)
+            * math.factorial(half - pairs - nplus - nminus))
+        yield pairs, nplus, nminus, rays, multiplicity
+
+
 def verify_walls(n: int) -> WallCheck:
     """Match every circuit of the fan against the wall subgroup weights.
 
@@ -191,29 +247,38 @@ def verify_walls(n: int) -> WallCheck:
     circuit must pick one ray per slot, and its relation must reproduce
     the weights of the subgroup indexed by its plus-side rays, up to an
     overall sign. Any disagreement raises WallMismatch.
+
+    The check runs once per slot class, the numbers of pair, plus-only and
+    minus-only slots of a ray set. A permutation of the n + 1 slots
+    permutes e_0, ..., e_n, whose only relation is their sum, so it is a
+    lattice automorphism: it carries the rays of one set onto the rays of
+    another set of the same class, and their dependences with them,
+    coefficient by coefficient. It permutes the ray classes and the labels
+    of J alike, so the wall weights move the same way. Being a circuit,
+    and whether the relation matches the weights, are therefore the same
+    for every ray set of a class: one representative decides the class,
+    which then counts with its multinomial number of ray sets.
     """
     fan = build_Vn(n)
     half = n + 1
     pair_count = sign_count = 0
-    for circuit in circuits(fan):
-        elements = sorted(circuit)
-        relation = circuit_relation(fan, circuit)
+    for pairs, nplus, nminus, rays, multiplicity in _circuit_classes(fan):
+        elements = list(rays)
+        relation = circuit_relation(fan, rays)
         if len(elements) == 2:
-            i, j = elements
-            if j != i + half or relation != (1, 1):
+            if pairs != 1 or relation != (1, 1):
                 raise WallMismatch(f"pair circuit {elements}: {relation}")
-            pair_count += 1
+            pair_count += multiplicity
             continue
-        plus = {i for i in elements if i < half}
-        minus = {i - half for i in elements if i >= half}
-        if minus != set(range(half)) - plus:
+        if pairs or nplus + nminus != half:
             raise WallMismatch(f"circuit {elements} is not a slot choice")
+        plus = [i for i in elements if i < half]
         expected = tuple(weight(n, plus, class_of_ray(n, r)) for r in elements)
         negated = tuple(-x for x in expected)
         if relation not in (expected, negated):
             raise WallMismatch(
                 f"circuit {elements}: relation {relation} vs weights {expected}")
-        sign_count += 1
+        sign_count += multiplicity
     return WallCheck(n, pair_count + sign_count, pair_count, sign_count)
 
 

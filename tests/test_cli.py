@@ -328,6 +328,12 @@ def test_verify_walls(capsys):
     assert doc["sign_choices"] == 8
 
 
+def test_verify_walls_dim_12(capsys):
+    code, doc, _ = run_json(capsys, "verify", "--dim", "12", "--what", "walls")
+    assert code == 0
+    assert (doc["circuits"], doc["pairs"], doc["sign_choices"]) == (8205, 13, 8192)
+
+
 def test_verify_walls_rejects_mutate(capsys):
     code, _, err = run(capsys, "verify", "--dim", "2", "--what", "walls",
                        "--mutate", "drop:0")

@@ -312,9 +312,20 @@ def test_symmetric_certificates_skip_the_spec_walk(monkeypatch):
     lambda: certify_acyclic(build_Vn(2), (0,) * 7),
     lambda: certify_higher_acyclic(build_Vn(2), divisor(0, [0] * 5)),
     lambda: reference.certify_acyclic(generic_clone(build_Vn(2)), divisor(0, [0, 0, 0])),
+    lambda: cohomology(build_Vn(2), (1.9, 0, 0, 0, 0, 0)),
+    lambda: cohomology(build_Vn(2), ("3", 0, 0, 0, 0, 0)),
+    lambda: certify_acyclic(build_Vn(2), (0, 0, 0, 0.5, 0, 0)),
+    lambda: certify_higher_acyclic(build_Vn(2), (0, 0, 0, 0, 0, "1")),
+    lambda: in_forbidden_cone(build_Vn(2), enumerate_forbidden(build_Vn(2))[0],
+                              (1.0, 0, 0, 0, 0, 0)),
+    lambda: forbidden_witness(build_Vn(2), (0, 2.5, 0, 0, 0, 0)),
+    lambda: reference.cohomology(reference.build_Pn(2), (1.9, 0, 0)),
+    lambda: reference.certify_acyclic(generic_clone(build_Vn(2)), ("3", 0, 0, 0, 0, 0)),
 ], ids=["short-class", "float-class", "long-vector", "short-vector",
         "class-on-generic-fan", "certify-long-vector", "certify-other-dimension",
-        "certify-class-on-generic-fan"])
+        "certify-class-on-generic-fan", "cohomology-float", "cohomology-string",
+        "certify-float", "certify-higher-string", "membership-float", "witness-float",
+        "reference-cohomology-float", "reference-certify-string"])
 def test_bad_input_raises_value_error(call):
     with pytest.raises(ValueError):
         call()

@@ -67,9 +67,23 @@ def test_cones_are_listed_only_when_read():
      "enumerate_forbidden(GenericFan(1, ((1,),) * 13, ()), False)"),
     ("from toric_exc.reference import GenericFan, primitive_collections",
      "primitive_collections(GenericFan(1, ((1,),) * 17, ()))"),
+    ("from toric_exc.windows import wall_record", "wall_record(2, [-1])"),
+    ("from toric_exc.windows import wall_record", "wall_record(2, [3])"),
+    ("from toric_exc.windows import weight\nfrom toric_exc.picard import make_F",
+     "weight(4, [0], make_F(2, 1, [0]))"),
+    ("from toric_exc.windows import weight\nfrom toric_exc.picard import make_F",
+     "weight(2, [3], make_F(2, 1, [0]))"),
+    ("from toric_exc.windows import koszul_components\nfrom toric_exc.picard import make_F",
+     "koszul_components([-1], make_F(2, 1, []))"),
+    ("from toric_exc.windows import koszul_components\nfrom toric_exc.picard import make_F",
+     "koszul_components([3], make_F(2, 1, []))"),
+    ("from toric_exc.windows import build_certificate\nfrom toric_exc import build_Gn",
+     "build_certificate(2, build_Gn(4))"),
 ], ids=["determinant-long-row", "determinant-short-row", "polyhedron-row",
         "contains-point", "engine-ray-count", "unions-ray-count", "subsets-ray-count",
-        "primitive-ray-count"])
+        "primitive-ray-count", "wall-label-minus-1", "wall-label-3",
+        "weight-other-dimension", "weight-label-3", "koszul-label-minus-1",
+        "koszul-label-3", "certificate-other-dimension"])
 def test_input_checks_survive_optimize(imports, call):
     code = (f"import sys\n{imports}\ntry:\n    {call}\n"
             "except ValueError:\n    print('ValueError', sys.flags.optimize)\n")

@@ -1,16 +1,19 @@
 """Weight windows, wall records, generation certificates, circuit matching."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toric_exc.fan as fan_module
+import toric_exc.linalg as linalg
 import toric_exc.windows as win
 from toric_exc.cohomology import euler_pairing
 from toric_exc.collection import apply_mutation, build_Gn, expected_size
-from toric_exc.fan import build_Vn
+from toric_exc.fan import build_Vn, circuit_relation, circuits
 from toric_exc.linalg import rank, smith_normal_form
 from toric_exc.picard import divisor, make_F, parse_F
 from toric_exc.windows import (
@@ -187,6 +190,44 @@ def test_circuit_mismatch_raises(monkeypatch):
     monkeypatch.setattr(win, "circuit_relation", crooked)
     with pytest.raises(WallMismatch):
         verify_walls(2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_class_walk_matches_generic_circuits(n):
+    fan = build_Vn(n)
+    half = n + 1
+    walk = {(p, a, b): (rays, count)
+            for p, a, b, rays, count in win._circuit_classes(fan)}
+    flat = Counter()
+    for circuit in circuits(fan):
+        pair_slots = [i for i in range(half) if {i, i + half} <= circuit]
+        plus_slots = [i for i in range(half) if i in circuit and i + half not in circuit]
+        minus_slots = [i for i in range(half) if i + half in circuit and i not in circuit]
+        key = (len(pair_slots), len(plus_slots), len(minus_slots))
+        assert key in walk, f"circuit {sorted(circuit)} in a class the walk skipped"
+        flat[key] += 1
+        # carry the representative onto this circuit by a slot permutation
+        rep, _ = walk[key]
+        slots = pair_slots + plus_slots + minus_slots
+        image = [slots[i] if i < half else slots[i - half] + half for i in rep]
+        assert sorted(image) == sorted(circuit)
+        relation = dict(zip(sorted(circuit), circuit_relation(fan, circuit)))
+        moved = tuple(relation[i] for i in image)
+        expected = circuit_relation(fan, rep)
+        assert moved in (expected, tuple(-x for x in expected))
+    # every class counts its flat circuits; a class the walk skips has none
+    assert flat == {key: count for key, (_, count) in walk.items()}
+
+
+def test_walls_never_reach_the_generic_search(monkeypatch):
+    def generic(*args, **kwargs):
+        raise AssertionError("the generic circuit search ran")
+
+    for module in (fan_module, linalg, win):
+        for name in ("circuits", "_reduce_against", "rank"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, generic)
+    assert verify_walls(6) == win.WallCheck(6, 135, 7, 128)
 
 
 # -- Koszul exactness against the oracle ------------------------------------------

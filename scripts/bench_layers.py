@@ -1,0 +1,108 @@
+"""Time the pair sweeps, the generation checks and the n = 14 commands.
+
+    python3 scripts/bench_layers.py > record.json
+
+Each layer runs in its own fresh interpreter on the program in this
+checkout's src/: one warm-up call, then up to five timed calls, stopped
+after BUDGET_S seconds. A layer reports the median of the calls that
+finished, their count, and whether the budget cut it short; a layer the
+program does not have is reported as missing. The machine (CPU count,
+Python version) and the commit are recorded with the times. The output
+is one JSON object on stdout. Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = 5
+BUDGET_S = 60
+
+LAYERS = (
+    [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
+     for n in (8, 10, 12)]
+    + [(name, n) for name in ("verify_generation", "build_certificate")
+       for n in (8, 10, 12)]
+    + [(f"verify.{what}", 14) for what in ("exceptional", "stability", "generation",
+                                            "walls")]
+)
+
+WORKER = """\
+import contextlib, io, json, sys, time
+sys.path.insert(0, {src!r})
+from toric_exc import cli, collection, windows
+name, n = {name!r}, {n}
+if name.startswith("sweep."):
+    col = collection.build_Gn(n)
+    def call():
+        if not collection.verify_exceptional(col, name[6:]).ok:
+            sys.exit("the sweep failed")
+elif name.startswith("verify."):
+    argv = ["verify", "--dim", str(n), "--what", name[7:]]
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                sys.exit("the check failed")
+elif hasattr(windows, name):
+    col = collection.build_Gn(n)
+    check = getattr(windows, name)
+    def call():
+        check(n, col)
+else:
+    print(json.dumps("missing"), flush=True)
+    sys.exit()
+call()
+for _ in range({runs}):
+    start = time.perf_counter()
+    call()
+    print(json.dumps(time.perf_counter() - start), flush=True)
+"""
+
+
+def time_layer(name: str, n: int) -> dict:
+    code = WORKER.format(src=str(ROOT / "src"), name=name, n=n, runs=RUNS)
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            text=True)
+    try:
+        out, _ = proc.communicate(timeout=BUDGET_S)
+        cut = False
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, _ = proc.communicate()
+        cut = True
+    runs = [json.loads(line) for line in out.splitlines()]
+    if runs == ["missing"]:
+        return {"layer": name, "n": n, "missing": True}
+    if not cut and proc.returncode != 0:
+        raise SystemExit(f"{name} at n = {n} exited {proc.returncode}")
+    return {"layer": name, "n": n, "median_s": statistics.median(runs) if runs else None,
+            "runs": len(runs), "cut_at_s": BUDGET_S if cut else None}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def main() -> None:
+    record = {
+        "commit": git("rev-parse", "--short", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src")),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "runs": RUNS,
+        "budget_s": BUDGET_S,
+        "layers": [time_layer(name, n) for name, n in LAYERS],
+    }
+    print(json.dumps(record, indent=1))
+
+
+if __name__ == "__main__":
+    main()

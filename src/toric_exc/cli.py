@@ -43,6 +43,7 @@ from .windows import (
     WindowViolation,
     build_certificate,
     certificate_to_dict,
+    verify_generation,
     verify_walls,
 )
 
@@ -80,8 +81,15 @@ def main(argv=None) -> int:
         return 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one stderr line; subparsers share it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toric-exc",
         description="Exceptional collections of line bundles on "
                     "centrally-symmetric toric Fano varieties.")
@@ -264,19 +272,18 @@ def cmd_verify(args) -> int:
 
     if what == "generation":
         try:
-            certificate = build_certificate(n, collection)
+            check = verify_generation(n, collection)
         except (WindowViolation, KoszulEscape) as exc:
             payload = {"schema": REPORT_SCHEMA, "what": what, "n": n,
                        "ok": False, "error": str(exc)}
             _emit_report(args, payload, f"generation FAILED: {exc}")
             return 1
-        pieces = sum(len(r.pieces) for r in certificate.walls)
         payload = {"schema": REPORT_SCHEMA, "what": what, "n": n, "ok": True,
-                   "walls": len(certificate.walls), "pieces": pieces,
-                   "base_case": certificate.base_case}
+                   "walls": check.walls, "pieces": check.pieces,
+                   "base_case": check.base_case}
         _emit_report(args, payload,
-                     f"generation ok: {len(certificate.walls)} walls, "
-                     f"{pieces} pieces, base case {certificate.base_case}")
+                     f"generation ok: {check.walls} walls, "
+                     f"{check.pieces} pieces, base case {check.base_case}")
         return 0
 
     # what == "exceptional"

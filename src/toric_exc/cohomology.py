@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .fan import Fan, complex_CI, require_Vn
 from .picard import DivisorClass, ray_coefficients
@@ -159,27 +159,31 @@ def _slot_states(aplus: int, aminus: int):
 
 
 def _count_sum_zero(bounds) -> int:
-    """Number of integer tuples with given finite bounds summing to zero."""
+    """Number of integer tuples with given finite bounds summing to zero.
+
+    Shifted by their lower ends, the entries are 0 <= x_i <= len_i and sum
+    to target = -sum lo, so the count is the coefficient of x^target in
+    prod_i (1 - x^(len_i + 1)) / (1 - x). The numerator is expanded
+    sparsely, one group of equal lengths at a time, dropping exponents
+    above the target, so it holds at most min(target + 1, prod (m_g + 1))
+    terms for m_g slots of each length; 1 / (1 - x)^m then gives each
+    surviving exponent e the weight C(target - e + m - 1, m - 1).
+    """
     target = -sum(lo for lo, _ in bounds)
-    if target < 0:
+    if target < 0 or any(hi < lo for lo, hi in bounds):
         return 0
-    lengths = []
-    for lo, hi in bounds:
-        if hi < lo:
-            return 0
-        lengths.append(hi - lo)
-    dp = [0] * (target + 1)
-    dp[0] = 1
-    for length in lengths:
-        out = [0] * (target + 1)
-        running = 0
-        for t in range(target + 1):
-            running += dp[t]
-            if t - length - 1 >= 0:
-                running -= dp[t - length - 1]
-            out[t] = running
-        dp = out
-    return dp[target]
+    if not bounds:
+        return 1
+    poly = {0: 1}
+    for length, count in Counter(hi - lo for lo, hi in bounds).items():
+        expanded = {}
+        for e, coeff in poly.items():
+            for i in range(min(count, (target - e) // (length + 1)) + 1):
+                f = e + i * (length + 1)
+                expanded[f] = expanded.get(f, 0) + (-1) ** i * comb(count, i) * coeff
+        poly = expanded
+    m = len(bounds)
+    return sum(coeff * comb(target - e + m - 1, m - 1) for e, coeff in poly.items())
 
 
 def _meets(lo_total, hi_total) -> bool:

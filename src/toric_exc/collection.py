@@ -6,14 +6,25 @@ and the involution pairs the parameter c with |J| - c, so a block is
 labeled by |J| and the unordered pair {c, |J| - c}. Blocks are listed
 by decreasing |J|, members inside a block by (c, sorted J).
 
-Verification sweeps every ordered pair of distinct member positions.
+Verification covers every ordered pair of distinct member positions.
 Writing D for target minus source, a pair with the source in a later
 block, or both in one block, must lose all cohomology; a pair with the
 source in an earlier block only needs positive degrees to vanish. Three
-interchangeable methods grade each pair: closed-form family
-inequalities, forbidden-cone certificates, or the cohomology oracle.
-Size is checked against the fan's count of maximal cones, so a dropped
-member is caught even though every surviving pair still verifies.
+interchangeable methods grade a pair: closed-form family inequalities,
+forbidden-cone certificates, or the cohomology oracle. Size is checked
+against the fan's count of maximal cones, so a dropped member is caught
+even though every surviving pair still verifies.
+
+A full sweep counts pairs instead of walking them. A cell is the members
+of one block sharing the twist c and the size l of J; it is complete
+when its J sets are the l-subsets of 0..n, each once. The verdict of a
+pair depends only on its family (c, k, l) and its block relation, and
+the number of members of a complete cell meeting a given J in t labels
+is a product of binomials, so every pair with a complete cell on one
+side is counted in closed form and graded by one representative per
+key. Only pairs between members of incomplete cells, pairs with a
+member outside F_{c,J}, and the pairs of a group whose key failed are
+walked one by one; an unmutated G_n walks none.
 """
 
 from __future__ import annotations
@@ -108,6 +119,40 @@ def build_Gn(n: int) -> Collection:
     return Collection(n, tuple(blocks))
 
 
+@dataclass(frozen=True)
+class Cell:
+    """The members of one block that share the twist c and |J| = ell."""
+
+    block: int
+    c: int
+    ell: int
+    positions: tuple[int, ...]  # flat positions, ascending
+    labels: tuple[frozenset, ...]  # the J of each position
+    complete: bool  # labels are the ell-subsets of 0..n, each once
+
+
+def member_cells(collection: Collection) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
+    """The cells of a collection, and the positions of members outside F_{c,J}."""
+    groups = {}
+    strangers = []
+    position = 0
+    for bi, block in enumerate(collection.blocks):
+        for m in block.members:
+            parsed = parse_F(m)
+            if parsed is None:
+                strangers.append(position)
+            else:
+                c, j = parsed
+                groups.setdefault((bi, c, len(j)), []).append((position, j))
+            position += 1
+    cells = []
+    for (bi, c, ell), entries in groups.items():
+        labels = tuple(j for _, j in entries)
+        complete = len(set(labels)) == len(labels) == math.comb(collection.n + 1, ell)
+        cells.append(Cell(bi, c, ell, tuple(p for p, _ in entries), labels, complete))
+    return tuple(cells), tuple(strangers)
+
+
 # -- pairwise verification -----------------------------------------------------
 
 
@@ -171,8 +216,10 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     sample restricts the sweep to the given (source, target) flat index
     pairs; the size check still runs, and a pair that is not two distinct
-    positions raises ValueError. The report never raises on its own,
-    call raise_if_failed for that.
+    positions raises ValueError. A sample or a full report grades pair by
+    pair; otherwise the pairs are counted by cell (module docstring).
+    Violations come in flat (source, target) order either way. The report
+    never raises on its own, call raise_if_failed for that.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -180,54 +227,131 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     fan = build_Vn(n) if method in ("forbidden", "oracle") else None
     members = collection.members
     block_of = [bi for bi, _ in collection.positions()]
-    parsed = [parse_F(m) for m in members]
-
-    if sample is None:
-        pairs = ((i, j) for i in range(len(members))
-                 for j in range(len(members)) if i != j)
-        sampled = False
-    else:
-        pairs = [(int(i), int(j)) for i, j in sample]
-        for i, j in pairs:
-            if i == j or not (0 <= i < len(members) and 0 <= j < len(members)):
-                raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
-                                 f"positions in 0..{len(members) - 1}")
-        sampled = True
+    cells, strangers = member_cells(collection)
+    parsed = [None] * len(members)
+    for cell in cells:
+        for p, j in zip(cell.positions, cell.labels):
+            parsed[p] = (cell.c, j)
 
     # The verdict of a pair depends only on the S_{n+1}-orbit of its
     # difference, the family (c, k, l), and on the block relation, so each
     # key is graded once per call. A member outside F_{c,J} has no family:
     # its pairs are graded one by one.
     grades = {}
-    results = []
-    violations = []
-    checked = 0
-    for i, j in pairs:
-        checked += 1
-        relation = _pair_relation(block_of[i], block_of[j])
-        need_all = relation != "forward"
-        family = family_of_parsed(parsed[j], parsed[i])
-        key = None if family is None else (family, need_all)
-        grade = grades.get(key)
-        if grade is None:
-            grade = _grade_pair(fan, method, members[j] - members[i], family,
-                                need_all)
-            if key is not None:
-                grades[key] = grade
-        ok, detail = grade
-        if ok and not full_report:
-            continue  # a passing pair is recorded only in a full report
-        result = PairResult(i, j, relation, ok, detail)
-        if not ok:
-            violations.append(result)
-        if full_report:
-            results.append(result)
+
+    def grade(family, need_all, difference):
+        """Verdict of a pair; difference() builds its target minus source."""
+        key = (family, need_all)
+        if family is None or key not in grades:
+            verdict = _grade_pair(fan, method, difference(), family, need_all)
+            if family is None:
+                return verdict
+            grades[key] = verdict
+        return grades[key]
+
+    def walk(pairs, keep_passing):
+        """Grade pairs one by one: the failing results, or all of them."""
+        out = []
+        for i, j in pairs:
+            relation = _pair_relation(block_of[i], block_of[j])
+            ok, detail = grade(family_of_parsed(parsed[j], parsed[i]),
+                               relation != "forward",
+                               lambda: members[j] - members[i])
+            if keep_passing or not ok:
+                out.append(PairResult(i, j, relation, ok, detail))
+        return out
+
+    if sample is not None:
+        pairs = [(int(i), int(j)) for i, j in sample]
+        for i, j in pairs:
+            if i == j or not (0 <= i < len(members) and 0 <= j < len(members)):
+                raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
+                                 f"positions in 0..{len(members) - 1}")
+        results = walk(pairs, full_report)
+        checked = len(pairs)
+    elif full_report:
+        everyone = range(len(members))
+        results = walk(_pairs_between(everyone, everyone), True)
+        checked = len(results)
+    else:
+        results = []
+        checked = 0
+        for sources, targets, terms in _counted_groups(n, cells):
+            failed = False
+            for (family, need_all), count, (cs, js), (ct, jt) in terms:
+                checked += count
+                ok, _ = grade(family, need_all,
+                              lambda: make_F(n, ct, jt) - make_F(n, cs, js))
+                failed = failed or not ok
+            if failed:
+                results += walk(_pairs_between(sources, targets), False)
+        loose = sorted(strangers + tuple(
+            p for cell in cells if not cell.complete for p in cell.positions))
+        held = [p for cell in cells if cell.complete for p in cell.positions]
+        walked = [*_pairs_between(loose, loose), *_pairs_between(strangers, held),
+                  *_pairs_between(held, strangers)]
+        results += walk(walked, False)
+        checked += len(walked)
+        results.sort(key=lambda r: (r.source, r.target))
 
     return Report(
         n=n, method=method, size=collection.size, expected=expected_size(n),
-        pairs_checked=checked, violations=tuple(violations),
-        pair_results=tuple(results) if full_report else None, sampled=sampled,
+        pairs_checked=checked, violations=tuple(r for r in results if not r.ok),
+        pair_results=tuple(results) if full_report else None,
+        sampled=sample is not None,
     )
+
+
+def _pairs_between(sources, targets):
+    """Ordered pairs of distinct positions, in flat order for sorted inputs."""
+    return ((i, j) for i in sources for j in targets if i != j)
+
+
+def _counted_groups(n, cells):
+    """Every pair with a complete cell on one side, counted in closed form.
+
+    Yields (sources, targets, terms): one group for each complete cell or
+    loose member (of an incomplete cell) as the source and complete cell
+    as the target, and one for each complete cell as the source and loose
+    member as the target. Each term is (key, count, source, target): a key
+    (family, need_all), how many pairs of the group have it, and the
+    parsed (c, J) of one such pair.
+    """
+    complete = [cell for cell in cells if cell.complete]
+    loose = [replace(cell, positions=(p,), labels=(j,)) for cell in cells
+             if not cell.complete for p, j in zip(cell.positions, cell.labels)]
+    for unit in complete + loose:
+        for cell in complete:
+            yield unit.positions, cell.positions, _terms(n, unit, cell, outgoing=True)
+    for unit in loose:
+        for cell in complete:
+            yield cell.positions, unit.positions, _terms(n, unit, cell, outgoing=False)
+
+
+def _terms(n, unit, cell, outgoing):
+    """Keyed pair counts between the members of unit and a complete cell.
+
+    A member F_{c,J} meets C(|J|, t) C(n + 1 - |J|, l - t) members of a
+    complete cell in exactly t labels, whatever J is. A complete unit
+    repeats that once per member, less the diagonal when it is the cell.
+    """
+    labels = unit.labels[0]
+    copies = len(unit.positions)
+    rest = [x for x in range(n + 1) if x not in labels]
+    out = []
+    for t in range(max(0, unit.ell + cell.ell - n - 1), min(unit.ell, cell.ell) + 1):
+        count = copies * math.comb(unit.ell, t) * math.comb(n + 1 - unit.ell, cell.ell - t)
+        if unit is cell and t == unit.ell:
+            count -= copies
+        if not count:
+            continue
+        one = (unit.block, (unit.c, labels))
+        other = (cell.block, (cell.c, frozenset(sorted(labels)[:t] + rest[:cell.ell - t])))
+        (source_block, source), (target_block, target) = (
+            (one, other) if outgoing else (other, one))
+        key = (family_of_parsed(target, source), source_block >= target_block)
+        out.append((key, count, source, target))
+    return out
 
 
 def _grade_pair(fan, method, D, family, need_all):

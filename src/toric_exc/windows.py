@@ -14,6 +14,17 @@ complex whose 2^{|J|} terms all lie in the collection again. Chaining
 the walls from large J down to the empty set empties the category, so a
 clean pass certifies that the collection generates.
 
+`build_certificate` walks every wall and every member, and `certificate`
+prints its records. `verify_generation` reaches the same verdict one
+wall size at a time. As J runs over the walls of one size, the weight of
+a member runs over a range that depends only on h and the sorted d, so
+one check per such shape replaces the members x walls loop. A Koszul
+term F_{w,K} of one size |K| is a member at every wall of that size
+exactly when the members with twist w and |J| = |K| hold every
+|K|-subset, over all blocks, so one representative wall per size
+decides the terms. Only when a class check fails does the flat walk run,
+to name the first failure in its order.
+
 The wall subgroups are read off the circuits of the fan: every circuit
 is an antipodal pair or picks one ray per slot, and then its relation is
 the weight pattern of the subgroup indexed by its plus-side slots.
@@ -28,7 +39,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .collection import Collection, build_Gn
+from .collection import Collection, build_Gn, member_cells
 from .fan import Fan, build_Vn, circuit_relation
 from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, make_F, parse_F
@@ -204,6 +215,49 @@ def build_certificate(n: int, collection: Collection | None = None) -> Certifica
                             f"is not in the collection")
             walls.append(record)
     return Certificate(n, d, tuple(walls))
+
+
+@dataclass(frozen=True)
+class GenerationCheck:
+    n: int
+    walls: int
+    pieces: int
+    base_case: str = "empty"
+
+
+def verify_generation(n: int, collection: Collection) -> GenerationCheck:
+    """The verdict of build_certificate, reached one wall size at a time.
+
+    Returns the wall and piece counts of the certificate. A failed class
+    check runs build_certificate, which raises the first WindowViolation
+    or KoszulEscape of the flat walk. A collection of another dimension
+    raises ValueError.
+    """
+    if collection.n != n:
+        raise ValueError(f"collection of dimension {collection.n}, expected {n}")
+    cells, _ = member_cells(collection)
+    labels = {}
+    for cell in cells:
+        labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
+    covered = {key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1])}
+    shapes = {(m.h, tuple(sorted(m.d))) for m in collection.members}
+    d = default_gauge(n)
+    walls = pieces = 0
+    for size in range(n // 2, -1, -1):
+        record = wall_record(n, frozenset(range(size)), d)
+        lo, hi = record.window
+        # the weight (1 - |J|) h - sum_{j in J} d_j is least when J holds
+        # the largest d and most when it holds the smallest
+        outside = any((1 - size) * h - sum(ds[n + 1 - size:]) < lo
+                      or (1 - size) * h - sum(ds[:size]) > hi for h, ds in shapes)
+        terms = (parse_F(t) for piece in record.pieces for t in piece.components)
+        missing = any((c, len(j)) not in covered for c, j in terms)
+        if outside or missing:
+            build_certificate(n, collection)
+            raise RuntimeError(f"class check failed at |J| = {size}, flat walk passed")
+        walls += math.comb(n + 1, size)
+        pieces += math.comb(n + 1, size) * len(record.pieces)
+    return GenerationCheck(n, walls, pieces)
 
 
 # -- circuits vs subgroup weights -----------------------------------------------

@@ -1,9 +1,14 @@
+import contextlib
+import importlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_exc.cli import main, sample_pairs
 
@@ -37,6 +42,87 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", "--dim", "2"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--dim", "x"], "error: argument --dim: invalid int value: 'x'\n"),
+    (["verify"], "error: the following arguments are required: --dim\n"),
+])
+def test_argparse_error_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err == message
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: toric-exc verify")
+
+
+# -- the argument surface ----------------------------------------------------
+
+_labels = st.lists(st.integers(-1, 6), max_size=4).map(lambda js: "-".join(map(str, js)))
+_mutations = st.one_of(
+    st.integers(-3, 40).map(lambda i: f"drop:{i}"),
+    st.builds(lambda c, j: f"add:{c},{j}", st.integers(-9, 9), _labels),
+    st.builds(lambda i, j: f"swap:{i},{j}", st.integers(-2, 40), st.integers(-2, 40)),
+    st.text(max_size=8),
+)
+_coeffs = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=3, max_size=6).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.text(max_size=8),
+)
+_formats = st.sampled_from(["text", "json", "csv", "xml"]).map(lambda f: ["--format", f])
+_verify_options = st.one_of(
+    st.sampled_from(["exceptional", "stability", "cardinality", "generation", "walls",
+                     "bogus"]).map(lambda w: ["--what", w]),
+    st.sampled_from(["inequalities", "forbidden", "oracle", "bogus"]).map(
+        lambda m: ["--method", m]),
+    st.integers(-5, 50).map(lambda k: ["--sample", str(k)]),
+    _mutations.map(lambda m: ["--mutate", m]),
+    st.just(["--full-report"]),
+    _formats,
+)
+_other_options = st.one_of(_formats, st.just(["--fan"]), st.just(["--allow-large"]))
+_junk = st.sampled_from([["--bogus"], ["--dim"], ["--coeffs", "1"], ["stray"]])
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the command grammar, with junk mixed in now and then."""
+    command = draw(st.sampled_from(["build", "verify", "verify", "verify", "cohomology",
+                                    "figure", "gram", "certificate", "frobnicate"]))
+    argv = [command]
+    dim = draw(st.sampled_from(["2", "4"] * 4 + ["-2", "0", "1", "3", "21", "22", "x", None]))
+    if dim is not None:
+        argv += ["--dim", dim]
+    if command == "cohomology":
+        argv += ["--coeffs", draw(_coeffs)]
+    options = _verify_options if command == "verify" else _other_options
+    for option in draw(st.lists(options, max_size=3)):
+        argv += option
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv += draw(_junk)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_argument_surface(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
 
 
 # -- build ----------------------------------------------------------------
@@ -246,13 +332,26 @@ def test_dim_above_bound_rejected(capsys):
     assert err == "error: n must be at most 20\n"
 
 
-def test_internal_error_exits_3(capsys):
-    # the sum-zero count cannot size a table this large
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # the sum-zero count used to overflow here; an error inside any command
+    # must still become exit 3 and one line
+    def overflow(bounds):
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+    monkeypatch.setattr(importlib.import_module("toric_exc.cohomology"),
+                        "_count_sum_zero", overflow)
     code, out, err = run(capsys, "cohomology", "--dim", "2",
                          "--coeffs=100000000000000000000000000000,0,0,0")
     assert code == 3 and out == ""
     assert err.startswith("error: internal: OverflowError: ")
     assert err.count("\n") == 1
+
+
+def test_huge_coefficient_is_counted(capsys):
+    code, out, _ = run(capsys, "cohomology", "--dim", "2",
+                       "--coeffs=100000000000000000000000000000,0,0,0")
+    h0 = (10**29 + 1) * (10**29 + 2) // 2
+    assert code == 0 and out == f"h^0 = {h0}  h^1 = 0  h^2 = 0  (euler {h0})\n"
 
 
 def test_keyboard_interrupt_not_caught(monkeypatch):

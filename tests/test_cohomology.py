@@ -3,6 +3,9 @@
 import importlib
 import math
 import random
+import subprocess
+import sys
+import time
 import warnings
 from itertools import product
 
@@ -230,6 +233,49 @@ def assert_engines_agree(members, pairs):
         assert outcome(cohomology, fan, coeffs) == outcome(
             per_slot_reference, fan, coeffs
         ), (i, j)
+
+
+def count_sum_zero_by_table(bounds):
+    """The same count by a running-sum table of target + 1 entries per slot."""
+    target = -sum(lo for lo, _ in bounds)
+    if target < 0 or any(hi < lo for lo, hi in bounds):
+        return 0
+    table = [1] + [0] * target
+    for lo, hi in bounds:
+        out, running = [], 0
+        for t in range(target + 1):
+            running += table[t]
+            if t > hi - lo:
+                running -= table[t - (hi - lo) - 1]
+            out.append(running)
+        table = out
+    return table[target]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 6), st.integers(-1, 12)), max_size=8))
+def test_count_sum_zero_matches_table(spans):
+    bounds = [(lo, lo + width) for lo, width in spans]
+    assert coh._count_sum_zero(bounds) == count_sum_zero_by_table(bounds)
+
+
+def test_count_sum_zero_memory_is_bounded_by_the_slots():
+    # the target here is 10^9; a table of target + 1 entries would need GBs,
+    # so the child's address space is capped to fail fast instead
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from toric_exc.cli import main\n"
+            "main(['cohomology', '--dim', '2', '--coeffs=1000000000,0,0,0'])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    sections, maxrss_kb = proc.stdout.splitlines()
+    h0 = (10**9 + 1) * (10**9 + 2) // 2
+    assert sections.startswith(f"h^0 = {h0}  h^1 = 0  h^2 = 0")
+    assert elapsed < 1.0
+    assert int(maxrss_kb) < 100 * 1024
 
 
 def test_engine_matches_per_slot_all_pairs_G4():

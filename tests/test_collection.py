@@ -21,6 +21,7 @@ from toric_exc.collection import (
     collection_to_dict,
     expected_size,
     gram_matrix,
+    member_cells,
     verify_exceptional,
     verify_stability,
 )
@@ -32,7 +33,14 @@ from toric_exc.cones import (
     lemma_acyclic_predicate,
 )
 from toric_exc.fan import build_Vn, circuit_relation
-from toric_exc.picard import NotInFamily, difference_family, divisor, make_F, parse_F
+from toric_exc.picard import (
+    NotInFamily,
+    difference_family,
+    divisor,
+    family_of_parsed,
+    make_F,
+    parse_F,
+)
 from toric_exc.windows import Certificate, WallPiece, WallRecord, certificate_to_dict
 
 # the module itself: the package attribute of the same name may be shadowed
@@ -261,6 +269,69 @@ def test_reduced_sweep_matches_flat_sweep_on_sampled_dim6_mutant(method):
     pairs = random.Random(7).sample(all_pairs(col), 300)
     report = verify_exceptional(col, method, sample=pairs, full_report=True)
     assert report.pair_results == reference_sweep(col, method, pairs)
+
+
+def mutant(n, mutation):
+    col = build_Gn(n)
+    if mutation == "stranger":
+        return with_stranger(col)
+    return apply_mutation(col, mutation) if mutation else col
+
+
+@pytest.mark.parametrize("method, n, mutation", [
+    (method, n, m) for method in METHODS for n in (2, 4)
+    for m in (None, "drop:3", "add:1,0-1", "add:0,0", "swap:0,5", "swap:1,20",
+              "stranger")
+    if not (n == 2 and m == "swap:1,20")
+] + [("inequalities", 6, m) for m in ("add:1,0-1-2", "drop:17", "swap:0,100")])
+def test_counted_sweep_matches_flat_sweep(method, n, mutation):
+    col = mutant(n, mutation)
+    report = verify_exceptional(col, method)
+    reference = reference_sweep(col, method, all_pairs(col))
+    assert report.pairs_checked == len(reference) == col.size * (col.size - 1)
+    assert report.violations == tuple(r for r in reference if not r.ok)
+    assert report.pair_results is None and not report.sampled
+
+
+def flat_key_tally(col):
+    parsed = [parse_F(m) for m in col.members]
+    block_of = [bi for bi, _ in col.positions()]
+    tally = {}
+    for i, j in all_pairs(col):
+        key = (family_of_parsed(parsed[j], parsed[i]), block_of[i] >= block_of[j])
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_counted_keys_match_flat_tally(n):
+    col = build_Gn(n)
+    cells, strangers = member_cells(col)
+    assert not strangers and all(cell.complete for cell in cells)
+    counted = {}
+    for sources, targets, terms in collection_module._counted_groups(n, cells):
+        for key, count, _, _ in terms:
+            counted[key] = counted.get(key, 0) + count
+    assert counted == flat_key_tally(col)
+    assert sum(counted.values()) == col.size * (col.size - 1)
+
+
+def test_cells_of_a_mutant():
+    col = apply_mutation(build_Gn(4), "add:1,0-1")
+    cells, strangers = member_cells(col)
+    assert not strangers
+    assert sum(len(cell.positions) for cell in cells) == col.size
+    # the added F_{1,{0,1}} sits alone in block 0, with |J| = 2
+    (added,) = [cell for cell in cells if not cell.complete]
+    assert (added.block, added.c, added.ell, added.positions) == (0, 1, 2, (2,))
+    assert member_cells(with_stranger(build_Gn(2)))[1] == (2,)
+
+
+def test_unmutated_dim8_sweep_walks_no_pair(monkeypatch):
+    calls = count_calls(monkeypatch, ["family_of_parsed"])
+    report = verify_exceptional(build_Gn(8), "inequalities")
+    assert report.ok and report.pairs_checked == 396270
+    assert len(calls) < 10000
 
 
 def count_calls(monkeypatch, names):

@@ -12,7 +12,8 @@ import toric_exc.fan as fan_module
 import toric_exc.linalg as linalg
 import toric_exc.windows as win
 from toric_exc.cohomology import euler_pairing
-from toric_exc.collection import apply_mutation, build_Gn, expected_size
+from toric_exc.cli import main
+from toric_exc.collection import Block, Collection, apply_mutation, build_Gn, expected_size
 from toric_exc.fan import build_Vn, circuit_relation, circuits
 from toric_exc.linalg import rank, smith_normal_form
 from toric_exc.picard import divisor, make_F, parse_F
@@ -27,6 +28,7 @@ from toric_exc.windows import (
     certificate_to_dict,
     default_gauge,
     koszul_components,
+    verify_generation,
     verify_walls,
     wall_record,
     weight,
@@ -172,6 +174,64 @@ def test_missing_component_caught():
     col = apply_mutation(build_Gn(2), "drop:5")
     with pytest.raises(KoszulEscape):
         build_certificate(2, col)
+
+
+def generation_cases():
+    cases = [(f"G_{n}", build_Gn(n)) for n in DIMS]
+    cases += [(f"drop:{i}", apply_mutation(build_Gn(4), f"drop:{i}")) for i in range(30)]
+    cases += [(text, apply_mutation(build_Gn(n), text))
+              for n, text in ((4, "add:5,0"), (2, "add:3,0-1-2"), (2, "add:-2,"),
+                              (4, "swap:0,5"), (6, "swap:0,5"))]
+    for n in (2, 4):
+        col = build_Gn(n)
+        first = col.blocks[0]
+        stranger = divisor(0, (1,) + (0,) * n)
+        blocks = (Block(first.ell, first.members + (stranger,)),) + col.blocks[1:]
+        cases.append((f"stranger-{n}", Collection(n, blocks)))
+    return cases
+
+
+def generation_outcome(check):
+    try:
+        return check()
+    except (WindowViolation, KoszulEscape) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_generation_classes_match_flat_certificate():
+    kinds = Counter()
+    for name, col in generation_cases():
+        n = col.n
+        counted = generation_outcome(lambda: verify_generation(n, col))
+        flat = generation_outcome(lambda: build_certificate(n, col))
+        if isinstance(flat, win.Certificate):
+            flat = win.GenerationCheck(n, len(flat.walls),
+                                       sum(len(r.pieces) for r in flat.walls))
+            kinds["ok"] += 1
+        else:
+            kinds[flat[0]] += 1
+        assert counted == flat, name
+    # the cases reach both failures as well as passes
+    assert set(kinds) == {"ok", "WindowViolation", "KoszulEscape"}
+
+
+def test_generation_counts_in_closed_form():
+    for n, walls in zip(DIMS + (10, 12), (4, 16, 64, 256, 1024, 4096)):
+        assert verify_generation(n, build_Gn(n)) == win.GenerationCheck(
+            n, walls, expected_size(n))
+    with pytest.raises(ValueError):
+        verify_generation(4, build_Gn(2))
+
+
+def test_generation_command_walks_no_wall(monkeypatch, capsys):
+    def flat(*args, **kwargs):
+        raise AssertionError("the flat certificate walk ran")
+
+    monkeypatch.setattr(win, "build_certificate", flat)
+    monkeypatch.setattr(win, "_weight", flat)
+    assert main(["verify", "--dim", "8", "--what", "generation"]) == 0
+    assert capsys.readouterr().out == (
+        "generation ok: 256 walls, 630 pieces, base case empty\n")
 
 
 def test_circuit_checks():

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .cohomology import cohomology, euler_pairing
 from .cones import (
@@ -119,8 +120,7 @@ def build_Gn(n: int) -> Collection:
     return Collection(n, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """The members of one block that share the twist c and |J| = ell."""
 
     block: int
@@ -227,11 +227,14 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     fan = build_Vn(n) if method in ("forbidden", "oracle") else None
     members = collection.members
     block_of = [bi for bi, _ in collection.positions()]
-    cells, strangers = member_cells(collection)
-    parsed = [None] * len(members)
-    for cell in cells:
-        for p, j in zip(cell.positions, cell.labels):
-            parsed[p] = (cell.c, j)
+    if sample is None and not full_report:
+        cells, strangers = member_cells(collection)
+        parsed = [None] * len(members)
+        for cell in cells:
+            for p, j in zip(cell.positions, cell.labels):
+                parsed[p] = (cell.c, j)
+    else:  # a walk needs no cells
+        parsed = [parse_F(m) for m in members]
 
     # The verdict of a pair depends only on the S_{n+1}-orbit of its
     # difference, the family (c, k, l), and on the block relation, so each
@@ -318,7 +321,7 @@ def _counted_groups(n, cells):
     parsed (c, J) of one such pair.
     """
     complete = [cell for cell in cells if cell.complete]
-    loose = [replace(cell, positions=(p,), labels=(j,)) for cell in cells
+    loose = [cell._replace(positions=(p,), labels=(j,)) for cell in cells
              if not cell.complete for p, j in zip(cell.positions, cell.labels)]
     for unit in complete + loose:
         for cell in complete:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .collection import Collection, build_Gn, member_cells
 from .fan import Fan, build_Vn, circuit_relation
@@ -217,8 +218,7 @@ def build_certificate(n: int, collection: Collection | None = None) -> Certifica
     return Certificate(n, d, tuple(walls))
 
 
-@dataclass(frozen=True)
-class GenerationCheck:
+class GenerationCheck(NamedTuple):
     n: int
     walls: int
     pieces: int

@@ -1,4 +1,4 @@
-"""Time the pair sweeps, the generation checks and the n = 14 commands.
+"""Time the pair sweeps, the per-element checks and the n = 14 commands.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -28,7 +28,8 @@ BUDGET_S = 60
 LAYERS = (
     [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
      for n in (8, 10, 12)]
-    + [(name, n) for name in ("verify_generation", "build_certificate")
+    + [(name, n) for name in ("verify_generation", "build_certificate",
+                              "verify_stability", "verify_walls")
        for n in (8, 10, 12)]
     + [(f"verify.{what}", 14) for what in ("exceptional", "stability", "generation",
                                             "walls")]
@@ -50,11 +51,12 @@ elif name.startswith("verify."):
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != 0:
                 sys.exit("the check failed")
-elif hasattr(windows, name):
+elif hasattr(windows, name) or hasattr(collection, name):
     col = collection.build_Gn(n)
-    check = getattr(windows, name)
+    args = {{"verify_stability": (col,), "verify_walls": (n,)}}.get(name, (n, col))
+    check = getattr(windows, name, None) or getattr(collection, name)
     def call():
-        check(n, col)
+        check(*args)
 else:
     print(json.dumps("missing"), flush=True)
     sys.exit()

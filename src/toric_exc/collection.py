@@ -402,8 +402,18 @@ def verify_stability(collection: Collection) -> StabilityReport:
 
     Also pins the involution's closed form on each member: F_{c,J} must
     land on F_{|J|-c,J} exactly.
+
+    The cells decide first. `permute` sends F_{c,J} to F_{c,sigma J}, so a
+    cell whose J labels, as a set, are all the l-subsets of 0..n is
+    S_{n+1}-stable. `antipodal_involution` is S_{n+1}-equivariant, so when
+    it sends one representative F_{c,J} to F_{l-c,J}, it sends the (c, l)
+    cell onto the (l - c, l) cell, closed form included. A block of such
+    cells, each with its partner, and no member outside F_{c,J} is stable.
+    Any other collection runs the flat loop, which alone words failures.
     """
     n = collection.n
+    if _stable_by_cells(collection):
+        return StabilityReport(n, True, ())
     failures = []
     for gi, g in enumerate(group_generators(n)):
         for bi, block in enumerate(collection.blocks):
@@ -420,6 +430,27 @@ def verify_stability(collection: Collection) -> StabilityReport:
         if flipped != make_F(n, len(j) - c, j):
             failures.append(f"involution breaks closed form on {m.coeffs}")
     return StabilityReport(n, not failures, tuple(failures))
+
+
+def _stable_by_cells(collection: Collection) -> bool:
+    """Whether the cells alone prove the collection stable (verify_stability)."""
+    n = collection.n
+    members = collection.members
+    if any(len(m.coeffs) != n + 2 for m in members):
+        return False  # the flat loop rejects a member of another dimension
+    cells, strangers = member_cells(collection)
+    if strangers:
+        return False
+    keys = {(cell.block, cell.c, cell.ell) for cell in cells}
+    flip = (tuple(range(n + 1)), True)
+    for cell in cells:
+        partner = cell.ell - cell.c
+        if (len(set(cell.labels)) != math.comb(n + 1, cell.ell)
+                or (cell.block, partner, cell.ell) not in keys
+                or act(flip, members[cell.positions[0]])
+                != make_F(n, partner, cell.labels[0])):
+            return False
+    return True
 
 
 # -- numerics -------------------------------------------------------------------

@@ -24,7 +24,6 @@ classes, and the tests compare that walk with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -171,6 +170,8 @@ def circuits(fan: Fan) -> list[frozenset]:
     so each extension costs one reduction; a dependent extension is kept
     when dropping any single element leaves an independent set.
     """
+    from fractions import Fraction  # reference only: keep it off the command path
+
     rays = [tuple(Fraction(x) for x in r) for r in fan.rays]
     m = len(rays)
     found = []
@@ -187,7 +188,7 @@ def circuits(fan: Fan) -> list[frozenset]:
                 stack.append((current + (j,), basis + [(pivot, row)]))
             else:
                 cand = current + (j,)
-                vs = [rays[i] for i in cand]
+                vs = [fan.rays[i] for i in cand]
                 if all(
                     rank([v for t, v in enumerate(vs) if t != drop]) == len(cand) - 1
                     for drop in range(len(cand))

@@ -1,6 +1,7 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything is computed with Python ints and fractions.Fraction; no floats.
+Everything is computed with Python ints; no floats, and no fractions:
+rank and kernels over the rationals come from fraction-free elimination.
 The Smith normal form routine is tuned for the sparse, small-entry boundary
 matrices that show up in simplicial homology: it peels off unit pivots
 sparsely and only falls back to a dense algorithm for the residue.
@@ -8,8 +9,7 @@ sparsely and only falls back to a dense algorithm for the residue.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 
@@ -219,8 +219,12 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def _row_reduce(matrix: Sequence[Sequence[int]]):
-    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
-    a = [[Fraction(v) for v in row] for row in matrix]
+    """Fraction-free Gauss-Jordan elimination: (rows, pivot columns).
+
+    Row r is a nonzero integer multiple of row r of the reduced row echelon
+    form over the rationals; a changed row is divided by its gcd.
+    """
+    a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
@@ -230,12 +234,14 @@ def _row_reduce(matrix: Sequence[Sequence[int]]):
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+        pivot_row = a[r]
+        p = pivot_row[col]
         for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][col]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(a[i], pivot_row)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         if len(pivots) == m:
             break
@@ -243,7 +249,7 @@ def _row_reduce(matrix: Sequence[Sequence[int]]):
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
+    """Rank over the rationals via fraction-free Gaussian elimination."""
     return len(_row_reduce(matrix)[1])
 
 
@@ -252,33 +258,27 @@ def kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     a, pivots = _row_reduce(matrix)
     n = len(a[0]) if a else 0
     free = [j for j in range(n) if j not in pivots]
+    scale = lcm(*(a[r][col] for r, col in enumerate(pivots)))  # clears the pivots
     basis = []
     for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            v[col] = -a[row_idx][j]
+        v = [0] * n
+        v[j] = scale
+        for r, col in enumerate(pivots):
+            v[col] = -a[r][j] * scale // a[r][col]
         basis.append(primitive_vector(v))
     return basis
 
 
-def primitive_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector.
+def primitive_vector(v) -> tuple[int, ...]:
+    """Scale a rational vector (ints or Fractions) to a primitive integer vector.
 
     The sign is normalized so the first nonzero entry is positive.
     """
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    denom = lcm(*(x.denominator for x in v))
+    ints = [int(x * denom) for x in v]
+    g = gcd(*ints) or 1
     ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
+    first = next((x for x in ints if x), 0)
     if first < 0:
         ints = [-x for x in ints]
     return tuple(ints)

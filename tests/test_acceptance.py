@@ -237,7 +237,7 @@ def test_criterion_10_circuits():
     t0 = time.perf_counter()
     for n, count in ((2, 11), (4, 37)):
         assert len(circuits(build_Vn(n))) == count
-    for n in (2, 4, 6, 8, 10, 12):
+    for n in (2, 4, 6, 8, 10, 12, 14):
         check = verify_walls(n)
         assert check.circuit_count == (n + 1) + 2 ** (n + 1)
         assert check.pair_count == n + 1

@@ -303,7 +303,8 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_production_path_loads_no_reference_layer():
-    # the generic-fan and LP code is a reference layer that no command loads
+    # the generic-fan and LP code is a reference layer that no command loads,
+    # and exact elimination runs on ints, so no command loads fractions either
     code = (
         "import contextlib, io, sys\n"
         "from toric_exc.cli import main\n"
@@ -311,16 +312,18 @@ def test_production_path_loads_no_reference_layer():
         "        for m in ('inequalities', 'forbidden', 'oracle')]\n"
         "runs += [['verify', '--dim', '4', '--what', 'generation'],\n"
         "         ['verify', '--dim', '4', '--what', 'walls'],\n"
+        "         ['verify', '--dim', '4', '--what', 'stability'],\n"
         "         ['cohomology', '--dim', '4', '--coeffs=-1,-1,1,1,0,2'],\n"
         "         ['build', '--dim', '4', '--fan']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in runs]\n"
         "print(codes, sorted(m for m in sys.modules\n"
-        "                    if m in ('toric_exc.reference', 'toric_exc.polyhedra')))\n")
+        "                    if m in ('toric_exc.reference', 'toric_exc.polyhedra',\n"
+        "                             'fractions')))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
 # -- bounds and internal errors -------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from toric_exc.collection import (
     Block,
     Collection,
     PairResult,
+    StabilityReport,
     VerificationFailed,
     apply_mutation,
     build_Fn,
@@ -38,6 +40,8 @@ from toric_exc.picard import (
     difference_family,
     divisor,
     family_of_parsed,
+    act,
+    group_generators,
     make_F,
     parse_F,
 )
@@ -467,6 +471,84 @@ def test_stability_broken_by_drop():
     # dropping one of the twisted pair breaks the involution instead
     report = verify_stability(apply_mutation(build_Gn(2), "drop:0"))
     assert not report.ok
+
+
+def flat_stability(col):
+    """Reference: every generator on every block, the involution on every member."""
+    n = col.n
+    failures = []
+    for gi, g in enumerate(group_generators(n)):
+        for bi, block in enumerate(col.blocks):
+            if {act(g, m) for m in block.members} != set(block.members):
+                failures.append(f"generator {gi} moves block {bi} off itself")
+    for m in col.members:
+        parsed = parse_F(m)
+        if parsed is None:
+            failures.append(f"member {m.coeffs} outside the F_{{c,J}} family")
+            continue
+        c, j = parsed
+        if act((tuple(range(n + 1)), True), m) != make_F(n, len(j) - c, j):
+            failures.append(f"involution breaks closed form on {m.coeffs}")
+    return StabilityReport(n, not failures, tuple(failures))
+
+
+def stability_cases():
+    g4 = build_Gn(4)
+    yield from (build_Gn(n) for n in (2, 4, 6, 8))
+    yield from (apply_mutation(g4, f"drop:{i}") for i in range(g4.size))
+    c, j = parse_F(g4.blocks[0].members[0])
+    duplicate = f"add:{c},{'-'.join(map(str, sorted(j)))}"
+    yield from (apply_mutation(g4, m) for m in ("add:0,0", "add:1,0-1", duplicate))
+    starts = [0]
+    for block in g4.blocks:
+        starts.append(starts[-1] + len(block.members))
+    for a, b in combinations(starts[:-1], 2):  # first members of two blocks
+        yield apply_mutation(g4, f"swap:{a},{b}")
+        yield apply_mutation(g4, f"swap:{a + 1},{b - 1}")
+    yield apply_mutation(build_Gn(8), "swap:0,600")
+    yield with_stranger(g4)
+
+
+def test_cell_stability_matches_flat_loop():
+    outcomes = set()
+    for col in stability_cases():
+        report = verify_stability(col)
+        assert report == flat_stability(col)
+        outcomes.add(report.ok)
+    assert outcomes == {True, False}
+
+
+def test_stability_member_of_another_dimension_raises():
+    # the flat loop cannot permute it; the cells must not wave it through
+    g2 = build_Gn(2)
+    last = g2.blocks[-1]
+    assert parse_F(last.members[0]) == (0, frozenset())
+    col = Collection(2, g2.blocks[:-1] + (Block(last.ell, last.members + (make_F(4, 0, ()),)),))
+    with pytest.raises(ValueError):
+        verify_stability(col)
+
+
+def test_stability_acts_once_per_cell(monkeypatch):
+    module = importlib.import_module("toric_exc.collection")
+    calls = []
+
+    def counted(element, D):
+        calls.append(element)
+        return act(element, D)
+
+    monkeypatch.setattr(module, "act", counted)
+    g8 = build_Gn(8)
+    assert verify_stability(g8).ok
+    assert len(calls) < 100
+    # the flat loop compares sets, so a duplicated member passes, by cells too
+    c, j = parse_F(g8.blocks[0].members[0])
+    duplicated = apply_mutation(g8, f"add:{c},{'-'.join(map(str, sorted(j)))}")
+    assert duplicated.size == g8.size + 1
+    assert verify_stability(duplicated).ok
+    assert len(calls) < 200
+    # a broken collection runs the flat loop, which names the failure
+    assert not verify_stability(apply_mutation(build_Gn(8), "drop:0")).ok
+    assert len(calls) > 1000
 
 
 # -- numerics ----------------------------------------------------------------------

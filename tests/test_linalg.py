@@ -1,6 +1,8 @@
 """Exact linear algebra: Smith form, determinants, kernels."""
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -141,8 +143,6 @@ def test_kernel_vectors_annihilate(m):
 
 
 def test_primitive_vector():
-    from fractions import Fraction
-
     assert primitive_vector([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
     assert primitive_vector([-2, -4]) == (1, 2)
     assert primitive_vector([0, 0]) == (0, 0)
@@ -156,3 +156,73 @@ def test_random_rank_agrees_with_sympy():
     for _ in range(25):
         m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(3)]
         assert rank(m) == Matrix(m).rank()
+
+
+# -- integer elimination against a Fraction reference --------------------------
+
+
+def fraction_rref(matrix):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def fraction_kernel(matrix):
+    """Kernel basis from the rational RREF, each vector made primitive with
+    its first nonzero entry positive."""
+    a, pivots = fraction_rref(matrix)
+    n = len(a[0]) if a else 0
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[j] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -a[r][j]
+        scale = lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = gcd(*ints)
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        basis.append(tuple(sign * x // g for x in ints))
+    return basis
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Small integer matrices with zero rows, zero columns and non-unit pivots."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -2, 3, -4, 6, -9])
+    return [[0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(cols)]
+            for i in range(rows)]
+
+
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_elimination_matches_fractions(m):
+    assert kernel_basis(m) == fraction_kernel(m)
+    assert rank(m) == len(fraction_rref(m)[1])
+
+
+def test_integer_elimination_fixtures():
+    # non-unit pivots whose kernel needs the lcm of the pivots
+    m = [[2, 0, 1], [0, 3, 1]]
+    assert kernel_basis(m) == fraction_kernel(m) == [(3, 2, -6)]
+    assert kernel_basis([[0, 0, 0]]) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis([[0, 4], [0, 6]]) == [(1, 0)]
+    assert rank([[0, 0], [0, 0]]) == 0 and rank([[4, 6], [6, 9]]) == 1
+    assert kernel_basis([]) == [] and rank([]) == 0

@@ -37,10 +37,10 @@ from toric_exc.cones import (
 from toric_exc.fan import build_Vn, circuit_relation
 from toric_exc.picard import (
     NotInFamily,
+    act,
     difference_family,
     divisor,
     family_of_parsed,
-    act,
     group_generators,
     make_F,
     parse_F,
@@ -492,13 +492,18 @@ def flat_stability(col):
     return StabilityReport(n, not failures, tuple(failures))
 
 
+def with_duplicate(col):
+    """col with a second copy of its first member, appended to the first block."""
+    c, j = parse_F(col.members[0])
+    return apply_mutation(col, f"add:{c},{'-'.join(map(str, sorted(j)))}")
+
+
 def stability_cases():
     g4 = build_Gn(4)
     yield from (build_Gn(n) for n in (2, 4, 6, 8))
     yield from (apply_mutation(g4, f"drop:{i}") for i in range(g4.size))
-    c, j = parse_F(g4.blocks[0].members[0])
-    duplicate = f"add:{c},{'-'.join(map(str, sorted(j)))}"
-    yield from (apply_mutation(g4, m) for m in ("add:0,0", "add:1,0-1", duplicate))
+    yield from (apply_mutation(g4, m) for m in ("add:0,0", "add:1,0-1"))
+    yield with_duplicate(g4)
     starts = [0]
     for block in g4.blocks:
         starts.append(starts[-1] + len(block.members))
@@ -541,8 +546,7 @@ def test_stability_acts_once_per_cell(monkeypatch):
     assert verify_stability(g8).ok
     assert len(calls) < 100
     # the flat loop compares sets, so a duplicated member passes, by cells too
-    c, j = parse_F(g8.blocks[0].members[0])
-    duplicated = apply_mutation(g8, f"add:{c},{'-'.join(map(str, sorted(j)))}")
+    duplicated = with_duplicate(g8)
     assert duplicated.size == g8.size + 1
     assert verify_stability(duplicated).ok
     assert len(calls) < 200

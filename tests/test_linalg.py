@@ -217,12 +217,3 @@ def test_integer_elimination_matches_fractions(m):
     assert kernel_basis(m) == fraction_kernel(m)
     assert rank(m) == len(fraction_rref(m)[1])
 
-
-def test_integer_elimination_fixtures():
-    # non-unit pivots whose kernel needs the lcm of the pivots
-    m = [[2, 0, 1], [0, 3, 1]]
-    assert kernel_basis(m) == fraction_kernel(m) == [(3, 2, -6)]
-    assert kernel_basis([[0, 0, 0]]) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert kernel_basis([[0, 4], [0, 6]]) == [(1, 0)]
-    assert rank([[0, 0], [0, 0]]) == 0 and rank([[4, 6], [6, 9]]) == 1
-    assert kernel_basis([]) == [] and rank([]) == 0

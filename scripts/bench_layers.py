@@ -1,4 +1,4 @@
-"""Time the pair sweeps, the per-element checks and the n = 14 commands.
+"""Time G_n's construction, the pair sweeps, the checks and the n = 14 commands.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -33,6 +33,7 @@ LAYERS = (
        for n in (8, 10, 12)]
     + [(f"verify.{what}", 14) for what in ("exceptional", "stability", "generation",
                                             "walls")]
+    + [("build_Gn", n) for n in (8, 10, 12, 14)]
 )
 
 WORKER = """\
@@ -53,7 +54,8 @@ elif name.startswith("verify."):
                 sys.exit("the check failed")
 elif hasattr(windows, name) or hasattr(collection, name):
     col = collection.build_Gn(n)
-    args = {{"verify_stability": (col,), "verify_walls": (n,)}}.get(name, (n, col))
+    args = {{"verify_stability": (col,), "verify_walls": (n,), "build_Gn": (n,)}}.get(
+        name, (n, col))
     check = getattr(windows, name, None) or getattr(collection, name)
     def call():
         check(*args)

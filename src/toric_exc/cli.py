@@ -21,6 +21,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 from .cohomology import cohomology
 from .collection import (
@@ -88,6 +89,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {' '.join(message.split())}\n")
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="toric-exc",

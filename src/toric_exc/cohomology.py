@@ -155,7 +155,7 @@ def _slot_states(aplus: int, aminus: int):
     states.append((_MINUS, max(-aplus, aminus + 1), None))
     if aminus + 1 <= -aplus - 1:
         states.append((_PAIR, aminus + 1, -aplus - 1))
-    return states
+    return tuple(states)
 
 
 def _count_sum_zero(bounds) -> int:
@@ -196,13 +196,15 @@ def _sum_bounds(ends):
     return None if None in ends else sum(ends)
 
 
+@lru_cache(maxsize=256)
 def _group_options(states, size: int, base: int):
     """Ways to spread `size` slots with the same viable states over them.
 
     Each option is (weight, key, bounds, lo, hi): the weight is the number
     of slot assignments with these state counts, key holds the numbers of
     pair, plus and minus slots as three digits in base `base`, bounds
-    holds one (lo, hi) per slot, and lo and hi are their summed ends.
+    holds one (lo, hi) per slot, and lo and hi are their summed ends. The
+    options are cached, so they are tuples throughout.
     """
     options = []
     for chosen in combinations_with_replacement(states, size):
@@ -211,11 +213,11 @@ def _group_options(states, size: int, base: int):
         for k in tally.values():
             weight //= factorial(k)
         key = (tally[_PAIR] * base + tally[_PLUS]) * base + tally[_MINUS]
-        bounds = [(lo, hi) for _, lo, hi in chosen]
+        bounds = tuple((lo, hi) for _, lo, hi in chosen)
         options.append((weight, key, bounds,
                         _sum_bounds([lo for lo, _ in bounds]),
                         _sum_bounds([hi for _, hi in bounds])))
-    return options
+    return tuple(options)
 
 
 def _visible_classes(n: int, coeffs, higher_only: bool = False):

@@ -30,7 +30,7 @@ walked one by one; an unmutated G_n walks none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -64,6 +64,9 @@ class Block:
 class Collection:
     n: int
     blocks: tuple[Block, ...]
+    # set by build_Gn only; not an init field, so replace() cannot carry it
+    cells: tuple[Cell, ...] | None = field(default=None, init=False, compare=False,
+                                           repr=False)
 
     @property
     def members(self) -> tuple[DivisorClass, ...]:
@@ -105,19 +108,34 @@ def build_Fn(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def build_Gn(n: int) -> Collection:
-    """The full collection: every F_{c,J} with (c, |J|) admissible."""
-    by_orbit = {}
-    for c, ell in build_Fn(n):
-        key = (ell, frozenset({c, ell - c}))
-        by_orbit.setdefault(key, []).append(c)
+    """The full collection: every F_{c,J} with (c, |J|) admissible.
+
+    Records its cells, one complete cell per (c, |J|), sharing labels by |J|.
+    """
+    orbits = {(ell, frozenset({c, ell - c})) for c, ell in build_Fn(n)}
     blocks = []
-    for ell, cs in sorted(by_orbit, key=lambda key: (-key[0], min(key[1]))):
+    cells = []
+    labels_of = {}
+    position = 0
+    for ell, cs in sorted(orbits, key=lambda key: (-key[0], min(key[1]))):
+        if ell not in labels_of:
+            labels_of[ell] = tuple(map(frozenset, combinations(range(n + 1), ell)))
+        labels = labels_of[ell]
         members = []
         for c in sorted(cs):
-            for j in combinations(range(n + 1), ell):
-                members.append(make_F(n, c, j))
+            base = [-c] + [c] * (n + 1)
+            for j in labels:  # make_F(n, c, j); its label check cannot fail
+                coeffs = base.copy()
+                for x in j:
+                    coeffs[x + 1] = c - 1
+                members.append(DivisorClass(tuple(coeffs)))
+            cells.append(Cell(len(blocks), c, ell,
+                              tuple(range(position, position + len(labels))), labels, True))
+            position += len(labels)
         blocks.append(Block(ell, tuple(members)))
-    return Collection(n, tuple(blocks))
+    collection = Collection(n, tuple(blocks))
+    object.__setattr__(collection, "cells", tuple(cells))
+    return collection
 
 
 class Cell(NamedTuple):
@@ -132,13 +150,18 @@ class Cell(NamedTuple):
 
 
 def member_cells(collection: Collection) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
-    """The cells of a collection, and the positions of members outside F_{c,J}."""
+    """The cells of a collection, and the positions of members outside F_{c,J}.
+
+    Returns the cells build_Gn recorded, or else parses the members.
+    """
+    if collection.cells is not None:
+        return collection.cells, ()
     groups = {}
     strangers = []
     position = 0
     for bi, block in enumerate(collection.blocks):
         for m in block.members:
-            parsed = parse_F(m)
+            parsed = _parse_on(collection.n, m)
             if parsed is None:
                 strangers.append(position)
             else:
@@ -151,6 +174,11 @@ def member_cells(collection: Collection) -> tuple[tuple[Cell, ...], tuple[int, .
         complete = len(set(labels)) == len(labels) == math.comb(collection.n + 1, ell)
         cells.append(Cell(bi, c, ell, tuple(p for p, _ in entries), labels, complete))
     return tuple(cells), tuple(strangers)
+
+
+def _parse_on(n: int, member: DivisorClass):
+    """(c, J) when member is F_{c,J} on V_n; None too for another dimension."""
+    return parse_F(member) if len(member.coeffs) == n + 2 else None
 
 
 # -- pairwise verification -----------------------------------------------------
@@ -226,7 +254,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     n = collection.n
     fan = build_Vn(n) if method in ("forbidden", "oracle") else None
     members = collection.members
-    block_of = [bi for bi, _ in collection.positions()]
+    block_of = [bi for bi, block in enumerate(collection.blocks) for _ in block.members]
     if sample is None and not full_report:
         cells, strangers = member_cells(collection)
         parsed = [None] * len(members)
@@ -234,7 +262,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
             for p, j in zip(cell.positions, cell.labels):
                 parsed[p] = (cell.c, j)
     else:  # a walk needs no cells
-        parsed = [parse_F(m) for m in members]
+        parsed = [_parse_on(n, m) for m in members]
 
     # The verdict of a pair depends only on the S_{n+1}-orbit of its
     # difference, the family (c, k, l), and on the block relation, so each
@@ -246,7 +274,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         """Verdict of a pair; difference() builds its target minus source."""
         key = (family, need_all)
         if family is None or key not in grades:
-            verdict = _grade_pair(fan, method, difference(), family, need_all)
+            verdict = _grade_pair(fan, method, n, difference, family, need_all)
             if family is None:
                 return verdict
             grades[key] = verdict
@@ -281,10 +309,9 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         checked = 0
         for sources, targets, terms in _counted_groups(n, cells):
             failed = False
-            for (family, need_all), count, (cs, js), (ct, jt) in terms:
+            for (family, need_all), count in terms:
                 checked += count
-                ok, _ = grade(family, need_all,
-                              lambda: make_F(n, ct, jt) - make_F(n, cs, js))
+                ok, _ = grade(family, need_all, lambda: _family_class(n, family))
                 failed = failed or not ok
             if failed:
                 results += walk(_pairs_between(sources, targets), False)
@@ -316,9 +343,8 @@ def _counted_groups(n, cells):
     Yields (sources, targets, terms): one group for each complete cell or
     loose member (of an incomplete cell) as the source and complete cell
     as the target, and one for each complete cell as the source and loose
-    member as the target. Each term is (key, count, source, target): a key
-    (family, need_all), how many pairs of the group have it, and the
-    parsed (c, J) of one such pair.
+    member as the target. Each term is (key, count): a key (family,
+    need_all) and how many pairs of the group have it.
     """
     complete = [cell for cell in cells if cell.complete]
     loose = [cell._replace(positions=(p,), labels=(j,)) for cell in cells
@@ -337,10 +363,11 @@ def _terms(n, unit, cell, outgoing):
     A member F_{c,J} meets C(|J|, t) C(n + 1 - |J|, l - t) members of a
     complete cell in exactly t labels, whatever J is. A complete unit
     repeats that once per member, less the diagonal when it is the cell.
+    Target minus source has the family (c_t - c_s, l_s - t, l_t - t).
     """
-    labels = unit.labels[0]
     copies = len(unit.positions)
-    rest = [x for x in range(n + 1) if x not in labels]
+    source, target = (unit, cell) if outgoing else (cell, unit)
+    need_all = source.block >= target.block
     out = []
     for t in range(max(0, unit.ell + cell.ell - n - 1), min(unit.ell, cell.ell) + 1):
         count = copies * math.comb(unit.ell, t) * math.comb(n + 1 - unit.ell, cell.ell - t)
@@ -348,31 +375,35 @@ def _terms(n, unit, cell, outgoing):
             count -= copies
         if not count:
             continue
-        one = (unit.block, (unit.c, labels))
-        other = (cell.block, (cell.c, frozenset(sorted(labels)[:t] + rest[:cell.ell - t])))
-        (source_block, source), (target_block, target) = (
-            (one, other) if outgoing else (other, one))
-        key = (family_of_parsed(target, source), source_block >= target_block)
-        out.append((key, count, source, target))
+        out.append((((target.c - source.c, source.ell - t, target.ell - t), need_all),
+                    count))
     return out
 
 
-def _grade_pair(fan, method, D, family, need_all):
+def _family_class(n, family):
+    """c(E - H) + E_0 + ... + E_{k-1} - E_k - ... - E_{k+l-1}, in the (c, k, l) family."""
+    c, k, ell = family
+    return DivisorClass((-c,) + (c + 1,) * k + (c - 1,) * ell + (c,) * (n + 1 - k - ell))
+
+
+def _grade_pair(fan, method, n, difference, family, need_all):
+    """Verdict and detail of a pair; difference() builds target minus source."""
     if method == "oracle":
-        ranks = cohomology(fan, D).ranks
+        ranks = cohomology(fan, difference()).ranks
         bad = any(ranks) if need_all else any(ranks[1:])
         return not bad, f"h = {ranks}"
     if method == "forbidden":
         certify = certify_acyclic if need_all else certify_higher_acyclic
-        return certify(fan, D), "forbidden-cone sweep"
+        return certify(fan, difference()), "forbidden-cone sweep"
     if family is None:
+        difference()  # raises ValueError for a member of another dimension
         return False, "member outside the F_{c,J} family"
     c, k, ell = family
     label = f"(c, k, l) = ({c}, {k}, {ell})"
     if not need_all:
-        return higher_acyclic_predicate(D.n, c, k, ell), label
+        return higher_acyclic_predicate(n, c, k, ell), label
     try:
-        return lemma_acyclic_predicate(D.n, c, k, ell), label
+        return lemma_acyclic_predicate(n, c, k, ell), label
     except HypothesisViolated as e:
         return False, f"{label}: {e}"
 
@@ -436,8 +467,6 @@ def _stable_by_cells(collection: Collection) -> bool:
     """Whether the cells alone prove the collection stable (verify_stability)."""
     n = collection.n
     members = collection.members
-    if any(len(m.coeffs) != n + 2 for m in members):
-        return False  # the flat loop rejects a member of another dimension
     cells, strangers = member_cells(collection)
     if strangers:
         return False
@@ -445,7 +474,7 @@ def _stable_by_cells(collection: Collection) -> bool:
     flip = (tuple(range(n + 1)), True)
     for cell in cells:
         partner = cell.ell - cell.c
-        if (len(set(cell.labels)) != math.comb(n + 1, cell.ell)
+        if (not cell.complete and len(set(cell.labels)) != math.comb(n + 1, cell.ell)
                 or (cell.block, partner, cell.ell) not in keys
                 or act(flip, members[cell.positions[0]])
                 != make_F(n, partner, cell.labels[0])):

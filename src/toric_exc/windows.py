@@ -187,13 +187,15 @@ def build_certificate(n: int, collection: Collection | None = None) -> Certifica
     Raises WindowViolation if any member weight leaves any window and
     KoszulEscape if any resolution term is missing from the collection;
     a returned certificate means every check passed down to the empty
-    category. A collection of another dimension raises ValueError.
+    category. A collection or a member of another dimension raises
+    ValueError.
     """
     if collection is None:
         collection = build_Gn(n)
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
     members = collection.members
+    _require_dimension(n, members)
     member_set = set(members)
     d = default_gauge(n)
     walls = []
@@ -230,17 +232,23 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
 
     Returns the wall and piece counts of the certificate. A failed class
     check runs build_certificate, which raises the first WindowViolation
-    or KoszulEscape of the flat walk. A collection of another dimension
-    raises ValueError.
+    or KoszulEscape of the flat walk. A collection or a member of another
+    dimension raises ValueError.
     """
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
-    cells, _ = member_cells(collection)
+    cells, strangers = member_cells(collection)
     labels = {}
     for cell in cells:
         labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
     covered = {key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1])}
-    shapes = {(m.h, tuple(sorted(m.d))) for m in collection.members}
+    # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
+    shapes = {(-cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
+              for cell in cells}
+    members = collection.members if strangers else ()
+    strange = [members[p] for p in strangers]
+    _require_dimension(n, strange)
+    shapes.update((m.h, tuple(sorted(m.d))) for m in strange)
     d = default_gauge(n)
     walls = pieces = 0
     for size in range(n // 2, -1, -1):
@@ -258,6 +266,13 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
         walls += math.comb(n + 1, size)
         pieces += math.comb(n + 1, size) * len(record.pieces)
     return GenerationCheck(n, walls, pieces)
+
+
+def _require_dimension(n: int, members) -> None:
+    """Raise ValueError for a member that is not a class on V_n."""
+    for m in members:
+        if m.n != n:
+            raise ValueError(f"member {m.coeffs} of dimension {m.n}, expected {n}")
 
 
 # -- circuits vs subgroup weights -----------------------------------------------

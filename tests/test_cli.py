@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_exc.cli import main, sample_pairs
+from toric_exc.cli import build_parser, main, sample_pairs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -595,3 +595,16 @@ def test_add_label_out_of_range_exits_2_under_optimize():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; no option may leak between calls
+    assert build_parser() is build_parser()
+    argvs = [["verify", "--dim", "4", "--mutate", "drop:0", "--format", "json"],
+             ["verify", "--dim", "4"],
+             ["build", "--dim", "2", "--format", "csv"],
+             ["verify", "--dim", "2", "--what", "stability"]]
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "toric_exc", *argv],
+                               capture_output=True, text=True)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

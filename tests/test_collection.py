@@ -45,7 +45,14 @@ from toric_exc.picard import (
     make_F,
     parse_F,
 )
-from toric_exc.windows import Certificate, WallPiece, WallRecord, certificate_to_dict
+from toric_exc.windows import (
+    Certificate,
+    WallPiece,
+    WallRecord,
+    build_certificate,
+    certificate_to_dict,
+    verify_generation,
+)
 
 # the module itself: the package attribute of the same name may be shadowed
 collection_module = importlib.import_module("toric_exc.collection")
@@ -314,7 +321,7 @@ def test_counted_keys_match_flat_tally(n):
     assert not strangers and all(cell.complete for cell in cells)
     counted = {}
     for sources, targets, terms in collection_module._counted_groups(n, cells):
-        for key, count, _, _ in terms:
+        for key, count in terms:
             counted[key] = counted.get(key, 0) + count
     assert counted == flat_key_tally(col)
     assert sum(counted.values()) == col.size * (col.size - 1)
@@ -331,6 +338,47 @@ def test_cells_of_a_mutant():
     assert member_cells(with_stranger(build_Gn(2)))[1] == (2,)
 
 
+def make_F_members(n):
+    """G_n's members as make_F builds them, in block order."""
+    orbits = sorted({(ell, frozenset({c, ell - c})) for c, ell in build_Fn(n)},
+                    key=lambda key: (-key[0], min(key[1])))
+    return tuple(make_F(n, c, j) for ell, cs in orbits for c in sorted(cs)
+                 for j in combinations(range(n + 1), ell))
+
+
+def test_recorded_cells_match_parsed_cells():
+    for n in range(2, 14, 2):
+        col = build_Gn(n)
+        cells, strangers = member_cells(col)
+        assert col.cells is not None and not strangers
+        assert (cells, strangers) == member_cells(Collection(n, col.blocks))
+        # the cells of one |J| share their labels
+        by_ell = {}
+        assert all(by_ell.setdefault(cell.ell, cell.labels) is cell.labels
+                   for cell in cells)
+        if n <= 10:
+            assert col.members == make_F_members(n)
+
+
+def test_mutations_record_no_cells():
+    g4 = build_Gn(4)
+    for text in ("drop:0", "add:0,0", "add:1,0-1", "swap:0,5", "swap:3,3"):
+        mutated = apply_mutation(g4, text)
+        assert mutated.cells is None
+        assert member_cells(mutated) == member_cells(Collection(4, mutated.blocks))
+    assert collection_from_dict(collection_to_dict(g4)).cells is None
+
+
+def test_unmutated_checks_parse_few_members(monkeypatch):
+    windows_module = importlib.import_module("toric_exc.windows")
+    calls = count_calls(monkeypatch, ["parse_F"], (collection_module, windows_module))
+    g8 = build_Gn(8)
+    assert verify_exceptional(g8, "inequalities").ok
+    assert verify_stability(g8).ok
+    assert verify_generation(8, g8).walls == 256
+    assert len(calls) < 100
+
+
 def test_unmutated_dim8_sweep_walks_no_pair(monkeypatch):
     calls = count_calls(monkeypatch, ["family_of_parsed"])
     report = verify_exceptional(build_Gn(8), "inequalities")
@@ -338,16 +386,17 @@ def test_unmutated_dim8_sweep_walks_no_pair(monkeypatch):
     assert len(calls) < 10000
 
 
-def count_calls(monkeypatch, names):
+def count_calls(monkeypatch, names, modules=(collection_module,)):
     calls = []
-    for name in names:
-        original = getattr(collection_module, name)
+    for module in modules:
+        for name in names:
+            original = getattr(module, name)
 
-        def counted(*args, _original=original):
-            calls.append(args)
-            return _original(*args)
+            def counted(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
 
-        monkeypatch.setattr(collection_module, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -531,6 +580,42 @@ def test_stability_member_of_another_dimension_raises():
     col = Collection(2, g2.blocks[:-1] + (Block(last.ell, last.members + (make_F(4, 0, ()),)),))
     with pytest.raises(ValueError):
         verify_stability(col)
+
+
+def g4_with_member_of_dim6():
+    """G_4 with its first member F_{c,J} replaced by the F_{c,J} of dimension 6."""
+    g4 = build_Gn(4)
+    first = g4.blocks[0]
+    c, j = parse_F(first.members[0])
+    moved = Block(first.ell, first.members[1:] + (make_F(6, c, j),))
+    return Collection(4, (moved,) + g4.blocks[1:])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sweep_member_of_another_dimension_raises(method):
+    # its cell still reads complete by labels: the counted sweep must not wave
+    # it through where the flat sweep raises
+    col = g4_with_member_of_dim6()
+    assert col.size == expected_size(4)
+    with pytest.raises(ValueError):
+        verify_exceptional(col, method)
+    with pytest.raises(ValueError):
+        verify_exceptional(col, method, full_report=True)
+
+
+def test_generation_member_of_another_dimension_raises():
+    g4 = build_Gn(4)
+    first = g4.blocks[0]
+    cases = [g4_with_member_of_dim6()]
+    # F_{0,{}} on V_2 sits inside every window of V_4: only a dimension check
+    # catches it
+    for member in (make_F(6, 1, (0, 1, 2)), make_F(2, 0, ())):
+        cases.append(Collection(4, (Block(first.ell, first.members + (member,)),)
+                                + g4.blocks[1:]))
+    for col in cases:
+        for check in (build_certificate, verify_generation):
+            with pytest.raises(ValueError):
+                check(4, col)
 
 
 def test_stability_acts_once_per_cell(monkeypatch):

@@ -607,7 +607,7 @@ def test_generation_member_of_another_dimension_raises():
     g4 = build_Gn(4)
     first = g4.blocks[0]
     cases = [g4_with_member_of_dim6()]
-    # F_{0,{}} on V_2 sits inside every window of V_4: only a dimension check
+    # F_{0,{}} on V_2 passes the class check on V_4: only a dimension check
     # catches it
     for member in (make_F(6, 1, (0, 1, 2)), make_F(2, 0, ())):
         cases.append(Collection(4, (Block(first.ell, first.members + (member,)),)

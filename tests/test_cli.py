@@ -275,6 +275,46 @@ def test_unwritable_out_exits_2(capsys, tmp_path, command, dim, name):
     assert not target.exists()
 
 
+# Each check at dim 4, intact and mutated; the goldens pin stdout, stderr and
+# the exit code byte for byte in both formats.
+VERIFY_GOLDEN = GOLDEN / "verify_n4.json"
+VERIFY_CASES = [
+    ["--what", "exceptional"],
+    ["--what", "exceptional", "--mutate", "swap:7,8"],
+    ["--what", "exceptional", "--mutate", "swap:0,29"],
+    ["--what", "exceptional", "--mutate", "drop:0"],
+    ["--what", "exceptional", "--mutate", "add:1,0-1"],
+    ["--what", "exceptional", "--method", "forbidden"],
+    ["--what", "exceptional", "--method", "oracle", "--mutate", "swap:0,29"],
+    ["--what", "exceptional", "--sample", "12", "--seed", "3", "--full-report"],
+    ["--what", "exceptional", "--sample", "40", "--seed", "3", "--full-report",
+     "--mutate", "swap:0,29"],
+    ["--what", "exceptional", "--mutate", "swap:0"],
+    ["--what", "exceptional", "--sample", "0"],
+    ["--what", "stability"],
+    ["--what", "stability", "--mutate", "swap:7,8"],
+    ["--what", "stability", "--mutate", "swap:0,29"],
+    ["--what", "stability", "--mutate", "add:1,0-1"],
+    ["--what", "cardinality"],
+    ["--what", "cardinality", "--mutate", "swap:7,8"],
+    ["--what", "cardinality", "--mutate", "drop:0"],
+    ["--what", "generation"],
+    ["--what", "generation", "--mutate", "swap:7,8"],
+    ["--what", "generation", "--mutate", "drop:0"],
+    ["--what", "walls"],
+    ["--what", "walls", "--mutate", "drop:0"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", VERIFY_CASES, ids=" ".join)
+def test_verify_matches_golden(capsys, argv, fmt):
+    argv = ["verify", "--dim", "4", *argv, "--format", fmt]
+    golden = json.loads(VERIFY_GOLDEN.read_text())[" ".join(argv)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (golden["exit"], golden["stdout"], golden["stderr"])
+
+
 def test_sample_pairs_helper():
     pairs = sample_pairs(6, 10, seed=0)
     assert len(pairs) == 10

@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class OutputError(Exception):
-    """The --out file cannot be opened for writing."""
+    """The --out file cannot be opened, written or closed."""
 
 
 def _usage(message: str) -> int:
@@ -152,11 +152,10 @@ def _emit(args, text: str) -> None:
         text += "\n"
     if args.out:
         try:
-            fh = open(args.out, "w")
+            with open(args.out, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             raise OutputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-        with fh:
-            fh.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -236,18 +235,13 @@ def cmd_verify(args) -> int:
         try:
             check = verify_walls(n)
         except WallMismatch as exc:
-            payload = {"schema": REPORT_SCHEMA, "what": what, "n": n,
-                       "ok": False, "error": str(exc)}
-            _emit_report(args, payload, f"wall check FAILED: {exc}")
-            return 1
-        payload = {"schema": REPORT_SCHEMA, "what": what, "n": n, "ok": True,
-                   "circuits": check.circuit_count, "pairs": check.pair_count,
-                   "sign_choices": check.sign_choice_count}
-        _emit_report(args, payload,
-                     f"wall check ok: {check.circuit_count} circuits "
-                     f"({check.pair_count} antipodal pairs, "
-                     f"{check.sign_choice_count} slot choices)")
-        return 0
+            return _verdict(args, False, f"wall check FAILED: {exc}", error=str(exc))
+        return _verdict(args, True,
+                        f"wall check ok: {check.circuit_count} circuits "
+                        f"({check.pair_count} antipodal pairs, "
+                        f"{check.sign_choice_count} slot choices)",
+                        circuits=check.circuit_count, pairs=check.pair_count,
+                        sign_choices=check.sign_choice_count)
 
     collection = build_Gn(n)
     if args.mutate:
@@ -258,35 +252,26 @@ def cmd_verify(args) -> int:
 
     if what == "cardinality":
         ok = collection.size == expected_size(n)
-        payload = {"schema": REPORT_SCHEMA, "what": what, "n": n, "ok": ok,
-                   "size": collection.size, "expected": expected_size(n)}
-        _emit_report(args, payload,
-                     f"cardinality {'ok' if ok else 'FAILED'}: "
-                     f"{collection.size} members, expected {expected_size(n)}")
-        return 0 if ok else 1
+        return _verdict(args, ok,
+                        f"cardinality {'ok' if ok else 'FAILED'}: "
+                        f"{collection.size} members, expected {expected_size(n)}",
+                        size=collection.size, expected=expected_size(n))
 
     if what == "stability":
         report = verify_stability(collection)
-        payload = {"schema": REPORT_SCHEMA, "what": what, "n": n,
-                   "ok": report.ok, "failures": list(report.failures)}
-        _emit_report(args, payload, f"stability {report.headline()}")
-        return 0 if report.ok else 1
+        return _verdict(args, report.ok, f"stability {report.headline()}",
+                        failures=list(report.failures))
 
     if what == "generation":
         try:
             check = verify_generation(n, collection)
         except (WindowViolation, KoszulEscape) as exc:
-            payload = {"schema": REPORT_SCHEMA, "what": what, "n": n,
-                       "ok": False, "error": str(exc)}
-            _emit_report(args, payload, f"generation FAILED: {exc}")
-            return 1
-        payload = {"schema": REPORT_SCHEMA, "what": what, "n": n, "ok": True,
-                   "walls": check.walls, "pieces": check.pieces,
-                   "base_case": check.base_case}
-        _emit_report(args, payload,
-                     f"generation ok: {check.walls} walls, "
-                     f"{check.pieces} pieces, base case {check.base_case}")
-        return 0
+            return _verdict(args, False, f"generation FAILED: {exc}", error=str(exc))
+        return _verdict(args, True,
+                        f"generation ok: {check.walls} walls, "
+                        f"{check.pieces} pieces, base case {check.base_case}",
+                        walls=check.walls, pieces=check.pieces,
+                        base_case=check.base_case)
 
     # what == "exceptional"
     method = args.method
@@ -302,24 +287,18 @@ def cmd_verify(args) -> int:
                       "pass --allow-large to run it")
     report = verify_exceptional(collection, method, sample=sample,
                                 full_report=args.full_report)
-    payload = _report_payload(report, what)
-    _emit_report(args, payload, _report_text(report))
-    return 0 if report.ok else 1
-
-
-def _report_payload(report: Report, what: str) -> dict:
-    def pair_dict(r):
-        return {"source": r.source, "target": r.target,
-                "relation": r.relation, "ok": r.ok, "detail": r.detail}
-
-    payload = {"schema": REPORT_SCHEMA, "what": what, "n": report.n,
-               "ok": report.ok, "method": report.method, "size": report.size,
-               "expected": report.expected, "complete": report.complete,
-               "pairs_checked": report.pairs_checked, "sampled": report.sampled,
-               "violations": [pair_dict(v) for v in report.violations]}
+    fields = {"method": report.method, "size": report.size, "expected": report.expected,
+              "complete": report.complete, "pairs_checked": report.pairs_checked,
+              "sampled": report.sampled,
+              "violations": [_pair_dict(v) for v in report.violations]}
     if report.pair_results is not None:
-        payload["pair_results"] = [pair_dict(r) for r in report.pair_results]
-    return payload
+        fields["pair_results"] = [_pair_dict(r) for r in report.pair_results]
+    return _verdict(args, report.ok, _report_text(report), **fields)
+
+
+def _pair_dict(r) -> dict:
+    return {"source": r.source, "target": r.target,
+            "relation": r.relation, "ok": r.ok, "detail": r.detail}
 
 
 def _report_text(report: Report) -> str:
@@ -335,11 +314,14 @@ def _report_text(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _emit_report(args, payload, text) -> None:
+def _verdict(args, ok: bool, text: str, **fields) -> int:
+    """Emit a check's report, as JSON or as text, and return its exit code."""
     if args.format == "json":
-        _emit(args, _dumps(payload))
+        _emit(args, _dumps({"schema": REPORT_SCHEMA, "what": args.what, "n": args.dim,
+                            "ok": ok, **fields}))
     else:
         _emit(args, text)
+    return 0 if ok else 1
 
 
 # -- cohomology --------------------------------------------------------------------

@@ -25,12 +25,17 @@ side is counted in closed form and graded by one representative per
 key. Only pairs between members of incomplete cells, pairs with a
 member outside F_{c,J}, and the pairs of a group whose key failed are
 walked one by one; an unmutated G_n walks none.
+
+A collection computes its cells, and its per-position views of members,
+blocks and (c, J), once, on first read; every check reads them there.
+build_Gn stores the cells it made, so an intact G_n is never parsed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -62,15 +67,59 @@ class Block:
 
 @dataclass(frozen=True)
 class Collection:
+    """Blocks of members, with per-position views computed on first read.
+
+    replace() and every mutation make a new object, so no view is stale.
+    """
+
     n: int
     blocks: tuple[Block, ...]
-    # set by build_Gn only; not an init field, so replace() cannot carry it
-    cells: tuple[Cell, ...] | None = field(default=None, init=False, compare=False,
-                                           repr=False)
 
-    @property
+    @cached_property
     def members(self) -> tuple[DivisorClass, ...]:
         return tuple(m for b in self.blocks for m in b.members)
+
+    @cached_property
+    def block_of(self) -> tuple[int, ...]:
+        """Flat index -> block index."""
+        return tuple(bi for bi, b in enumerate(self.blocks) for _ in b.members)
+
+    @cached_property
+    def parsed(self) -> tuple:
+        """Flat index -> (c, J) of F_{c,J}, or None for a member outside it."""
+        cells, _ = self.cells
+        parsed = [None] * self.size
+        for cell in cells:
+            for p, j in zip(cell.positions, cell.labels):
+                parsed[p] = (cell.c, j)
+        return tuple(parsed)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
+        """The cells, and the positions of members outside F_{c,J}.
+
+        Parsed from the members; build_Gn stores the cells it made instead.
+        A member of another dimension is outside F_{c,J}.
+        """
+        n = self.n
+        groups = {}
+        strangers = []
+        position = 0
+        for bi, block in enumerate(self.blocks):
+            for m in block.members:
+                parsed = parse_F(m) if len(m.coeffs) == n + 2 else None
+                if parsed is None:
+                    strangers.append(position)
+                else:
+                    c, j = parsed
+                    groups.setdefault((bi, c, len(j)), []).append((position, j))
+                position += 1
+        cells = []
+        for (bi, c, ell), entries in groups.items():
+            labels = tuple(j for _, j in entries)
+            complete = len(set(labels)) == len(labels) == math.comb(n + 1, ell)
+            cells.append(Cell(bi, c, ell, tuple(p for p, _ in entries), labels, complete))
+        return tuple(cells), tuple(strangers)
 
     @property
     def size(self) -> int:
@@ -110,7 +159,8 @@ def build_Fn(n: int) -> tuple[tuple[int, int], ...]:
 def build_Gn(n: int) -> Collection:
     """The full collection: every F_{c,J} with (c, |J|) admissible.
 
-    Records its cells, one complete cell per (c, |J|), sharing labels by |J|.
+    Stores the cells it makes as the collection's cells, one complete cell
+    per (c, |J|), sharing labels by |J|, so nothing parses its members.
     """
     orbits = {(ell, frozenset({c, ell - c})) for c, ell in build_Fn(n)}
     blocks = []
@@ -134,7 +184,7 @@ def build_Gn(n: int) -> Collection:
             position += len(labels)
         blocks.append(Block(ell, tuple(members)))
     collection = Collection(n, tuple(blocks))
-    object.__setattr__(collection, "cells", tuple(cells))
+    vars(collection)["cells"] = tuple(cells), ()  # cached_property reads it first
     return collection
 
 
@@ -147,38 +197,6 @@ class Cell(NamedTuple):
     positions: tuple[int, ...]  # flat positions, ascending
     labels: tuple[frozenset, ...]  # the J of each position
     complete: bool  # labels are the ell-subsets of 0..n, each once
-
-
-def member_cells(collection: Collection) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
-    """The cells of a collection, and the positions of members outside F_{c,J}.
-
-    Returns the cells build_Gn recorded, or else parses the members.
-    """
-    if collection.cells is not None:
-        return collection.cells, ()
-    groups = {}
-    strangers = []
-    position = 0
-    for bi, block in enumerate(collection.blocks):
-        for m in block.members:
-            parsed = _parse_on(collection.n, m)
-            if parsed is None:
-                strangers.append(position)
-            else:
-                c, j = parsed
-                groups.setdefault((bi, c, len(j)), []).append((position, j))
-            position += 1
-    cells = []
-    for (bi, c, ell), entries in groups.items():
-        labels = tuple(j for _, j in entries)
-        complete = len(set(labels)) == len(labels) == math.comb(collection.n + 1, ell)
-        cells.append(Cell(bi, c, ell, tuple(p for p, _ in entries), labels, complete))
-    return tuple(cells), tuple(strangers)
-
-
-def _parse_on(n: int, member: DivisorClass):
-    """(c, J) when member is F_{c,J} on V_n; None too for another dimension."""
-    return parse_F(member) if len(member.coeffs) == n + 2 else None
 
 
 # -- pairwise verification -----------------------------------------------------
@@ -252,17 +270,8 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n = collection.n
+    size = collection.size
     fan = build_Vn(n) if method in ("forbidden", "oracle") else None
-    members = collection.members
-    block_of = [bi for bi, block in enumerate(collection.blocks) for _ in block.members]
-    if sample is None and not full_report:
-        cells, strangers = member_cells(collection)
-        parsed = [None] * len(members)
-        for cell in cells:
-            for p, j in zip(cell.positions, cell.labels):
-                parsed[p] = (cell.c, j)
-    else:  # a walk needs no cells
-        parsed = [_parse_on(n, m) for m in members]
 
     # The verdict of a pair depends only on the S_{n+1}-orbit of its
     # difference, the family (c, k, l), and on the block relation, so each
@@ -282,6 +291,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     def walk(pairs, keep_passing):
         """Grade pairs one by one: the failing results, or all of them."""
+        members, block_of, parsed = collection.members, collection.block_of, collection.parsed
         out = []
         for i, j in pairs:
             relation = _pair_relation(block_of[i], block_of[j])
@@ -295,16 +305,16 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     if sample is not None:
         pairs = [(int(i), int(j)) for i, j in sample]
         for i, j in pairs:
-            if i == j or not (0 <= i < len(members) and 0 <= j < len(members)):
+            if i == j or not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
-                                 f"positions in 0..{len(members) - 1}")
+                                 f"positions in 0..{size - 1}")
         results = walk(pairs, full_report)
         checked = len(pairs)
     elif full_report:
-        everyone = range(len(members))
-        results = walk(_pairs_between(everyone, everyone), True)
+        results = walk(_pairs_between(range(size), range(size)), True)
         checked = len(results)
     else:
+        cells, strangers = collection.cells
         results = []
         checked = 0
         for sources, targets, terms in _counted_groups(n, cells):
@@ -317,15 +327,17 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                 results += walk(_pairs_between(sources, targets), False)
         loose = sorted(strangers + tuple(
             p for cell in cells if not cell.complete for p in cell.positions))
-        held = [p for cell in cells if cell.complete for p in cell.positions]
+        held = [p for cell in cells if cell.complete
+                for p in cell.positions] if strangers else ()
         walked = [*_pairs_between(loose, loose), *_pairs_between(strangers, held),
                   *_pairs_between(held, strangers)]
-        results += walk(walked, False)
+        if walked:  # the views are made on the first walk
+            results += walk(walked, False)
         checked += len(walked)
         results.sort(key=lambda r: (r.source, r.target))
 
     return Report(
-        n=n, method=method, size=collection.size, expected=expected_size(n),
+        n=n, method=method, size=size, expected=expected_size(n),
         pairs_checked=checked, violations=tuple(r for r in results if not r.ok),
         pair_results=tuple(results) if full_report else None,
         sampled=sample is not None,
@@ -451,8 +463,7 @@ def verify_stability(collection: Collection) -> StabilityReport:
             image = {act(g, m) for m in block.members}
             if image != set(block.members):
                 failures.append(f"generator {gi} moves block {bi} off itself")
-    for m in collection.members:
-        parsed = parse_F(m)
+    for m, parsed in zip(collection.members, collection.parsed):
         if parsed is None:
             failures.append(f"member {m.coeffs} outside the F_{{c,J}} family")
             continue
@@ -466,8 +477,7 @@ def verify_stability(collection: Collection) -> StabilityReport:
 def _stable_by_cells(collection: Collection) -> bool:
     """Whether the cells alone prove the collection stable (verify_stability)."""
     n = collection.n
-    members = collection.members
-    cells, strangers = member_cells(collection)
+    cells, strangers = collection.cells
     if strangers:
         return False
     keys = {(cell.block, cell.c, cell.ell) for cell in cells}
@@ -476,7 +486,7 @@ def _stable_by_cells(collection: Collection) -> bool:
         partner = cell.ell - cell.c
         if (not cell.complete and len(set(cell.labels)) != math.comb(n + 1, cell.ell)
                 or (cell.block, partner, cell.ell) not in keys
-                or act(flip, members[cell.positions[0]])
+                or act(flip, collection.members[cell.positions[0]])
                 != make_F(n, partner, cell.labels[0])):
             return False
     return True
@@ -493,8 +503,7 @@ def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
     a member outside F_{c,J} is computed on its own.
     """
     fan = build_Vn(collection.n)
-    members = collection.members
-    parsed = [parse_F(m) for m in members]
+    members, parsed = collection.members, collection.parsed
     by_family = {}
 
     def entry(i, j):
@@ -519,39 +528,31 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
     (empty for the twist alone) and appends to the first block.
     """
     kind, _, arg = text.partition(":")
+    members = [list(b.members) for b in collection.blocks]
     if kind == "drop":
         idx = int(arg)
         positions = collection.positions()
         if not 0 <= idx < len(positions):
             raise ValueError(f"drop index {idx} out of range")
         bi, mi = positions[idx]
-        block = collection.blocks[bi]
-        members = block.members[:mi] + block.members[mi + 1:]
-        blocks = list(collection.blocks)
-        blocks[bi] = replace(block, members=members)
-        return Collection(collection.n, tuple(blocks))
-    if kind == "add":
+        del members[bi][mi]
+    elif kind == "add":
         c_text, _, j_text = arg.partition(",")
         c = int(c_text)
         j = [int(x) for x in j_text.split("-") if x != ""]
-        member = make_F(collection.n, c, j)
-        blocks = list(collection.blocks)
-        blocks[0] = replace(blocks[0], members=blocks[0].members + (member,))
-        return Collection(collection.n, tuple(blocks))
-    if kind == "swap":
+        members[0].append(make_F(collection.n, c, j))
+    elif kind == "swap":
         i_text, _, j_text = arg.partition(",")
         i, j = int(i_text), int(j_text)
         positions = collection.positions()
         if not (0 <= i < len(positions) and 0 <= j < len(positions)):
             raise ValueError(f"swap indices {i},{j} out of range")
         (bi, mi), (bj, mj) = positions[i], positions[j]
-        blocks = [list(b.members) for b in collection.blocks]
-        blocks[bi][mi], blocks[bj][mj] = blocks[bj][mj], blocks[bi][mi]
-        return Collection(collection.n, tuple(
-            replace(b, members=tuple(ms))
-            for b, ms in zip(collection.blocks, blocks)
-        ))
-    raise ValueError(f"unknown mutation {text!r}")
+        members[bi][mi], members[bj][mj] = members[bj][mj], members[bi][mi]
+    else:
+        raise ValueError(f"unknown mutation {text!r}")
+    return Collection(collection.n, tuple(
+        replace(b, members=tuple(ms)) for b, ms in zip(collection.blocks, members)))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .collection import Collection, build_Gn, member_cells
+from .collection import Collection, build_Gn
 from .fan import Fan, build_Vn, circuit_relation
 from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, make_F, parse_F
@@ -237,7 +237,7 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     """
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
-    cells, strangers = member_cells(collection)
+    cells, strangers = collection.cells
     labels = {}
     for cell in cells:
         labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
@@ -245,8 +245,7 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
     shapes = {(-cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
               for cell in cells}
-    members = collection.members if strangers else ()
-    strange = [members[p] for p in strangers]
+    strange = [collection.members[p] for p in strangers]
     _require_dimension(n, strange)
     shapes.update((m.h, tuple(sorted(m.d))) for m in strange)
     d = default_gauge(n)

@@ -275,6 +275,18 @@ def test_unwritable_out_exits_2(capsys, tmp_path, command, dim, name):
     assert not target.exists()
 
 
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["build", "--dim", "2", "--format", "csv"], ["verify", "--dim", "2"],
+    ["figure", "--dim", "8"],
+], ids=["build", "verify", "figure"])
+def test_out_write_failure_exits_2(capsys, argv):
+    # /dev/full opens, then fails the write with ENOSPC
+    code, out, err = run(capsys, *argv, "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
 # Each check at dim 4, intact and mutated; the goldens pin stdout, stderr and
 # the exit code byte for byte in both formats.
 VERIFY_GOLDEN = GOLDEN / "verify_n4.json"

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import os
 import random
 import subprocess
 import sys
@@ -259,14 +260,18 @@ def test_count_sum_zero_matches_table(spans):
     assert coh._count_sum_zero(bounds) == count_sum_zero_by_table(bounds)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
 def test_count_sum_zero_memory_is_bounded_by_the_slots():
     # the target here is 10^9; a table of target + 1 entries would need GBs,
-    # so the child's address space is capped to fail fast instead
+    # so the child's address space is capped to fail fast instead. The child
+    # reports its own peak (VmHWM, in kB): ru_maxrss can carry the forking
+    # parent's high-water mark across exec.
     code = ("import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from toric_exc.cli import main\n"
             "main(['cohomology', '--dim', '2', '--coeffs=1000000000,0,0,0'])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n")
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     elapsed = time.perf_counter() - start

@@ -3,6 +3,8 @@
 import importlib
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -23,7 +25,6 @@ from toric_exc.collection import (
     collection_to_dict,
     expected_size,
     gram_matrix,
-    member_cells,
     verify_exceptional,
     verify_stability,
 )
@@ -47,8 +48,10 @@ from toric_exc.picard import (
 )
 from toric_exc.windows import (
     Certificate,
+    KoszulEscape,
     WallPiece,
     WallRecord,
+    WindowViolation,
     build_certificate,
     certificate_to_dict,
     verify_generation,
@@ -317,7 +320,7 @@ def flat_key_tally(col):
 @pytest.mark.parametrize("n", DIMS)
 def test_counted_keys_match_flat_tally(n):
     col = build_Gn(n)
-    cells, strangers = member_cells(col)
+    cells, strangers = col.cells
     assert not strangers and all(cell.complete for cell in cells)
     counted = {}
     for sources, targets, terms in collection_module._counted_groups(n, cells):
@@ -329,13 +332,13 @@ def test_counted_keys_match_flat_tally(n):
 
 def test_cells_of_a_mutant():
     col = apply_mutation(build_Gn(4), "add:1,0-1")
-    cells, strangers = member_cells(col)
+    cells, strangers = col.cells
     assert not strangers
     assert sum(len(cell.positions) for cell in cells) == col.size
     # the added F_{1,{0,1}} sits alone in block 0, with |J| = 2
     (added,) = [cell for cell in cells if not cell.complete]
     assert (added.block, added.c, added.ell, added.positions) == (0, 1, 2, (2,))
-    assert member_cells(with_stranger(build_Gn(2)))[1] == (2,)
+    assert with_stranger(build_Gn(2)).cells[1] == (2,)
 
 
 def make_F_members(n):
@@ -349,9 +352,11 @@ def make_F_members(n):
 def test_recorded_cells_match_parsed_cells():
     for n in range(2, 14, 2):
         col = build_Gn(n)
-        cells, strangers = member_cells(col)
-        assert col.cells is not None and not strangers
-        assert (cells, strangers) == member_cells(Collection(n, col.blocks))
+        assert "cells" in vars(col)  # stored by build_Gn, not parsed
+        cells, strangers = col.cells
+        assert not strangers
+        assert (cells, strangers) == Collection(n, col.blocks).cells
+        assert "cells" not in vars(replace(col))
         # the cells of one |J| share their labels
         by_ell = {}
         assert all(by_ell.setdefault(cell.ell, cell.labels) is cell.labels
@@ -364,9 +369,9 @@ def test_mutations_record_no_cells():
     g4 = build_Gn(4)
     for text in ("drop:0", "add:0,0", "add:1,0-1", "swap:0,5", "swap:3,3"):
         mutated = apply_mutation(g4, text)
-        assert mutated.cells is None
-        assert member_cells(mutated) == member_cells(Collection(4, mutated.blocks))
-    assert collection_from_dict(collection_to_dict(g4)).cells is None
+        assert "cells" not in vars(mutated)
+        assert mutated.cells == Collection(4, mutated.blocks).cells
+    assert "cells" not in vars(collection_from_dict(collection_to_dict(g4)))
 
 
 def test_unmutated_checks_parse_few_members(monkeypatch):
@@ -377,6 +382,41 @@ def test_unmutated_checks_parse_few_members(monkeypatch):
     assert verify_stability(g8).ok
     assert verify_generation(8, g8).walls == 256
     assert len(calls) < 100
+
+
+def test_sampled_oracle_sweep_parses_no_member(monkeypatch):
+    calls = count_calls(monkeypatch, ["parse_F"])
+    pairs = random.Random(0).sample([(i, j) for i in range(630) for j in range(630)
+                                     if i != j], 100)
+    assert verify_exceptional(build_Gn(8), "oracle", sample=pairs).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["drop:0", "add:1,0-1", "swap:0,29"])
+def test_checks_on_a_mutant_parse_each_member_once(monkeypatch, text):
+    windows_module = importlib.import_module("toric_exc.windows")
+    mutant = apply_mutation(build_Gn(4), text)
+    calls = count_calls(monkeypatch, ["parse_F"], (collection_module, windows_module))
+    assert not verify_exceptional(mutant).ok
+    assert not verify_stability(mutant).ok
+    try:
+        verify_generation(4, mutant)
+    except (KoszulEscape, WindowViolation):
+        pass
+    members = {id(m) for m in mutant.members}
+    parsed = Counter(id(args[0]) for args in calls if id(args[0]) in members)
+    assert parsed == Counter(members)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_counted_sweep_reads_no_members(monkeypatch, method):
+    def unread(self):
+        raise AssertionError("Collection.members was read")
+
+    monkeypatch.setattr(Collection, "members", property(unread))
+    g8 = build_Gn(8)
+    assert verify_exceptional(g8, method).ok
+    assert not {"block_of", "parsed"} & set(vars(g8))
 
 
 def test_unmutated_dim8_sweep_walks_no_pair(monkeypatch):

@@ -1,4 +1,4 @@
-"""Time G_n's construction, the pair sweeps, the checks and the n = 14 commands.
+"""Time G_n's construction, the pair sweeps, the checks and the n = 14 and 20 commands.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -6,8 +6,8 @@ Each layer runs in its own fresh interpreter on the program in this
 checkout's src/: one warm-up call, then up to five timed calls, stopped
 after BUDGET_S seconds. A layer reports the median of the calls that
 finished, their count, and whether the budget cut it short; a layer the
-program does not have is reported as missing. The machine (CPU count,
-Python version) and the commit are recorded with the times. The output
+program does not have is reported as missing. The machine (CPU count and
+model, Python version) and the commit are recorded with the times. The output
 is one JSON object on stdout. Standard library only.
 """
 
@@ -33,7 +33,9 @@ LAYERS = (
        for n in (8, 10, 12)]
     + [(f"verify.{what}", 14) for what in ("exceptional", "stability", "generation",
                                             "walls")]
-    + [("build_Gn", n) for n in (8, 10, 12, 14)]
+    + [("build_Gn", n) for n in (8, 10, 12, 14, 16, 18, 20)]
+    + [(f"verify.{what}", 20) for what in ("exceptional", "stability", "generation",
+                                            "cardinality")]
 )
 
 WORKER = """\
@@ -95,11 +97,24 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def cpu_model() -> str:
+    """The CPU model name from /proc/cpuinfo, or the platform's machine type."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.machine()
+
+
 def main() -> None:
     record = {
         "commit": git("rev-parse", "--short", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--", "src")),
         "cpus": os.cpu_count(),
+        "cpu": cpu_model(),
         "python": platform.python_version(),
         "runs": RUNS,
         "budget_s": BUDGET_S,

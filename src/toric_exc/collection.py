@@ -26,16 +26,23 @@ key. Only pairs between members of incomplete cells, pairs with a
 member outside F_{c,J}, and the pairs of a group whose key failed are
 walked one by one; an unmutated G_n walks none.
 
-A collection computes its cells, and its per-position views of members,
-blocks and (c, J), once, on first read; every check reads them there.
-build_Gn stores the cells it made, so an intact G_n is never parsed.
+G_n is held as its cells alone. Each is complete, with its labels in
+lexicographic order at consecutive positions, so it is (block, c, l,
+start), and the member at start + r is F_{c,J} for the r-th l-subset J.
+Members are made when read: one by one for the pairs a sample or a
+failed key walks, all at once for build output, the Gram matrix, the
+certificate, a full report and a mutation. A collection of given blocks
+parses its members into cells once, on first read. Every check reads
+the cells and per-position views there, so no check on an intact G_n
+parses or makes a member per position.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -65,24 +72,64 @@ class Block:
     members: tuple[DivisorClass, ...]
 
 
-@dataclass(frozen=True)
 class Collection:
-    """Blocks of members, with per-position views computed on first read.
+    """Blocks of members, or the complete cells of G_n, read through views.
 
-    replace() and every mutation make a new object, so no view is stale.
+    Collection(n, blocks) holds its members, and its cells are parsed from
+    them. Collection(n, cells=...) holds only complete cells, each with its
+    labels in lexicographic order at consecutive positions (build_Gn); its
+    members are made when read, one by member(p) or all at once by the
+    blocks and members views. A per-position read indexes the views once
+    the members are held. Every view is computed once, on first read; a
+    mutation makes a new collection, so no view is stale.
     """
 
-    n: int
-    blocks: tuple[Block, ...]
+    def __init__(self, n: int, blocks=None, *, cells=None):
+        self.n = n
+        if cells is None:
+            self.blocks = tuple(blocks)
+        else:
+            self.cells = tuple(cells), ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Collection):
+            return NotImplemented
+        return self.n == other.n and self.blocks == other.blocks
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """Made from the cells, each member written from its (c, J)."""
+        n = self.n
+        blocks = {}
+        for cell in self.cells[0]:
+            members = blocks.setdefault(cell.block, (cell.ell, []))[1]
+            base = [-cell.c] + [cell.c] * (n + 1)
+            for j in combinations(range(1, n + 2), cell.ell):  # coordinates of J
+                coeffs = base.copy()
+                for x in j:
+                    coeffs[x] = cell.c - 1
+                members.append(DivisorClass(tuple(coeffs)))
+        return tuple(Block(ell, tuple(members)) for ell, members in blocks.values())
 
     @cached_property
     def members(self) -> tuple[DivisorClass, ...]:
         return tuple(m for b in self.blocks for m in b.members)
 
     @cached_property
+    def shape(self) -> tuple[tuple[int, int], ...]:
+        """(ell, size) of each block."""
+        if "blocks" in vars(self):
+            return tuple((b.ell, len(b.members)) for b in self.blocks)
+        shape = {}
+        for cell in self.cells[0]:
+            ell, size = shape.get(cell.block, (cell.ell, 0))
+            shape[cell.block] = ell, size + len(cell.positions)
+        return tuple(shape.values())
+
+    @cached_property
     def block_of(self) -> tuple[int, ...]:
         """Flat index -> block index."""
-        return tuple(bi for bi, b in enumerate(self.blocks) for _ in b.members)
+        return tuple(bi for bi, (_, size) in enumerate(self.shape) for _ in range(size))
 
     @cached_property
     def parsed(self) -> tuple:
@@ -90,7 +137,10 @@ class Collection:
         cells, _ = self.cells
         parsed = [None] * self.size
         for cell in cells:
-            for p, j in zip(cell.positions, cell.labels):
+            labels = cell.labels
+            if labels is None:
+                labels = map(frozenset, combinations(range(self.n + 1), cell.ell))
+            for p, j in zip(cell.positions, labels):
                 parsed[p] = (cell.c, j)
         return tuple(parsed)
 
@@ -98,8 +148,8 @@ class Collection:
     def cells(self) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
         """The cells, and the positions of members outside F_{c,J}.
 
-        Parsed from the members; build_Gn stores the cells it made instead.
-        A member of another dimension is outside F_{c,J}.
+        Parsed from the members when the collection holds them. A member of
+        another dimension is outside F_{c,J}.
         """
         n = self.n
         groups = {}
@@ -123,12 +173,60 @@ class Collection:
 
     @property
     def size(self) -> int:
-        return sum(len(b.members) for b in self.blocks)
+        return sum(size for _, size in self.shape)
 
     def positions(self) -> tuple[tuple[int, int], ...]:
         """Flat index -> (block index, index within block)."""
-        return tuple((bi, mi) for bi, b in enumerate(self.blocks)
-                     for mi in range(len(b.members)))
+        return tuple((bi, mi) for bi, (_, size) in enumerate(self.shape)
+                     for mi in range(size))
+
+    def at(self, p: int) -> tuple:
+        """(block index, (c, J) or None) of the member at flat position p."""
+        if "blocks" in vars(self):
+            return self.block_of[p], self.parsed[p]
+        cell, j = self._locate(p)
+        return cell.block, (cell.c, frozenset(j))
+
+    def member(self, p: int) -> DivisorClass:
+        """The member at flat position p."""
+        if "blocks" in vars(self):
+            return self.members[p]
+        cell, j = self._locate(p)
+        coeffs = [-cell.c] + [cell.c] * (self.n + 1)  # make_F(n, c, j), which cannot fail
+        for x in j:
+            coeffs[x + 1] = cell.c - 1
+        return DivisorClass(tuple(coeffs))
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        return [cell.positions.start for cell in self.cells[0]]
+
+    def _locate(self, p):
+        """The cell of position p and its J, for a collection of cells only."""
+        cell = self.cells[0][bisect_right(self._starts, p) - 1]
+        r = p - cell.positions.start
+        if not 0 <= r < len(cell.positions):
+            raise IndexError(f"position {p} outside 0..{self.size - 1}")
+        return cell, _nth_subset(self.n + 1, cell.ell, r)
+
+
+def _nth_subset(m: int, ell: int, r: int) -> tuple[int, ...]:
+    """The r-th ell-subset of 0..m-1 in lexicographic order.
+
+    The combinatorial number system: C(m - x - 1, ell - 1) subsets have x
+    as their least label, so the labels are found in one pass over x.
+    """
+    out = []
+    x = 0
+    while ell:
+        count = math.comb(m - x - 1, ell - 1)
+        if r < count:
+            out.append(x)
+            ell -= 1
+        else:
+            r -= count
+        x += 1
+    return tuple(out)
 
 
 def expected_size(n: int) -> int:
@@ -159,43 +257,33 @@ def build_Fn(n: int) -> tuple[tuple[int, int], ...]:
 def build_Gn(n: int) -> Collection:
     """The full collection: every F_{c,J} with (c, |J|) admissible.
 
-    Stores the cells it makes as the collection's cells, one complete cell
-    per (c, |J|), sharing labels by |J|, so nothing parses its members.
+    Held as its cells, one complete cell per (c, |J|), with the labels in
+    lexicographic order; its members are made when read.
     """
     orbits = {(ell, frozenset({c, ell - c})) for c, ell in build_Fn(n)}
-    blocks = []
     cells = []
-    labels_of = {}
-    position = 0
-    for ell, cs in sorted(orbits, key=lambda key: (-key[0], min(key[1]))):
-        if ell not in labels_of:
-            labels_of[ell] = tuple(map(frozenset, combinations(range(n + 1), ell)))
-        labels = labels_of[ell]
-        members = []
+    start = 0
+    for bi, (ell, cs) in enumerate(sorted(orbits, key=lambda key: (-key[0], min(key[1])))):
+        count = math.comb(n + 1, ell)
         for c in sorted(cs):
-            base = [-c] + [c] * (n + 1)
-            for j in labels:  # make_F(n, c, j); its label check cannot fail
-                coeffs = base.copy()
-                for x in j:
-                    coeffs[x + 1] = c - 1
-                members.append(DivisorClass(tuple(coeffs)))
-            cells.append(Cell(len(blocks), c, ell,
-                              tuple(range(position, position + len(labels))), labels, True))
-            position += len(labels)
-        blocks.append(Block(ell, tuple(members)))
-    collection = Collection(n, tuple(blocks))
-    vars(collection)["cells"] = tuple(cells), ()  # cached_property reads it first
-    return collection
+            cells.append(Cell(bi, c, ell, range(start, start + count), None, True))
+            start += count
+    return Collection(n, cells=cells)
 
 
 class Cell(NamedTuple):
-    """The members of one block that share the twist c and |J| = ell."""
+    """The members of one block that share the twist c and |J| = ell.
+
+    When a complete cell holds its labels in lexicographic order at
+    consecutive positions, positions is a range and labels is None: the
+    member at position start + r is F_{c,J} for the r-th ell-subset J.
+    """
 
     block: int
     c: int
     ell: int
-    positions: tuple[int, ...]  # flat positions, ascending
-    labels: tuple[frozenset, ...]  # the J of each position
+    positions: range | tuple[int, ...]  # flat positions, ascending
+    labels: tuple[frozenset, ...] | None  # the J of each position
     complete: bool  # labels are the ell-subsets of 0..n, each once
 
 
@@ -291,13 +379,14 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     def walk(pairs, keep_passing):
         """Grade pairs one by one: the failing results, or all of them."""
-        members, block_of, parsed = collection.members, collection.block_of, collection.parsed
+        at, member = cache(collection.at), collection.member
         out = []
         for i, j in pairs:
-            relation = _pair_relation(block_of[i], block_of[j])
-            ok, detail = grade(family_of_parsed(parsed[j], parsed[i]),
+            (block_i, parsed_i), (block_j, parsed_j) = at(i), at(j)
+            relation = _pair_relation(block_i, block_j)
+            ok, detail = grade(family_of_parsed(parsed_j, parsed_i),
                                relation != "forward",
-                               lambda: members[j] - members[i])
+                               lambda: member(j) - member(i))
             if keep_passing or not ok:
                 out.append(PairResult(i, j, relation, ok, detail))
         return out
@@ -331,7 +420,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                 for p in cell.positions] if strangers else ()
         walked = [*_pairs_between(loose, loose), *_pairs_between(strangers, held),
                   *_pairs_between(held, strangers)]
-        if walked:  # the views are made on the first walk
+        if walked:
             results += walk(walked, False)
         checked += len(walked)
         results.sort(key=lambda r: (r.source, r.target))
@@ -484,10 +573,10 @@ def _stable_by_cells(collection: Collection) -> bool:
     flip = (tuple(range(n + 1)), True)
     for cell in cells:
         partner = cell.ell - cell.c
+        first = cell.labels[0] if cell.labels else range(cell.ell)  # the least l-subset
         if (not cell.complete and len(set(cell.labels)) != math.comb(n + 1, cell.ell)
                 or (cell.block, partner, cell.ell) not in keys
-                or act(flip, collection.members[cell.positions[0]])
-                != make_F(n, partner, cell.labels[0])):
+                or act(flip, make_F(n, cell.c, first)) != make_F(n, partner, first)):
             return False
     return True
 
@@ -560,17 +649,30 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
 COLLECTION_SCHEMA = "toric-exc/collection/1"
 
 
+def labeled_blocks(collection: Collection) -> list:
+    """(ell, [(c, sorted J), ...]) for each block, members in flat order.
+
+    A member outside F_{c,J} raises ValueError.
+    """
+    parsed = collection.parsed
+    out = []
+    start = 0
+    for ell, size in collection.shape:
+        rows = []
+        for p in range(start, start + size):
+            if parsed[p] is None:
+                raise ValueError(
+                    f"member {collection.member(p).coeffs} is not an F_{{c,J}} class")
+            c, j = parsed[p]
+            rows.append((c, sorted(j)))
+        out.append((ell, rows))
+        start += size
+    return out
+
+
 def collection_to_dict(collection: Collection) -> dict:
-    blocks = []
-    for block in collection.blocks:
-        members = []
-        for m in block.members:
-            parsed = parse_F(m)
-            if parsed is None:
-                raise ValueError(f"member {m.coeffs} is not an F_{{c,J}} class")
-            c, j = parsed
-            members.append({"c": c, "J": sorted(j)})
-        blocks.append({"ell": block.ell, "members": members})
+    blocks = [{"ell": ell, "members": [{"c": c, "J": j} for c, j in rows]}
+              for ell, rows in labeled_blocks(collection)]
     return {"schema": COLLECTION_SCHEMA, "n": collection.n, "blocks": blocks}
 
 

@@ -82,8 +82,14 @@ def canonical_class(n: int) -> DivisorClass:
 
 
 def make_F(n: int, c: int, J) -> DivisorClass:
-    """The class c(E - H) - sum_{j in J} E_j."""
-    J = frozenset(J)
+    """The class c(E - H) - sum_{j in J} E_j.
+
+    A label outside 0..n, or one given twice, raises ValueError.
+    """
+    labels = tuple(J)
+    J = frozenset(labels)
+    if len(J) != len(labels):
+        raise ValueError(f"repeated label in {sorted(labels)}")
     outside = J - set(range(n + 1))
     if outside:
         raise ValueError(f"labels {sorted(outside)} outside 0..{n}")

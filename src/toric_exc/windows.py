@@ -238,14 +238,16 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
     cells, strangers = collection.cells
+    covered = {(cell.c, cell.ell) for cell in cells if cell.complete}
     labels = {}
     for cell in cells:
-        labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
-    covered = {key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1])}
+        if not cell.complete:
+            labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
+    covered.update(key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1]))
     # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
     shapes = {(-cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
               for cell in cells}
-    strange = [collection.members[p] for p in strangers]
+    strange = [collection.member(p) for p in strangers]
     _require_dimension(n, strange)
     shapes.update((m.h, tuple(sorted(m.d))) for m in strange)
     d = default_gauge(n)

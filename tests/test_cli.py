@@ -3,8 +3,10 @@ import importlib
 import io
 import json
 import pathlib
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,14 @@ def test_verify_mutate_swap_fails(capsys):
     assert doc["violations"]
 
 
+@pytest.mark.parametrize("what", ["exceptional", "stability", "cardinality", "generation"])
+def test_add_repeated_label_exits_2(capsys, what):
+    # F_{1,{0}} is not what add:1,0-0 names; it used to be added silently
+    code, out, err = run(capsys, "verify", "--dim", "4", "--what", what,
+                         "--mutate", "add:1,0-0")
+    assert (code, out, err) == (2, "", "error: repeated label in [0, 0]\n")
+
+
 def test_verify_mutate_bad_grammar(capsys):
     code, _, err = run(capsys, "verify", "--dim", "2", "--mutate", "explode")
     assert code == 2
@@ -385,6 +395,33 @@ def test_dim_above_bound_rejected(capsys):
     code, out, err = run(capsys, "verify", "--dim", "22")
     assert code == 2 and out == ""
     assert err == "error: n must be at most 20\n"
+
+
+DIM_20_LINES = {
+    "exceptional": "pairs checked: 15053433895500",
+    "stability": "stability ok: every generator preserves every block",
+    "cardinality": "cardinality ok: 3879876 members, expected 3879876",
+    "generation": "generation ok: 1048576 walls, 3879876 pieces, base case empty",
+}
+
+
+@pytest.mark.parametrize("what", sorted(DIM_20_LINES))
+def test_dim_20_check_is_fast_and_small(what):
+    # G_20 has 3,879,876 members; a check on the intact collection reads its
+    # cells and makes none of them, so it fits in 2 s and 200 MB of address space
+    cap = 200 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_exc", "verify", "--dim", "20", "--what", what],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert DIM_20_LINES[what] in proc.stdout.splitlines()
+    assert elapsed < 2.0
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

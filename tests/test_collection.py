@@ -8,6 +8,8 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_exc import reference
 from toric_exc.cohomology import cohomology, euler_pairing
@@ -37,6 +39,7 @@ from toric_exc.cones import (
 )
 from toric_exc.fan import build_Vn, circuit_relation
 from toric_exc.picard import (
+    DivisorClass,
     NotInFamily,
     act,
     difference_family,
@@ -352,17 +355,50 @@ def make_F_members(n):
 def test_recorded_cells_match_parsed_cells():
     for n in range(2, 14, 2):
         col = build_Gn(n)
-        assert "cells" in vars(col)  # stored by build_Gn, not parsed
         cells, strangers = col.cells
+        assert "blocks" not in vars(col)  # held as cells: no member was made
         assert not strangers
-        assert (cells, strangers) == Collection(n, col.blocks).cells
-        assert "cells" not in vars(replace(col))
-        # the cells of one |J| share their labels
-        by_ell = {}
-        assert all(by_ell.setdefault(cell.ell, cell.labels) is cell.labels
-                   for cell in cells)
-        if n <= 10:
-            assert col.members == make_F_members(n)
+        # complete, with lexicographic labels at consecutive positions
+        assert all(cell.complete and cell.labels is None
+                   and isinstance(cell.positions, range) for cell in cells)
+        parsed = Collection(n, col.blocks)
+        assert "cells" not in vars(parsed)
+        lexicographic = [cell._replace(positions=tuple(cell.positions), labels=tuple(
+            map(frozenset, combinations(range(n + 1), cell.ell)))) for cell in cells]
+        assert parsed.cells == (tuple(lexicographic), strangers)
+
+
+def test_members_made_on_read_match_make_F():
+    for n in range(2, 12, 2):
+        col = build_Gn(n)
+        assert col.members == make_F_members(n)
+        assert [b.ell for b in col.blocks] == [ell for ell, _ in col.shape]
+
+
+def test_rth_member_of_every_cell_matches_the_listed_one():
+    for n in range(2, 14, 2):
+        col = build_Gn(n)
+        members = make_F_members(n)
+        for cell in col.cells[0]:
+            for r, j in enumerate(combinations(range(n + 1), cell.ell)):
+                p = cell.positions[r]
+                assert col.member(p) == members[p] == make_F(n, cell.c, j)
+                assert col.at(p) == (cell.block, (cell.c, frozenset(j)))
+        assert "blocks" not in vars(col)  # each was made from its cell alone
+        for p in (-1, col.size):
+            with pytest.raises(IndexError):
+                col.member(p)
+
+
+def test_views_agree_with_a_collection_that_holds_its_members():
+    for n in (2, 4, 6):
+        col, held = build_Gn(n), Collection(n, build_Gn(n).blocks)
+        assert [col.at(p) for p in range(col.size)] == [held.at(p) for p in range(held.size)]
+        assert col.size == held.size == expected_size(n)
+        assert col.shape == held.shape and col.positions() == held.positions()
+        assert col.block_of == held.block_of and col.parsed == held.parsed
+        assert "blocks" not in vars(col)
+        assert col == held
 
 
 def test_mutations_record_no_cells():
@@ -406,6 +442,24 @@ def test_checks_on_a_mutant_parse_each_member_once(monkeypatch, text):
     members = {id(m) for m in mutant.members}
     parsed = Counter(id(args[0]) for args in calls if id(args[0]) in members)
     assert parsed == Counter(members)
+
+
+def test_intact_checks_make_no_member(monkeypatch):
+    made = []
+    post_init = DivisorClass.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DivisorClass, "__post_init__", counted)
+    g8 = build_Gn(8)
+    assert verify_exceptional(g8).pairs_checked == 396270
+    assert verify_stability(g8).ok
+    assert verify_generation(8, g8).walls == 256
+    # a few classes per cell and per wall size, against 630 members
+    assert len(made) < 315
+    assert "blocks" not in vars(g8)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -527,6 +581,65 @@ def test_mutation_grammar_errors():
     for bad in ("drop:99", "swap:0,99", "frob:1", "drop:x", "add:0,7"):
         with pytest.raises(ValueError):
             apply_mutation(col, bad)
+
+
+def test_repeated_label_refused():
+    # a repeated label used to collapse into a set: add:1,0-0 added F_{1,{0}}
+    with pytest.raises(ValueError, match="repeated label"):
+        apply_mutation(build_Gn(4), "add:1,0-0")
+    data = collection_to_dict(build_Gn(2))
+    data["blocks"][0]["members"][0]["J"] = [0, 0]
+    with pytest.raises(ValueError, match="repeated label"):
+        collection_from_dict(data)
+    with pytest.raises(ValueError, match="repeated label"):
+        make_F(4, 1, (2, 3, 2))
+
+
+@st.composite
+def mutation_sequences(draw):
+    """One to three drop/add/swap mutations, each valid for the collection it meets."""
+    size = expected_size(4)
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "add", "swap"]))
+        if kind == "drop" and size > 1:
+            texts.append(f"drop:{draw(st.integers(0, size - 1))}")
+            size -= 1
+        elif kind == "swap":
+            i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+            texts.append(f"swap:{i},{j}")
+        else:
+            c = draw(st.integers(-1, 3))
+            labels = draw(st.sets(st.integers(0, 4), max_size=5))
+            texts.append(f"add:{c},{'-'.join(map(str, sorted(labels)))}")
+            size += 1
+    return texts
+
+
+@settings(max_examples=25, deadline=None)
+@given(texts=mutation_sequences())
+def test_mutation_sequences_match_flat_references(texts):
+    col = build_Gn(4)
+    for text in texts:
+        col = apply_mutation(col, text)
+    pairs = all_pairs(col)
+    for method in ("inequalities", "oracle"):
+        report = verify_exceptional(col, method)
+        reference = reference_sweep(col, method, pairs)
+        assert report.pairs_checked == len(reference)
+        assert report.violations == tuple(r for r in reference if not r.ok)
+    assert verify_stability(col) == flat_stability(col)
+    try:
+        build_certificate(4, col)
+        flat = True
+    except (KoszulEscape, WindowViolation):
+        flat = False
+    try:
+        verify_generation(4, col)
+        counted = True
+    except (KoszulEscape, WindowViolation):
+        counted = False
+    assert counted == flat
 
 
 def test_certificates_never_contradict_oracle_on_mutants():

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -79,8 +79,8 @@ class Collection:
     them. Collection(n, cells=...) holds only complete cells, each with its
     labels in lexicographic order at consecutive positions (build_Gn); its
     members are made when read, one by member(p) or all at once by the
-    blocks and members views. A per-position read indexes the views once
-    the members are held. Every view is computed once, on first read; a
+    blocks and members views; at and member index the views when the
+    members are held. Every view is computed once, on first read; a
     mutation makes a new collection, so no view is stale.
     """
 
@@ -101,13 +101,13 @@ class Collection:
         """Made from the cells, each member written from its (c, J)."""
         n = self.n
         blocks = {}
-        for cell in self.cells[0]:
-            members = blocks.setdefault(cell.block, (cell.ell, []))[1]
-            base = [-cell.c] + [cell.c] * (n + 1)
-            for j in combinations(range(1, n + 2), cell.ell):  # coordinates of J
+        for block, c, ell, *_ in self.cells[0]:
+            members = blocks.setdefault(block, (ell, []))[1]
+            base = [-c] + [c] * (n + 1)
+            for j in combinations(range(1, n + 2), ell):  # coordinates of J
                 coeffs = base.copy()
                 for x in j:
-                    coeffs[x] = cell.c - 1
+                    coeffs[x] = c - 1
                 members.append(DivisorClass(tuple(coeffs)))
         return tuple(Block(ell, tuple(members)) for ell, members in blocks.values())
 
@@ -180,15 +180,19 @@ class Collection:
         return tuple((bi, mi) for bi, (_, size) in enumerate(self.shape)
                      for mi in range(size))
 
-    def at(self, p: int) -> tuple:
-        """(block index, (c, J) or None) of the member at flat position p."""
+    @cached_property
+    def at(self):
+        """Flat position -> (block index, (c, J) or None) of its member.
+
+        A tuple of the views when the members are held; otherwise a mapping
+        that reads each position from its cell on first use.
+        """
         if "blocks" in vars(self):
-            return self.block_of[p], self.parsed[p]
-        cell, j = self._locate(p)
-        return cell.block, (cell.c, frozenset(j))
+            return tuple(zip(self.block_of, self.parsed))
+        return _ReadOnce(self._read_cell)
 
     def member(self, p: int) -> DivisorClass:
-        """The member at flat position p."""
+        """The member at flat position p, made from its cell when not held."""
         if "blocks" in vars(self):
             return self.members[p]
         cell, j = self._locate(p)
@@ -196,6 +200,10 @@ class Collection:
         for x in j:
             coeffs[x + 1] = cell.c - 1
         return DivisorClass(tuple(coeffs))
+
+    def _read_cell(self, p):
+        cell, j = self._locate(p)
+        return cell.block, (cell.c, frozenset(j))
 
     @cached_property
     def _starts(self) -> list[int]:
@@ -208,6 +216,17 @@ class Collection:
         if not 0 <= r < len(cell.positions):
             raise IndexError(f"position {p} outside 0..{self.size - 1}")
         return cell, _nth_subset(self.n + 1, cell.ell, r)
+
+
+class _ReadOnce(dict):
+    """Key -> read(key), computed on the first lookup of each key."""
+
+    def __init__(self, read):
+        self.read = read
+
+    def __missing__(self, key):
+        value = self[key] = self.read(key)
+        return value
 
 
 def _nth_subset(m: int, ell: int, r: int) -> tuple[int, ...]:
@@ -379,10 +398,10 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     def walk(pairs, keep_passing):
         """Grade pairs one by one: the failing results, or all of them."""
-        at, member = cache(collection.at), collection.member
+        at, member = collection.at, collection.member
         out = []
         for i, j in pairs:
-            (block_i, parsed_i), (block_j, parsed_j) = at(i), at(j)
+            (block_i, parsed_i), (block_j, parsed_j) = at[i], at[j]
             relation = _pair_relation(block_i, block_j)
             ok, detail = grade(family_of_parsed(parsed_j, parsed_i),
                                relation != "forward",
@@ -397,9 +416,12 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
             if i == j or not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
                                  f"positions in 0..{size - 1}")
+        if 2 * len(pairs) >= size:  # most members are read: make them all at once
+            collection.members
         results = walk(pairs, full_report)
         checked = len(pairs)
     elif full_report:
+        collection.members  # every member is read: make them all at once
         results = walk(_pairs_between(range(size), range(size)), True)
         checked = len(results)
     else:

@@ -383,7 +383,7 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
             for r, j in enumerate(combinations(range(n + 1), cell.ell)):
                 p = cell.positions[r]
                 assert col.member(p) == members[p] == make_F(n, cell.c, j)
-                assert col.at(p) == (cell.block, (cell.c, frozenset(j)))
+                assert col.at[p] == (cell.block, (cell.c, frozenset(j)))
         assert "blocks" not in vars(col)  # each was made from its cell alone
         for p in (-1, col.size):
             with pytest.raises(IndexError):
@@ -393,7 +393,7 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
 def test_views_agree_with_a_collection_that_holds_its_members():
     for n in (2, 4, 6):
         col, held = build_Gn(n), Collection(n, build_Gn(n).blocks)
-        assert [col.at(p) for p in range(col.size)] == [held.at(p) for p in range(held.size)]
+        assert [col.at[p] for p in range(col.size)] == list(held.at)
         assert col.size == held.size == expected_size(n)
         assert col.shape == held.shape and col.positions() == held.positions()
         assert col.block_of == held.block_of and col.parsed == held.parsed

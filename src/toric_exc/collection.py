@@ -31,10 +31,11 @@ lexicographic order at consecutive positions, so it is (block, c, l,
 start), and the member at start + r is F_{c,J} for the r-th l-subset J.
 Members are made when read: one by one for the pairs a sample or a
 failed key walks, all at once for build output, the Gram matrix, the
-certificate, a full report and a mutation. A collection of given blocks
-parses its members into cells once, on first read. Every check reads
-the cells and per-position views there, so no check on an intact G_n
-parses or makes a member per position.
+certificate, a full report, a mutation and a sample of at least half as
+many pairs as members. A collection of given blocks parses its members
+into cells once, on first read. Every check reads the cells and
+per-position views there, so no check on an intact G_n parses or makes
+a member per position.
 """
 
 from __future__ import annotations

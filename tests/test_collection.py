@@ -4,7 +4,6 @@ import importlib
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest

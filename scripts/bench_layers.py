@@ -1,4 +1,4 @@
-"""Time G_n's construction, the pair sweeps, the checks and the n = 14 and 20 commands.
+"""Time G_n's construction, the pair sweeps, the checks and the n = 14, 16 and 20 commands.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -9,6 +9,8 @@ finished, their count, and whether the budget cut it short; a layer the
 program does not have is reported as missing. The machine (CPU count and
 model, Python version) and the commit are recorded with the times. The output
 is one JSON object on stdout. Standard library only.
+
+The mutant layers run `verify --dim 16 --mutate drop:0`, which must exit 1.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ LAYERS = (
     + [("build_Gn", n) for n in (8, 10, 12, 14, 16, 18, 20)]
     + [(f"verify.{what}", 20) for what in ("exceptional", "stability", "generation",
                                             "cardinality")]
+    + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional")]
 )
 
 WORKER = """\
@@ -48,12 +51,17 @@ if name.startswith("sweep."):
     def call():
         if not collection.verify_exceptional(col, name[6:]).ok:
             sys.exit("the sweep failed")
-elif name.startswith("verify."):
-    argv = ["verify", "--dim", str(n), "--what", name[7:]]
+elif name.startswith(("verify.", "mutant.")):
+    # a mutant drops one member, so its checks must fail with exit 1
+    kind, what = name.split(".")
+    argv = ["verify", "--dim", str(n), "--what", what]
+    expected = 0
+    if kind == "mutant":
+        argv, expected = argv + ["--mutate", "drop:0"], 1
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) != 0:
-                sys.exit("the check failed")
+            if cli.main(argv) != expected:
+                sys.exit("the check did not exit " + str(expected))
 elif hasattr(windows, name) or hasattr(collection, name):
     col = collection.build_Gn(n)
     args = {{"verify_stability": (col,), "verify_walls": (n,), "build_Gn": (n,)}}.get(

@@ -52,10 +52,10 @@ from .windows import (
 WHATS = ("exceptional", "stability", "cardinality", "generation", "walls")
 FORMATS = ("text", "json", "csv")
 DEFAULT_SAMPLE = 500
-# At n = 20 the checks on the intact G_n take 0.1-0.3 s and under 25 MB.
-# Making every member (build, gram, certificate, --full-report, --mutate)
-# grows about 4x per step of 2: 4.3 s and 300 MB at n = 18, so about 20 s
-# and 1.3 GB for the 3,879,876 members of G_20
+# At n = 20 the checks on the intact G_n, and cardinality and exceptional on
+# a --mutate drop:0, take 0.1-0.3 s and under 25 MB. Making every member
+# (build, gram, certificate, --full-report) grows about 4x per step of 2:
+# 4.3 s and 300 MB at n = 18, so about 20 s and 1.3 GB at n = 20
 MAX_DIM = 20
 REPORT_SCHEMA = "toric-exc/report/1"
 

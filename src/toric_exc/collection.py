@@ -15,9 +15,15 @@ forbidden-cone certificates, or the cohomology oracle. Size is checked
 against the fan's count of maximal cones, so a dropped member is caught
 even though every surviving pair still verifies.
 
-A full sweep counts pairs instead of walking them. A cell is the members
-of one block sharing the twist c and the size l of J; it is complete
-when its J sets are the l-subsets of 0..n, each once. The verdict of a
+A collection is held as the l of each block, its cells and its members
+outside F_{c,J}. A cell is a run of consecutive positions in one block
+sharing the twist c and |J| = l; it lists the J of each position, or
+nothing when they are every l-subset of 0..n in lexicographic order, as
+in each cell of G_n. It is complete when its J sets are the l-subsets,
+each once. A mutation regroups its parent's labels (_group) and makes
+no member; members are made when read.
+
+A full sweep counts pairs instead of walking them. The verdict of a
 pair depends only on its family (c, k, l) and its block relation, and
 the number of members of a complete cell meeting a given J in t labels
 is a product of binomials, so every pair with a complete cell on one
@@ -25,26 +31,15 @@ side is counted in closed form and graded by one representative per
 key. Only pairs between members of incomplete cells, pairs with a
 member outside F_{c,J}, and the pairs of a group whose key failed are
 walked one by one; an unmutated G_n walks none.
-
-G_n is held as its cells alone. Each is complete, with its labels in
-lexicographic order at consecutive positions, so it is (block, c, l,
-start), and the member at start + r is F_{c,J} for the r-th l-subset J.
-Members are made when read: one by one for the pairs a sample or a
-failed key walks, all at once for build output, the Gram matrix, the
-certificate, a full report, a mutation and a sample of at least half as
-many pairs as members. A collection of given blocks parses its members
-into cells once, on first read. Every check reads the cells and
-per-position views there, so no check on an intact G_n parses or makes
-a member per position.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby, islice
 from typing import NamedTuple
 
 from .cohomology import cohomology, euler_pairing
@@ -56,7 +51,15 @@ from .cones import (
     lemma_acyclic_predicate,
 )
 from .fan import build_Vn
-from .picard import DivisorClass, act, family_of_parsed, group_generators, make_F, parse_F
+from .picard import (
+    DivisorClass,
+    act,
+    family_of_parsed,
+    group_generators,
+    label_set,
+    make_F,
+    parse_F,
+)
 
 METHODS = ("inequalities", "forbidden", "oracle")
 
@@ -74,58 +77,42 @@ class Block:
 
 
 class Collection:
-    """Blocks of members, or the complete cells of G_n, read through views.
+    """Blocks of members, held as cells (module docstring) and read through views.
 
-    Collection(n, blocks) holds its members, and its cells are parsed from
-    them. Collection(n, cells=...) holds only complete cells, each with its
-    labels in lexicographic order at consecutive positions (build_Gn); its
-    members are made when read, one by member(p) or all at once by the
-    blocks and members views; at and member index the views when the
-    members are held. Every view is computed once, on first read; a
-    mutation makes a new collection, so no view is stale.
+    Collection(n, blocks) groups the parsed members, Collection(n, ells=...,
+    runs=...) a stream of runs (_group). A stranger, a member outside F_{c,J}
+    or of another dimension, is held as position -> (block, member).
     """
 
-    def __init__(self, n: int, blocks=None, *, cells=None):
-        self.n = n
-        if cells is None:
-            self.blocks = tuple(blocks)
-        else:
-            self.cells = tuple(cells), ()
+    def __init__(self, n: int, blocks=None, *, ells=(), runs=()):
+        if blocks is not None:
+            blocks = tuple(blocks)
+            ells = [b.ell for b in blocks]
+            runs = (_member_run(n, bi, m) for bi, b in enumerate(blocks) for m in b.members)
+        self.n, self.ells = n, tuple(ells)
+        cells, self._strangers = _group(n, runs)
+        self.cells = tuple(cells), tuple(self._strangers)
+        self._starts = [cell.positions.start for cell in cells]
 
     def __eq__(self, other):
         if not isinstance(other, Collection):
             return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
-
-    @cached_property
-    def blocks(self) -> tuple[Block, ...]:
-        """Made from the cells, each member written from its (c, J)."""
-        n = self.n
-        blocks = {}
-        for block, c, ell, *_ in self.cells[0]:
-            members = blocks.setdefault(block, (ell, []))[1]
-            base = [-c] + [c] * (n + 1)
-            for j in combinations(range(1, n + 2), ell):  # coordinates of J
-                coeffs = base.copy()
-                for x in j:
-                    coeffs[x] = c - 1
-                members.append(DivisorClass(tuple(coeffs)))
-        return tuple(Block(ell, tuple(members)) for ell, members in blocks.values())
-
-    @cached_property
-    def members(self) -> tuple[DivisorClass, ...]:
-        return tuple(m for b in self.blocks for m in b.members)
+        return ((self.n, self.ells, self.cells, self._strangers)
+                == (other.n, other.ells, other.cells, other._strangers))
 
     @cached_property
     def shape(self) -> tuple[tuple[int, int], ...]:
         """(ell, size) of each block."""
-        if "blocks" in vars(self):
-            return tuple((b.ell, len(b.members)) for b in self.blocks)
-        shape = {}
+        sizes = [0] * len(self.ells)
         for cell in self.cells[0]:
-            ell, size = shape.get(cell.block, (cell.ell, 0))
-            shape[cell.block] = ell, size + len(cell.positions)
-        return tuple(shape.values())
+            sizes[cell.block] += len(cell.positions)
+        for block, _ in self._strangers.values():
+            sizes[block] += 1
+        return tuple(zip(self.ells, sizes))
+
+    @property
+    def size(self) -> int:
+        return sum(size for _, size in self.shape)
 
     @cached_property
     def block_of(self) -> tuple[int, ...]:
@@ -135,88 +122,47 @@ class Collection:
     @cached_property
     def parsed(self) -> tuple:
         """Flat index -> (c, J) of F_{c,J}, or None for a member outside it."""
-        cells, _ = self.cells
         parsed = [None] * self.size
-        for cell in cells:
-            labels = cell.labels
-            if labels is None:
-                labels = map(frozenset, combinations(range(self.n + 1), cell.ell))
-            for p, j in zip(cell.positions, labels):
-                parsed[p] = (cell.c, j)
+        for cell in self.cells[0]:
+            parsed[cell.positions.start:cell.positions.stop] = (
+                (cell.c, j) for j in cell.labels or _lexicographic(self.n, cell.ell))
         return tuple(parsed)
 
     @cached_property
-    def cells(self) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
-        """The cells, and the positions of members outside F_{c,J}.
+    def members(self) -> tuple[DivisorClass, ...]:
+        members = [None] * self.size
+        for cell in self.cells[0]:
+            labels = cell.labels or combinations(range(self.n + 1), cell.ell)
+            members[cell.positions.start:cell.positions.stop] = (
+                _F(self.n, cell.c, j) for j in labels)
+        for p, (_, m) in self._strangers.items():
+            members[p] = m
+        return tuple(members)
 
-        Parsed from the members when the collection holds them. A member of
-        another dimension is outside F_{c,J}.
-        """
-        n = self.n
-        groups = {}
-        strangers = []
-        position = 0
-        for bi, block in enumerate(self.blocks):
-            for m in block.members:
-                parsed = parse_F(m) if len(m.coeffs) == n + 2 else None
-                if parsed is None:
-                    strangers.append(position)
-                else:
-                    c, j = parsed
-                    groups.setdefault((bi, c, len(j)), []).append((position, j))
-                position += 1
-        cells = []
-        for (bi, c, ell), entries in groups.items():
-            labels = tuple(j for _, j in entries)
-            complete = len(set(labels)) == len(labels) == math.comb(n + 1, ell)
-            cells.append(Cell(bi, c, ell, tuple(p for p, _ in entries), labels, complete))
-        return tuple(cells), tuple(strangers)
-
-    @property
-    def size(self) -> int:
-        return sum(size for _, size in self.shape)
-
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        """Flat index -> (block index, index within block)."""
-        return tuple((bi, mi) for bi, (_, size) in enumerate(self.shape)
-                     for mi in range(size))
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        members = iter(self.members)
+        return tuple(Block(ell, tuple(islice(members, size))) for ell, size in self.shape)
 
     @cached_property
     def at(self):
-        """Flat position -> (block index, (c, J) or None) of its member.
-
-        A tuple of the views when the members are held; otherwise a mapping
-        that reads each position from its cell on first use.
-        """
-        if "blocks" in vars(self):
-            return tuple(zip(self.block_of, self.parsed))
-        return _ReadOnce(self._read_cell)
+        """Flat position -> (block index, (c, J) or None), read from its cell on first use."""
+        return _ReadOnce(self._read)
 
     def member(self, p: int) -> DivisorClass:
-        """The member at flat position p, made from its cell when not held."""
-        if "blocks" in vars(self):
-            return self.members[p]
-        cell, j = self._locate(p)
-        coeffs = [-cell.c] + [cell.c] * (self.n + 1)  # make_F(n, c, j), which cannot fail
-        for x in j:
-            coeffs[x + 1] = cell.c - 1
-        return DivisorClass(tuple(coeffs))
+        """The member at flat position p, made from the (c, J) that at reads."""
+        parsed = self.at[p][1]
+        return self._strangers[p][1] if parsed is None else _F(self.n, *parsed)
 
-    def _read_cell(self, p):
-        cell, j = self._locate(p)
-        return cell.block, (cell.c, frozenset(j))
-
-    @cached_property
-    def _starts(self) -> list[int]:
-        return [cell.positions.start for cell in self.cells[0]]
-
-    def _locate(self, p):
-        """The cell of position p and its J, for a collection of cells only."""
+    def _read(self, p):
+        if p in self._strangers:
+            return self._strangers[p][0], None
         cell = self.cells[0][bisect_right(self._starts, p) - 1]
         r = p - cell.positions.start
         if not 0 <= r < len(cell.positions):
             raise IndexError(f"position {p} outside 0..{self.size - 1}")
-        return cell, _nth_subset(self.n + 1, cell.ell, r)
+        j = cell.labels[r] if cell.labels else frozenset(_nth_subset(self.n + 1, cell.ell, r))
+        return cell.block, (cell.c, j)
 
 
 class _ReadOnce(dict):
@@ -249,6 +195,69 @@ def _nth_subset(m: int, ell: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _F(n: int, c: int, j) -> DivisorClass:
+    """make_F(n, c, j) for labels j known to be distinct and in 0..n."""
+    coeffs = [-c] + [c] * (n + 1)
+    for x in j:
+        coeffs[x + 1] = c - 1
+    return DivisorClass(tuple(coeffs))
+
+
+def _lexicographic(n: int, ell: int):
+    """The ell-subsets of 0..n in lexicographic order."""
+    return map(frozenset, combinations(range(n + 1), ell))
+
+
+def _member_run(n, block, m):
+    """The run of one member (see _group); one of another dimension is a stranger."""
+    parsed = parse_F(m) if len(m.coeffs) == n + 2 else None
+    if parsed is None:
+        return block, m
+    c, j = parsed
+    return block, c, len(j), (j,)
+
+
+def _group(n: int, runs):
+    """The cells and strangers of a flat stream of runs, in position order.
+
+    A run is (block, c, ell, labels) for members F_{c,J} with |J| = ell,
+    labels being their J or None for every ell-subset in lexicographic
+    order, or (block, member) for a stranger. Adjacent runs of one block and
+    (c, ell) join, and a cell listing every ell-subset in lexicographic order
+    gets labels None, so the cells do not depend on how the runs were cut.
+    """
+    cells, strangers = [], {}
+    start = 0
+    for key, group in groupby(runs, lambda run: run[:3] if len(run) == 4 else None):
+        if key is None:
+            for run in group:
+                strangers[start] = run
+                start += 1
+            continue
+        block, c, ell = key
+        parts = [labels for *_, labels in group]
+        count = math.comb(n + 1, ell)
+        labels = None if parts == [None] else tuple(
+            j for part in parts for j in (part or _lexicographic(n, ell)))
+        complete = labels is None or len(labels) == len(set(labels)) == count
+        if labels and complete and labels == tuple(_lexicographic(n, ell)):
+            labels = None
+        size = count if labels is None else len(labels)
+        cells.append(Cell(block, c, ell, range(start, start + size), labels, complete))
+        start += size
+    return cells, strangers
+
+
+def covered_keys(n: int, cells, key) -> set:
+    """The keys key(cell), tuples ending in cell.ell, whose cells hold every ell-subset."""
+    covered = {key(cell) for cell in cells if cell.complete}
+    labels = {}
+    for cell in cells:
+        if not cell.complete:
+            labels.setdefault(key(cell), set()).update(cell.labels)
+    return covered | {k for k, js in labels.items() if len(js) == math.comb(n + 1, k[-1])}
+
+
 def expected_size(n: int) -> int:
     """Number of maximal cones, hence the rank of the Grothendieck group."""
     return math.factorial(n + 1) // math.factorial(n // 2) ** 2
@@ -277,32 +286,24 @@ def build_Fn(n: int) -> tuple[tuple[int, int], ...]:
 def build_Gn(n: int) -> Collection:
     """The full collection: every F_{c,J} with (c, |J|) admissible.
 
-    Held as its cells, one complete cell per (c, |J|), with the labels in
-    lexicographic order; its members are made when read.
+    One complete cell per (c, |J|), its labels in lexicographic order.
     """
-    orbits = {(ell, frozenset({c, ell - c})) for c, ell in build_Fn(n)}
-    cells = []
-    start = 0
-    for bi, (ell, cs) in enumerate(sorted(orbits, key=lambda key: (-key[0], min(key[1])))):
-        count = math.comb(n + 1, ell)
-        for c in sorted(cs):
-            cells.append(Cell(bi, c, ell, range(start, start + count), None, True))
-            start += count
-    return Collection(n, cells=cells)
+    orbits = sorted({(ell, frozenset({c, ell - c})) for c, ell in build_Fn(n)},
+                    key=lambda key: (-key[0], min(key[1])))
+    return Collection(n, ells=[ell for ell, _ in orbits], runs=[
+        (bi, c, ell, None) for bi, (ell, cs) in enumerate(orbits) for c in sorted(cs)])
 
 
 class Cell(NamedTuple):
-    """The members of one block that share the twist c and |J| = ell.
+    """A run of consecutive positions of one block sharing the twist c and |J| = ell.
 
-    When a complete cell holds its labels in lexicographic order at
-    consecutive positions, positions is a range and labels is None: the
-    member at position start + r is F_{c,J} for the r-th ell-subset J.
+    labels None: the member at start + r is F_{c,J} for the r-th ell-subset J.
     """
 
     block: int
     c: int
     ell: int
-    positions: range | tuple[int, ...]  # flat positions, ascending
+    positions: range  # flat positions
     labels: tuple[frozenset, ...] | None  # the J of each position
     complete: bool  # labels are the ell-subsets of 0..n, each once
 
@@ -404,9 +405,10 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         for i, j in pairs:
             (block_i, parsed_i), (block_j, parsed_j) = at[i], at[j]
             relation = _pair_relation(block_i, block_j)
-            ok, detail = grade(family_of_parsed(parsed_j, parsed_i),
-                               relation != "forward",
-                               lambda: member(j) - member(i))
+            family = family_of_parsed(parsed_j, parsed_i)
+            ok, detail = grade(family, relation != "forward",
+                               lambda: _family_class(n, family) if family
+                               else member(j) - member(i))
             if keep_passing or not ok:
                 out.append(PairResult(i, j, relation, ok, detail))
         return out
@@ -417,12 +419,9 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
             if i == j or not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
                                  f"positions in 0..{size - 1}")
-        if 2 * len(pairs) >= size:  # most members are read: make them all at once
-            collection.members
         results = walk(pairs, full_report)
         checked = len(pairs)
     elif full_report:
-        collection.members  # every member is read: make them all at once
         results = walk(_pairs_between(range(size), range(size)), True)
         checked = len(results)
     else:
@@ -471,7 +470,7 @@ def _counted_groups(n, cells):
     need_all) and how many pairs of the group have it.
     """
     complete = [cell for cell in cells if cell.complete]
-    loose = [cell._replace(positions=(p,), labels=(j,)) for cell in cells
+    loose = [cell._replace(positions=range(p, p + 1), labels=(j,)) for cell in cells
              if not cell.complete for p, j in zip(cell.positions, cell.labels)]
     for unit in complete + loose:
         for cell in complete:
@@ -590,18 +589,13 @@ def _stable_by_cells(collection: Collection) -> bool:
     """Whether the cells alone prove the collection stable (verify_stability)."""
     n = collection.n
     cells, strangers = collection.cells
-    if strangers:
-        return False
     keys = {(cell.block, cell.c, cell.ell) for cell in cells}
+    if strangers or covered_keys(n, cells, lambda cell: (cell.block, cell.c, cell.ell)) != keys:
+        return False
     flip = (tuple(range(n + 1)), True)
-    for cell in cells:
-        partner = cell.ell - cell.c
-        first = cell.labels[0] if cell.labels else range(cell.ell)  # the least l-subset
-        if (not cell.complete and len(set(cell.labels)) != math.comb(n + 1, cell.ell)
-                or (cell.block, partner, cell.ell) not in keys
-                or act(flip, make_F(n, cell.c, first)) != make_F(n, partner, first)):
-            return False
-    return True
+    return all((block, ell - c, ell) in keys  # range(ell) is the least l-subset
+               and act(flip, make_F(n, c, range(ell))) == make_F(n, ell - c, range(ell))
+               for block, c, ell in keys)
 
 
 # -- numerics -------------------------------------------------------------------
@@ -637,34 +631,53 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
     """Deliberately damage a collection: drop:IDX, add:c,J, swap:I,J.
 
     Indices are flat positions. add parses J as dash-separated labels
-    (empty for the twist alone) and appends to the first block.
+    (empty for the twist alone) and appends to the first block. The parent's
+    runs are regrouped with the change applied, a cell holding a dropped or
+    swapped position cut into one run per member; no member is made.
     """
     kind, _, arg = text.partition(":")
-    members = [list(b.members) for b in collection.blocks]
+    n, size = collection.n, collection.size
+    touched = ()
     if kind == "drop":
         idx = int(arg)
-        positions = collection.positions()
-        if not 0 <= idx < len(positions):
+        if not 0 <= idx < size:
             raise ValueError(f"drop index {idx} out of range")
-        bi, mi = positions[idx]
-        del members[bi][mi]
+        touched = (idx,)
     elif kind == "add":
         c_text, _, j_text = arg.partition(",")
         c = int(c_text)
-        j = [int(x) for x in j_text.split("-") if x != ""]
-        members[0].append(make_F(collection.n, c, j))
+        labels = label_set(n, (int(x) for x in j_text.split("-") if x != ""))
+        added = (0, c, len(labels), (labels,))
     elif kind == "swap":
         i_text, _, j_text = arg.partition(",")
         i, j = int(i_text), int(j_text)
-        positions = collection.positions()
-        if not (0 <= i < len(positions) and 0 <= j < len(positions)):
+        if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"swap indices {i},{j} out of range")
-        (bi, mi), (bj, mj) = positions[i], positions[j]
-        members[bi][mi], members[bj][mj] = members[bj][mj], members[bi][mi]
+        touched = (i, j)
     else:
         raise ValueError(f"unknown mutation {text!r}")
-    return Collection(collection.n, tuple(
-        replace(b, members=tuple(ms)) for b, ms in zip(collection.blocks, members)))
+    cells, strangers = collection.cells
+    runs, index = [], {}  # in flat order, a touched cell cut into its members
+    for positions, run in sorted(
+            [(cell.positions, (cell.block, cell.c, cell.ell, cell.labels)) for cell in cells]
+            + [(range(p, p + 1), collection._strangers[p]) for p in strangers],
+            key=lambda item: item[0].start):
+        if len(run) == 4 and any(p in positions for p in touched):
+            block, c, ell, labels = run
+            for p, label in zip(positions, labels or _lexicographic(n, ell)):
+                index[p] = len(runs)
+                runs.append((block, c, ell, (label,)))
+        else:
+            index[positions.start] = len(runs)
+            runs.append(run)
+    if kind == "drop":
+        del runs[index[idx]]
+    elif kind == "add":
+        runs.insert(next((k for k, run in enumerate(runs) if run[0] > 0), len(runs)), added)
+    else:  # a swapped member takes the block of the position it moves to
+        a, b = index[i], index[j]
+        runs[a], runs[b] = runs[a][:1] + runs[b][1:], runs[b][:1] + runs[a][1:]
+    return Collection(n, ells=collection.ells, runs=runs)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -677,20 +690,12 @@ def labeled_blocks(collection: Collection) -> list:
 
     A member outside F_{c,J} raises ValueError.
     """
-    parsed = collection.parsed
-    out = []
-    start = 0
-    for ell, size in collection.shape:
-        rows = []
-        for p in range(start, start + size):
-            if parsed[p] is None:
-                raise ValueError(
-                    f"member {collection.member(p).coeffs} is not an F_{{c,J}} class")
-            c, j = parsed[p]
-            rows.append((c, sorted(j)))
-        out.append((ell, rows))
-        start += size
-    return out
+    rows = [[] for _ in collection.ells]
+    for p, (block, parsed) in enumerate(zip(collection.block_of, collection.parsed)):
+        if parsed is None:
+            raise ValueError(f"member {collection.member(p).coeffs} is not an F_{{c,J}} class")
+        rows[block].append((parsed[0], sorted(parsed[1])))
+    return list(zip(collection.ells, rows))
 
 
 def collection_to_dict(collection: Collection) -> dict:
@@ -703,8 +708,6 @@ def collection_from_dict(data: dict) -> Collection:
     if data.get("schema") != COLLECTION_SCHEMA:
         raise ValueError(f"expected schema {COLLECTION_SCHEMA}")
     n = int(data["n"])
-    blocks = []
-    for block in data["blocks"]:
-        members = tuple(make_F(n, int(m["c"]), m["J"]) for m in block["members"])
-        blocks.append(Block(int(block["ell"]), members))
-    return Collection(n, tuple(blocks))
+    runs = [(bi, int(m["c"]), len(j), (j,)) for bi, block in enumerate(data["blocks"])
+            for m in block["members"] for j in [label_set(n, m["J"])]]
+    return Collection(n, ells=[int(block["ell"]) for block in data["blocks"]], runs=runs)

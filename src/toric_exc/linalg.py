@@ -62,7 +62,8 @@ def _peel_unit_pivots(rows, cols):
             return count
         i, j = pivot
         v = rows[i][j]
-        assert v in (1, -1)
+        if v not in (1, -1):
+            raise RuntimeError(f"pivot {v} at ({i}, {j}) is not a unit")
         pivot_row = rows[i]
         for i2 in list(cols[j]):
             if i2 == i:

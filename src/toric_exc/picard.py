@@ -81,11 +81,8 @@ def canonical_class(n: int) -> DivisorClass:
     return DivisorClass((-(n + 1),) + tuple(n - 1 for _ in range(n + 1)))
 
 
-def make_F(n: int, c: int, J) -> DivisorClass:
-    """The class c(E - H) - sum_{j in J} E_j.
-
-    A label outside 0..n, or one given twice, raises ValueError.
-    """
+def label_set(n: int, J) -> frozenset:
+    """The labels J as a set; one outside 0..n, or one given twice, raises ValueError."""
     labels = tuple(J)
     J = frozenset(labels)
     if len(J) != len(labels):
@@ -93,6 +90,15 @@ def make_F(n: int, c: int, J) -> DivisorClass:
     outside = J - set(range(n + 1))
     if outside:
         raise ValueError(f"labels {sorted(outside)} outside 0..{n}")
+    return J
+
+
+def make_F(n: int, c: int, J) -> DivisorClass:
+    """The class c(E - H) - sum_{j in J} E_j.
+
+    A label outside 0..n, or one given twice, raises ValueError.
+    """
+    J = label_set(n, J)
     return DivisorClass((-c,) + tuple(c - 1 if j in J else c for j in range(n + 1)))
 
 

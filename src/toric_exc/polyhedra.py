@@ -207,7 +207,8 @@ def feasible(poly: RationalPolyhedron) -> bool:
     status, value = solve_lp(a_rows, b, objective)
     if status == "infeasible":
         return False
-    assert status == "optimal"  # t <= 1 keeps the objective bounded
+    if status != "optimal":  # t <= 1 keeps the objective bounded
+        raise RuntimeError(f"margin LP is {status}")
     return value > 0
 
 

@@ -40,10 +40,10 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .collection import Collection, build_Gn
+from .collection import Collection, build_Gn, covered_keys
 from .fan import Fan, build_Vn, circuit_relation
 from .linalg import kernel_basis
-from .picard import DivisorClass, class_of_ray, make_F, parse_F
+from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F
 
 
 class JTooLarge(Exception):
@@ -83,21 +83,13 @@ def weight_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col[r] for col in columns) for r in range(n + 2))
 
 
-def _labels(n: int, J) -> frozenset:
-    """J as a frozenset; a label outside 0..n raises ValueError."""
-    J = frozenset(J)
-    outside = J - set(range(n + 1))
-    if outside:
-        raise ValueError(f"labels {sorted(outside)} outside 0..{n}")
-    return J
-
-
 def weight(n: int, J, divisor: DivisorClass) -> int:
     """Pairing of the subgroup indexed by J with the divisor class.
 
-    A label outside 0..n or a class of another dimension raises ValueError.
+    A label outside 0..n or given twice, or a class of another dimension,
+    raises ValueError.
     """
-    J = _labels(n, J)
+    J = label_set(n, J)
     if divisor.n != n:
         raise ValueError(f"divisor class of dimension {divisor.n}, expected {n}")
     return _weight(J, divisor)
@@ -110,9 +102,10 @@ def _weight(J: frozenset, divisor: DivisorClass) -> int:
 def koszul_components(J, twist: DivisorClass) -> tuple[DivisorClass, ...]:
     """The 2^|J| Koszul terms twist - sum_{i in L} E_i, L inside J.
 
-    A label outside 0..n, for the twist's dimension n, raises ValueError.
+    A label outside 0..n, for the twist's dimension n, or one given twice,
+    raises ValueError.
     """
-    J = _labels(twist.n, J)
+    J = label_set(twist.n, J)
     out = []
     for size in range(len(J) + 1):
         for sub in combinations(sorted(J), size):
@@ -145,9 +138,9 @@ def wall_record(n: int, J, d: int | None = None) -> WallRecord:
     Weights in the window above the wall range are handled by the window
     shift alone; each weight a in the wall range gets a witness twist by
     w = -a, low twists plain, high twists corrected along J^c. A label
-    outside 0..n raises ValueError.
+    outside 0..n, or one given twice, raises ValueError.
     """
-    J = _labels(n, J)
+    J = label_set(n, J)
     if 2 * len(J) - n - 1 > 0:
         raise JTooLarge(f"|J| = {len(J)} exceeds n/2 = {n // 2}")
     if d is None:
@@ -238,12 +231,7 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
     cells, strangers = collection.cells
-    covered = {(cell.c, cell.ell) for cell in cells if cell.complete}
-    labels = {}
-    for cell in cells:
-        if not cell.complete:
-            labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
-    covered.update(key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1]))
+    covered = covered_keys(n, cells, lambda cell: (cell.c, cell.ell))
     # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
     shapes = {(-cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
               for cell in cells}

@@ -1,13 +1,15 @@
 """Collection construction, pairwise verification, stability, mutations."""
 
+import ast
 import importlib
 import math
+import pathlib
 import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_exc import reference
@@ -26,6 +28,7 @@ from toric_exc.collection import (
     collection_to_dict,
     expected_size,
     gram_matrix,
+    labeled_blocks,
     verify_exceptional,
     verify_stability,
 )
@@ -219,7 +222,7 @@ def reference_sweep(col, method, pairs):
     """Grade each pair on its own, with no grouping by family."""
     fan = build_Vn(col.n)
     members = col.members
-    block_of = [bi for bi, _ in col.positions()]
+    block_of = [bi for bi, block in enumerate(col.blocks) for _ in block.members]
     out = []
     for i, j in pairs:
         bs, bt = block_of[i], block_of[j]
@@ -311,7 +314,7 @@ def test_counted_sweep_matches_flat_sweep(method, n, mutation):
 
 def flat_key_tally(col):
     parsed = [parse_F(m) for m in col.members]
-    block_of = [bi for bi, _ in col.positions()]
+    block_of = [bi for bi, block in enumerate(col.blocks) for _ in block.members]
     tally = {}
     for i, j in all_pairs(col):
         key = (family_of_parsed(parsed[j], parsed[i]), block_of[i] >= block_of[j])
@@ -337,10 +340,17 @@ def test_cells_of_a_mutant():
     cells, strangers = col.cells
     assert not strangers
     assert sum(len(cell.positions) for cell in cells) == col.size
-    # the added F_{1,{0,1}} sits alone in block 0, with |J| = 2
+    # the added F_{1,{0,1}} sits alone in block 0, with |J| = 2, and every
+    # other cell keeps its lexicographic labels at shifted positions
     (added,) = [cell for cell in cells if not cell.complete]
-    assert (added.block, added.c, added.ell, added.positions) == (0, 1, 2, (2,))
+    assert (added.block, added.c, added.ell, added.positions, added.labels) == (
+        0, 1, 2, range(2, 3), (frozenset({0, 1}),))
+    assert all(cell.labels is None for cell in cells if cell is not added)
     assert with_stranger(build_Gn(2)).cells[1] == (2,)
+    # a swap inside a cell keeps it complete, with its labels held
+    (swapped,) = [cell for cell in apply_mutation(build_Gn(4), "swap:7,8").cells[0]
+                  if cell.labels is not None]
+    assert swapped.complete and swapped.positions == range(7, 17)
 
 
 def make_F_members(n):
@@ -360,11 +370,8 @@ def test_recorded_cells_match_parsed_cells():
         # complete, with lexicographic labels at consecutive positions
         assert all(cell.complete and cell.labels is None
                    and isinstance(cell.positions, range) for cell in cells)
-        parsed = Collection(n, col.blocks)
-        assert "cells" not in vars(parsed)
-        lexicographic = [cell._replace(positions=tuple(cell.positions), labels=tuple(
-            map(frozenset, combinations(range(n + 1), cell.ell)))) for cell in cells]
-        assert parsed.cells == (tuple(lexicographic), strangers)
+        # its members, grouped back, give the same cells, labels=None included
+        assert Collection(n, col.blocks).cells == col.cells
 
 
 def test_members_made_on_read_match_make_F():
@@ -391,22 +398,43 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
 
 def test_views_agree_with_a_collection_that_holds_its_members():
     for n in (2, 4, 6):
-        col, held = build_Gn(n), Collection(n, build_Gn(n).blocks)
-        assert [col.at[p] for p in range(col.size)] == list(held.at)
-        assert col.size == held.size == expected_size(n)
-        assert col.shape == held.shape and col.positions() == held.positions()
-        assert col.block_of == held.block_of and col.parsed == held.parsed
+        col, given = build_Gn(n), Collection(n, build_Gn(n).blocks)
+        for p in range(col.size):
+            assert col.at[p] == given.at[p]
+            assert col.member(p) == given.member(p)
+        assert col.size == given.size == expected_size(n)
+        assert col.shape == given.shape
+        assert col.block_of == given.block_of and col.parsed == given.parsed
         assert "blocks" not in vars(col)
-        assert col == held
+        assert col == given
 
 
-def test_mutations_record_no_cells():
+def count_made(monkeypatch):
+    """Every DivisorClass made from now on."""
+    made = []
+    post_init = DivisorClass.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DivisorClass, "__post_init__", counted)
+    return made
+
+
+def test_mutations_record_no_cells(monkeypatch):
+    # a mutation regroups its parent's labels: it makes no member
     g4 = build_Gn(4)
+    made = count_made(monkeypatch)
     for text in ("drop:0", "add:0,0", "add:1,0-1", "swap:0,5", "swap:3,3"):
         mutated = apply_mutation(g4, text)
-        assert "cells" not in vars(mutated)
+        assert made == []
         assert mutated.cells == Collection(4, mutated.blocks).cells
-    assert "cells" not in vars(collection_from_dict(collection_to_dict(g4)))
+        made.clear()
+    assert "blocks" not in vars(g4)
+    # a JSON load groups its (c, J) too
+    assert collection_from_dict(collection_to_dict(g4)).cells == g4.cells
+    assert made == []
 
 
 def test_unmutated_checks_parse_few_members(monkeypatch):
@@ -429,18 +457,21 @@ def test_sampled_oracle_sweep_parses_no_member(monkeypatch):
 
 @pytest.mark.parametrize("text", ["drop:0", "add:1,0-1", "swap:0,29"])
 def test_checks_on_a_mutant_parse_each_member_once(monkeypatch, text):
+    # the mutant is regrouped from G_8's cells, so neither the mutation nor
+    # the checks parse a member (each member used to be parsed once)
     windows_module = importlib.import_module("toric_exc.windows")
-    mutant = apply_mutation(build_Gn(4), text)
-    calls = count_calls(monkeypatch, ["parse_F"], (collection_module, windows_module))
+    in_collection = count_calls(monkeypatch, ["parse_F"])
+    in_windows = count_calls(monkeypatch, ["parse_F"], (windows_module,))
+    mutant = apply_mutation(build_Gn(8), text)
     assert not verify_exceptional(mutant).ok
     assert not verify_stability(mutant).ok
     try:
-        verify_generation(4, mutant)
+        verify_generation(8, mutant)
     except (KoszulEscape, WindowViolation):
         pass
+    assert in_collection == []
     members = {id(m) for m in mutant.members}
-    parsed = Counter(id(args[0]) for args in calls if id(args[0]) in members)
-    assert parsed == Counter(members)
+    assert not [args for args in in_windows if id(args[0]) in members]
 
 
 def test_intact_checks_make_no_member(monkeypatch):
@@ -615,12 +646,54 @@ def mutation_sequences(draw):
     return texts
 
 
+def flat_mutation(n, entries, text):
+    """Reference: the mutation on a flat list of (block, member) entries."""
+    kind, _, arg = text.partition(":")
+    entries = list(entries)
+    if kind == "drop":
+        del entries[int(arg)]
+    elif kind == "add":
+        c_text, _, j_text = arg.partition(",")
+        member = make_F(n, int(c_text), [int(x) for x in j_text.split("-") if x != ""])
+        entries.insert(sum(block == 0 for block, _ in entries), (0, member))
+    else:
+        i, j = map(int, arg.split(","))
+        (bi, mi), (bj, mj) = entries[i], entries[j]
+        entries[i], entries[j] = (bi, mj), (bj, mi)
+    return entries
+
+
+def assert_views_match_flat(col, ells, entries):
+    """Every view of col against a flat list of (block, member) entries."""
+    assert col.size == len(entries)
+    assert col.members == tuple(m for _, m in entries)
+    for p, (block, m) in enumerate(entries):
+        parsed = parse_F(m)
+        assert col.at[p] == (block, parsed)
+        assert (col.member(p), col.parsed[p], col.block_of[p]) == (m, parsed, block)
+    assert col.shape == tuple((ell, sum(block == bi for block, _ in entries))
+                              for bi, ell in enumerate(ells))
+    if all(parse_F(m) for _, m in entries):
+        assert labeled_blocks(col) == [
+            (ell, [(parse_F(m)[0], sorted(parse_F(m)[1])) for block, m in entries
+                   if block == bi]) for bi, ell in enumerate(ells)]
+    else:
+        with pytest.raises(ValueError):
+            labeled_blocks(col)
+
+
 @settings(max_examples=25, deadline=None)
-@given(texts=mutation_sequences())
-def test_mutation_sequences_match_flat_references(texts):
-    col = build_Gn(4)
+@given(texts=mutation_sequences(), stranger=st.booleans())
+@example(texts=["swap:2,9", "add:1,0-1", "drop:0"], stranger=True)
+def test_mutation_sequences_match_flat_references(texts, stranger):
+    col = with_stranger(build_Gn(4)) if stranger else build_Gn(4)
+    ells = [block.ell for block in col.blocks]
+    entries = [(bi, m) for bi, block in enumerate(col.blocks) for m in block.members]
     for text in texts:
         col = apply_mutation(col, text)
+        entries = flat_mutation(4, entries, text)
+    assert col.cells == Collection(4, col.blocks).cells
+    assert_views_match_flat(col, ells, entries)
     pairs = all_pairs(col)
     for method in ("inequalities", "oracle"):
         report = verify_exceptional(col, method)
@@ -862,3 +935,11 @@ def test_public_inputs_checked_without_assert(call):
     # a real check, not an assert: python -O must not strip it
     with pytest.raises(ValueError):
         call()
+
+
+def test_no_check_depends_on_assert():
+    # python -O strips every assert statement, so no module may rely on one
+    package = pathlib.Path(collection_module.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -343,3 +343,14 @@ def test_certificate_schema_guard():
     data["schema"] = "nope/1"
     with pytest.raises(ValueError):
         certificate_from_dict(data)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weight(4, [0, 0], make_F(4, 1, [0])),
+    lambda: koszul_components([1, 1], make_F(4, 1, [0])),
+    lambda: wall_record(4, [2, 2]),
+], ids=["weight", "koszul", "wall"])
+def test_repeated_wall_label_refused(call):
+    # a repeated label used to collapse into a set, as in make_F
+    with pytest.raises(ValueError, match="repeated label"):
+        call()

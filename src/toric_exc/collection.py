@@ -248,16 +248,6 @@ def _group(n: int, runs):
     return cells, strangers
 
 
-def covered_keys(n: int, cells, key) -> set:
-    """The keys key(cell), tuples ending in cell.ell, whose cells hold every ell-subset."""
-    covered = {key(cell) for cell in cells if cell.complete}
-    labels = {}
-    for cell in cells:
-        if not cell.complete:
-            labels.setdefault(key(cell), set()).update(cell.labels)
-    return covered | {k for k, js in labels.items() if len(js) == math.comb(n + 1, k[-1])}
-
-
 def expected_size(n: int) -> int:
     """Number of maximal cones, hence the rank of the Grothendieck group."""
     return math.factorial(n + 1) // math.factorial(n // 2) ** 2
@@ -436,10 +426,9 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                 failed = failed or not ok
             if failed:
                 results += walk(_pairs_between(sources, targets), False)
-        loose = sorted(strangers + tuple(
-            p for cell in cells if not cell.complete for p in cell.positions))
-        held = [p for cell in cells if cell.complete
-                for p in cell.positions] if strangers else ()
+        complete, loose = _units(n, cells)
+        loose = sorted(strangers + tuple(p for unit in loose for p in unit.positions))
+        held = [p for unit in complete for p in unit.positions] if strangers else ()
         walked = [*_pairs_between(loose, loose), *_pairs_between(strangers, held),
                   *_pairs_between(held, strangers)]
         if walked:
@@ -463,21 +452,43 @@ def _pairs_between(sources, targets):
 def _counted_groups(n, cells):
     """Every pair with a complete cell on one side, counted in closed form.
 
-    Yields (sources, targets, terms): one group for each complete cell or
-    loose member (of an incomplete cell) as the source and complete cell
-    as the target, and one for each complete cell as the source and loose
-    member as the target. Each term is (key, count): a key (family,
-    need_all) and how many pairs of the group have it.
+    Yields (sources, targets, terms): one group for each complete unit or
+    loose member (_units) as the source and complete unit as the target,
+    and one for each complete unit as the source and loose member as the
+    target. Each term is (key, count): a key (family, need_all) and how
+    many pairs of the group have it.
     """
-    complete = [cell for cell in cells if cell.complete]
-    loose = [cell._replace(positions=range(p, p + 1), labels=(j,)) for cell in cells
-             if not cell.complete for p, j in zip(cell.positions, cell.labels)]
+    complete, loose = _units(n, cells)
     for unit in complete + loose:
         for cell in complete:
             yield unit.positions, cell.positions, _terms(n, unit, cell, outgoing=True)
     for unit in loose:
         for cell in complete:
             yield cell.positions, unit.positions, _terms(n, unit, cell, outgoing=False)
+
+
+def _units(n, cells):
+    """The complete and the loose one-member units of the counted sweep.
+
+    A complete cell is a unit. The incomplete cells of one (block, c, ell)
+    that hold every ell-subset once between them, as the two parts of a
+    cell that a swap inside its block cuts, are one unit, its positions a
+    list; the members of every other incomplete cell are loose.
+    """
+    complete = [cell for cell in cells if cell.complete]
+    keyed, loose = {}, []
+    for cell in cells:
+        if not cell.complete:
+            keyed.setdefault((cell.block, cell.c, cell.ell), []).append(cell)
+    for (block, c, ell), parts in keyed.items():
+        positions = [p for part in parts for p in part.positions]
+        labels = [j for part in parts for j in part.labels]
+        if len(labels) == len(set(labels)) == math.comb(n + 1, ell):
+            complete.append(Cell(block, c, ell, positions, tuple(labels), True))
+        else:
+            loose += (Cell(block, c, ell, range(p, p + 1), (j,), False)
+                      for p, j in zip(positions, labels))
+    return complete, loose
 
 
 def _terms(n, unit, cell, outgoing):
@@ -557,13 +568,15 @@ def verify_stability(collection: Collection) -> StabilityReport:
     Also pins the involution's closed form on each member: F_{c,J} must
     land on F_{|J|-c,J} exactly.
 
-    The cells decide first. `permute` sends F_{c,J} to F_{c,sigma J}, so a
-    cell whose J labels, as a set, are all the l-subsets of 0..n is
-    S_{n+1}-stable. `antipodal_involution` is S_{n+1}-equivariant, so when
-    it sends one representative F_{c,J} to F_{l-c,J}, it sends the (c, l)
-    cell onto the (l - c, l) cell, closed form included. A block of such
-    cells, each with its partner, and no member outside F_{c,J} is stable.
-    Any other collection runs the flat loop, which alone words failures.
+    The cells decide first. `permute` sends F_{c,J} to F_{c,sigma J}, so the
+    members of one (c, l) in a block are S_{n+1}-stable when they form a
+    complete unit (_units), more copies of its members aside.
+    `antipodal_involution` is S_{n+1}-equivariant, so when it sends one
+    representative F_{c,J} to F_{l-c,J}, it sends the (c, l) members onto
+    the (l - c, l) members, closed form included. A block whose every (c, l)
+    has a complete unit and a partner, with no member outside F_{c,J}, is
+    stable. Any other collection runs the flat loop, which alone words
+    failures.
     """
     n = collection.n
     if _stable_by_cells(collection):
@@ -590,7 +603,7 @@ def _stable_by_cells(collection: Collection) -> bool:
     n = collection.n
     cells, strangers = collection.cells
     keys = {(cell.block, cell.c, cell.ell) for cell in cells}
-    if strangers or covered_keys(n, cells, lambda cell: (cell.block, cell.c, cell.ell)) != keys:
+    if strangers or keys != {(unit.block, unit.c, unit.ell) for unit in _units(n, cells)[0]}:
         return False
     flip = (tuple(range(n + 1)), True)
     return all((block, ell - c, ell) in keys  # range(ell) is the least l-subset

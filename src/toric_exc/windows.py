@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .collection import Collection, build_Gn, covered_keys
+from .collection import Collection, build_Gn
 from .fan import Fan, build_Vn, circuit_relation
 from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F
@@ -231,7 +231,12 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
     cells, strangers = collection.cells
-    covered = covered_keys(n, cells, lambda cell: (cell.c, cell.ell))
+    covered = {(cell.c, cell.ell) for cell in cells if cell.complete}
+    labels = {}
+    for cell in cells:
+        if not cell.complete:
+            labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
+    covered.update(key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1]))
     # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
     shapes = {(-cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
               for cell in cells}

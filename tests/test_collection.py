@@ -510,6 +510,16 @@ def test_unmutated_dim8_sweep_walks_no_pair(monkeypatch):
     assert len(calls) < 10000
 
 
+def test_swap_inside_a_block_walks_no_pair(monkeypatch):
+    # positions 313 and 397 start the two cells of G_8's block 7: the swap
+    # cuts them, but the parts of each still hold every label once, so they
+    # are counted as whole cells and no pair is walked
+    calls = count_calls(monkeypatch, ["family_of_parsed"])
+    report = verify_exceptional(apply_mutation(build_Gn(8), "swap:313,397"))
+    assert report.ok and report.pairs_checked == 396270
+    assert calls == []
+
+
 def count_calls(monkeypatch, names, modules=(collection_module,)):
     calls = []
     for module in modules:

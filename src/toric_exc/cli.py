@@ -53,8 +53,8 @@ WHATS = ("exceptional", "stability", "cardinality", "generation", "walls")
 FORMATS = ("text", "json", "csv")
 DEFAULT_SAMPLE = 500
 # At n = 20 the checks on the intact G_n, and cardinality and exceptional on
-# a --mutate drop:0, take 0.1-0.3 s and under 25 MB. Making every member
-# (build, gram, certificate, --full-report) grows about 4x per step of 2:
+# a --mutate drop:0, take 0.1-0.35 s and under 25 MB. Making or listing every
+# member (build, gram, certificate) grows about 4x per step of 2:
 # 4.3 s and 300 MB at n = 18, so about 20 s and 1.3 GB at n = 20
 MAX_DIM = 20
 REPORT_SCHEMA = "toric-exc/report/1"

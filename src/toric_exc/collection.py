@@ -235,7 +235,7 @@ def _group(n: int, runs):
                 start += 1
             continue
         block, c, ell = key
-        parts = [labels for *_, labels in group]
+        parts = [run[3] for run in group]
         count = math.comb(n + 1, ell)
         labels = None if parts == [None] else tuple(
             j for part in parts for j in (part or _lexicographic(n, ell)))

@@ -81,7 +81,8 @@ class Collection:
 
     Collection(n, blocks) groups the parsed members, Collection(n, ells=...,
     runs=...) a stream of runs (_group). A stranger, a member outside F_{c,J}
-    or of another dimension, is held as position -> (block, member).
+    or of another dimension, is held as position -> (block, member). at maps
+    a position to (block index, (c, J) or None), read from its cell on first use.
     """
 
     def __init__(self, n: int, blocks=None, *, ells=(), runs=()):
@@ -93,6 +94,7 @@ class Collection:
         cells, self._strangers = _group(n, runs)
         self.cells = tuple(cells), tuple(self._strangers)
         self._starts = [cell.positions.start for cell in cells]
+        self.at = _ReadOnce(self._read)
 
     def __eq__(self, other):
         if not isinstance(other, Collection):
@@ -143,11 +145,6 @@ class Collection:
     def blocks(self) -> tuple[Block, ...]:
         members = iter(self.members)
         return tuple(Block(ell, tuple(islice(members, size))) for ell, size in self.shape)
-
-    @cached_property
-    def at(self):
-        """Flat position -> (block index, (c, J) or None), read from its cell on first use."""
-        return _ReadOnce(self._read)
 
     def member(self, p: int) -> DivisorClass:
         """The member at flat position p, made from the (c, J) that at reads."""
@@ -470,10 +467,9 @@ def _counted_groups(n, cells):
 def _units(n, cells):
     """The complete and the loose one-member units of the counted sweep.
 
-    A complete cell is a unit. The incomplete cells of one (block, c, ell)
-    that hold every ell-subset once between them, as the two parts of a
-    cell that a swap inside its block cuts, are one unit, its positions a
-    list; the members of every other incomplete cell are loose.
+    A complete cell is a unit, and so are the incomplete cells of one
+    (block, c, ell) that hold every ell-subset once between them (the parts
+    of a cell cut by a swap inside its block), with a list of positions.
     """
     complete = [cell for cell in cells if cell.complete]
     keyed, loose = {}, []

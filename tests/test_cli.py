@@ -424,7 +424,6 @@ def test_dim_20_check_is_fast_and_small(what):
     assert elapsed < 2.0
 
 
-
 MUTANT_16_LINES = {
     "cardinality": "cardinality FAILED: 218789 members, expected 218790",
     "exceptional": "members: 218789 (expected 218790)",
@@ -434,8 +433,8 @@ MUTANT_16_LINES = {
 @pytest.mark.parametrize("what", sorted(MUTANT_16_LINES))
 def test_dim_16_mutant_check_is_fast_and_small(what):
     # a mutation regroups the cells of G_16 and makes none of its 218,790
-    # members, so the check fits in 80 MB of address space; making them all
-    # took a peak of about 110 MB (cardinality) and 240 MB (exceptional)
+    # members, so the check fits in 80 MB of address space; making all of
+    # them peaks at about 110 MB (cardinality) and 240 MB (exceptional)
     cap = 80 << 20
 
     def limit():
@@ -450,6 +449,7 @@ def test_dim_16_mutant_check_is_fast_and_small(what):
     assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
     assert MUTANT_16_LINES[what] in proc.stdout.splitlines()
     assert elapsed < 2.0
+
 
 def test_internal_error_exits_3(capsys, monkeypatch):
     # the sum-zero count used to overflow here; an error inside any command

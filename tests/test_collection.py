@@ -458,7 +458,7 @@ def test_sampled_oracle_sweep_parses_no_member(monkeypatch):
 @pytest.mark.parametrize("text", ["drop:0", "add:1,0-1", "swap:0,29"])
 def test_checks_on_a_mutant_parse_each_member_once(monkeypatch, text):
     # the mutant is regrouped from G_8's cells, so neither the mutation nor
-    # the checks parse a member (each member used to be parsed once)
+    # the checks parse a member
     windows_module = importlib.import_module("toric_exc.windows")
     in_collection = count_calls(monkeypatch, ["parse_F"])
     in_windows = count_calls(monkeypatch, ["parse_F"], (windows_module,))

@@ -351,6 +351,6 @@ def test_certificate_schema_guard():
     lambda: wall_record(4, [2, 2]),
 ], ids=["weight", "koszul", "wall"])
 def test_repeated_wall_label_refused(call):
-    # a repeated label used to collapse into a set, as in make_F
+    # a repeated label is malformed input, as in make_F, not a smaller set
     with pytest.raises(ValueError, match="repeated label"):
         call()

@@ -5,7 +5,6 @@ import importlib
 import math
 import pathlib
 import random
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -398,15 +397,15 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
 
 def test_views_agree_with_a_collection_that_holds_its_members():
     for n in (2, 4, 6):
-        col, given = build_Gn(n), Collection(n, build_Gn(n).blocks)
+        col, grouped = build_Gn(n), Collection(n, build_Gn(n).blocks)
         for p in range(col.size):
-            assert col.at[p] == given.at[p]
-            assert col.member(p) == given.member(p)
-        assert col.size == given.size == expected_size(n)
-        assert col.shape == given.shape
-        assert col.block_of == given.block_of and col.parsed == given.parsed
+            assert col.at[p] == grouped.at[p]
+            assert col.member(p) == grouped.member(p)
+        assert col.size == grouped.size == expected_size(n)
+        assert col.shape == grouped.shape
+        assert col.block_of == grouped.block_of and col.parsed == grouped.parsed
         assert "blocks" not in vars(col)
-        assert col == given
+        assert col == grouped
 
 
 def count_made(monkeypatch):

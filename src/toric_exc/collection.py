@@ -290,7 +290,7 @@ class Cell(NamedTuple):
     block: int
     c: int
     ell: int
-    positions: range  # flat positions
+    positions: range  # flat positions (a list in a joined unit of _units)
     labels: tuple[frozenset, ...] | None  # the J of each position
     complete: bool  # labels are the ell-subsets of 0..n, each once
 

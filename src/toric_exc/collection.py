@@ -117,20 +117,6 @@ class Collection:
         return sum(size for _, size in self.shape)
 
     @cached_property
-    def block_of(self) -> tuple[int, ...]:
-        """Flat index -> block index."""
-        return tuple(bi for bi, (_, size) in enumerate(self.shape) for _ in range(size))
-
-    @cached_property
-    def parsed(self) -> tuple:
-        """Flat index -> (c, J) of F_{c,J}, or None for a member outside it."""
-        parsed = [None] * self.size
-        for cell in self.cells[0]:
-            parsed[cell.positions.start:cell.positions.stop] = (
-                (cell.c, j) for j in cell.labels or _lexicographic(self.n, cell.ell))
-        return tuple(parsed)
-
-    @cached_property
     def members(self) -> tuple[DivisorClass, ...]:
         members = [None] * self.size
         for cell in self.cells[0]:
@@ -564,47 +550,52 @@ def verify_stability(collection: Collection) -> StabilityReport:
     Also pins the involution's closed form on each member: F_{c,J} must
     land on F_{|J|-c,J} exactly.
 
-    The cells decide first. `permute` sends F_{c,J} to F_{c,sigma J}, so the
-    members of one (c, l) in a block are S_{n+1}-stable when they form a
-    complete unit (_units), more copies of its members aside.
-    `antipodal_involution` is S_{n+1}-equivariant, so when it sends one
-    representative F_{c,J} to F_{l-c,J}, it sends the (c, l) members onto
-    the (l - c, l) members, closed form included. A block whose every (c, l)
-    has a complete unit and a partner, with no member outside F_{c,J}, is
-    stable. Any other collection runs the flat loop, which alone words
-    failures.
+    Decided on the J sets of each (c, l) in a block, a set holding every
+    l-subset being "all". (perm, flip) sends F_{c,J} to F_{c',perm J}, c'
+    being l - c under the involution and c otherwise, so it keeps a block
+    when it maps each (c, l) set onto the (c', l) set and the members outside
+    F_{c,J} onto themselves; those are acted on one by one, and one of
+    another dimension raises ValueError. The involution is
+    S_{n+1}-equivariant, so its closed form is checked once per (c, l).
     """
     n = collection.n
-    if _stable_by_cells(collection):
-        return StabilityReport(n, True, ())
+    cells, strangers = collection.cells
+    flip = (tuple(range(n + 1)), True)
+    closed = {(c, ell): act(flip, make_F(n, c, range(ell))) == make_F(n, ell - c, range(ell))
+              for c, ell in {(cell.c, cell.ell) for cell in cells}}
+    labels = [{} for _ in collection.ells]  # per block: (c, l) -> J set, None for all
+    for cell in cells:
+        found = labels[cell.block].setdefault((cell.c, cell.ell), set())
+        if found is not None:
+            found.update(cell.labels or ())
+            if cell.complete or len(found) == math.comb(n + 1, cell.ell):
+                labels[cell.block][cell.c, cell.ell] = None
+    strange = [[m for b, m in collection._strangers.values() if b == bi]
+               for bi in range(len(labels))]
+    # a permutation keeps a block of "all" sets and no stranger: decided once
+    whole = [not members and all(found is None for found in sets.values())
+             for sets, members in zip(labels, strange)]
     failures = []
-    for gi, g in enumerate(group_generators(n)):
-        for bi, block in enumerate(collection.blocks):
-            image = {act(g, m) for m in block.members}
-            if image != set(block.members):
+    for gi, (perm, flipped) in enumerate(group_generators(n)):
+        for bi, (sets, members) in enumerate(zip(labels, strange)):
+            if (flipped or not whole[bi]) and (
+                    {act((perm, flipped), m) for m in members} != set(members)
+                    or not _keeps(perm, flipped, sets)):
                 failures.append(f"generator {gi} moves block {bi} off itself")
-    for m, parsed in zip(collection.members, collection.parsed):
-        if parsed is None:
-            failures.append(f"member {m.coeffs} outside the F_{{c,J}} family")
-            continue
-        c, j = parsed
-        flipped = act((tuple(range(n + 1)), True), m)
-        if flipped != make_F(n, len(j) - c, j):
-            failures.append(f"involution breaks closed form on {m.coeffs}")
+    broken = [p for cell in cells if not closed[cell.c, cell.ell] for p in cell.positions]
+    for p in sorted(strangers + tuple(broken)):  # only these members are made
+        m = collection.member(p)
+        failures.append(f"member {m.coeffs} outside the F_{{c,J}} family"
+                        if collection.at[p][1] is None
+                        else f"involution breaks closed form on {m.coeffs}")
     return StabilityReport(n, not failures, tuple(failures))
 
 
-def _stable_by_cells(collection: Collection) -> bool:
-    """Whether the cells alone prove the collection stable (verify_stability)."""
-    n = collection.n
-    cells, strangers = collection.cells
-    keys = {(cell.block, cell.c, cell.ell) for cell in cells}
-    if strangers or keys != {(unit.block, unit.c, unit.ell) for unit in _units(n, cells)[0]}:
-        return False
-    flip = (tuple(range(n + 1)), True)
-    return all((block, ell - c, ell) in keys  # range(ell) is the least l-subset
-               and act(flip, make_F(n, c, range(ell))) == make_F(n, ell - c, range(ell))
-               for block, c, ell in keys)
+def _keeps(perm, flipped, sets):
+    """Whether (perm, flipped) maps each (c, l) J set of a block onto its image's set."""
+    return all(sets.get((ell - c if flipped else c, ell), ()) == (
+        None if found is None else {frozenset(perm[x] for x in j) for j in found})
+        for (c, ell), found in sets.items())
 
 
 # -- numerics -------------------------------------------------------------------
@@ -618,18 +609,18 @@ def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
     a member outside F_{c,J} is computed on its own.
     """
     fan = build_Vn(collection.n)
-    members, parsed = collection.members, collection.parsed
+    at, member = collection.at, collection.member
     by_family = {}
 
     def entry(i, j):
-        family = family_of_parsed(parsed[j], parsed[i])
+        family = family_of_parsed(at[j][1], at[i][1])
         if family is None:
-            return euler_pairing(fan, members[i], members[j])
+            return euler_pairing(fan, member(i), member(j))
         if family not in by_family:
-            by_family[family] = euler_pairing(fan, members[i], members[j])
+            by_family[family] = euler_pairing(fan, member(i), member(j))
         return by_family[family]
 
-    indices = range(len(members))
+    indices = range(collection.size)
     return tuple(tuple(entry(i, j) for j in indices) for i in indices)
 
 
@@ -699,11 +690,14 @@ def labeled_blocks(collection: Collection) -> list:
 
     A member outside F_{c,J} raises ValueError.
     """
+    cells, strangers = collection.cells
+    if strangers:
+        raise ValueError(f"member {collection.member(strangers[0]).coeffs} "
+                         "is not an F_{c,J} class")
     rows = [[] for _ in collection.ells]
-    for p, (block, parsed) in enumerate(zip(collection.block_of, collection.parsed)):
-        if parsed is None:
-            raise ValueError(f"member {collection.member(p).coeffs} is not an F_{{c,J}} class")
-        rows[block].append((parsed[0], sorted(parsed[1])))
+    for cell in cells:
+        rows[cell.block] += ((cell.c, sorted(j))
+                             for j in cell.labels or _lexicographic(collection.n, cell.ell))
     return list(zip(collection.ells, rows))
 
 
@@ -713,10 +707,18 @@ def collection_to_dict(collection: Collection) -> dict:
     return {"schema": COLLECTION_SCHEMA, "n": collection.n, "blocks": blocks}
 
 
+def int_field(data: dict, key: str) -> int:
+    """data[key], which must be an int; anything else, a bool too, raises ValueError."""
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def collection_from_dict(data: dict) -> Collection:
     if data.get("schema") != COLLECTION_SCHEMA:
         raise ValueError(f"expected schema {COLLECTION_SCHEMA}")
-    n = int(data["n"])
-    runs = [(bi, int(m["c"]), len(j), (j,)) for bi, block in enumerate(data["blocks"])
+    n = int_field(data, "n")
+    runs = [(bi, int_field(m, "c"), len(j), (j,)) for bi, block in enumerate(data["blocks"])
             for m in block["members"] for j in [label_set(n, m["J"])]]
-    return Collection(n, ells=[int(block["ell"]) for block in data["blocks"]], runs=runs)
+    return Collection(n, ells=[int_field(block, "ell") for block in data["blocks"]], runs=runs)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .collection import Collection, build_Gn
+from .collection import Collection, build_Gn, int_field
 from .fan import Fan, build_Vn, circuit_relation
 from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F
@@ -374,14 +374,14 @@ def certificate_to_dict(certificate: Certificate) -> dict:
 def certificate_from_dict(data: dict) -> Certificate:
     if data.get("schema") != CERTIFICATE_SCHEMA:
         raise ValueError(f"expected schema {CERTIFICATE_SCHEMA}")
-    n = int(data["n"])
+    n = int_field(data, "n")
     walls = []
     for wall in data["walls"]:
         pieces = tuple(
-            WallPiece(int(p["a"]), int(p["w"]), p["branch"], tuple(
-                make_F(n, int(comp["c"]), comp["J"])
+            WallPiece(int_field(p, "a"), int_field(p, "w"), p["branch"], tuple(
+                make_F(n, int_field(comp, "c"), comp["J"])
                 for comp in p["components"]))
             for p in wall["pieces"])
         walls.append(WallRecord(frozenset(wall["J"]), tuple(wall["window"]),
                                 tuple(wall["wall_range"]), pieces))
-    return Certificate(n, int(data["d"]), tuple(walls), data["base_case"])
+    return Certificate(n, int_field(data, "d"), tuple(walls), data["base_case"])

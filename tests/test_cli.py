@@ -427,6 +427,7 @@ def test_dim_20_check_is_fast_and_small(what):
 MUTANT_16_LINES = {
     "cardinality": "cardinality FAILED: 218789 members, expected 218790",
     "exceptional": "members: 218789 (expected 218790)",
+    "stability": "stability 1 stability failures, first: generator 0 moves block 0 off itself",
 }
 
 
@@ -434,7 +435,8 @@ MUTANT_16_LINES = {
 def test_dim_16_mutant_check_is_fast_and_small(what):
     # a mutation regroups the cells of G_16 and makes none of its 218,790
     # members, so the check fits in 80 MB of address space; making all of
-    # them peaks at about 110 MB (cardinality) and 240 MB (exceptional)
+    # them peaks at about 110 MB (cardinality) and 240 MB (exceptional), and
+    # acting on each of them took about a minute (stability)
     cap = 80 << 20
 
     def limit():

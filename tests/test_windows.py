@@ -345,6 +345,23 @@ def test_certificate_schema_guard():
         certificate_from_dict(data)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("n",), 2.9), (("d",), True), (("d",), "1"),
+    (("walls", 0, "pieces", 0, "a"), -0.5), (("walls", 0, "pieces", 0, "w"), 1.0),
+    (("walls", 0, "pieces", 0, "components", 0, "c"), 2.4),
+])
+def test_certificate_loader_refuses_non_integers(path, value):
+    # int() would truncate -0.5 to 0 and read True as 1
+    data = certificate_to_dict(build_certificate(2))
+    *parents, key = path
+    field = data
+    for step in parents:
+        field = field[step]
+    field[key] = value
+    with pytest.raises(ValueError):
+        certificate_from_dict(data)
+
+
 @pytest.mark.parametrize("call", [
     lambda: weight(4, [0, 0], make_F(4, 1, [0])),
     lambda: koszul_components([1, 1], make_F(4, 1, [0])),

@@ -565,22 +565,26 @@ def verify_stability(collection: Collection) -> StabilityReport:
               for c, ell in {(cell.c, cell.ell) for cell in cells}}
     labels = [{} for _ in collection.ells]  # per block: (c, l) -> J set, None for all
     for cell in cells:
-        found = labels[cell.block].setdefault((cell.c, cell.ell), set())
-        if found is not None:
-            found.update(cell.labels or ())
-            if cell.complete or len(found) == math.comb(n + 1, cell.ell):
-                labels[cell.block][cell.c, cell.ell] = None
-    strange = [[m for b, m in collection._strangers.values() if b == bi]
-               for bi in range(len(labels))]
+        sets, key = labels[cell.block], (cell.c, cell.ell)
+        if cell.complete:
+            sets[key] = None
+        elif sets.get(key, ()) is not None:
+            found = sets.setdefault(key, set())
+            found.update(cell.labels)
+            if len(found) == math.comb(n + 1, cell.ell):
+                sets[key] = None
+    strange = [[] for _ in labels]
+    for block, m in collection._strangers.values():
+        strange[block].append(m)
     # a permutation keeps a block of "all" sets and no stranger: decided once
-    whole = [not members and all(found is None for found in sets.values())
-             for sets, members in zip(labels, strange)]
+    partial = [bi for bi, (sets, members) in enumerate(zip(labels, strange))
+               if members or any(found is not None for found in sets.values())]
     failures = []
     for gi, (perm, flipped) in enumerate(group_generators(n)):
-        for bi, (sets, members) in enumerate(zip(labels, strange)):
-            if (flipped or not whole[bi]) and (
-                    {act((perm, flipped), m) for m in members} != set(members)
-                    or not _keeps(perm, flipped, sets)):
+        for bi in range(len(labels)) if flipped else partial:
+            members = strange[bi]
+            if ({act((perm, flipped), m) for m in members} != set(members)
+                    or not _keeps(perm, flipped, labels[bi])):
                 failures.append(f"generator {gi} moves block {bi} off itself")
     broken = [p for cell in cells if not closed[cell.c, cell.ell] for p in cell.positions]
     for p in sorted(strangers + tuple(broken)):  # only these members are made

@@ -30,6 +30,7 @@ BUDGET_S = 60
 LAYERS = (
     [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
      for n in (8, 10, 12, 14)]
+    + [(f"sweep.{method}", 16) for method in ("forbidden", "oracle")]
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]

@@ -20,11 +20,13 @@ so the loop is polynomial in n where a walk over slot assignments takes
 up to 3^(n+1) steps.
 
 That walk, `_visible_classes`, serves both the engine here and the
-forbidden-cone certificates in `cones`. It runs its filters cheapest
-first: the one-sided filter (a set that is not a union of primitive
-collections has a cone point), then the closed test on the summed slot
-bounds, and only then the pattern homology table, so a Smith form runs
-only for a class that has characters.
+forbidden-cone certificates in `cones`. It enters only the choices of
+state counts that can still pass the one-sided filter (a set that is not
+a union of primitive collections has a cone point) and the closed test
+on the summed slot bounds, bounding each group's counts by what the
+groups after it can still reach. Only a class that passes both reads the
+pattern homology table, so a Smith form runs only for a class that has
+characters.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 from .fan import Fan, complex_CI, require_Vn
@@ -200,13 +202,13 @@ def _sum_bounds(ends):
 def _group_options(states, size: int, base: int):
     """Ways to spread `size` slots with the same viable states over them.
 
-    Each option is (weight, key, bounds, lo, hi): the weight is the number
-    of slot assignments with these state counts, key holds the numbers of
-    pair, plus and minus slots as three digits in base `base`, bounds
-    holds one (lo, hi) per slot, and lo and hi are their summed ends. The
-    options are cached, so they are tuples throughout.
+    Maps (plus slots, minus slots) to (weight, key, bounds, lo, hi): the
+    weight is the number of slot assignments with these state counts, key
+    holds the numbers of pair, plus and minus slots as three digits in
+    base `base`, bounds holds one (lo, hi) per slot, and lo and hi are
+    their summed ends. The options are cached, so they are tuples.
     """
-    options = []
+    options = {}
     for chosen in combinations_with_replacement(states, size):
         tally = Counter(state for state, _, _ in chosen)
         weight = factorial(size)
@@ -214,44 +216,109 @@ def _group_options(states, size: int, base: int):
             weight //= factorial(k)
         key = (tally[_PAIR] * base + tally[_PLUS]) * base + tally[_MINUS]
         bounds = tuple((lo, hi) for _, lo, hi in chosen)
-        options.append((weight, key, bounds,
-                        _sum_bounds([lo for lo, _ in bounds]),
-                        _sum_bounds([hi for _, hi in bounds])))
-    return tuple(options)
+        options[tally[_PLUS], tally[_MINUS]] = (
+            weight, key, bounds,
+            _sum_bounds([lo for lo, _ in bounds]),
+            _sum_bounds([hi for _, hi in bounds]))
+    return options
 
 
 def _visible_classes(n: int, coeffs, higher_only: bool = False):
     """Pattern classes of O(coeffs) on V_n with characters and homology.
 
-    One combination of per-group state counts is one pattern class. The
-    closed test holds exactly when the class has a character, because
-    every slot interval is non-empty with integer ends. Yields (pairs,
-    nplus, nminus, ranks, torsion, combo) for each class with non-zero
-    ranks, combo holding the chosen _group_options entries; higher_only
-    skips the empty class.
+    One choice of per-group state counts is one pattern class. The closed
+    test holds exactly when the class has a character, because every slot
+    interval is non-empty with integer ends. Yields (pairs, nplus, nminus,
+    ranks, torsion, combo) for each class with non-zero ranks, combo
+    holding the chosen _group_options entries; higher_only skips the
+    empty class.
+
+    The walk enters only choices that can still pass the one-sided filter
+    (a used side needs pairs + its slots >= n/2 + 1, or the set is not a
+    union of primitive collections and has a cone point) and the closed
+    test. That test splits by the open sides, plus slots opening the lo
+    sum and minus slots the hi sum: with no minus slot the summed hi ends
+    must reach 0, with no plus slot the summed lo ends must stay at most
+    0, and with both it holds. In a group with a third state (neither or
+    pair), a plus slot's hi end is below the third state's and a minus
+    slot's lo end above it, so the hi sum is largest and the lo sum
+    smallest with every undecided slot in the third state. Walking the
+    four ways to open the sides one at a time, each group's plus count
+    then has a budget on a closed minus side, and its minus count one on
+    a closed plus side; the slots still undecided bound what each open
+    side can reach. A group with only the plus and minus states has no
+    third state: its slots all go to the open sides.
     """
     half = n + 1
     need = n // 2 + 1
     # no slot count reaches the base, so the keys of a combination add
     # digit by digit and one sum gives its pattern class
     base = half + 1
-    options = [_group_options(_slot_states(ap, am), size, base)
-               for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items()]
-    for combo in product(*options):
-        _, keys, _, los, his = zip(*combo)
-        key = sum(keys)
-        if higher_only and not key:
-            continue
-        pairs, rest = divmod(key, base * base)
-        nplus, nminus = divmod(rest, base)
-        # not a union of primitive collections: a cone point, no homology
-        if nplus and pairs + nplus < need or nminus and pairs + nminus < need:
-            continue
-        if not _meets(_sum_bounds(los), _sum_bounds(his)):
-            continue
-        ranks, torsion = _pattern_homology(n, pairs, nplus, nminus)
-        if any(ranks):
-            yield pairs, nplus, nminus, ranks, torsion, combo
+    groups = []
+    top = bottom = pair_slots = 0
+    for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
+        states = _slot_states(ap, am)
+        third = plus_cost = minus_cost = pair_third = 0
+        for state, lo, hi in states:
+            if state == _PLUS:
+                plus_hi = hi
+            elif state == _MINUS:
+                minus_lo = lo
+            else:
+                third, pair_third = (lo, hi), state == _PAIR
+        if third:
+            plus_cost, minus_cost = third[1] - plus_hi, minus_lo - third[0]
+        else:
+            # only plus and minus: each slot takes one of them, at no cost
+            third = minus_lo, plus_hi
+        top += size * third[1]
+        bottom += size * third[0]
+        pair_slots += size * pair_third
+        groups.append((size, _group_options(states, size, base),
+                       plus_cost, minus_cost, pair_third))
+    last = len(groups) - 1
+
+    # need_plus and need_minus are `need` for an open side and 0 for a
+    # closed one; left and left_both count the slots from group g on, the
+    # second with a pair-capable slot twice, as it adds to both sides
+    def walk(g, need_plus, need_minus, hi_room, lo_room, pairs, nplus, nminus,
+             left, left_both, combo):
+        size, options, plus_cost, minus_cost, pair_third = groups[g]
+        left -= size
+        left_both -= size * (1 + pair_third)
+        top_p = size if need_plus else 0
+        if plus_cost and not need_minus and hi_room < top_p * plus_cost:
+            top_p = hi_room // plus_cost
+        for p in range(top_p + 1):
+            if not plus_cost:
+                low_m = size - p
+                top_m = low_m if need_minus else 0
+            else:
+                low_m, top_m = 0, size - p if need_minus else 0
+                if not need_plus and lo_room < top_m * minus_cost:
+                    top_m = lo_room // minus_cost
+            for m in range(low_m, top_m + 1):
+                paired = pairs + (size - p - m if pair_third else 0)
+                up, down = nplus + p, nminus + m
+                if paired + up + left < need_plus or paired + down + left < need_minus \
+                        or 2 * paired + up + down + left_both < need_plus + need_minus:
+                    continue
+                chosen = combo + (options[p, m],)
+                if g < last:
+                    yield from walk(g + 1, need_plus, need_minus, hi_room - p * plus_cost,
+                                    lo_room - m * minus_cost, paired, up, down,
+                                    left, left_both, chosen)
+                elif (up or not need_plus) and (down or not need_minus) \
+                        and (paired or up or down or not higher_only):
+                    ranks, torsion = _pattern_homology(n, paired, up, down)
+                    if any(ranks):
+                        yield paired, up, down, ranks, torsion, chosen
+
+    for need_plus, need_minus in ((0, 0), (need, 0), (0, need), (need, need)):
+        if (need_minus or top >= 0) and (need_plus or bottom <= 0) \
+                and half + pair_slots >= need_plus + need_minus:
+            yield from walk(0, need_plus, need_minus, top, -bottom, 0, 0, 0,
+                            half, half + pair_slots, ())
 
 
 def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:

@@ -596,10 +596,19 @@ def verify_stability(collection: Collection) -> StabilityReport:
 
 
 def _keeps(perm, flipped, sets):
-    """Whether (perm, flipped) maps each (c, l) J set of a block onto its image's set."""
-    return all(sets.get((ell - c if flipped else c, ell), ()) == (
-        None if found is None else {frozenset(perm[x] for x in j) for j in found})
-        for (c, ell), found in sets.items())
+    """Whether (perm, flipped) maps each (c, l) J set of a block onto its image's set.
+
+    The generators are the involution, whose perm is the identity, so it must
+    find each set unchanged at (l - c, l), and the transpositions (i, i+1),
+    which move only the J holding exactly one of i and i+1: a set is kept
+    when it holds the swap of each of those.
+    """
+    if flipped:
+        return all(sets.get((ell - c, ell), ()) == found for (c, ell), found in sets.items())
+    i, k = (x for x, y in enumerate(perm) if x != y)
+    swap = frozenset((i, k))
+    return all(found is None or all(j ^ swap in found for j in found if (i in j) != (k in j))
+               for found in sets.values())
 
 
 # -- numerics -------------------------------------------------------------------
@@ -711,11 +720,23 @@ def collection_to_dict(collection: Collection) -> dict:
     return {"schema": COLLECTION_SCHEMA, "n": collection.n, "blocks": blocks}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def int_field(data: dict, key: str) -> int:
     """data[key], which must be an int; anything else, a bool too, raises ValueError."""
     value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def int_list(data: dict, key: str) -> list[int]:
+    """data[key], which must be a list of ints; a float or bool in it raises ValueError."""
+    value = data[key]
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise ValueError(f"{key!r} must be a list of integers, got {value!r}")
     return value
 
 
@@ -724,5 +745,5 @@ def collection_from_dict(data: dict) -> Collection:
         raise ValueError(f"expected schema {COLLECTION_SCHEMA}")
     n = int_field(data, "n")
     runs = [(bi, int_field(m, "c"), len(j), (j,)) for bi, block in enumerate(data["blocks"])
-            for m in block["members"] for j in [label_set(n, m["J"])]]
+            for m in block["members"] for j in [label_set(n, int_list(m, "J"))]]
     return Collection(n, ells=[int_field(block, "ell") for block in data["blocks"]], runs=runs)

@@ -18,11 +18,12 @@ values is the one `cohomology._slot_states` gives for that state, so
 the region is non-empty exactly when no slot's state is infeasible and
 the summed interval ends admit zero. The certificates run the same
 slot-class walk as the cohomology engine,
-`cohomology._visible_classes`: per coefficient group it enumerates how
-many slots take each state, drops the empty class for the higher
-certificate, then classes that are not unions of primitive collections,
-then classes whose closed region is empty, and only then reads a
-class's homology. A divisor is certified when the walk yields nothing.
+`cohomology._visible_classes`: per coefficient group it chooses how
+many slots take each state, enters only choices whose class can still
+be a union of primitive collections with a non-empty closed region
+(the higher certificate also skips the empty class), and reads the
+homology of only the classes that pass. A divisor is certified when
+the walk yields nothing.
 `enumerate_forbidden`, `in_forbidden_cone` and `forbidden_witness` walk
 the ray sets one by one; they name the cone that is hit and serve as
 the reference the certificates are tested against. Other fans, and the

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .collection import Collection, build_Gn, int_field
+from .collection import Collection, build_Gn, int_field, int_list
 from .fan import Fan, build_Vn, circuit_relation
 from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F
@@ -379,9 +379,10 @@ def certificate_from_dict(data: dict) -> Certificate:
     for wall in data["walls"]:
         pieces = tuple(
             WallPiece(int_field(p, "a"), int_field(p, "w"), p["branch"], tuple(
-                make_F(n, int_field(comp, "c"), comp["J"])
+                make_F(n, int_field(comp, "c"), int_list(comp, "J"))
                 for comp in p["components"]))
             for p in wall["pieces"])
-        walls.append(WallRecord(frozenset(wall["J"]), tuple(wall["window"]),
-                                tuple(wall["wall_range"]), pieces))
+        walls.append(WallRecord(label_set(n, int_list(wall, "J")),
+                                tuple(int_list(wall, "window")),
+                                tuple(int_list(wall, "wall_range")), pieces))
     return Certificate(n, int_field(data, "d"), tuple(walls), data["base_case"])

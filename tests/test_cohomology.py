@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -325,6 +326,88 @@ def test_engine_matches_per_slot_random_vectors(n, data):
     assert outcome(cohomology, fan, coeffs) == outcome(
         per_slot_reference, fan, coeffs
     )
+
+
+# -- the bounded class walk against the full product of group options ---------
+
+
+def product_walk_reference(n, coeffs, higher_only=False):
+    """The walk before bounding: every combination of group options, then the filters."""
+    half = n + 1
+    need = n // 2 + 1
+    base = half + 1
+    options = [coh._group_options(coh._slot_states(ap, am), size, base).values()
+               for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items()]
+    for combo in product(*options):
+        _, keys, _, los, his = zip(*combo)
+        key = sum(keys)
+        if higher_only and not key:
+            continue
+        pairs, rest = divmod(key, base * base)
+        nplus, nminus = divmod(rest, base)
+        if nplus and pairs + nplus < need or nminus and pairs + nminus < need:
+            continue
+        if not coh._meets(coh._sum_bounds(los), coh._sum_bounds(his)):
+            continue
+        ranks, torsion = coh._pattern_homology(n, pairs, nplus, nminus)
+        if any(ranks):
+            yield pairs, nplus, nminus, ranks, torsion, combo
+
+
+def assert_walks_agree(n, coeffs):
+    for higher_only in (False, True):
+        walked = Counter(coh._visible_classes(n, coeffs, higher_only))
+        assert walked == Counter(product_walk_reference(n, coeffs, higher_only)), \
+            (coeffs, higher_only)
+
+
+@pytest.mark.parametrize("n, count", [(4, 300), (6, 200), (8, 150), (10, 40)])
+def test_walk_matches_product_walk_on_Gn_differences(n, count):
+    members = build_Gn(n).members
+    rng = random.Random(n)
+    for _ in range(count):
+        i, j = rng.sample(range(len(members)), 2)
+        assert_walks_agree(n, ray_coefficients(n, members[j] - members[i]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_walk_matches_product_walk_random_vectors(n, data):
+    coeffs = data.draw(st.tuples(*(st.integers(-4, 4) for _ in range(2 * n + 2))))
+    assert_walks_agree(n, coeffs)
+
+
+def test_walk_matches_product_walk_with_two_state_groups():
+    # a_minus = -a_plus - 1 leaves a slot only its plus and minus states
+    n = 4
+    assert [state for state, _, _ in coh._slot_states(2, -3)] == [coh._PLUS, coh._MINUS]
+    for coeffs in [(2, 2, 0, 0, 1, -3, -3, 0, 0, -2),
+                   (2, -3, 2, 3, -3, -3, -3, -3, -4, 0),
+                   (-2, 1, 1, -2, -1, 0, -3, 3, 1, -2),
+                   (0, 0, -1, -1, -1, -1, -1, 0, 0, 0)]:
+        assert_walks_agree(n, coeffs)
+    # every slot two-state: only the all-minus class has homology
+    only = (2, 2, 2, 2, 2, -3, -3, -3, -3, -3)
+    assert_walks_agree(n, only)
+    assert [found[:3] for found in coh._visible_classes(n, only)] == [(0, 0, 5)]
+
+
+def test_oracle_sweep_G8_enters_few_group_options(monkeypatch):
+    # every option the walk takes from a group is one node it enters; the
+    # full product of the sweep's group options has 78,723 combinations
+    real = coh._group_options
+    entered = [0]
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            entered[0] += 1
+            return dict.__getitem__(self, key)
+
+    monkeypatch.setattr(coh, "_group_options", lambda *args: Counted(real(*args)))
+    report = verify_exceptional(build_Gn(8), "oracle")
+    assert report.ok and report.pairs_checked == 396_270
+    assert 0 < entered[0] <= 10_000
 
 
 def test_cohomology_rejects_divisor_class_on_other_fans():

@@ -936,9 +936,13 @@ def test_schema_guard():
     (("n",), 2.9), (("n",), "2"), (("blocks", 0, "ell"), True),
     (("blocks", 0, "ell"), 3.0), (("blocks", 0, "members", 0, "c"), 2.4),
     (("blocks", 0, "members", 0, "c"), False),
+    (("blocks", 1, "members", 0, "J"), [0.0, 1.0]),
+    (("blocks", 1, "members", 2, "J"), [True, 2]),
+    (("blocks", 1, "members", 1, "J"), "02"),
 ])
 def test_loader_refuses_non_integers(path, value):
-    # int() would truncate 2.9 to 2 and read True as 1
+    # int() would truncate 2.9 to 2 and read True as 1; labels are checked
+    # by value, so 1.0 and True would pass as 1
     data = collection_to_dict(build_Gn(2))
     *parents, key = path
     field = data

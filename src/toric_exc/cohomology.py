@@ -258,7 +258,7 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     top = bottom = pair_slots = 0
     for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
         states = _slot_states(ap, am)
-        third = plus_cost = minus_cost = pair_third = 0
+        third, pair_third = None, False
         for state, lo, hi in states:
             if state == _PLUS:
                 plus_hi = hi
@@ -266,11 +266,12 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
                 minus_lo = lo
             else:
                 third, pair_third = (lo, hi), state == _PAIR
-        if third:
-            plus_cost, minus_cost = third[1] - plus_hi, minus_lo - third[0]
+        if third is None:
+            # only plus and minus: with one side closed, every slot takes
+            # the other, so that state's end enters the sum at no cost
+            third, plus_cost, minus_cost = (minus_lo, plus_hi), 0, 0
         else:
-            # only plus and minus: each slot takes one of them, at no cost
-            third = minus_lo, plus_hi
+            plus_cost, minus_cost = third[1] - plus_hi, minus_lo - third[0]
         top += size * third[1]
         bottom += size * third[0]
         pair_slots += size * pair_third

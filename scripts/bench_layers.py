@@ -1,4 +1,5 @@
-"""Time G_n's construction, the pair sweeps, the checks and the n = 14, 16 and 20 commands.
+"""Time G_n's construction, the pair sweeps, the checks, the pattern homology
+table, cohomology on random classes and the n = 14, 16 and 20 commands.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -11,6 +12,10 @@ model, Python version) and the commit are recorded with the times. The output
 is one JSON object on stdout. Standard library only.
 
 The mutant layers run `verify --dim 16 --mutate drop:0`, which must exit 1.
+The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
+once, and each `cohomology.coeffs` call grades the next of five seeded
+coefficient vectors with entries in [-3, 3]. Both are timed cold: when
+the table function has a cache, it is cleared before each call.
 """
 
 from __future__ import annotations
@@ -40,14 +45,34 @@ LAYERS = (
     + [(f"verify.{what}", 20) for what in ("exceptional", "stability", "generation",
                                             "cardinality")]
     + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability")]
+    + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
 )
 
 WORKER = """\
-import contextlib, io, json, sys, time
+import contextlib, importlib, io, itertools, json, random, sys, time
 sys.path.insert(0, {src!r})
 from toric_exc import cli, collection, windows
+from toric_exc.fan import build_Vn
+coh = importlib.import_module("toric_exc.cohomology")
 name, n = {name!r}, {n}
-if name.startswith("sweep."):
+table = coh._pattern_homology
+clear = getattr(table, "cache_clear", lambda: None)
+if name == "pattern_table":
+    classes = [(p, a, b) for p in range(n + 2) for a in range(n + 2 - p)
+               for b in range(n + 2 - p - a)]
+    def call():
+        clear()
+        for cls in classes:
+            table(n, *cls)
+elif name == "cohomology.coeffs":
+    rng = random.Random(n)
+    fan = build_Vn(n)
+    vectors = itertools.cycle([tuple(rng.randint(-3, 3) for _ in range(2 * n + 2))
+                               for _ in range(5)])
+    def call():
+        clear()
+        coh.cohomology(fan, next(vectors))
+elif name.startswith("sweep."):
     col = collection.build_Gn(n)
     def call():
         if not collection.verify_exceptional(col, name[6:]).ok:

@@ -24,31 +24,22 @@ forbidden-cone certificates in `cones`. It enters only the choices of
 state counts that can still pass the one-sided filter (a set that is not
 a union of primitive collections has a cone point) and the closed test
 on the summed slot bounds, bounding each group's counts by what the
-groups after it can still reach. Only a class that passes both reads the
-pattern homology table, so a Smith form runs only for a class that has
-characters.
+groups after it can still reach. A class that passes both reads its
+homology from `_pattern_homology`, a closed form on the three slot
+counts; the Smith form on the induced complex that it replaces is the
+reference in `toric_exc.reference`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
-from .fan import Fan, complex_CI, require_Vn
+from .fan import Fan, require_Vn
 from .picard import DivisorClass, ray_coefficients
-from .simplicial import reduced_homology
-
-
-class TorsionEncountered(UserWarning):
-    """Integral homology of a contributing pattern has torsion."""
-
-
-class UnboundedRegionWithHomology(Exception):
-    """A character region is infinite but homologically visible."""
 
 
 @dataclass(frozen=True)
@@ -117,35 +108,69 @@ _NEITHER, _PLUS, _MINUS = 0, 1, 2
 _PAIR = _PLUS + _MINUS
 
 
-@lru_cache(maxsize=None)
-def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int):
-    """Contribution profile of the pattern class: (ranks by degree, torsion).
+def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int) -> tuple[int, ...]:
+    """Ranks of H^0..H^n fed by one character of the pattern class.
 
-    Swapping the two sides is a fan automorphism, so the key is normalized
-    with nplus <= nminus; slot permutations are automorphisms as well, so
-    a single representative subcomplex decides the whole class.
+    A character m feeds H^p with the reduced homology in degree p - 1 of
+    the subcomplex D_S of the fan induced on its ray set S. Swapping the
+    sides and permuting the slots are fan automorphisms, so the class
+    decides D_S. Normalize to plus <= minus and let h = n/2:
+
+    - a mixed class (plus >= 1 and minus >= 1) has no homology;
+    - (p, 0, 0) has rank 1 in H^p for p <= h and in H^(p-1) for p > h
+      (the empty class feeds H^0);
+    - (p, 0, b) with b >= 1 has rank C(b - 1, h - p) in H^h, which is 0
+      for p > h;
+
+    and no class has torsion. The proof reads the fan alone (a face is a
+    ray set with no antipodal pair and at most h rays on each side), never
+    the paper's inequalities, so the oracle stays independent of them.
+
+    Mixed classes. Put -1 on both rays of each pair slot of the class and
+    0 on every other ray. Then a pair or untouched slot takes z = 0, a
+    plus-only slot any z <= -1 and a minus-only slot any z >= 1, so the
+    class has a character, and moving one plus-only slot down by t and one
+    minus-only slot up by t keeps the sum at zero: it has infinitely many.
+    Over any field k each of them adds the reduced cohomology of D_S to
+    H^*(V_n, O(D)), which is finite because V_n is complete. So D_S has
+    no reduced homology over any field, hence none over Z.
+
+    One side, p <= h. Only minus rays are capped (there are at most p <= h
+    plus rays). Let K_c(p, b) be the complex on p pair slots and b
+    minus-only slots with at most c minus rays; the class is K_h(p, b).
+    Claim: for b >= 1 its reduced homology is free, lies in degree c - 1
+    only, and has rank C(b - 1, c - p). By induction on p:
+    - p = 0: K_c is the (c - 1)-skeleton of a simplex on b vertices (and
+      for c = 0, p >= 1 it is the simplex on the p plus rays).
+    - Link and deletion at the plus ray of one pair slot give K_c(p, b) as
+      the cofibre of K_c(p - 1, b) -> K_c(p - 1, b + 1): deleting the ray
+      leaves that slot's minus ray alone, and its link may not hold it.
+    - Link and deletion at that minus ray of K_c(p - 1, b + 1) give the
+      exact sequence 0 = H_(c-1)(K_(c-1)(p - 1, b)) -> H_(c-1)(K_c(p - 1, b))
+      -> H_(c-1)(K_c(p - 1, b + 1)) -> H_(c-2)(K_(c-1)(p - 1, b)) -> 0, so
+      the inclusion is injective on H_(c-1) with free cokernel. The rank
+      is C(b, c - p + 1) - C(b - 1, c - p + 1) = C(b - 1, c - p) by
+      Pascal's rule, and no other degree survives.
+    For b = 0 the complex is the boundary of the p-cross-polytope, a
+    (p - 1)-sphere.
+
+    One side, p > h. The face complex of a complete simplicial fan is a
+    simplicial (n - 1)-sphere, so Alexander duality gives
+    H_i(D_S) = H^(n-2-i)(D_T) in reduced groups, for the complement T of
+    S (an empty T induces the complex of the empty face alone). T has
+    class (q, 0, b) with q = n + 1 - p - b <= h, which the case above
+    covers: for b = 0 its (q - 1)-sphere puts S's homology in degree
+    p - 2, and for b >= 1 its group in degree h - 1 has rank
+    C(b - 1, p + b - h - 1) = 0.
     """
-    if nplus > nminus:
-        nplus, nminus = nminus, nplus
-    fan = Fan(n)
-    return _subcomplex_homology(fan, fan.class_rays(pairs, nplus, nminus))
-
-
-def _subcomplex_homology(fan: Fan, rays):
-    """(ranks by degree, torsion) of the subcomplex induced on the rays.
-
-    Reduced homology in degree p - 1 feeds H^p, so the ranks run over
-    H^0..H^n; torsion tells whether any degree has torsion.
-    """
-    hom = reduced_homology(complex_CI(fan, rays))
-    ranks = [0] * (fan.rank + 1)
-    torsion = False
-    for degree, (rank, tors) in hom.items():
-        if 0 <= degree + 1 <= fan.rank:
-            ranks[degree + 1] = rank
-        if tors:
-            torsion = True
-    return tuple(ranks), torsion
+    ranks = [0] * (n + 1)
+    half = n // 2
+    if not nplus and not nminus:
+        ranks[pairs if pairs <= half else pairs - 1] = 1
+    elif not (nplus and nminus) and pairs <= half:
+        # one side is empty, so b is the other side's count
+        ranks[half] = comb(nplus + nminus - 1, half - pairs)
+    return tuple(ranks)
 
 
 def _slot_states(aplus: int, aminus: int):
@@ -229,9 +254,8 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     One choice of per-group state counts is one pattern class. The closed
     test holds exactly when the class has a character, because every slot
     interval is non-empty with integer ends. Yields (pairs, nplus, nminus,
-    ranks, torsion, combo) for each class with non-zero ranks, combo
-    holding the chosen _group_options entries; higher_only skips the
-    empty class.
+    ranks, combo) for each class with non-zero ranks, combo holding the
+    chosen _group_options entries; higher_only skips the empty class.
 
     The walk enters only choices that can still pass the one-sided filter
     (a used side needs pairs + its slots >= n/2 + 1, or the set is not a
@@ -242,12 +266,14 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     0, and with both it holds. In a group with a third state (neither or
     pair), a plus slot's hi end is below the third state's and a minus
     slot's lo end above it, so the hi sum is largest and the lo sum
-    smallest with every undecided slot in the third state. Walking the
-    four ways to open the sides one at a time, each group's plus count
-    then has a budget on a closed minus side, and its minus count one on
-    a closed plus side; the slots still undecided bound what each open
-    side can reach. A group with only the plus and minus states has no
-    third state: its slots all go to the open sides.
+    smallest with every undecided slot in the third state. A class with
+    both sides open is mixed and has no homology (`_pattern_homology`),
+    so the walk takes the three ways to open at most one side one at a
+    time. Each group's plus count then has a budget on a closed minus
+    side, and its minus count one on a closed plus side; the slots still
+    undecided bound what the open side can reach. A group with only the
+    plus and minus states has no third state: its slots all go to the
+    open side.
     """
     half = n + 1
     need = n // 2 + 1
@@ -255,7 +281,7 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     # digit by digit and one sum gives its pattern class
     base = half + 1
     groups = []
-    top = bottom = pair_slots = 0
+    top = bottom = 0
     for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
         states = _slot_states(ap, am)
         third, pair_third = None, False
@@ -274,19 +300,16 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
             plus_cost, minus_cost = third[1] - plus_hi, minus_lo - third[0]
         top += size * third[1]
         bottom += size * third[0]
-        pair_slots += size * pair_third
         groups.append((size, _group_options(states, size, base),
                        plus_cost, minus_cost, pair_third))
     last = len(groups) - 1
 
     # need_plus and need_minus are `need` for an open side and 0 for a
-    # closed one; left and left_both count the slots from group g on, the
-    # second with a pair-capable slot twice, as it adds to both sides
+    # closed one; left counts the slots from group g on
     def walk(g, need_plus, need_minus, hi_room, lo_room, pairs, nplus, nminus,
-             left, left_both, combo):
+             left, combo):
         size, options, plus_cost, minus_cost, pair_third = groups[g]
         left -= size
-        left_both -= size * (1 + pair_third)
         top_p = size if need_plus else 0
         if plus_cost and not need_minus and hi_room < top_p * plus_cost:
             top_p = hi_room // plus_cost
@@ -301,25 +324,22 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
             for m in range(low_m, top_m + 1):
                 paired = pairs + (size - p - m if pair_third else 0)
                 up, down = nplus + p, nminus + m
-                if paired + up + left < need_plus or paired + down + left < need_minus \
-                        or 2 * paired + up + down + left_both < need_plus + need_minus:
+                if paired + up + left < need_plus or paired + down + left < need_minus:
                     continue
                 chosen = combo + (options[p, m],)
                 if g < last:
                     yield from walk(g + 1, need_plus, need_minus, hi_room - p * plus_cost,
                                     lo_room - m * minus_cost, paired, up, down,
-                                    left, left_both, chosen)
+                                    left, chosen)
                 elif (up or not need_plus) and (down or not need_minus) \
                         and (paired or up or down or not higher_only):
-                    ranks, torsion = _pattern_homology(n, paired, up, down)
+                    ranks = _pattern_homology(n, paired, up, down)
                     if any(ranks):
-                        yield paired, up, down, ranks, torsion, chosen
+                        yield paired, up, down, ranks, chosen
 
-    for need_plus, need_minus in ((0, 0), (need, 0), (0, need), (need, need)):
-        if (need_minus or top >= 0) and (need_plus or bottom <= 0) \
-                and half + pair_slots >= need_plus + need_minus:
-            yield from walk(0, need_plus, need_minus, top, -bottom, 0, 0, 0,
-                            half, half + pair_slots, ())
+    for need_plus, need_minus in ((0, 0), (need, 0), (0, need)):
+        if (need_minus or top >= 0) and (need_plus or bottom <= 0):
+            yield from walk(0, need_plus, need_minus, top, -bottom, 0, 0, 0, half, ())
 
 
 def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
@@ -329,37 +349,27 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
     both the pattern class and the character count are symmetric in the
     slots, so one combination of per-group state counts stands for all
     its multinomially many slot assignments. Every class the walk yields
-    has at least one character, so each count here is positive.
+    has at least one character, so each count here is positive, and at
+    most one open side, so each count is finite.
     """
     n = fan.rank
     h = [0] * (n + 1)
-    for pairs, nplus, nminus, ranks, torsion, combo in _visible_classes(n, coeffs):
+    for _, _, _, ranks, combo in _visible_classes(n, coeffs):
         weights, _, group_bounds, group_los, group_his = zip(*combo)
         los = [lo for bounds in group_bounds for lo, _ in bounds]
         his = [hi for bounds in group_bounds for _, hi in bounds]
-        open_below = None in group_los
-        open_above = None in group_his
-        if open_below and open_above:
-            # both ends open and slotwise nonempty: infinitely many characters
-            raise UnboundedRegionWithHomology(
-                f"pattern with {pairs} pairs, {nplus} plus, {nminus} minus slots"
-            )
-        if open_below:
+        if None in group_los:
             total_hi = sum(his)
             los = [
                 hi - total_hi if lo is None else max(lo, hi - total_hi)
                 for lo, hi in zip(los, his)
             ]
-        elif open_above:
+        elif None in group_his:
             total_lo = sum(los)
             his = [
                 lo - total_lo if hi is None else min(hi, lo - total_lo)
                 for lo, hi in zip(los, his)
             ]
-        if torsion:
-            warnings.warn(
-                f"torsion in a contributing pattern on V_{n}", TorsionEncountered
-            )
         count = _count_sum_zero(list(zip(los, his))) * prod(weights)
         for p, r in enumerate(ranks):
             if r:

@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby, islice
+from itertools import combinations, filterfalse, groupby, islice
 from typing import NamedTuple
 
 from .cohomology import cohomology, euler_pairing
@@ -550,12 +550,13 @@ def verify_stability(collection: Collection) -> StabilityReport:
     Also pins the involution's closed form on each member: F_{c,J} must
     land on F_{|J|-c,J} exactly.
 
-    Decided on the J sets of each (c, l) in a block, a set holding every
-    l-subset being "all". (perm, flip) sends F_{c,J} to F_{c',perm J}, c'
-    being l - c under the involution and c otherwise, so it keeps a block
-    when it maps each (c, l) set onto the (c', l) set and the members outside
-    F_{c,J} onto themselves; those are acted on one by one, and one of
-    another dimension raises ValueError. The involution is
+    Decided on the J sets of each (c, l) in a block, each held by its
+    smaller side among the l-subsets (`_smaller_side`). (perm, flip) sends
+    F_{c,J} to F_{c',perm J}, c' being l - c under the involution and c
+    otherwise, so it keeps a block when it maps each (c, l) set onto the
+    (c', l) set and the members outside F_{c,J} onto themselves; those are
+    acted on one by one, and one of another dimension raises ValueError.
+    The involution is
     S_{n+1}-equivariant, so its closed form is checked once per (c, l).
     """
     n = collection.n
@@ -563,22 +564,21 @@ def verify_stability(collection: Collection) -> StabilityReport:
     flip = (tuple(range(n + 1)), True)
     closed = {(c, ell): act(flip, make_F(n, c, range(ell))) == make_F(n, ell - c, range(ell))
               for c, ell in {(cell.c, cell.ell) for cell in cells}}
-    labels = [{} for _ in collection.ells]  # per block: (c, l) -> J set, None for all
+    found = [{} for _ in collection.ells]  # per block: (c, l) -> J set, None for all
     for cell in cells:
-        sets, key = labels[cell.block], (cell.c, cell.ell)
+        sets, key = found[cell.block], (cell.c, cell.ell)
         if cell.complete:
             sets[key] = None
         elif sets.get(key, ()) is not None:
-            found = sets.setdefault(key, set())
-            found.update(cell.labels)
-            if len(found) == math.comb(n + 1, cell.ell):
-                sets[key] = None
+            sets.setdefault(key, set()).update(cell.labels)
+    labels = [{key: _smaller_side(n, key[1], js) for key, js in sets.items()}
+              for sets in found]
     strange = [[] for _ in labels]
     for block, m in collection._strangers.values():
         strange[block].append(m)
     # a permutation keeps a block of "all" sets and no stranger: decided once
     partial = [bi for bi, (sets, members) in enumerate(zip(labels, strange))
-               if members or any(found is not None for found in sets.values())]
+               if members or any(side != _ALL for side in sets.values())]
     failures = []
     for gi, (perm, flipped) in enumerate(group_generators(n)):
         for bi in range(len(labels)) if flipped else partial:
@@ -595,20 +595,39 @@ def verify_stability(collection: Collection) -> StabilityReport:
     return StabilityReport(n, not failures, tuple(failures))
 
 
+_ALL = (True, frozenset())  # a (c, l) set missing no l-subset
+
+
+def _smaller_side(n, ell, found):
+    """A (c, l) J set as (False, the J it holds) or (True, the J it misses).
+
+    found is None for a set holding every l-subset. The side with fewer
+    labels is kept, so equal sets of one l get equal sides, and the missing
+    labels are listed once, here.
+    """
+    if found is None:
+        return _ALL
+    if 2 * len(found) <= math.comb(n + 1, ell):
+        return False, frozenset(found)
+    return True, frozenset(filterfalse(found.__contains__, _lexicographic(n, ell)))
+
+
 def _keeps(perm, flipped, sets):
     """Whether (perm, flipped) maps each (c, l) J set of a block onto its image's set.
 
     The generators are the involution, whose perm is the identity, so it must
     find each set unchanged at (l - c, l), and the transpositions (i, i+1),
     which move only the J holding exactly one of i and i+1: a set is kept
-    when it holds the swap of each of those.
+    when it holds the swap of each of those. A permutation keeps a set
+    exactly when it keeps its complement among the l-subsets, so the test
+    reads the side that `_smaller_side` kept.
     """
     if flipped:
-        return all(sets.get((ell - c, ell), ()) == found for (c, ell), found in sets.items())
+        return all(sets.get((ell - c, ell)) == side for (c, ell), side in sets.items())
     i, k = (x for x, y in enumerate(perm) if x != y)
     swap = frozenset((i, k))
-    return all(found is None or all(j ^ swap in found for j in found if (i in j) != (k in j))
-               for found in sets.values())
+    return all(all(j ^ swap in js for j in js if (i in j) != (k in j))
+               for _, js in sets.values())
 
 
 # -- numerics -------------------------------------------------------------------

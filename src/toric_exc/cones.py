@@ -22,8 +22,8 @@ slot-class walk as the cohomology engine,
 many slots take each state, enters only choices whose class can still
 be a union of primitive collections with a non-empty closed region
 (the higher certificate also skips the empty class), and reads the
-homology of only the classes that pass. A divisor is certified when
-the walk yields nothing.
+closed-form homology of `cohomology._pattern_homology` for only the
+classes that pass. A divisor is certified when the walk yields nothing.
 `enumerate_forbidden`, `in_forbidden_cone` and `forbidden_witness` walk
 the ray sets one by one; they name the cone that is hit and serve as
 the reference the certificates are tested against. Other fans, and the
@@ -95,7 +95,7 @@ def enumerate_forbidden(fan: Fan):
                     for b in range(len(rest2) + 1):
                         if b and p + b < need:
                             continue
-                        profile = _pattern_homology(fan.rank, p, a, b)[0]
+                        profile = _pattern_homology(fan.rank, p, a, b)
                         if not any(profile):
                             continue
                         for minus_set in combinations(rest2, b):

@@ -13,12 +13,13 @@ collections are closed forms, so the maximal cones are listed only when
 something reads them. Slot permutations act on it by lattice
 automorphisms, so a ray set is determined up to symmetry by its slot
 class: the numbers of pair, plus-only and minus-only slots it uses.
-`Fan.class_rays` builds one representative per class, for the pattern
-homology table and for the wall check. Other fans live in
-`toric_exc.reference`; `complex_CI`, `circuits` and `circuit_relation`
-read only `rank`, `rays` and `is_face`, so they serve those fans as well.
-No command runs the generic `circuits` search: the wall check walks slot
-classes, and the tests compare that walk with it.
+`Fan.class_rays` builds one representative per class for the wall
+check. Other fans live in `toric_exc.reference`; `complex_CI`, `circuits`
+and `circuit_relation` read only `rank`, `rays` and `is_face`, so they
+serve those fans as well. No command runs `complex_CI` or the generic
+`circuits` search: the pattern homology is a closed form and the wall
+check walks slot classes, and the tests compare those with them. So
+`complex_CI` imports `simplicial` only when it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import cached_property
 from itertools import combinations
 
 from .linalg import kernel_basis, rank
-from .simplicial import SimplicialComplex
 
 
 class OddDimension(Exception):
@@ -150,6 +150,8 @@ def complex_CI(fan: Fan, indices) -> SimplicialComplex:
     Vertices keep their ray indices; a subset is a face exactly when it
     spans a cone of the fan.
     """
+    from .simplicial import SimplicialComplex  # reference only: keep it off the command path
+
     elems = sorted(set(indices))
     faces = [frozenset()]
     stack = [((), -1)]

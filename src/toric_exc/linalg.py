@@ -4,7 +4,9 @@ Everything is computed with Python ints; no floats, and no fractions:
 rank and kernels over the rationals come from fraction-free elimination.
 The Smith normal form routine is tuned for the sparse, small-entry boundary
 matrices that show up in simplicial homology: it peels off unit pivots
-sparsely and only falls back to a dense algorithm for the residue.
+sparsely and only falls back to a dense algorithm for the residue. No
+command runs it: the pattern homology table is a closed form, and the
+Smith form on the induced complexes is the reference it is tested against.
 """
 
 from __future__ import annotations

@@ -12,12 +12,19 @@ cross-check for the tests and as the home for other fans:
   points of each character region with the exact LP of `polyhedra`;
 - `enumerate_forbidden` over unions of primitive collections or over all
   ray subsets, `in_forbidden_cone` as an LP feasibility test, and the
-  `forbidden_witness` walk with the certificates built on it.
+  `forbidden_witness` walk with the certificates built on it;
+- `_subcomplex_homology`, the Smith form (`simplicial`, `linalg`) on the
+  complex a ray pattern induces (`fan.complex_CI`): the reference for the
+  closed-form table `cohomology._pattern_homology`, and the homology of
+  every pattern of the subset engine;
+- `TorsionEncountered` and `UnboundedRegionWithHomology`, which only the
+  subset engine meets: on V_n no pattern has torsion, and no class with
+  homology has an unbounded region.
 
 Every function reads a fan only through `rank`, `rays`, `nrays` and
 `is_face`, so it also takes the production `Fan` of a V_n. Divisors are
 per-ray coefficient sequences; a DivisorClass raises ValueError. The
-production path never imports this module or `polyhedra`.
+production path never imports this module, `polyhedra` or `simplicial`.
 """
 
 from __future__ import annotations
@@ -27,15 +34,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .cohomology import (
-    GradedCohomology,
-    TorsionEncountered,
-    UnboundedRegionWithHomology,
-    _subcomplex_homology,
-)
+from .cohomology import GradedCohomology
 from .cones import ForbiddenConeSpec
+from .fan import complex_CI
 from .picard import DivisorClass
 from .polyhedra import coordinate_range, feasible, lattice_points, polyhedron
+from .simplicial import reduced_homology
+
+
+class TorsionEncountered(UserWarning):
+    """Integral homology of a contributing pattern has torsion."""
+
+
+class UnboundedRegionWithHomology(Exception):
+    """A character region is infinite but homologically visible."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,23 @@ def primitive_collections(fan) -> list[frozenset]:
             if all(fan.is_face(cand[:i] + cand[i + 1 :]) for i in range(size)):
                 out.append(frozenset(cand))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def _subcomplex_homology(fan, rays):
+    """(ranks by degree, torsion) of the subcomplex induced on the rays.
+
+    Reduced homology in degree p - 1 feeds H^p, so the ranks run over
+    H^0..H^n; torsion tells whether any degree has torsion.
+    """
+    hom = reduced_homology(complex_CI(fan, rays))
+    ranks = [0] * (fan.rank + 1)
+    torsion = False
+    for degree, (rank, tors) in hom.items():
+        if 0 <= degree + 1 <= fan.rank:
+            ranks[degree + 1] = rank
+        if tors:
+            torsion = True
+    return tuple(ranks), torsion
 
 
 def _coefficients(fan, divisor) -> tuple[int, ...]:

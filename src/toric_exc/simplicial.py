@@ -5,6 +5,10 @@ is a genuine face of every nonvoid complex, so chain groups start in
 degree -1 and homology is reduced: a single point is acyclic, while the
 complex whose only face is the empty one has homology Z in degree -1.
 The void complex (no faces at all) has no homology in any degree.
+
+No command loads this module: `toric_exc.reference` computes the pattern
+homology table with it, as the reference for the closed form in
+`cohomology._pattern_homology`.
 """
 
 from __future__ import annotations

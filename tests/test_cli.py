@@ -366,7 +366,9 @@ def test_cli_import_loads_no_process_pool():
 
 def test_production_path_loads_no_reference_layer():
     # the generic-fan and LP code is a reference layer that no command loads,
-    # and exact elimination runs on ints, so no command loads fractions either
+    # the pattern homology is a closed form, so no command loads the Smith
+    # form's simplicial complexes, and exact elimination runs on ints, so no
+    # command loads fractions either
     code = (
         "import contextlib, io, sys\n"
         "from toric_exc.cli import main\n"
@@ -381,7 +383,7 @@ def test_production_path_loads_no_reference_layer():
         "    codes = [main(argv) for argv in runs]\n"
         "print(codes, sorted(m for m in sys.modules\n"
         "                    if m in ('toric_exc.reference', 'toric_exc.polyhedra',\n"
-        "                             'fractions')))\n")
+        "                             'toric_exc.simplicial', 'fractions')))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import time
-import warnings
 from collections import Counter
 from itertools import product
 
@@ -17,13 +16,12 @@ from hypothesis import strategies as st
 
 from toric_exc.cohomology import (
     GradedCohomology,
-    TorsionEncountered,
-    UnboundedRegionWithHomology,
     _pattern_homology,
     cohomology,
     euler_pairing,
 )
 from toric_exc import reference
+from toric_exc.reference import TorsionEncountered, UnboundedRegionWithHomology
 from toric_exc.collection import apply_mutation, build_Gn, verify_exceptional
 from toric_exc.fan import build_Vn, complex_CI
 from toric_exc.picard import (
@@ -184,7 +182,7 @@ def per_slot_reference(fan, coeffs):
                 nplus += 1
             elif state == coh._MINUS:
                 nminus += 1
-        ranks, torsion = coh._pattern_homology(n, pairs, nplus, nminus)
+        ranks = coh._pattern_homology(n, pairs, nplus, nminus)
         if not any(ranks):
             continue
         los = [lo for _, lo, _ in combo]
@@ -210,10 +208,6 @@ def per_slot_reference(fan, coeffs):
         count = coh._count_sum_zero(list(zip(los, his)))
         if not count:
             continue
-        if torsion:
-            warnings.warn(
-                f"torsion in a contributing pattern on V_{n}", TorsionEncountered
-            )
         for p, r in enumerate(ranks):
             if r:
                 h[p] += count * r
@@ -349,9 +343,9 @@ def product_walk_reference(n, coeffs, higher_only=False):
             continue
         if not coh._meets(coh._sum_bounds(los), coh._sum_bounds(his)):
             continue
-        ranks, torsion = coh._pattern_homology(n, pairs, nplus, nminus)
+        ranks = coh._pattern_homology(n, pairs, nplus, nminus)
         if any(ranks):
-            yield pairs, nplus, nminus, ranks, torsion, combo
+            yield pairs, nplus, nminus, ranks, combo
 
 
 def assert_walks_agree(n, coeffs):
@@ -463,27 +457,39 @@ def test_pattern_slot_permutation_is_isomorphism():
 
 def test_pattern_homology_profiles():
     # empty pattern feeds h^0; a full one-sided overflow feeds h^{n/2}
-    ranks, torsion = _pattern_homology(2, 0, 0, 0)
-    assert ranks == (1, 0, 0) and not torsion
-    ranks, _ = _pattern_homology(2, 0, 2, 0)
-    assert ranks == (0, 1, 0)
-    ranks, _ = _pattern_homology(4, 0, 3, 0)
-    assert ranks == (0, 0, 1, 0, 0)
+    assert _pattern_homology(2, 0, 0, 0) == (1, 0, 0)
+    assert _pattern_homology(2, 0, 2, 0) == (0, 1, 0)
+    assert _pattern_homology(4, 0, 3, 0) == (0, 0, 1, 0, 0)
     # all antipodal pairs give the boundary sphere
-    ranks, _ = _pattern_homology(2, 3, 0, 0)
-    assert ranks == (0, 0, 1)
+    assert _pattern_homology(2, 3, 0, 0) == (0, 0, 1)
+
+
+def pattern_classes(n, max_pairs):
+    """Every (pairs, plus, minus) class of V_n with plus <= minus."""
+    return [(p, a, b) for p in range(max_pairs + 1) for a in range(n + 2)
+            for b in range(a, n + 2) if p + a + b <= n + 1]
+
+
+@pytest.mark.parametrize("n, max_pairs", [(2, 3), (4, 5), (6, 7), (8, 4)])
+def test_pattern_homology_matches_smith_form(n, max_pairs):
+    # the closed form against the Smith form on each class's complex: mixed
+    # classes, (p, 0, 0) on both sides of n/2 and (p, 0, b) with b >= 1
+    fan = build_Vn(n)
+    for cls in pattern_classes(n, max_pairs):
+        ranks, torsion = reference._subcomplex_homology(fan, fan.class_rays(*cls))
+        assert not torsion, cls
+        assert _pattern_homology(n, *cls) == ranks, cls
+        assert _pattern_homology(n, cls[0], cls[2], cls[1]) == ranks, cls
 
 
 def test_oracle_on_G4_runs_no_smith_form(monkeypatch):
-    # The walk's one-sided filter and closed test run before the pattern
-    # table, so on G_4 only the empty class is read and its homology needs
-    # no boundary matrix.
+    # The pattern table is a closed form, so the oracle builds no boundary
+    # matrix, and on G_4 its walk reads only the empty class.
     simplicial = importlib.import_module("toric_exc.simplicial")
 
     def refuse(matrix):
         raise RuntimeError("Smith form reached")
 
-    coh._pattern_homology.cache_clear()
     monkeypatch.setattr(simplicial, "smith_normal_form", refuse)
     report = verify_exceptional(build_Gn(4), "oracle")
     assert report.ok and report.pairs_checked == 870
@@ -508,26 +514,8 @@ def test_incomplete_combinatorics_refused():
         reference.cohomology(fake, (-2, -2, -2, -2, -2, -2))
 
 
-def test_torsion_warning_symmetric_engine(monkeypatch):
-    coh = importlib.import_module("toric_exc.cohomology")
-
-    real = coh._pattern_homology.__wrapped__
-
-    def with_fake_torsion(n, pairs, nplus, nminus):
-        ranks, _ = real(n, pairs, nplus, nminus)
-        if (pairs, nplus, nminus) == (0, 0, 0):
-            return ranks, True
-        return ranks, False
-
-    monkeypatch.setattr(coh, "_pattern_homology", with_fake_torsion)
-    with pytest.warns(TorsionEncountered):
-        coh.cohomology(build_Vn(2), DivisorClass((0, 0, 0, 0)))
-
-
 def test_torsion_warning_generic_engine(monkeypatch):
-    coh = importlib.import_module("toric_exc.cohomology")
-
-    real = coh.reduced_homology
+    real = reference.reduced_homology
 
     def with_fake_torsion(complex_):
         hom = dict(real(complex_))
@@ -536,7 +524,7 @@ def test_torsion_warning_generic_engine(monkeypatch):
             hom[1] = (rank, (2,))
         return hom
 
-    monkeypatch.setattr(coh, "reduced_homology", with_fake_torsion)
+    monkeypatch.setattr(reference, "reduced_homology", with_fake_torsion)
     fan = build_Vn(2)
     clone = reference.GenericFan(fan.rank, fan.rays, fan.max_cones)
     with pytest.warns(TorsionEncountered):

@@ -44,7 +44,8 @@ LAYERS = (
     + [("build_Gn", n) for n in (8, 10, 12, 14, 16, 18, 20)]
     + [(f"verify.{what}", 20) for what in ("exceptional", "stability", "generation",
                                             "cardinality")]
-    + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability")]
+    + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability",
+                                            "generation")]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
 )
 

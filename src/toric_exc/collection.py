@@ -344,7 +344,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     sample restricts the sweep to the given (source, target) flat index
     pairs; the size check still runs, and a pair that is not two distinct
-    positions raises ValueError. A sample or a full report grades pair by
+    int positions (a bool is not one) raises ValueError. A sample or a full report grades pair by
     pair; otherwise the pairs are counted by cell (module docstring).
     Violations come in flat (source, target) order either way. The report
     never raises on its own, call raise_if_failed for that.
@@ -387,9 +387,10 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         return out
 
     if sample is not None:
-        pairs = [(int(i), int(j)) for i, j in sample]
+        pairs = [(i, j) for i, j in sample]
         for i, j in pairs:
-            if i == j or not (0 <= i < size and 0 <= j < size):
+            if not (_is_int(i) and _is_int(j) and i != j
+                    and 0 <= i < size and 0 <= j < size):
                 raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
                                  f"positions in 0..{size - 1}")
         results = walk(pairs, full_report)

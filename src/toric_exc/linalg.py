@@ -195,32 +195,6 @@ def _divisibility_chain(diag):
     return d
 
 
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss, fraction free)."""
-    n = len(matrix)
-    a = [[int(v) for v in row] for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError(f"determinant needs a square matrix, got row lengths "
-                         f"{[len(row) for row in a]} for {n} rows")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _row_reduce(matrix: Sequence[Sequence[int]]):
     """Fraction-free Gauss-Jordan elimination: (rows, pivot columns).
 

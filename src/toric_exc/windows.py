@@ -14,16 +14,18 @@ complex whose 2^{|J|} terms all lie in the collection again. Chaining
 the walls from large J down to the empty set empties the category, so a
 clean pass certifies that the collection generates.
 
-`build_certificate` walks every wall and every member, and `certificate`
-prints its records. `verify_generation` reaches the same verdict one
-wall size at a time. As J runs over the walls of one size, the weight of
-a member runs over a range that depends only on h and the sorted d, so
-one check per such shape replaces the members x walls loop. A Koszul
-term F_{w,K} of one size |K| is a member at every wall of that size
-exactly when the members with twist w and |J| = |K| hold every
-|K|-subset, over all blocks, so one representative wall per size
-decides the terms. Only when a class check fails does the flat walk run,
-to name the first failure in its order.
+`verify_generation` decides this one wall size at a time. As J runs
+over the walls of one size, the weight of a member runs over a range
+that depends only on h and the sorted d, so one check per such shape
+replaces the members x walls loop. A Koszul term F_{w,K} of one size |K|
+is a member at every wall of that size exactly when the members with
+twist w and |J| = |K| hold every |K|-subset, over all blocks, so one
+representative wall per size decides the terms. When a size fails, its
+walls are walked in order against the members whose shape leaves the
+window and against their Koszul terms, which names the first failure of
+a walk over every wall and member. `build_certificate` takes its verdict
+from `verify_generation` and lists every wall's record, which
+`certificate` prints.
 
 The wall subgroups are read off the circuits of the fan: every circuit
 is an antipodal pair or picks one ray per slot, and then its relation is
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from .collection import Collection, build_Gn, int_field, int_list
@@ -175,42 +177,19 @@ class Certificate:
 
 
 def build_certificate(n: int, collection: Collection | None = None) -> Certificate:
-    """Chain every wall from large J to the empty set, checking as it goes.
+    """The record of every wall, from large J down to the empty set.
 
-    Raises WindowViolation if any member weight leaves any window and
-    KoszulEscape if any resolution term is missing from the collection;
-    a returned certificate means every check passed down to the empty
-    category. A collection or a member of another dimension raises
-    ValueError.
+    The verdict is verify_generation's, on G_n when no collection is given:
+    it raises the first WindowViolation or KoszulEscape of the chain, and
+    ValueError for a collection or a member of another dimension. A
+    returned certificate means every check passed down to the empty
+    category.
     """
-    if collection is None:
-        collection = build_Gn(n)
-    if collection.n != n:
-        raise ValueError(f"collection of dimension {collection.n}, expected {n}")
-    members = collection.members
-    _require_dimension(n, members)
-    member_set = set(members)
+    verify_generation(n, build_Gn(n) if collection is None else collection)
     d = default_gauge(n)
-    walls = []
-    for size in range(n // 2, -1, -1):
-        for j in combinations(range(n + 1), size):
-            record = wall_record(n, frozenset(j), d)
-            lo, hi = record.window
-            for m in members:
-                lam = _weight(record.J, m)
-                if not lo <= lam <= hi:
-                    raise WindowViolation(
-                        f"weight {lam} of {m.coeffs} outside [{lo}, {hi}] "
-                        f"at wall J = {sorted(record.J)}")
-            for piece in record.pieces:
-                for component in piece.components:
-                    if component not in member_set:
-                        raise KoszulEscape(
-                            f"component {component.coeffs} of the weight "
-                            f"{piece.a} piece at wall J = {sorted(record.J)} "
-                            f"is not in the collection")
-            walls.append(record)
-    return Certificate(n, d, tuple(walls))
+    return Certificate(n, d, tuple(wall_record(n, frozenset(j), d)
+                                   for size in range(n // 2, -1, -1)
+                                   for j in combinations(range(n + 1), size)))
 
 
 class GenerationCheck(NamedTuple):
@@ -221,12 +200,12 @@ class GenerationCheck(NamedTuple):
 
 
 def verify_generation(n: int, collection: Collection) -> GenerationCheck:
-    """The verdict of build_certificate, reached one wall size at a time.
+    """Chain the walls from large J to the empty set, one wall size at a time.
 
-    Returns the wall and piece counts of the certificate. A failed class
-    check runs build_certificate, which raises the first WindowViolation
-    or KoszulEscape of the flat walk. A collection or a member of another
-    dimension raises ValueError.
+    Returns the wall and piece counts of the certificate, or raises the
+    first WindowViolation or KoszulEscape of the chain, found by walking
+    the walls of the first size whose class check fails. A collection or
+    a member of another dimension raises ValueError.
     """
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
@@ -237,12 +216,17 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
         if not cell.complete:
             labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
     covered.update(key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1]))
-    # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
-    shapes = {(-cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
-              for cell in cells}
-    strange = [collection.member(p) for p in strangers]
-    _require_dimension(n, strange)
-    shapes.update((m.h, tuple(sorted(m.d))) for m in strange)
+    strange = {p: collection.member(p) for p in strangers}
+    for m in strange.values():
+        if m.n != n:
+            raise ValueError(f"member {m.coeffs} of dimension {m.n}, expected {n}")
+    # the positions of each cell and stranger, in flat order, with their
+    # shape (h, sorted d); F_{c,L} has h = -c and d sorted as
+    # (c - 1)^|L| c^(n + 1 - |L|)
+    units = sorted([(cell.positions, -cell.c,
+                     (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell)) for cell in cells]
+                   + [(range(p, p + 1), m.h, tuple(sorted(m.d))) for p, m in strange.items()],
+                   key=lambda unit: unit[0].start)
     d = default_gauge(n)
     walls = pieces = 0
     for size in range(n // 2, -1, -1):
@@ -250,23 +234,45 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
         lo, hi = record.window
         # the weight (1 - |J|) h - sum_{j in J} d_j is least when J holds
         # the largest d and most when it holds the smallest
-        outside = any((1 - size) * h - sum(ds[n + 1 - size:]) < lo
-                      or (1 - size) * h - sum(ds[:size]) > hi for h, ds in shapes)
+        leaving = [positions for positions, h, ds in units
+                   if (1 - size) * h - sum(ds[n + 1 - size:]) < lo
+                   or (1 - size) * h - sum(ds[:size]) > hi]
         terms = (parse_F(t) for piece in record.pieces for t in piece.components)
-        missing = any((c, len(j)) not in covered for c, j in terms)
-        if outside or missing:
-            build_certificate(n, collection)
-            raise RuntimeError(f"class check failed at |J| = {size}, flat walk passed")
+        if leaving or any((c, len(j)) not in covered for c, j in terms):
+            _walk_walls(collection, size, d, leaving, covered, labels)
         walls += math.comb(n + 1, size)
         pieces += math.comb(n + 1, size) * len(record.pieces)
     return GenerationCheck(n, walls, pieces)
 
 
-def _require_dimension(n: int, members) -> None:
-    """Raise ValueError for a member that is not a class on V_n."""
-    for m in members:
-        if m.n != n:
-            raise ValueError(f"member {m.coeffs} of dimension {m.n}, expected {n}")
+def _walk_walls(collection, size, d, leaving, covered, labels) -> None:
+    """Raise the first failure of the walls of one size, in lexicographic order.
+
+    This is the walk over every member and Koszul term at each wall, cut to
+    what can fail: a member whose shape's weight range over the walls of
+    this size lies in the window stays in it, so only the leaving positions
+    are read, and F_{c,K} is held exactly when its (c, |K|) is covered or K
+    labels an incomplete cell.
+    """
+    n = collection.n
+    for j in combinations(range(n + 1), size):
+        record = wall_record(n, frozenset(j), d)
+        lo, hi = record.window
+        for p in chain.from_iterable(leaving):
+            m = collection.member(p)
+            lam = _weight(record.J, m)
+            if not lo <= lam <= hi:
+                raise WindowViolation(
+                    f"weight {lam} of {m.coeffs} outside [{lo}, {hi}] "
+                    f"at wall J = {sorted(record.J)}")
+        for piece in record.pieces:
+            for component in piece.components:
+                c, k = parse_F(component)
+                if (c, len(k)) not in covered and k not in labels.get((c, len(k)), ()):
+                    raise KoszulEscape(
+                        f"component {component.coeffs} of the weight "
+                        f"{piece.a} piece at wall J = {sorted(record.J)} "
+                        f"is not in the collection")
 
 
 # -- circuits vs subgroup weights -----------------------------------------------
@@ -372,17 +378,26 @@ def certificate_to_dict(certificate: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    """Read certificate_to_dict's output; a malformed field raises ValueError."""
     if data.get("schema") != CERTIFICATE_SCHEMA:
         raise ValueError(f"expected schema {CERTIFICATE_SCHEMA}")
     n = int_field(data, "n")
     walls = []
     for wall in data["walls"]:
         pieces = tuple(
-            WallPiece(int_field(p, "a"), int_field(p, "w"), p["branch"], tuple(
-                make_F(n, int_field(comp, "c"), int_list(comp, "J"))
-                for comp in p["components"]))
+            WallPiece(int_field(p, "a"), int_field(p, "w"), _one_of(p, "branch", ("low", "high")),
+                      tuple(make_F(n, int_field(comp, "c"), int_list(comp, "J"))
+                            for comp in p["components"]))
             for p in wall["pieces"])
-        walls.append(WallRecord(label_set(n, int_list(wall, "J")),
-                                tuple(int_list(wall, "window")),
-                                tuple(int_list(wall, "wall_range")), pieces))
-    return Certificate(n, int_field(data, "d"), tuple(walls), data["base_case"])
+        window, wall_range = (tuple(int_list(wall, key)) for key in ("window", "wall_range"))
+        if len(window) != 2 or len(wall_range) != 2:
+            raise ValueError(f"window {window} and wall range {wall_range} need 2 entries each")
+        walls.append(WallRecord(label_set(n, int_list(wall, "J")), window, wall_range, pieces))
+    return Certificate(n, int_field(data, "d"), tuple(walls),
+                       _one_of(data, "base_case", ("empty",)))
+
+
+def _one_of(data: dict, key: str, allowed: tuple[str, ...]) -> str:
+    if data[key] not in allowed:
+        raise ValueError(f"{key!r} must be one of {allowed}, got {data[key]!r}")
+    return data[key]

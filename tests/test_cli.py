@@ -455,6 +455,23 @@ def test_dim_16_mutant_check_is_fast_and_small(what):
     assert elapsed < 2.0
 
 
+def test_dim_12_failing_generation_is_fast():
+    # the class check names the missing (c, |J|) shape, and only the walls of
+    # its size are walked, reading the members whose shape can leave a window;
+    # the walk over every wall and member took about a minute
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_exc", "verify", "--dim", "12", "--mutate", "drop:0",
+         "--what", "generation"],
+        capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+    assert proc.stdout == (
+        "generation FAILED: component (-4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3) of the "
+        "weight -4 piece at wall J = [0, 1, 2, 3, 4] is not in the collection\n")
+    assert elapsed < 2.0
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     # the sum-zero count used to overflow here; an error inside any command
     # must still become exit 3 and one line

@@ -52,6 +52,7 @@ from toric_exc.picard import (
 )
 from toric_exc.windows import (
     Certificate,
+    GenerationCheck,
     KoszulEscape,
     WallPiece,
     WallRecord,
@@ -60,6 +61,7 @@ from toric_exc.windows import (
     certificate_to_dict,
     verify_generation,
 )
+from test_windows import flat_certificate, generation_outcome, with_stranger
 
 # the module itself: the package attribute of the same name may be shadowed
 collection_module = importlib.import_module("toric_exc.collection")
@@ -207,9 +209,11 @@ def test_sample_restricts_pair_sweep():
     assert not report.complete and not report.ok
 
 
-@pytest.mark.parametrize("pair", [(0, 6), (6, 0), (-1, 0), (0, -6), (2, 2)])
+@pytest.mark.parametrize("pair", [(0, 6), (6, 0), (-1, 0), (0, -6), (2, 2),
+                                  (0.9, 1.7), (True, 2), (1, 2.0)])
 def test_sample_rejects_bad_pairs(pair):
-    # G_2 has positions 0..5: out of range, negative, and i == j
+    # G_2 has positions 0..5: out of range, negative, i == j, and not an int
+    # (int() would read 0.9 as 0 and True as 1)
     with pytest.raises(ValueError, match=rf"\({pair[0]}, {pair[1]}\)"):
         verify_exceptional(build_Gn(2), "oracle", sample=[(0, 1), pair])
 
@@ -254,15 +258,6 @@ def reference_sweep(col, method, pairs):
 
 def all_pairs(col):
     return [(i, j) for i in range(col.size) for j in range(col.size) if i != j]
-
-
-def with_stranger(col):
-    """col with a member that is not an F_{c,J} appended to its first block."""
-    stranger = divisor(0, (1,) + (0,) * col.n)
-    assert parse_F(stranger) is None
-    first = col.blocks[0]
-    blocks = (Block(first.ell, first.members + (stranger,)),) + col.blocks[1:]
-    return Collection(col.n, blocks)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -719,17 +714,11 @@ def test_mutation_sequences_match_flat_references(texts, stranger):
         assert report.pairs_checked == len(reference)
         assert report.violations == tuple(r for r in reference if not r.ok)
     assert verify_stability(col) == flat_stability(col)
-    try:
-        build_certificate(4, col)
-        flat = True
-    except (KoszulEscape, WindowViolation):
-        flat = False
-    try:
-        verify_generation(4, col)
-        counted = True
-    except (KoszulEscape, WindowViolation):
-        counted = False
-    assert counted == flat
+    flat = generation_outcome(lambda: flat_certificate(4, col))
+    assert generation_outcome(lambda: build_certificate(4, col)) == flat
+    if isinstance(flat, Certificate):
+        flat = GenerationCheck(4, len(flat.walls), sum(len(r.pieces) for r in flat.walls))
+    assert generation_outcome(lambda: verify_generation(4, col)) == flat
 
 
 def test_certificates_never_contradict_oracle_on_mutants():

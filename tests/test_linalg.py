@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith form, determinants, kernels."""
+"""Exact linear algebra: Smith form, rank, kernels."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_exc.linalg import (
-    determinant,
     kernel_basis,
     primitive_vector,
     rank,
@@ -103,25 +102,6 @@ def test_divisibility_chain(m):
     assert r == len(factors) == rank(m)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
     assert all(f > 0 for f in factors)
-
-
-def test_determinant_fixtures():
-    assert determinant([]) == 1
-    assert determinant([[7]]) == 7
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[2, 0, 0], [0, 2, 0], [0, 0, 2]]) == 8
-    assert determinant([[1, 2], [2, 4]]) == 0
-
-
-@given(int_matrices(max_dim=4))
-@settings(max_examples=40, deadline=None)
-def test_determinant_matches_sympy(m):
-    if len(m) != len(m[0]):
-        return
-    from sympy import Matrix
-
-    assert determinant(m) == int(Matrix(m).det())
 
 
 def test_kernel_of_circuit_matrix():

@@ -54,8 +54,6 @@ def test_cones_are_listed_only_when_read():
 
 
 @pytest.mark.parametrize("imports, call", [
-    ("from toric_exc.linalg import determinant", "determinant([[1, 0], [0, 1, 5]])"),
-    ("from toric_exc.linalg import determinant", "determinant([[1, 2], [3]])"),
     ("from toric_exc.polyhedra import polyhedron", "polyhedron(2, [((1, 0, 0), 1)])"),
     ("from toric_exc.polyhedra import polyhedron",
      "polyhedron(2, [((1, 0), 1)]).contains((0, 0, 0))"),
@@ -79,9 +77,8 @@ def test_cones_are_listed_only_when_read():
      "koszul_components([3], make_F(2, 1, []))"),
     ("from toric_exc.windows import build_certificate\nfrom toric_exc import build_Gn",
      "build_certificate(2, build_Gn(4))"),
-], ids=["determinant-long-row", "determinant-short-row", "polyhedron-row",
-        "contains-point", "engine-ray-count", "unions-ray-count", "subsets-ray-count",
-        "primitive-ray-count", "wall-label-minus-1", "wall-label-3",
+], ids=["polyhedron-row", "contains-point", "engine-ray-count", "unions-ray-count",
+        "subsets-ray-count", "primitive-ray-count", "wall-label-minus-1", "wall-label-3",
         "weight-other-dimension", "weight-label-3", "koszul-label-minus-1",
         "koszul-label-3", "certificate-other-dimension"])
 def test_input_checks_survive_optimize(imports, call):

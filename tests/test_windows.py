@@ -176,18 +176,78 @@ def test_missing_component_caught():
         build_certificate(2, col)
 
 
+def flat_certificate(n, collection):
+    """Reference: every wall against every member and every Koszul term, in chain order."""
+    members = collection.members
+    for m in members:
+        if m.n != n:
+            raise ValueError(f"member {m.coeffs} of dimension {m.n}, expected {n}")
+    member_set = set(members)
+    d = default_gauge(n)
+    walls = []
+    for size in range(n // 2, -1, -1):
+        for j in combinations(range(n + 1), size):
+            record = wall_record(n, frozenset(j), d)
+            lo, hi = record.window
+            for m in members:
+                lam = weight(n, record.J, m)
+                if not lo <= lam <= hi:
+                    raise WindowViolation(
+                        f"weight {lam} of {m.coeffs} outside [{lo}, {hi}] "
+                        f"at wall J = {sorted(record.J)}")
+            for piece in record.pieces:
+                for component in piece.components:
+                    if component not in member_set:
+                        raise KoszulEscape(
+                            f"component {component.coeffs} of the weight "
+                            f"{piece.a} piece at wall J = {sorted(record.J)} "
+                            f"is not in the collection")
+            walls.append(record)
+    return win.Certificate(n, d, tuple(walls))
+
+
+def with_stranger(col):
+    """col with a member that is not an F_{c,J} appended to its first block."""
+    first = col.blocks[0]
+    stranger = divisor(0, (1,) + (0,) * col.n)
+    assert parse_F(stranger) is None
+    return Collection(col.n, (Block(first.ell, first.members + (stranger,)),) + col.blocks[1:])
+
+
+def random_mutation(rng, col):
+    """One drop, add or swap valid for col; an add may leave every window."""
+    n, size = col.n, col.size
+    kind = rng.choice(("drop", "add", "swap"))
+    if kind == "drop" and size > 1:
+        return f"drop:{rng.randrange(size)}"
+    if kind == "swap":
+        return f"swap:{rng.randrange(size)},{rng.randrange(size)}"
+    labels = sorted(rng.sample(range(n + 1), rng.randint(0, n + 1)))
+    return f"add:{rng.randint(-2, n // 2 + 2)},{'-'.join(map(str, labels))}"
+
+
 def generation_cases():
     cases = [(f"G_{n}", build_Gn(n)) for n in DIMS]
     cases += [(f"drop:{i}", apply_mutation(build_Gn(4), f"drop:{i}")) for i in range(30)]
     cases += [(text, apply_mutation(build_Gn(n), text))
               for n, text in ((4, "add:5,0"), (2, "add:3,0-1-2"), (2, "add:-2,"),
                               (4, "swap:0,5"), (6, "swap:0,5"))]
-    for n in (2, 4):
-        col = build_Gn(n)
-        first = col.blocks[0]
-        stranger = divisor(0, (1,) + (0,) * n)
-        blocks = (Block(first.ell, first.members + (stranger,)),) + col.blocks[1:]
-        cases.append((f"stranger-{n}", Collection(n, blocks)))
+    cases += [(f"stranger-{n}", with_stranger(build_Gn(n))) for n in (2, 4)]
+    return cases
+
+
+def seeded_mutants(count=60, seed=17):
+    """Seeded sequences of one to three mutations at n <= 8, a quarter on a stranger."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        col = build_Gn(rng.choice((2, 4, 4, 6, 6, 8)))
+        texts = ["stranger"] if rng.random() < 0.25 else []
+        col = with_stranger(col) if texts else col
+        for _ in range(rng.randint(1, 3)):
+            texts.append(random_mutation(rng, col))
+            col = apply_mutation(col, texts[-1])
+        cases.append((f"n={col.n} {' '.join(texts)}", col))
     return cases
 
 
@@ -200,19 +260,32 @@ def generation_outcome(check):
 
 def test_generation_classes_match_flat_certificate():
     kinds = Counter()
-    for name, col in generation_cases():
+    for name, col in generation_cases() + seeded_mutants():
         n = col.n
-        counted = generation_outcome(lambda: verify_generation(n, col))
-        flat = generation_outcome(lambda: build_certificate(n, col))
+        flat = generation_outcome(lambda: flat_certificate(n, col))
+        kinds[flat[0] if isinstance(flat, tuple) else "ok"] += 1
+        assert generation_outcome(lambda: build_certificate(n, col)) == flat, name
         if isinstance(flat, win.Certificate):
             flat = win.GenerationCheck(n, len(flat.walls),
                                        sum(len(r.pieces) for r in flat.walls))
-            kinds["ok"] += 1
-        else:
-            kinds[flat[0]] += 1
-        assert counted == flat, name
+        assert generation_outcome(lambda: verify_generation(n, col)) == flat, name
     # the cases reach both failures as well as passes
-    assert set(kinds) == {"ok", "WindowViolation", "KoszulEscape"}
+    assert set(kinds) == {"ok", "WindowViolation", "KoszulEscape"}, kinds
+
+
+def test_generation_reads_no_members(monkeypatch):
+    # a failing check names its first failure from the cells, and a certificate
+    # takes its verdict from the check: neither makes the member list
+    drop = apply_mutation(build_Gn(8), "drop:0")
+    flat = generation_outcome(lambda: flat_certificate(8, drop))
+    assert flat[0] == "KoszulEscape"
+
+    def unread(self):
+        raise AssertionError("Collection.members was read")
+
+    monkeypatch.setattr(Collection, "members", property(unread))
+    assert generation_outcome(lambda: verify_generation(8, drop)) == flat
+    assert len(build_certificate(8).walls) == 256
 
 
 def test_generation_counts_in_closed_form():
@@ -356,14 +429,31 @@ def test_certificate_schema_guard():
 ])
 def test_certificate_loader_refuses_non_integers(path, value):
     # int() would truncate -0.5 to 0 and read True as 1
+    with pytest.raises(ValueError):
+        certificate_from_dict(edited_certificate(path, value))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("walls", 0, "window"), [-1, 0, 1]), (("walls", 0, "window"), [0]),
+    (("walls", 0, "wall_range"), []), (("walls", 0, "wall_range"), [-1, -1, -1]),
+    (("walls", 0, "pieces", 0, "branch"), "sideways"),
+    (("walls", 0, "pieces", 0, "branch"), None),
+    (("base_case",), 7), (("base_case",), "full"),
+])
+def test_certificate_loader_refuses_malformed_fields(path, value):
+    with pytest.raises(ValueError):
+        certificate_from_dict(edited_certificate(path, value))
+
+
+def edited_certificate(path, value):
+    """The dict of the n = 2 certificate with the field at path set to value."""
     data = certificate_to_dict(build_certificate(2))
     *parents, key = path
     field = data
     for step in parents:
         field = field[step]
     field[key] = value
-    with pytest.raises(ValueError):
-        certificate_from_dict(data)
+    return data
 
 
 @pytest.mark.parametrize("call", [

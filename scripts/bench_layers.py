@@ -1,17 +1,20 @@
 """Time G_n's construction, the pair sweeps, the checks, the pattern homology
-table, cohomology on random classes and the n = 14, 16 and 20 commands.
+table, cohomology on random classes and the n = 12, 14, 16 and 20 commands.
 
     python3 scripts/bench_layers.py > record.json
 
 Each layer runs in its own fresh interpreter on the program in this
 checkout's src/: one warm-up call, then up to five timed calls, stopped
 after BUDGET_S seconds. A layer reports the median of the calls that
-finished, their count, and whether the budget cut it short; a layer the
+finished, their count, whether the budget cut it short, and the peak RSS
+of its interpreter (ru_maxrss; None for a layer cut short); a layer the
 program does not have is reported as missing. The machine (CPU count and
 model, Python version) and the commit are recorded with the times. The output
 is one JSON object on stdout. Standard library only.
 
-The mutant layers run `verify --dim 16 --mutate drop:0`, which must exit 1.
+The mutant layers at n = 16 run `verify --dim 16 --mutate drop:0`, and
+`mutant.swap` at n = 12 runs `verify --dim 12 --mutate swap:3958,6`, which
+swaps a member of a 1,716-member cell into another block; each must exit 1.
 The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
 once, and each `cohomology.coeffs` call grades the next of five seeded
 coefficient vectors with entries in [-3, 3]. Both are timed cold: when
@@ -46,11 +49,12 @@ LAYERS = (
                                             "cardinality")]
     + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability",
                                             "generation")]
+    + [("mutant.swap", 12)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
 )
 
 WORKER = """\
-import contextlib, importlib, io, itertools, json, random, sys, time
+import contextlib, importlib, io, itertools, json, random, resource, sys, time
 sys.path.insert(0, {src!r})
 from toric_exc import cli, collection, windows
 from toric_exc.fan import build_Vn
@@ -79,11 +83,13 @@ elif name.startswith("sweep."):
         if not collection.verify_exceptional(col, name[6:]).ok:
             sys.exit("the sweep failed")
 elif name.startswith(("verify.", "mutant.")):
-    # a mutant drops one member, so its checks must fail with exit 1
+    # a mutant drops one member, or swaps two, so its checks must fail with exit 1
     kind, what = name.split(".")
     argv = ["verify", "--dim", str(n), "--what", what]
     expected = 0
-    if kind == "mutant":
+    if what == "swap":
+        argv, expected = argv[:3] + ["--mutate", "swap:3958,6"], 1
+    elif kind == "mutant":
         argv, expected = argv + ["--mutate", "drop:0"], 1
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -104,6 +110,7 @@ for _ in range({runs}):
     start = time.perf_counter()
     call()
     print(json.dumps(time.perf_counter() - start), flush=True)
+print(json.dumps({{"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}}))
 """
 
 
@@ -123,8 +130,9 @@ def time_layer(name: str, n: int) -> dict:
         return {"layer": name, "n": n, "missing": True}
     if not cut and proc.returncode != 0:
         raise SystemExit(f"{name} at n = {n} exited {proc.returncode}")
+    peak = runs.pop()["peak_rss_mb"] if runs and isinstance(runs[-1], dict) else None
     return {"layer": name, "n": n, "median_s": statistics.median(runs) if runs else None,
-            "runs": len(runs), "cut_at_s": BUDGET_S if cut else None}
+            "runs": len(runs), "cut_at_s": BUDGET_S if cut else None, "peak_rss_mb": peak}
 
 
 def git(*args: str) -> str:

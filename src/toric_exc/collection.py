@@ -24,19 +24,20 @@ each once. A mutation regroups its parent's labels (_group) and makes
 no member; members are made when read.
 
 A full sweep counts pairs instead of walking them. The verdict of a
-pair depends only on its family (c, k, l) and its block relation, and
-the number of members of a complete cell meeting a given J in t labels
-is a product of binomials, so every pair with a complete cell on one
-side is counted in closed form and graded by one representative per
-key. Only pairs between members of incomplete cells, pairs with a
-member outside F_{c,J}, and the pairs of a group whose key failed are
-walked one by one; an unmutated G_n walks none.
+pair depends only on its family (c, k, l) and its block relation. The
+members of one (block, c, l) are held as signed parts (_units), and the
+number of l-subsets meeting a given J in t labels is a product of
+binomials, so the pairs between two units are counted per key in closed
+form and graded by one representative per key. Only pairs with a member
+outside F_{c,J} and the pairs of two units with a failing key are walked
+one by one; an unmutated G_n walks none.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, filterfalse, groupby, islice
@@ -276,7 +277,7 @@ class Cell(NamedTuple):
     block: int
     c: int
     ell: int
-    positions: range  # flat positions (a list in a joined unit of _units)
+    positions: range  # flat positions
     labels: tuple[frozenset, ...] | None  # the J of each position
     complete: bool  # labels are the ell-subsets of 0..n, each once
 
@@ -400,23 +401,24 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         checked = len(results)
     else:
         cells, strangers = collection.cells
+        units = _units(n, cells)
         results = []
         checked = 0
-        for sources, targets, terms in _counted_groups(n, cells):
-            failed = False
-            for (family, need_all), count in terms:
-                checked += count
-                ok, _ = grade(family, need_all, lambda: _family_class(n, family))
-                failed = failed or not ok
-            if failed:
-                results += walk(_pairs_between(sources, targets), False)
-        complete, loose = _units(n, cells)
-        loose = sorted(strangers + tuple(p for unit in loose for p in unit.positions))
-        held = [p for unit in complete for p in unit.positions] if strangers else ()
-        walked = [*_pairs_between(loose, loose), *_pairs_between(strangers, held),
-                  *_pairs_between(held, strangers)]
-        if walked:
-            results += walk(walked, False)
+        for source in units:
+            for target in units:
+                failed = False
+                for (family, need_all), count in _tally(n, source, target).items():
+                    if count > 0:
+                        checked += count
+                        ok, _ = grade(family, need_all, lambda: _family_class(n, family))
+                        failed = failed or not ok
+                if failed:
+                    sources, targets = ([p for run in unit.positions for p in run]
+                                        for unit in (source, target))
+                    results += walk(_pairs_between(sources, targets), False)
+        others = [p for p in range(size) if p not in collection._strangers] if strangers else ()
+        walked = [*_pairs_between(strangers, range(size)), *_pairs_between(others, strangers)]
+        results += walk(walked, False)
         checked += len(walked)
         results.sort(key=lambda r: (r.source, r.target))
 
@@ -433,68 +435,73 @@ def _pairs_between(sources, targets):
     return ((i, j) for i in sources for j in targets if i != j)
 
 
-def _counted_groups(n, cells):
-    """Every pair with a complete cell on one side, counted in closed form.
+class Unit(NamedTuple):
+    """The members of one (block, c, l): their J are the sum of the signed parts."""
 
-    Yields (sources, targets, terms): one group for each complete unit or
-    loose member (_units) as the source and complete unit as the target,
-    and one for each complete unit as the source and loose member as the
-    target. Each term is (key, count): a key (family, need_all) and how
-    many pairs of the group have it.
-    """
-    complete, loose = _units(n, cells)
-    for unit in complete + loose:
-        for cell in complete:
-            yield unit.positions, cell.positions, _terms(n, unit, cell, outgoing=True)
-    for unit in loose:
-        for cell in complete:
-            yield cell.positions, unit.positions, _terms(n, unit, cell, outgoing=False)
+    block: int
+    c: int
+    ell: int
+    positions: tuple[range, ...]  # those of its cells, in flat order
+    parts: tuple[tuple[int, frozenset | None], ...]  # (sign, J), None for every l-subset
 
 
 def _units(n, cells):
-    """The complete and the loose one-member units of the counted sweep.
+    """One unit per (block, c, l), each listing the side of its J with fewer labels.
 
-    A complete cell is a unit, and so are the incomplete cells of one
-    (block, c, ell) that hold every ell-subset once between them (the parts
-    of a cell cut by a swap inside its block), with a list of positions.
+    A lone complete cell is the one part "every l-subset". A unit holding
+    more than half of the l-subsets is every l-subset, less each it misses,
+    plus each duplicate; a smaller one lists its J, a duplicate twice.
     """
-    complete = [cell for cell in cells if cell.complete]
-    keyed, loose = {}, []
+    keyed = {}
     for cell in cells:
-        if not cell.complete:
-            keyed.setdefault((cell.block, cell.c, cell.ell), []).append(cell)
-    for (block, c, ell), parts in keyed.items():
-        positions = [p for part in parts for p in part.positions]
-        labels = [j for part in parts for j in part.labels]
-        if len(labels) == len(set(labels)) == math.comb(n + 1, ell):
-            complete.append(Cell(block, c, ell, positions, tuple(labels), True))
-        else:
-            loose += (Cell(block, c, ell, range(p, p + 1), (j,), False)
-                      for p, j in zip(positions, labels))
-    return complete, loose
+        keyed.setdefault((cell.block, cell.c, cell.ell), []).append(cell)
+    units = []
+    for (block, c, ell), group in keyed.items():
+        parts = ((1, None),)
+        if len(group) > 1 or not group[0].complete:
+            labels = [j for cell in group for j in cell.labels or _lexicographic(n, ell)]
+            held = set(labels)
+            if 2 * len(held) <= math.comb(n + 1, ell):
+                parts = tuple((1, j) for j in labels)
+            else:
+                extra = Counter(labels) - Counter(held) if len(held) < len(labels) else Counter()
+                parts = ((1, None), *((-1, j) for j in filterfalse(held.__contains__,
+                                                                 _lexicographic(n, ell))),
+                         *((1, j) for j in extra.elements()))
+        units.append(Unit(block, c, ell, tuple(cell.positions for cell in group), parts))
+    return units
 
 
-def _terms(n, unit, cell, outgoing):
-    """Keyed pair counts between the members of unit and a complete cell.
+def _tally(n, source, target):
+    """(family, need_all) -> number of pairs from the members of source to those of target.
 
-    A member F_{c,J} meets C(|J|, t) C(n + 1 - |J|, l - t) members of a
-    complete cell in exactly t labels, whatever J is. A complete unit
-    repeats that once per member, less the diagonal when it is the cell.
-    Target minus source has the family (c_t - c_s, l_s - t, l_t - t).
+    Bilinear in the parts. Target minus source is in the family
+    (c_t - c_s, l_s - t, l_t - t) when their J share t labels, and a J meets
+    C(|J|, t) C(n + 1 - |J|, l - t) of the l-subsets so, whatever J is. A
+    unit meeting itself loses its diagonal, its size in the family (0, 0, 0).
     """
-    copies = len(unit.positions)
-    source, target = (unit, cell) if outgoing else (cell, unit)
-    need_all = source.block >= target.block
-    out = []
-    for t in range(max(0, unit.ell + cell.ell - n - 1), min(unit.ell, cell.ell) + 1):
-        count = copies * math.comb(unit.ell, t) * math.comb(n + 1 - unit.ell, cell.ell - t)
-        if unit is cell and t == unit.ell:
-            count -= copies
-        if not count:
-            continue
-        out.append((((target.c - source.c, source.ell - t, target.ell - t), need_all),
-                    count))
-    return out
+    c_s, l_s, c_t, l_t = source.c, source.ell, target.c, target.ell
+    dc, need_all, comb = c_t - c_s, source.block >= target.block, math.comb
+    counts = {}
+    for sign_s, j_s in source.parts:
+        for sign_t, j_t in target.parts:
+            sign = sign_s * sign_t
+            if j_s is not None and j_t is not None:
+                key = family_of_parsed((c_t, j_t), (c_s, j_s)), need_all
+                counts[key] = counts.get(key, 0) + sign
+                continue
+            # sign copies of an ell-set against every other-set
+            if j_t is None:
+                sign, ell, other = sign * (comb(n + 1, l_s) if j_s is None else 1), l_s, l_t
+            else:
+                ell, other = l_t, l_s
+            rest = n + 1 - ell
+            for t in range(max(0, ell + other - n - 1), min(ell, other) + 1):
+                key = (dc, l_s - t, l_t - t), need_all
+                counts[key] = counts.get(key, 0) + sign * comb(ell, t) * comb(rest, other - t)
+    if source is target:
+        counts[(0, 0, 0), True] -= sum(map(len, source.positions))
+    return counts
 
 
 def _family_class(n, family):
@@ -551,8 +558,8 @@ def verify_stability(collection: Collection) -> StabilityReport:
     Also pins the involution's closed form on each member: F_{c,J} must
     land on F_{|J|-c,J} exactly.
 
-    Decided on the J sets of each (c, l) in a block, each held by its
-    smaller side among the l-subsets (`_smaller_side`). (perm, flip) sends
+    Decided on the J sets of each (c, l) in a block, each held by the side
+    its unit lists (_units). (perm, flip) sends
     F_{c,J} to F_{c',perm J}, c' being l - c under the involution and c
     otherwise, so it keeps a block when it maps each (c, l) set onto the
     (c', l) set and the members outside F_{c,J} onto themselves; those are
@@ -565,15 +572,11 @@ def verify_stability(collection: Collection) -> StabilityReport:
     flip = (tuple(range(n + 1)), True)
     closed = {(c, ell): act(flip, make_F(n, c, range(ell))) == make_F(n, ell - c, range(ell))
               for c, ell in {(cell.c, cell.ell) for cell in cells}}
-    found = [{} for _ in collection.ells]  # per block: (c, l) -> J set, None for all
-    for cell in cells:
-        sets, key = found[cell.block], (cell.c, cell.ell)
-        if cell.complete:
-            sets[key] = None
-        elif sets.get(key, ()) is not None:
-            sets.setdefault(key, set()).update(cell.labels)
-    labels = [{key: _smaller_side(n, key[1], js) for key, js in sets.items()}
-              for sets in found]
+    labels = [{} for _ in collection.ells]  # per block: (c, l) -> the side of its J set
+    for unit in _units(n, cells):
+        complement = unit.parts[0][1] is None
+        labels[unit.block][unit.c, unit.ell] = complement, frozenset(
+            j for sign, j in unit.parts if complement == (sign < 0))
     strange = [[] for _ in labels]
     for block, m in collection._strangers.values():
         strange[block].append(m)
@@ -599,20 +602,6 @@ def verify_stability(collection: Collection) -> StabilityReport:
 _ALL = (True, frozenset())  # a (c, l) set missing no l-subset
 
 
-def _smaller_side(n, ell, found):
-    """A (c, l) J set as (False, the J it holds) or (True, the J it misses).
-
-    found is None for a set holding every l-subset. The side with fewer
-    labels is kept, so equal sets of one l get equal sides, and the missing
-    labels are listed once, here.
-    """
-    if found is None:
-        return _ALL
-    if 2 * len(found) <= math.comb(n + 1, ell):
-        return False, frozenset(found)
-    return True, frozenset(filterfalse(found.__contains__, _lexicographic(n, ell)))
-
-
 def _keeps(perm, flipped, sets):
     """Whether (perm, flipped) maps each (c, l) J set of a block onto its image's set.
 
@@ -621,7 +610,7 @@ def _keeps(perm, flipped, sets):
     which move only the J holding exactly one of i and i+1: a set is kept
     when it holds the swap of each of those. A permutation keeps a set
     exactly when it keeps its complement among the l-subsets, so the test
-    reads the side that `_smaller_side` kept.
+    reads the side that `_units` listed.
     """
     if flipped:
         return all(sets.get((ell - c, ell)) == side for (c, ell), side in sets.items())
@@ -752,6 +741,14 @@ def int_field(data: dict, key: str) -> int:
     return value
 
 
+def dim_field(data: dict) -> int:
+    """data["n"], which must be an even int >= 2; anything else raises ValueError."""
+    n = int_field(data, "n")
+    if n < 2 or n % 2:
+        raise ValueError(f"'n' must be an even integer >= 2, got {n}")
+    return n
+
+
 def int_list(data: dict, key: str) -> list[int]:
     """data[key], which must be a list of ints; a float or bool in it raises ValueError."""
     value = data[key]
@@ -763,7 +760,7 @@ def int_list(data: dict, key: str) -> list[int]:
 def collection_from_dict(data: dict) -> Collection:
     if data.get("schema") != COLLECTION_SCHEMA:
         raise ValueError(f"expected schema {COLLECTION_SCHEMA}")
-    n = int_field(data, "n")
+    n = dim_field(data)
     runs = [(bi, int_field(m, "c"), len(j), (j,)) for bi, block in enumerate(data["blocks"])
             for m in block["members"] for j in [label_set(n, int_list(m, "J"))]]
     return Collection(n, ells=[int_field(block, "ell") for block in data["blocks"]], runs=runs)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from .collection import Collection, build_Gn, int_field, int_list
+from .collection import Collection, build_Gn, dim_field, int_field, int_list
 from .fan import Fan, build_Vn, circuit_relation
 from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F
@@ -381,7 +381,7 @@ def certificate_from_dict(data: dict) -> Certificate:
     """Read certificate_to_dict's output; a malformed field raises ValueError."""
     if data.get("schema") != CERTIFICATE_SCHEMA:
         raise ValueError(f"expected schema {CERTIFICATE_SCHEMA}")
-    n = int_field(data, "n")
+    n = dim_field(data)
     walls = []
     for wall in data["walls"]:
         pieces = tuple(

@@ -291,12 +291,16 @@ def mutant(n, mutation):
     return apply_mutation(col, mutation) if mutation else col
 
 
-@pytest.mark.parametrize("method, n, mutation", [
-    (method, n, m) for method in METHODS for n in (2, 4)
-    for m in (None, "drop:3", "add:1,0-1", "add:0,0", "swap:0,5", "swap:1,20",
-              "stranger")
+COUNTED_MUTANTS = [
+    (n, m) for n in (2, 4)
+    for m in (None, "drop:3", "add:1,0-1", "add:0,0", "swap:0,5", "swap:1,20", "stranger")
     if not (n == 2 and m == "swap:1,20")
-] + [("inequalities", 6, m) for m in ("add:1,0-1-2", "drop:17", "swap:0,100")])
+] + [(6, m) for m in ("add:1,0-1-2", "drop:17", "swap:0,100")]
+
+
+@pytest.mark.parametrize("method, n, mutation", [
+    (method, n, m) for method in METHODS for n, m in COUNTED_MUTANTS if n < 6
+] + [("inequalities", n, m) for n, m in COUNTED_MUTANTS if n == 6])
 def test_counted_sweep_matches_flat_sweep(method, n, mutation):
     col = mutant(n, mutation)
     report = verify_exceptional(col, method)
@@ -306,27 +310,33 @@ def test_counted_sweep_matches_flat_sweep(method, n, mutation):
     assert report.pair_results is None and not report.sampled
 
 
-def flat_key_tally(col):
+def flat_key_tally(col, unit_of):
+    """(source unit, target unit) -> {(family, need_all): pairs}, over every pair of units."""
     parsed = [parse_F(m) for m in col.members]
     block_of = [bi for bi, block in enumerate(col.blocks) for _ in block.members]
     tally = {}
     for i, j in all_pairs(col):
-        key = (family_of_parsed(parsed[j], parsed[i]), block_of[i] >= block_of[j])
-        tally[key] = tally.get(key, 0) + 1
+        if i in unit_of and j in unit_of:
+            key = (family_of_parsed(parsed[j], parsed[i]), block_of[i] >= block_of[j])
+            counts = tally.setdefault((unit_of[i], unit_of[j]), {})
+            counts[key] = counts.get(key, 0) + 1
     return tally
 
 
-@pytest.mark.parametrize("n", DIMS)
-def test_counted_keys_match_flat_tally(n):
-    col = build_Gn(n)
+@pytest.mark.parametrize("n, mutation", [pytest.param(n, None, id=str(n)) for n in DIMS] + [
+    (n, m) for n, m in COUNTED_MUTANTS if m] + [(4, "add:2,0-1-2-3-4")])
+def test_counted_keys_match_flat_tally(n, mutation):
+    # add:2,0-1-2-3-4 duplicates the one member of block 0's (2, 5) cell
+    col = mutant(n, mutation)
     cells, strangers = col.cells
-    assert not strangers and all(cell.complete for cell in cells)
-    counted = {}
-    for sources, targets, terms in collection_module._counted_groups(n, cells):
-        for key, count in terms:
-            counted[key] = counted.get(key, 0) + count
-    assert counted == flat_key_tally(col)
-    assert sum(counted.values()) == col.size * (col.size - 1)
+    units = collection_module._units(n, cells)
+    unit_of = {p: u for u, unit in enumerate(units) for run in unit.positions for p in run}
+    assert sorted(unit_of) == [p for p in range(col.size) if p not in strangers]
+    flat = flat_key_tally(col, unit_of)
+    for s, source in enumerate(units):
+        for t, target in enumerate(units):
+            counted = collection_module._tally(n, source, target)
+            assert {key: count for key, count in counted.items() if count} == flat.get((s, t), {})
 
 
 def test_cells_of_a_mutant():
@@ -523,6 +533,17 @@ def test_swap_inside_a_block_walks_no_pair(monkeypatch):
     assert calls == []
 
 
+def test_damaged_sweep_walks_about_its_violations(monkeypatch):
+    # the swap trades F_{6,{0..10}}, alone in block 2, with one of the 330
+    # members of block 10's (3, 7) cell; only the unit pairs whose keys fail
+    # are walked, so the pairs read track the violations, not that cell
+    col = apply_mutation(build_Gn(10), "swap:5,900")
+    calls = count_calls(monkeypatch, ["family_of_parsed"])
+    report = verify_exceptional(col)
+    assert report.pairs_checked == col.size * (col.size - 1)
+    assert report.violations and len(calls) <= 2 * len(report.violations)
+
+
 def count_calls(monkeypatch, names, modules=(collection_module,)):
     calls = []
     for module in modules:
@@ -698,6 +719,7 @@ def assert_views_match_flat(col, ells, entries):
 @settings(max_examples=25, deadline=None)
 @given(texts=mutation_sequences(), stranger=st.booleans())
 @example(texts=["swap:2,9", "add:1,0-1", "drop:0"], stranger=True)
+@example(texts=["drop:7"] * 6, stranger=False)  # 4 of the 10 J of the l = 2 cell left
 def test_mutation_sequences_match_flat_references(texts, stranger):
     col = with_stranger(build_Gn(4)) if stranger else build_Gn(4)
     ells = [block.ell for block in col.blocks]
@@ -927,7 +949,7 @@ def test_schema_guard():
     (("blocks", 0, "members", 0, "c"), False),
     (("blocks", 1, "members", 0, "J"), [0.0, 1.0]),
     (("blocks", 1, "members", 2, "J"), [True, 2]),
-    (("blocks", 1, "members", 1, "J"), "02"),
+    (("blocks", 1, "members", 1, "J"), "02"), (("n",), 3), (("n",), 0),
 ])
 def test_loader_refuses_non_integers(path, value):
     # int() would truncate 2.9 to 2 and read True as 1; labels are checked

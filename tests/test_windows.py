@@ -425,7 +425,7 @@ def test_certificate_schema_guard():
     (("walls", 0, "pieces", 0, "components", 0, "J"), [1.0, 2]),
     (("walls", 0, "J"), [False]), (("walls", 0, "J"), [0.5]),
     (("walls", 0, "window"), [-1.0, 0]), (("walls", 0, "wall_range"), [-1, True]),
-    (("walls", 0, "wall_range"), -1),
+    (("walls", 0, "wall_range"), -1), (("n",), 3), (("n",), 0),
 ])
 def test_certificate_loader_refuses_non_integers(path, value):
     # int() would truncate -0.5 to 0 and read True as 1

@@ -83,14 +83,16 @@ elif name.startswith("sweep."):
         if not collection.verify_exceptional(col, name[6:]).ok:
             sys.exit("the sweep failed")
 elif name.startswith(("verify.", "mutant.")):
-    # a mutant drops one member, or swaps two, so its checks must fail with exit 1
+    # a mutant drops one member, or swaps two for the exceptional check, so
+    # its checks must fail with exit 1
     kind, what = name.split(".")
     argv = ["verify", "--dim", str(n), "--what", what]
     expected = 0
-    if what == "swap":
-        argv, expected = argv[:3] + ["--mutate", "swap:3958,6"], 1
-    elif kind == "mutant":
-        argv, expected = argv + ["--mutate", "drop:0"], 1
+    if kind == "mutant":
+        mutation = "drop:0"
+        if what == "swap":
+            argv[-1], mutation = "exceptional", "swap:3958,6"
+        argv, expected = argv + ["--mutate", mutation], 1
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != expected:

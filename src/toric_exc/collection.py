@@ -15,11 +15,12 @@ forbidden-cone certificates, or the cohomology oracle. Size is checked
 against the fan's count of maximal cones, so a dropped member is caught
 even though every surviving pair still verifies.
 
-A collection is held as the l of each block, its cells and its members
-outside F_{c,J}. A cell is a run of consecutive positions in one block
-sharing the twist c and |J| = l; it lists the J of each position, or
-nothing when they are every l-subset of 0..n in lexicographic order, as
-in each cell of G_n. It is complete when its J sets are the l-subsets,
+A collection is held as the l of each block and its cells, and nothing
+else: a member outside F_{c,J}, or of another dimension, is refused when
+the collection is made. A cell is a run of consecutive positions in one
+block sharing the twist c and |J| = l; it lists the J of each position,
+or nothing when they are every l-subset of 0..n in lexicographic order,
+as in each cell of G_n. It is complete when its J sets are the l-subsets,
 each once. A mutation regroups its parent's labels (_group) and makes
 no member; members are made when read.
 
@@ -28,9 +29,9 @@ pair depends only on its family (c, k, l) and its block relation. The
 members of one (block, c, l) are held as signed parts (_units), and the
 number of l-subsets meeting a given J in t labels is a product of
 binomials, so the pairs between two units are counted per key in closed
-form and graded by one representative per key. Only pairs with a member
-outside F_{c,J} and the pairs of two units with a failing key are walked
-one by one; an unmutated G_n walks none.
+form and graded by one representative per key. Only the pairs of two
+units with a failing key are walked one by one; an unmutated G_n walks
+none.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class Collection:
     """Blocks of members, held as cells (module docstring) and read through views.
 
     Collection(n, blocks) groups the parsed members, Collection(n, ells=...,
-    runs=...) a stream of runs (_group). A stranger, a member outside F_{c,J}
-    or of another dimension, is held as position -> (block, member). at maps
-    a position to (block index, (c, J) or None), read from its cell on first use.
+    runs=...) a stream of runs (_group). A member outside F_{c,J}, or of
+    another dimension, raises ValueError. at maps a position to (block
+    index, (c, J)), read from its cell on first use.
     """
 
     def __init__(self, n: int, blocks=None, *, ells=(), runs=()):
@@ -92,25 +93,21 @@ class Collection:
             ells = [b.ell for b in blocks]
             runs = (_member_run(n, bi, m) for bi, b in enumerate(blocks) for m in b.members)
         self.n, self.ells = n, tuple(ells)
-        cells, self._strangers = _group(n, runs)
-        self.cells = tuple(cells), tuple(self._strangers)
-        self._starts = [cell.positions.start for cell in cells]
+        self.cells = _group(n, runs)
+        self._starts = [cell.positions.start for cell in self.cells]
         self.at = _ReadOnce(self._read)
 
     def __eq__(self, other):
         if not isinstance(other, Collection):
             return NotImplemented
-        return ((self.n, self.ells, self.cells, self._strangers)
-                == (other.n, other.ells, other.cells, other._strangers))
+        return (self.n, self.ells, self.cells) == (other.n, other.ells, other.cells)
 
     @cached_property
     def shape(self) -> tuple[tuple[int, int], ...]:
         """(ell, size) of each block."""
         sizes = [0] * len(self.ells)
-        for cell in self.cells[0]:
+        for cell in self.cells:
             sizes[cell.block] += len(cell.positions)
-        for block, _ in self._strangers.values():
-            sizes[block] += 1
         return tuple(zip(self.ells, sizes))
 
     @property
@@ -120,12 +117,10 @@ class Collection:
     @cached_property
     def members(self) -> tuple[DivisorClass, ...]:
         members = [None] * self.size
-        for cell in self.cells[0]:
+        for cell in self.cells:
             labels = cell.labels or combinations(range(self.n + 1), cell.ell)
             members[cell.positions.start:cell.positions.stop] = (
                 _F(self.n, cell.c, j) for j in labels)
-        for p, (_, m) in self._strangers.items():
-            members[p] = m
         return tuple(members)
 
     @cached_property
@@ -135,13 +130,10 @@ class Collection:
 
     def member(self, p: int) -> DivisorClass:
         """The member at flat position p, made from the (c, J) that at reads."""
-        parsed = self.at[p][1]
-        return self._strangers[p][1] if parsed is None else _F(self.n, *parsed)
+        return _F(self.n, *self.at[p][1])
 
     def _read(self, p):
-        if p in self._strangers:
-            return self._strangers[p][0], None
-        cell = self.cells[0][bisect_right(self._starts, p) - 1]
+        cell = self.cells[bisect_right(self._starts, p) - 1]
         r = p - cell.positions.start
         if not 0 <= r < len(cell.positions):
             raise IndexError(f"position {p} outside 0..{self.size - 1}")
@@ -193,32 +185,26 @@ def _lexicographic(n: int, ell: int):
 
 
 def _member_run(n, block, m):
-    """The run of one member (see _group); one of another dimension is a stranger."""
-    parsed = parse_F(m) if len(m.coeffs) == n + 2 else None
+    """The run of one member (see _group); one outside F_{c,J} on V_n raises ValueError."""
+    parsed = parse_F(m) if m.n == n else None
     if parsed is None:
-        return block, m
+        raise ValueError(f"member {m.coeffs} is not an F_{{c,J}} class on V_{n}")
     c, j = parsed
     return block, c, len(j), (j,)
 
 
 def _group(n: int, runs):
-    """The cells and strangers of a flat stream of runs, in position order.
+    """The cells of a flat stream of runs, in position order.
 
     A run is (block, c, ell, labels) for members F_{c,J} with |J| = ell,
     labels being their J or None for every ell-subset in lexicographic
-    order, or (block, member) for a stranger. Adjacent runs of one block and
-    (c, ell) join, and a cell listing every ell-subset in lexicographic order
-    gets labels None, so the cells do not depend on how the runs were cut.
+    order. Adjacent runs of one block and (c, ell) join, and a cell listing
+    every ell-subset in lexicographic order gets labels None, so the cells
+    do not depend on how the runs were cut.
     """
-    cells, strangers = [], {}
+    cells = []
     start = 0
-    for key, group in groupby(runs, lambda run: run[:3] if len(run) == 4 else None):
-        if key is None:
-            for run in group:
-                strangers[start] = run
-                start += 1
-            continue
-        block, c, ell = key
+    for (block, c, ell), group in groupby(runs, lambda run: run[:3]):
         parts = [run[3] for run in group]
         count = math.comb(n + 1, ell)
         labels = None if parts == [None] else tuple(
@@ -229,7 +215,7 @@ def _group(n: int, runs):
         size = count if labels is None else len(labels)
         cells.append(Cell(block, c, ell, range(start, start + size), labels, complete))
         start += size
-    return cells, strangers
+    return tuple(cells)
 
 
 def expected_size(n: int) -> int:
@@ -358,31 +344,23 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     # The verdict of a pair depends only on the S_{n+1}-orbit of its
     # difference, the family (c, k, l), and on the block relation, so each
-    # key is graded once per call. A member outside F_{c,J} has no family:
-    # its pairs are graded one by one.
+    # key is graded once per call.
     grades = {}
 
-    def grade(family, need_all, difference):
-        """Verdict of a pair; difference() builds its target minus source."""
+    def grade(family, need_all):
         key = (family, need_all)
-        if family is None or key not in grades:
-            verdict = _grade_pair(fan, method, n, difference, family, need_all)
-            if family is None:
-                return verdict
-            grades[key] = verdict
+        if key not in grades:
+            grades[key] = _grade_pair(fan, method, n, family, need_all)
         return grades[key]
 
     def walk(pairs, keep_passing):
         """Grade pairs one by one: the failing results, or all of them."""
-        at, member = collection.at, collection.member
+        at = collection.at
         out = []
         for i, j in pairs:
             (block_i, parsed_i), (block_j, parsed_j) = at[i], at[j]
             relation = _pair_relation(block_i, block_j)
-            family = family_of_parsed(parsed_j, parsed_i)
-            ok, detail = grade(family, relation != "forward",
-                               lambda: _family_class(n, family) if family
-                               else member(j) - member(i))
+            ok, detail = grade(family_of_parsed(parsed_j, parsed_i), relation != "forward")
             if keep_passing or not ok:
                 out.append(PairResult(i, j, relation, ok, detail))
         return out
@@ -400,8 +378,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         results = walk(_pairs_between(range(size), range(size)), True)
         checked = len(results)
     else:
-        cells, strangers = collection.cells
-        units = _units(n, cells)
+        units = _units(n, collection.cells)
         results = []
         checked = 0
         for source in units:
@@ -410,16 +387,12 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                 for (family, need_all), count in _tally(n, source, target).items():
                     if count > 0:
                         checked += count
-                        ok, _ = grade(family, need_all, lambda: _family_class(n, family))
+                        ok, _ = grade(family, need_all)
                         failed = failed or not ok
                 if failed:
                     sources, targets = ([p for run in unit.positions for p in run]
                                         for unit in (source, target))
                     results += walk(_pairs_between(sources, targets), False)
-        others = [p for p in range(size) if p not in collection._strangers] if strangers else ()
-        walked = [*_pairs_between(strangers, range(size)), *_pairs_between(others, strangers)]
-        results += walk(walked, False)
-        checked += len(walked)
         results.sort(key=lambda r: (r.source, r.target))
 
     return Report(
@@ -510,18 +483,15 @@ def _family_class(n, family):
     return DivisorClass((-c,) + (c + 1,) * k + (c - 1,) * ell + (c,) * (n + 1 - k - ell))
 
 
-def _grade_pair(fan, method, n, difference, family, need_all):
-    """Verdict and detail of a pair; difference() builds target minus source."""
+def _grade_pair(fan, method, n, family, need_all):
+    """Verdict and detail of a pair whose target minus source is in the (c, k, l) family."""
     if method == "oracle":
-        ranks = cohomology(fan, difference()).ranks
+        ranks = cohomology(fan, _family_class(n, family)).ranks
         bad = any(ranks) if need_all else any(ranks[1:])
         return not bad, f"h = {ranks}"
     if method == "forbidden":
         certify = certify_acyclic if need_all else certify_higher_acyclic
-        return certify(fan, difference()), "forbidden-cone sweep"
-    if family is None:
-        difference()  # raises ValueError for a member of another dimension
-        return False, "member outside the F_{c,J} family"
+        return certify(fan, _family_class(n, family)), "forbidden-cone sweep"
     c, k, ell = family
     label = f"(c, k, l) = ({c}, {k}, {ell})"
     if not need_all:
@@ -559,16 +529,14 @@ def verify_stability(collection: Collection) -> StabilityReport:
     land on F_{|J|-c,J} exactly.
 
     Decided on the J sets of each (c, l) in a block, each held by the side
-    its unit lists (_units). (perm, flip) sends
-    F_{c,J} to F_{c',perm J}, c' being l - c under the involution and c
-    otherwise, so it keeps a block when it maps each (c, l) set onto the
-    (c', l) set and the members outside F_{c,J} onto themselves; those are
-    acted on one by one, and one of another dimension raises ValueError.
-    The involution is
-    S_{n+1}-equivariant, so its closed form is checked once per (c, l).
+    its unit lists (_units). (perm, flip) sends F_{c,J} to F_{c',perm J},
+    c' being l - c under the involution and c otherwise, so it keeps a
+    block when it maps each (c, l) set onto the (c', l) set. The
+    involution is S_{n+1}-equivariant, so its closed form is checked once
+    per (c, l).
     """
     n = collection.n
-    cells, strangers = collection.cells
+    cells = collection.cells
     flip = (tuple(range(n + 1)), True)
     closed = {(c, ell): act(flip, make_F(n, c, range(ell))) == make_F(n, ell - c, range(ell))
               for c, ell in {(cell.c, cell.ell) for cell in cells}}
@@ -577,25 +545,16 @@ def verify_stability(collection: Collection) -> StabilityReport:
         complement = unit.parts[0][1] is None
         labels[unit.block][unit.c, unit.ell] = complement, frozenset(
             j for sign, j in unit.parts if complement == (sign < 0))
-    strange = [[] for _ in labels]
-    for block, m in collection._strangers.values():
-        strange[block].append(m)
-    # a permutation keeps a block of "all" sets and no stranger: decided once
-    partial = [bi for bi, (sets, members) in enumerate(zip(labels, strange))
-               if members or any(side != _ALL for side in sets.values())]
+    # a permutation keeps a block of "all" sets: decided once
+    partial = [bi for bi, sets in enumerate(labels)
+               if any(side != _ALL for side in sets.values())]
     failures = []
     for gi, (perm, flipped) in enumerate(group_generators(n)):
         for bi in range(len(labels)) if flipped else partial:
-            members = strange[bi]
-            if ({act((perm, flipped), m) for m in members} != set(members)
-                    or not _keeps(perm, flipped, labels[bi])):
+            if not _keeps(perm, flipped, labels[bi]):
                 failures.append(f"generator {gi} moves block {bi} off itself")
-    broken = [p for cell in cells if not closed[cell.c, cell.ell] for p in cell.positions]
-    for p in sorted(strangers + tuple(broken)):  # only these members are made
-        m = collection.member(p)
-        failures.append(f"member {m.coeffs} outside the F_{{c,J}} family"
-                        if collection.at[p][1] is None
-                        else f"involution breaks closed form on {m.coeffs}")
+    failures += (f"involution breaks closed form on {collection.member(p).coeffs}"
+                 for cell in cells if not closed[cell.c, cell.ell] for p in cell.positions)
     return StabilityReport(n, not failures, tuple(failures))
 
 
@@ -627,8 +586,7 @@ def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
     """Euler pairings chi(E_i, E_j) over flat positions, by the oracle.
 
     chi(E_i, E_j) depends only on the family of E_j - E_i, so each family
-    is computed once; the diagonal is the family (0, 0, 0). An entry with
-    a member outside F_{c,J} is computed on its own.
+    is computed once; the diagonal is the family (0, 0, 0).
     """
     fan = build_Vn(collection.n)
     at, member = collection.at, collection.member
@@ -636,8 +594,6 @@ def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
 
     def entry(i, j):
         family = family_of_parsed(at[j][1], at[i][1])
-        if family is None:
-            return euler_pairing(fan, member(i), member(j))
         if family not in by_family:
             by_family[family] = euler_pairing(fan, member(i), member(j))
         return by_family[family]
@@ -678,20 +634,15 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
         touched = (i, j)
     else:
         raise ValueError(f"unknown mutation {text!r}")
-    cells, strangers = collection.cells
     runs, index = [], {}  # in flat order, a touched cell cut into its members
-    for positions, run in sorted(
-            [(cell.positions, (cell.block, cell.c, cell.ell, cell.labels)) for cell in cells]
-            + [(range(p, p + 1), collection._strangers[p]) for p in strangers],
-            key=lambda item: item[0].start):
-        if len(run) == 4 and any(p in positions for p in touched):
-            block, c, ell, labels = run
+    for block, c, ell, positions, labels, _ in collection.cells:
+        if any(p in positions for p in touched):
             for p, label in zip(positions, labels or _lexicographic(n, ell)):
                 index[p] = len(runs)
                 runs.append((block, c, ell, (label,)))
         else:
             index[positions.start] = len(runs)
-            runs.append(run)
+            runs.append((block, c, ell, labels))
     if kind == "drop":
         del runs[index[idx]]
     elif kind == "add":
@@ -708,16 +659,9 @@ COLLECTION_SCHEMA = "toric-exc/collection/1"
 
 
 def labeled_blocks(collection: Collection) -> list:
-    """(ell, [(c, sorted J), ...]) for each block, members in flat order.
-
-    A member outside F_{c,J} raises ValueError.
-    """
-    cells, strangers = collection.cells
-    if strangers:
-        raise ValueError(f"member {collection.member(strangers[0]).coeffs} "
-                         "is not an F_{c,J} class")
+    """(ell, [(c, sorted J), ...]) for each block, members in flat order."""
     rows = [[] for _ in collection.ells]
-    for cell in cells:
+    for cell in collection.cells:
         rows[cell.block] += ((cell.c, sorted(j))
                              for j in cell.labels or _lexicographic(collection.n, cell.ell))
     return list(zip(collection.ells, rows))

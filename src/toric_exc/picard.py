@@ -177,15 +177,12 @@ def orbit_Fckl(n: int, c: int, k: int, ell: int) -> list[DivisorClass]:
     return out
 
 
-def family_of_parsed(first, second) -> tuple[int, int, int] | None:
+def family_of_parsed(first, second) -> tuple[int, int, int]:
     """Parameters (c, k, l) of F_{c1,J1} - F_{c2,J2} from parsed (c, J) pairs.
 
     The difference lies in the family with c = c1 - c2, k = |J2 - J1| and
-    l = |J1 - J2|, a single S_{n+1}-orbit. None, parse_F's answer for a
-    class outside F_{c,J}, on either side gives None.
+    l = |J1 - J2|, a single S_{n+1}-orbit.
     """
-    if first is None or second is None:
-        return None
     (c1, J1), (c2, J2) = first, second
     t = len(J1 & J2)
     return c1 - c2, len(J2) - t, len(J1) - t

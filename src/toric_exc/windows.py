@@ -31,20 +31,20 @@ The wall subgroups are read off the circuits of the fan: every circuit
 is an antipodal pair or picks one ray per slot, and then its relation is
 the weight pattern of the subgroup indexed by its plus-side slots.
 `verify_walls` checks this once per slot class of ray sets, with the
-class multiplicities; the generic search `fan.circuits` is the reference
-the tests compare that walk with.
+class multiplicities. The classes that hold circuits are listed in
+closed form (`_circuit_classes`); the generic search `fan.circuits` is
+the reference the tests compare that list with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .collection import Collection, build_Gn, dim_field, int_field, int_list
 from .fan import Fan, build_Vn, circuit_relation
-from .linalg import kernel_basis
 from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F
 
 
@@ -134,19 +134,19 @@ class WallRecord:
     pieces: tuple[WallPiece, ...]
 
 
-def wall_record(n: int, J, d: int | None = None) -> WallRecord:
+def wall_record(n: int, J) -> WallRecord:
     """Window, wall range, and Koszul pieces of the wall indexed by J.
 
-    Weights in the window above the wall range are handled by the window
-    shift alone; each weight a in the wall range gets a witness twist by
-    w = -a, low twists plain, high twists corrected along J^c. A label
-    outside 0..n, or one given twice, raises ValueError.
+    The window sits at the offset d = default_gauge(n). Weights in the
+    window above the wall range are handled by the window shift alone;
+    each weight a in the wall range gets a witness twist by w = -a, low
+    twists plain, high twists corrected along J^c. A label outside 0..n,
+    or one given twice, raises ValueError.
     """
     J = label_set(n, J)
     if 2 * len(J) - n - 1 > 0:
         raise JTooLarge(f"|J| = {len(J)} exceeds n/2 = {n // 2}")
-    if d is None:
-        d = default_gauge(n)
+    d = default_gauge(n)
     comp = n + 1 - len(J)
     window = (d - comp, d - 1)
     wall_range = (d - comp, d - 1 - len(J))
@@ -181,15 +181,13 @@ def build_certificate(n: int, collection: Collection | None = None) -> Certifica
 
     The verdict is verify_generation's, on G_n when no collection is given:
     it raises the first WindowViolation or KoszulEscape of the chain, and
-    ValueError for a collection or a member of another dimension. A
-    returned certificate means every check passed down to the empty
-    category.
+    ValueError for a collection of another dimension. A returned
+    certificate means every check passed down to the empty category.
     """
     verify_generation(n, build_Gn(n) if collection is None else collection)
-    d = default_gauge(n)
-    return Certificate(n, d, tuple(wall_record(n, frozenset(j), d)
-                                   for size in range(n // 2, -1, -1)
-                                   for j in combinations(range(n + 1), size)))
+    walls = (wall_record(n, frozenset(j)) for size in range(n // 2, -1, -1)
+             for j in combinations(range(n + 1), size))
+    return Certificate(n, default_gauge(n), tuple(walls))
 
 
 class GenerationCheck(NamedTuple):
@@ -204,33 +202,25 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
 
     Returns the wall and piece counts of the certificate, or raises the
     first WindowViolation or KoszulEscape of the chain, found by walking
-    the walls of the first size whose class check fails. A collection or
-    a member of another dimension raises ValueError.
+    the walls of the first size whose class check fails. A collection of
+    another dimension raises ValueError.
     """
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
-    cells, strangers = collection.cells
+    cells = collection.cells
     covered = {(cell.c, cell.ell) for cell in cells if cell.complete}
     labels = {}
     for cell in cells:
         if not cell.complete:
             labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
     covered.update(key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1]))
-    strange = {p: collection.member(p) for p in strangers}
-    for m in strange.values():
-        if m.n != n:
-            raise ValueError(f"member {m.coeffs} of dimension {m.n}, expected {n}")
-    # the positions of each cell and stranger, in flat order, with their
-    # shape (h, sorted d); F_{c,L} has h = -c and d sorted as
-    # (c - 1)^|L| c^(n + 1 - |L|)
-    units = sorted([(cell.positions, -cell.c,
-                     (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell)) for cell in cells]
-                   + [(range(p, p + 1), m.h, tuple(sorted(m.d))) for p, m in strange.items()],
-                   key=lambda unit: unit[0].start)
-    d = default_gauge(n)
+    # the positions of each cell, in flat order, with its shape (h, sorted d):
+    # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
+    units = [(cell.positions, -cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
+             for cell in cells]
     walls = pieces = 0
     for size in range(n // 2, -1, -1):
-        record = wall_record(n, frozenset(range(size)), d)
+        record = wall_record(n, frozenset(range(size)))
         lo, hi = record.window
         # the weight (1 - |J|) h - sum_{j in J} d_j is least when J holds
         # the largest d and most when it holds the smallest
@@ -239,13 +229,13 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
                    or (1 - size) * h - sum(ds[:size]) > hi]
         terms = (parse_F(t) for piece in record.pieces for t in piece.components)
         if leaving or any((c, len(j)) not in covered for c, j in terms):
-            _walk_walls(collection, size, d, leaving, covered, labels)
+            _walk_walls(collection, size, leaving, covered, labels)
         walls += math.comb(n + 1, size)
         pieces += math.comb(n + 1, size) * len(record.pieces)
     return GenerationCheck(n, walls, pieces)
 
 
-def _walk_walls(collection, size, d, leaving, covered, labels) -> None:
+def _walk_walls(collection, size, leaving, covered, labels) -> None:
     """Raise the first failure of the walls of one size, in lexicographic order.
 
     This is the walk over every member and Koszul term at each wall, cut to
@@ -256,7 +246,7 @@ def _walk_walls(collection, size, d, leaving, covered, labels) -> None:
     """
     n = collection.n
     for j in combinations(range(n + 1), size):
-        record = wall_record(n, frozenset(j), d)
+        record = wall_record(n, frozenset(j))
         lo, hi = record.window
         for p in chain.from_iterable(leaving):
             m = collection.member(p)
@@ -291,22 +281,29 @@ def _circuit_classes(fan: Fan):
 
     A class is an ordered triple of slot counts and rays is its
     representative `Fan.class_rays`; multiplicity counts the ray sets in
-    the class. A circuit of a rank n fan has 2 to n + 1 rays, and a ray set
-    is a circuit exactly when its dependence space is one-dimensional with
-    full support.
+    the class. In closed form, the classes holding circuits are
+    (0, a, n + 1 - a), C(n + 1, a) ray sets each, for a = 0..n + 1, and
+    then (1, 0, 0), the n + 1 antipodal pairs.
+
+    Proof. A circuit is a minimal dependent ray set. The rays are
+    e_0, ..., e_n and their negatives, where e_1, ..., e_n is a basis and
+    e_0 + ... + e_n = 0 spans the relations among the e_i. An antipodal
+    pair is dependent and each ray in it is not, so it is a circuit; a
+    set holding an antipodal pair contains that 2-circuit, so the only
+    circuits with a pair are the pairs themselves, the class (1, 0, 0). A
+    pair-free set takes one ray, +e_i or -e_i, from each slot i it uses;
+    signs do not change dependence, so it is dependent exactly when the
+    e_i of its slots are. Every relation among the e_i is a multiple of
+    e_0 + ... + e_n, which uses every slot, so a pair-free dependent set
+    uses every slot once, and each of its proper subsets misses a slot
+    and is independent. So every set with one ray per slot is a circuit:
+    its a plus-side slots are any a of the n + 1, the class
+    (0, a, n + 1 - a). Every other class holds no circuit.
     """
     half = fan.slots
-    for pairs, nplus, nminus in product(range(half + 1), repeat=3):
-        if not 2 <= 2 * pairs + nplus + nminus <= half:
-            continue
-        rays = fan.class_rays(pairs, nplus, nminus)
-        kernel = kernel_basis([[fan.rays[i][r] for i in rays] for r in range(fan.rank)])
-        if len(kernel) != 1 or not all(kernel[0]):
-            continue
-        multiplicity = math.factorial(half) // (
-            math.factorial(pairs) * math.factorial(nplus) * math.factorial(nminus)
-            * math.factorial(half - pairs - nplus - nminus))
-        yield pairs, nplus, nminus, rays, multiplicity
+    for a in range(half + 1):
+        yield 0, a, half - a, fan.class_rays(0, a, half - a), math.comb(half, a)
+    yield 1, 0, 0, fan.class_rays(1, 0, 0), half
 
 
 def verify_walls(n: int) -> WallCheck:

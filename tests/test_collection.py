@@ -41,7 +41,6 @@ from toric_exc.cones import (
 from toric_exc.fan import build_Vn, circuit_relation
 from toric_exc.picard import (
     DivisorClass,
-    NotInFamily,
     act,
     difference_family,
     divisor,
@@ -61,7 +60,7 @@ from toric_exc.windows import (
     certificate_to_dict,
     verify_generation,
 )
-from test_windows import flat_certificate, generation_outcome, with_stranger
+from test_windows import flat_certificate, generation_outcome
 
 # the module itself: the package attribute of the same name may be shadowed
 collection_module = importlib.import_module("toric_exc.collection")
@@ -241,17 +240,13 @@ def reference_sweep(col, method, pairs):
             certify = certify_acyclic if need_all else certify_higher_acyclic
             ok, detail = certify(fan, D), "forbidden-cone sweep"
         else:
+            c, k, ell = difference_family(col.n, members[j], members[i])
+            detail = f"(c, k, l) = ({c}, {k}, {ell})"
             try:
-                c, k, ell = difference_family(col.n, members[j], members[i])
-            except NotInFamily:
-                ok, detail = False, "member outside the F_{c,J} family"
-            else:
-                detail = f"(c, k, l) = ({c}, {k}, {ell})"
-                try:
-                    ok = (lemma_acyclic_predicate(col.n, c, k, ell) if need_all
-                          else higher_acyclic_predicate(col.n, c, k, ell))
-                except HypothesisViolated as e:
-                    ok, detail = False, f"{detail}: {e}"
+                ok = (lemma_acyclic_predicate(col.n, c, k, ell) if need_all
+                      else higher_acyclic_predicate(col.n, c, k, ell))
+            except HypothesisViolated as e:
+                ok, detail = False, f"{detail}: {e}"
         out.append(PairResult(i, j, relation, ok, detail))
     return tuple(out)
 
@@ -286,14 +281,12 @@ def test_reduced_sweep_matches_flat_sweep_on_sampled_dim6_mutant(method):
 
 def mutant(n, mutation):
     col = build_Gn(n)
-    if mutation == "stranger":
-        return with_stranger(col)
     return apply_mutation(col, mutation) if mutation else col
 
 
 COUNTED_MUTANTS = [
     (n, m) for n in (2, 4)
-    for m in (None, "drop:3", "add:1,0-1", "add:0,0", "swap:0,5", "swap:1,20", "stranger")
+    for m in (None, "drop:3", "add:1,0-1", "add:0,0", "swap:0,5", "swap:1,20")
     if not (n == 2 and m == "swap:1,20")
 ] + [(6, m) for m in ("add:1,0-1-2", "drop:17", "swap:0,100")]
 
@@ -316,10 +309,9 @@ def flat_key_tally(col, unit_of):
     block_of = [bi for bi, block in enumerate(col.blocks) for _ in block.members]
     tally = {}
     for i, j in all_pairs(col):
-        if i in unit_of and j in unit_of:
-            key = (family_of_parsed(parsed[j], parsed[i]), block_of[i] >= block_of[j])
-            counts = tally.setdefault((unit_of[i], unit_of[j]), {})
-            counts[key] = counts.get(key, 0) + 1
+        key = (family_of_parsed(parsed[j], parsed[i]), block_of[i] >= block_of[j])
+        counts = tally.setdefault((unit_of[i], unit_of[j]), {})
+        counts[key] = counts.get(key, 0) + 1
     return tally
 
 
@@ -328,10 +320,9 @@ def flat_key_tally(col, unit_of):
 def test_counted_keys_match_flat_tally(n, mutation):
     # add:2,0-1-2-3-4 duplicates the one member of block 0's (2, 5) cell
     col = mutant(n, mutation)
-    cells, strangers = col.cells
-    units = collection_module._units(n, cells)
+    units = collection_module._units(n, col.cells)
     unit_of = {p: u for u, unit in enumerate(units) for run in unit.positions for p in run}
-    assert sorted(unit_of) == [p for p in range(col.size) if p not in strangers]
+    assert sorted(unit_of) == list(range(col.size))
     flat = flat_key_tally(col, unit_of)
     for s, source in enumerate(units):
         for t, target in enumerate(units):
@@ -341,8 +332,7 @@ def test_counted_keys_match_flat_tally(n, mutation):
 
 def test_cells_of_a_mutant():
     col = apply_mutation(build_Gn(4), "add:1,0-1")
-    cells, strangers = col.cells
-    assert not strangers
+    cells = col.cells
     assert sum(len(cell.positions) for cell in cells) == col.size
     # the added F_{1,{0,1}} sits alone in block 0, with |J| = 2, and every
     # other cell keeps its lexicographic labels at shifted positions
@@ -350,9 +340,8 @@ def test_cells_of_a_mutant():
     assert (added.block, added.c, added.ell, added.positions, added.labels) == (
         0, 1, 2, range(2, 3), (frozenset({0, 1}),))
     assert all(cell.labels is None for cell in cells if cell is not added)
-    assert with_stranger(build_Gn(2)).cells[1] == (2,)
     # a swap inside a cell keeps it complete, with its labels held
-    (swapped,) = [cell for cell in apply_mutation(build_Gn(4), "swap:7,8").cells[0]
+    (swapped,) = [cell for cell in apply_mutation(build_Gn(4), "swap:7,8").cells
                   if cell.labels is not None]
     assert swapped.complete and swapped.positions == range(7, 17)
 
@@ -368,12 +357,10 @@ def make_F_members(n):
 def test_recorded_cells_match_parsed_cells():
     for n in range(2, 14, 2):
         col = build_Gn(n)
-        cells, strangers = col.cells
         assert "blocks" not in vars(col)  # held as cells: no member was made
-        assert not strangers
         # complete, with lexicographic labels at consecutive positions
         assert all(cell.complete and cell.labels is None
-                   and isinstance(cell.positions, range) for cell in cells)
+                   and isinstance(cell.positions, range) for cell in col.cells)
         # its members, grouped back, give the same cells, labels=None included
         assert Collection(n, col.blocks).cells == col.cells
 
@@ -389,7 +376,7 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
     for n in range(2, 14, 2):
         col = build_Gn(n)
         members = make_F_members(n)
-        for cell in col.cells[0]:
+        for cell in col.cells:
             for r, j in enumerate(combinations(range(n + 1), cell.ell)):
                 p = cell.positions[r]
                 assert col.member(p) == members[p] == make_F(n, cell.c, j)
@@ -558,35 +545,6 @@ def count_calls(monkeypatch, names, modules=(collection_module,)):
     return calls
 
 
-@pytest.mark.parametrize("method, graders", [
-    ("oracle", ["cohomology"]),
-    ("forbidden", ["certify_acyclic", "certify_higher_acyclic"]),
-])
-def test_stranger_pairs_graded_one_by_one(monkeypatch, method, graders):
-    col = build_Gn(2)
-    strange = with_stranger(col)
-    calls = count_calls(monkeypatch, graders)
-    verify_exceptional(col, method)
-    intact = len(calls)
-    calls.clear()
-    report = verify_exceptional(strange, method, full_report=True)
-    # the 12 ordered pairs with the stranger add one call each, no family
-    assert len(calls) == intact + 2 * col.size
-    assert report.pair_results == reference_sweep(strange, method, all_pairs(strange))
-
-
-def test_stranger_pairs_fail_the_inequalities():
-    strange = with_stranger(build_Gn(2))
-    report = verify_exceptional(strange, "inequalities", full_report=True)
-    at = len(strange.blocks[0].members) - 1
-    outside = [r for r in report.pair_results if at in (r.source, r.target)]
-    assert len(outside) == 12
-    assert all(not r.ok and r.detail == "member outside the F_{c,J} family"
-               for r in outside)
-    assert report.pair_results == reference_sweep(strange, "inequalities",
-                                                  all_pairs(strange))
-
-
 def test_full_dim6_oracle_sweep_grades_each_family_once(monkeypatch):
     col = build_Gn(6)
     calls = count_calls(monkeypatch, ["cohomology"])
@@ -707,21 +665,17 @@ def assert_views_match_flat(col, ells, entries):
         assert col.member(p) == m
     assert col.shape == tuple((ell, sum(block == bi for block, _ in entries))
                               for bi, ell in enumerate(ells))
-    if all(parse_F(m) for _, m in entries):
-        assert labeled_blocks(col) == [
-            (ell, [(parse_F(m)[0], sorted(parse_F(m)[1])) for block, m in entries
-                   if block == bi]) for bi, ell in enumerate(ells)]
-    else:
-        with pytest.raises(ValueError):
-            labeled_blocks(col)
+    assert labeled_blocks(col) == [
+        (ell, [(parse_F(m)[0], sorted(parse_F(m)[1])) for block, m in entries
+               if block == bi]) for bi, ell in enumerate(ells)]
 
 
 @settings(max_examples=25, deadline=None)
-@given(texts=mutation_sequences(), stranger=st.booleans())
-@example(texts=["swap:2,9", "add:1,0-1", "drop:0"], stranger=True)
-@example(texts=["drop:7"] * 6, stranger=False)  # 4 of the 10 J of the l = 2 cell left
-def test_mutation_sequences_match_flat_references(texts, stranger):
-    col = with_stranger(build_Gn(4)) if stranger else build_Gn(4)
+@given(texts=mutation_sequences())
+@example(texts=["swap:2,9", "add:1,0-1", "drop:0"])
+@example(texts=["drop:7"] * 6)  # 4 of the 10 J of the l = 2 cell left
+def test_mutation_sequences_match_flat_references(texts):
+    col = build_Gn(4)
     ells = [block.ell for block in col.blocks]
     entries = [(bi, m) for bi, block in enumerate(col.blocks) for m in block.members]
     for text in texts:
@@ -785,11 +739,7 @@ def flat_stability(col):
             if {act(g, m) for m in block.members} != set(block.members):
                 failures.append(f"generator {gi} moves block {bi} off itself")
     for m in col.members:
-        parsed = parse_F(m)
-        if parsed is None:
-            failures.append(f"member {m.coeffs} outside the F_{{c,J}} family")
-            continue
-        c, j = parsed
+        c, j = parse_F(m)
         if act((tuple(range(n + 1)), True), m) != make_F(n, len(j) - c, j):
             failures.append(f"involution breaks closed form on {m.coeffs}")
     return StabilityReport(n, not failures, tuple(failures))
@@ -814,7 +764,6 @@ def stability_cases():
         yield apply_mutation(g4, f"swap:{a},{b}")
         yield apply_mutation(g4, f"swap:{a + 1},{b - 1}")
     yield apply_mutation(build_Gn(8), "swap:0,600")
-    yield with_stranger(g4)
 
 
 def test_cell_stability_matches_flat_loop():
@@ -824,52 +773,6 @@ def test_cell_stability_matches_flat_loop():
         assert report == flat_stability(col)
         outcomes.add(report.ok)
     assert outcomes == {True, False}
-
-
-def test_stability_member_of_another_dimension_raises():
-    # the flat loop cannot permute it; the cells must not wave it through
-    g2 = build_Gn(2)
-    last = g2.blocks[-1]
-    assert parse_F(last.members[0]) == (0, frozenset())
-    col = Collection(2, g2.blocks[:-1] + (Block(last.ell, last.members + (make_F(4, 0, ()),)),))
-    with pytest.raises(ValueError):
-        verify_stability(col)
-
-
-def g4_with_member_of_dim6():
-    """G_4 with its first member F_{c,J} replaced by the F_{c,J} of dimension 6."""
-    g4 = build_Gn(4)
-    first = g4.blocks[0]
-    c, j = parse_F(first.members[0])
-    moved = Block(first.ell, first.members[1:] + (make_F(6, c, j),))
-    return Collection(4, (moved,) + g4.blocks[1:])
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_sweep_member_of_another_dimension_raises(method):
-    # its cell still reads complete by labels: the counted sweep must not wave
-    # it through where the flat sweep raises
-    col = g4_with_member_of_dim6()
-    assert col.size == expected_size(4)
-    with pytest.raises(ValueError):
-        verify_exceptional(col, method)
-    with pytest.raises(ValueError):
-        verify_exceptional(col, method, full_report=True)
-
-
-def test_generation_member_of_another_dimension_raises():
-    g4 = build_Gn(4)
-    first = g4.blocks[0]
-    cases = [g4_with_member_of_dim6()]
-    # F_{0,{}} on V_2 passes the class check on V_4: only a dimension check
-    # catches it
-    for member in (make_F(6, 1, (0, 1, 2)), make_F(2, 0, ())):
-        cases.append(Collection(4, (Block(first.ell, first.members + (member,)),)
-                                + g4.blocks[1:]))
-    for col in cases:
-        for check in (build_certificate, verify_generation):
-            with pytest.raises(ValueError):
-                check(4, col)
 
 
 def test_stability_acts_once_per_cell(monkeypatch):
@@ -967,6 +870,17 @@ def test_loader_refuses_non_integers(path, value):
 # -- input validation -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n, member", [
+    (2, divisor(0, (1, 0, 0))), (4, make_F(6, 1, (0, 1, 2))), (4, make_F(2, 0, ())),
+], ids=["not-F", "F-of-dimension-n-plus-2", "F-on-V2"])
+def test_collection_refuses_a_member_outside_F(n, member):
+    # a collection holds cells alone; F_{0,{}} on V_2 would pass every
+    # class check on V_4, so only the dimension check catches it
+    first, *rest = build_Gn(n).blocks
+    with pytest.raises(ValueError, match=r"not an F_\{c,J\} class"):
+        Collection(n, [Block(first.ell, first.members + (member,)), *rest])
+
+
 def _stranger_certificate():
     piece = WallPiece(0, 0, "base", (divisor(0, (1, 0, 0)),))
     return Certificate(2, 0, (WallRecord(frozenset(), (0, 0), (0, 0), (piece,)),))
@@ -978,10 +892,9 @@ def _stranger_certificate():
     lambda: build_Vn(2).antipode(6),
     lambda: reference.build_Pn(2).is_face([3]),
     lambda: circuit_relation(build_Vn(2), {0, 1}),
-    lambda: collection_to_dict(with_stranger(build_Gn(2))),
     lambda: certificate_to_dict(_stranger_certificate()),
 ], ids=["face-99", "face-minus-1", "antipode-6", "generic-face-3",
-        "not-a-circuit", "collection-stranger", "certificate-stranger"])
+        "not-a-circuit", "certificate-stranger"])
 def test_public_inputs_checked_without_assert(call):
     # a real check, not an assert: python -O must not strip it
     with pytest.raises(ValueError):

@@ -77,10 +77,17 @@ def test_cones_are_listed_only_when_read():
      "koszul_components([3], make_F(2, 1, []))"),
     ("from toric_exc.windows import build_certificate\nfrom toric_exc import build_Gn",
      "build_certificate(2, build_Gn(4))"),
+    ("from toric_exc.collection import Block, Collection\nfrom toric_exc.picard import divisor",
+     "Collection(2, [Block(0, (divisor(0, (1, 0, 0)),))])"),
+    ("from toric_exc.collection import Block, Collection\nfrom toric_exc.picard import make_F",
+     "Collection(4, [Block(3, (make_F(6, 1, (0, 1, 2)),))])"),
+    ("from toric_exc.collection import Block, Collection\nfrom toric_exc.picard import make_F",
+     "Collection(4, [Block(0, (make_F(2, 0, ()),))])"),
 ], ids=["polyhedron-row", "contains-point", "engine-ray-count", "unions-ray-count",
         "subsets-ray-count", "primitive-ray-count", "wall-label-minus-1", "wall-label-3",
         "weight-other-dimension", "weight-label-3", "koszul-label-minus-1",
-        "koszul-label-3", "certificate-other-dimension"])
+        "koszul-label-3", "certificate-other-dimension", "collection-not-F",
+        "collection-F-of-dimension-n-plus-2", "collection-F-on-V2"])
 def test_input_checks_survive_optimize(imports, call):
     code = (f"import sys\n{imports}\ntry:\n    {call}\n"
             "except ValueError:\n    print('ValueError', sys.flags.optimize)\n")

@@ -13,7 +13,7 @@ import toric_exc.linalg as linalg
 import toric_exc.windows as win
 from toric_exc.cohomology import euler_pairing
 from toric_exc.cli import main
-from toric_exc.collection import Block, Collection, apply_mutation, build_Gn, expected_size
+from toric_exc.collection import Collection, apply_mutation, build_Gn, expected_size
 from toric_exc.fan import build_Vn, circuit_relation, circuits
 from toric_exc.linalg import rank, smith_normal_form
 from toric_exc.picard import divisor, make_F, parse_F
@@ -179,15 +179,12 @@ def test_missing_component_caught():
 def flat_certificate(n, collection):
     """Reference: every wall against every member and every Koszul term, in chain order."""
     members = collection.members
-    for m in members:
-        if m.n != n:
-            raise ValueError(f"member {m.coeffs} of dimension {m.n}, expected {n}")
     member_set = set(members)
     d = default_gauge(n)
     walls = []
     for size in range(n // 2, -1, -1):
         for j in combinations(range(n + 1), size):
-            record = wall_record(n, frozenset(j), d)
+            record = wall_record(n, frozenset(j))
             lo, hi = record.window
             for m in members:
                 lam = weight(n, record.J, m)
@@ -204,14 +201,6 @@ def flat_certificate(n, collection):
                             f"is not in the collection")
             walls.append(record)
     return win.Certificate(n, d, tuple(walls))
-
-
-def with_stranger(col):
-    """col with a member that is not an F_{c,J} appended to its first block."""
-    first = col.blocks[0]
-    stranger = divisor(0, (1,) + (0,) * col.n)
-    assert parse_F(stranger) is None
-    return Collection(col.n, (Block(first.ell, first.members + (stranger,)),) + col.blocks[1:])
 
 
 def random_mutation(rng, col):
@@ -232,18 +221,16 @@ def generation_cases():
     cases += [(text, apply_mutation(build_Gn(n), text))
               for n, text in ((4, "add:5,0"), (2, "add:3,0-1-2"), (2, "add:-2,"),
                               (4, "swap:0,5"), (6, "swap:0,5"))]
-    cases += [(f"stranger-{n}", with_stranger(build_Gn(n))) for n in (2, 4)]
     return cases
 
 
 def seeded_mutants(count=60, seed=17):
-    """Seeded sequences of one to three mutations at n <= 8, a quarter on a stranger."""
+    """Seeded sequences of one to three mutations at n <= 8."""
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
         col = build_Gn(rng.choice((2, 4, 4, 6, 6, 8)))
-        texts = ["stranger"] if rng.random() < 0.25 else []
-        col = with_stranger(col) if texts else col
+        texts = []
         for _ in range(rng.randint(1, 3)):
             texts.append(random_mutation(rng, col))
             col = apply_mutation(col, texts[-1])

@@ -775,6 +775,35 @@ def test_cell_stability_matches_flat_loop():
     assert outcomes == {True, False}
 
 
+def test_stability_member_of_another_dimension_raises():
+    # the flat loop cannot permute it; the collection refuses it before any
+    # cell can wave it through
+    g2 = build_Gn(2)
+    last = g2.blocks[-1]
+    assert parse_F(last.members[0]) == (0, frozenset())
+    with pytest.raises(ValueError):
+        verify_stability(Collection(2, g2.blocks[:-1]
+                                    + (Block(last.ell, last.members + (make_F(4, 0, ()),)),)))
+
+
+def g4_with_member_of_dim6():
+    """G_4 with its first member F_{c,J} replaced by the F_{c,J} of dimension 6."""
+    g4 = build_Gn(4)
+    first = g4.blocks[0]
+    c, j = parse_F(first.members[0])
+    moved = Block(first.ell, first.members[1:] + (make_F(6, c, j),))
+    return Collection(4, (moved,) + g4.blocks[1:])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sweep_member_of_another_dimension_raises(method):
+    # its cell would read complete by labels: the collection refuses it, so
+    # neither sweep can wave it through
+    for full_report in (False, True):
+        with pytest.raises(ValueError):
+            verify_exceptional(g4_with_member_of_dim6(), method, full_report=full_report)
+
+
 def test_stability_acts_once_per_cell(monkeypatch):
     module = importlib.import_module("toric_exc.collection")
     calls = []

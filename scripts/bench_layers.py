@@ -1,5 +1,6 @@
 """Time G_n's construction, the pair sweeps, the checks, the pattern homology
-table, cohomology on random classes and the n = 12, 14, 16 and 20 commands.
+table, cohomology on random classes, the n = 12, 14, 16 and 20 commands and
+the command's start-up.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -19,6 +20,13 @@ The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
 once, and each `cohomology.coeffs` call grades the next of five seeded
 coefficient vectors with entries in [-3, 3]. Both are timed cold: when
 the table function has a cache, it is cleared before each call.
+
+The start-up layers time whole interpreters from outside: `startup.import`
+runs `python -c "import toric_exc.cli"` and `startup.cardinality` runs
+`python -m toric_exc verify --dim 8 --what cardinality`, each in RUNS fresh
+interpreters with this process's environment (so PYTHONDONTWRITEBYTECODE,
+which the record notes, applies as set) and src/ first on PYTHONPATH. They
+report the median wall time, and no peak RSS.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +60,13 @@ LAYERS = (
                                             "generation")]
     + [("mutant.swap", 12)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
+    + [("startup.import", None), ("startup.cardinality", 8)]
 )
+
+STARTUP = {
+    "startup.import": ["-c", "import toric_exc.cli"],
+    "startup.cardinality": ["-m", "toric_exc", "verify", "--dim", "8", "--what", "cardinality"],
+}
 
 WORKER = """\
 import contextlib, importlib, io, itertools, json, random, resource, sys, time
@@ -116,7 +131,24 @@ print(json.dumps({{"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_ma
 """
 
 
+def time_startup(name: str, n: int | None) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *STARTUP[name]], env=env, cwd=ROOT,
+                              capture_output=True, timeout=BUDGET_S)
+        times.append(time.perf_counter() - start)
+        if proc.returncode != 0:
+            raise SystemExit(f"{name} exited {proc.returncode}")
+    return {"layer": name, "n": n, "median_s": statistics.median(times), "runs": RUNS,
+            "cut_at_s": None, "peak_rss_mb": None}
+
+
 def time_layer(name: str, n: int) -> dict:
+    if name in STARTUP:
+        return time_startup(name, n)
     code = WORKER.format(src=str(ROOT / "src"), name=name, n=n, runs=RUNS)
     proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                             text=True)
@@ -163,6 +195,7 @@ def main() -> None:
         "python": platform.python_version(),
         "runs": RUNS,
         "budget_s": BUDGET_S,
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "layers": [time_layer(name, n) for name, n in LAYERS],
     }
     print(json.dumps(record, indent=1))

@@ -6,6 +6,8 @@ exceptionality, stability, and generation with exact integer arithmetic.
 The names below are the ones the README and the demos use; everything
 else is imported from its module. `toric_exc.reference` holds other fans
 and the general algorithms the tests check the closed forms against.
+The names from `windows` load that module on first use: only the
+generation and wall checks need it.
 """
 
 from .cohomology import cohomology, euler_pairing
@@ -19,7 +21,8 @@ from .collection import (
 from .cones import certify_acyclic, enumerate_forbidden, forbidden_witness
 from .fan import build_Vn
 from .picard import canonical_class, divisor, make_F, parse_F
-from .windows import build_certificate, default_gauge, verify_walls, wall_record, weight
+
+_WINDOWS = ("build_certificate", "default_gauge", "verify_walls", "wall_record", "weight")
 
 __all__ = [
     "apply_mutation",
@@ -43,3 +46,10 @@ __all__ = [
     "wall_record",
     "weight",
 ]
+
+
+def __getattr__(name):
+    if name in _WINDOWS:
+        from . import windows
+        return getattr(windows, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,9 @@ fall back to a seeded 500-pair sample unless --allow-large forces the
 full sweep. The full forbidden-cone sweep at dim 8 and above also needs
 --allow-large; a --sample run does not. --out to a path that cannot be
 written exits 2.
+
+`windows` is imported by the generation and wall checks and by
+certificate when they run, so no other command pays for loading it.
 """
 
 from __future__ import annotations
@@ -39,15 +42,6 @@ from .collection import (
 )
 from .fan import build_Vn
 from .picard import DivisorClass
-from .windows import (
-    KoszulEscape,
-    WallMismatch,
-    WindowViolation,
-    build_certificate,
-    certificate_to_dict,
-    verify_generation,
-    verify_walls,
-)
 
 WHATS = ("exceptional", "stability", "cardinality", "generation", "walls")
 FORMATS = ("text", "json", "csv")
@@ -232,6 +226,7 @@ def cmd_verify(args) -> int:
     if what == "walls":
         if args.mutate:
             return _usage("the wall check has no collection to mutate")
+        from .windows import WallMismatch, verify_walls
         try:
             check = verify_walls(n)
         except WallMismatch as exc:
@@ -263,6 +258,7 @@ def cmd_verify(args) -> int:
                         failures=list(report.failures))
 
     if what == "generation":
+        from .windows import KoszulEscape, WindowViolation, verify_generation
         try:
             check = verify_generation(n, collection)
         except (WindowViolation, KoszulEscape) as exc:
@@ -401,6 +397,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_certificate(args) -> int:
+    from .windows import KoszulEscape, WindowViolation, build_certificate, certificate_to_dict
+
     n = args.dim
     try:
         certificate = build_certificate(n)

@@ -33,20 +33,22 @@ reference in `toric_exc.reference`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 from .fan import Fan, require_Vn
 from .picard import DivisorClass, ray_coefficients
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GradedCohomology:
+class GradedCohomology(Record):
     """Ranks (h^0, ..., h^n)."""
 
-    ranks: tuple[int, ...]
+    _fields = ("ranks",)
+
+    def __init__(self, ranks: tuple[int, ...]):
+        object.__setattr__(self, "ranks", ranks)
 
     def __getitem__(self, p: int) -> int:
         return self.ranks[p]
@@ -82,10 +84,6 @@ def divisor_coefficients(fan: Fan, divisor) -> tuple[int, ...]:
     """
     require_Vn(fan)
     if isinstance(divisor, DivisorClass):
-        if divisor.n != fan.rank:
-            raise ValueError(
-                f"divisor class of dimension {divisor.n} on a rank {fan.rank} fan"
-            )
         coeffs = ray_coefficients(fan.rank, divisor)
     else:
         coeffs = tuple(divisor)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, filterfalse, groupby, islice
 from typing import NamedTuple
@@ -62,6 +61,7 @@ from .picard import (
     make_F,
     parse_F,
 )
+from .record import Record
 
 METHODS = ("inequalities", "forbidden", "oracle")
 
@@ -72,10 +72,11 @@ class VerificationFailed(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Block:
-    ell: int
-    members: tuple[DivisorClass, ...]
+class Block(Record):
+    _fields = ("ell", "members")
+
+    def __init__(self, ell: int, members: tuple[DivisorClass, ...]):
+        vars(self).update(ell=ell, members=members)
 
 
 class Collection:
@@ -271,25 +272,23 @@ class Cell(NamedTuple):
 # -- pairwise verification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairResult:
-    source: int
-    target: int
-    relation: str
-    ok: bool
-    detail: str
+class PairResult(Record):
+    _fields = ("source", "target", "relation", "ok", "detail")
+
+    def __init__(self, source: int, target: int, relation: str, ok: bool, detail: str):
+        vars(self).update(source=source, target=target, relation=relation, ok=ok, detail=detail)
 
 
-@dataclass(frozen=True)
-class Report:
-    n: int
-    method: str
-    size: int
-    expected: int
-    pairs_checked: int
-    violations: tuple[PairResult, ...]
-    pair_results: tuple[PairResult, ...] | None = None
-    sampled: bool = False
+class Report(Record):
+    _fields = ("n", "method", "size", "expected", "pairs_checked", "violations",
+               "pair_results", "sampled")
+
+    def __init__(self, n: int, method: str, size: int, expected: int, pairs_checked: int,
+                 violations: tuple[PairResult, ...],
+                 pair_results: tuple[PairResult, ...] | None = None, sampled: bool = False):
+        vars(self).update(n=n, method=method, size=size, expected=expected,
+                          pairs_checked=pairs_checked, violations=violations,
+                          pair_results=pair_results, sampled=sampled)
 
     @property
     def complete(self) -> bool:
@@ -505,11 +504,11 @@ def _grade_pair(fan, method, n, family, need_all):
 # -- group stability ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    n: int
-    ok: bool
-    failures: tuple[str, ...]
+class StabilityReport(Record):
+    _fields = ("n", "ok", "failures")
+
+    def __init__(self, n: int, ok: bool, failures: tuple[str, ...]):
+        vars(self).update(n=n, ok=ok, failures=failures)
 
     def raise_if_failed(self):
         if not self.ok:

@@ -36,7 +36,6 @@ member of a whole (c, k, l) family at once, with no region sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -51,18 +50,20 @@ from .cohomology import (
     divisor_coefficients,
 )
 from .fan import Fan, require_Vn
+from .record import Record
 
 
 class HypothesisViolated(Exception):
     """Family parameters outside the stated hypotheses of the predicate."""
 
 
-@dataclass(frozen=True)
-class ForbiddenConeSpec:
+class ForbiddenConeSpec(Record):
     """One contributing ray pattern and its cohomology profile."""
 
-    rays: frozenset
-    profile: tuple[int, ...]
+    _fields = ("rays", "profile")
+
+    def __init__(self, rays: frozenset, profile: tuple[int, ...]):
+        vars(self).update(rays=rays, profile=profile)
 
     @property
     def degrees(self) -> tuple[int, ...]:

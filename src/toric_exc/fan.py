@@ -19,16 +19,17 @@ and `circuit_relation` read only `rank`, `rays` and `is_face`, so they
 serve those fans as well. No command runs `complex_CI` or the generic
 `circuits` search: the pattern homology is a closed form and the wall
 check walks slot classes, and the tests compare those with them. So
-`complex_CI` imports `simplicial` only when it runs.
+`complex_CI` imports `simplicial` only when it runs, and `circuits` and
+`circuit_relation` import `linalg` only when they run; of the commands,
+only the wall check calls `circuit_relation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import kernel_basis, rank
+from .record import Record
 
 
 class OddDimension(Exception):
@@ -39,17 +40,29 @@ class OddDimension(Exception):
         super().__init__(f"dimension must be even, got {n}")
 
 
-@dataclass(frozen=True)
-class Fan:
-    """The fan of V_n, for the even dimension n = rank >= 2."""
+class Fan(Record):
+    """The fan of V_n, for the even dimension n = rank >= 2.
 
-    rank: int
+    A fan is a cache key, so equality and hash are written out. The cached
+    properties live in the instance `__dict__` beside `rank`.
+    """
 
-    def __post_init__(self):
-        if self.rank % 2:
-            raise OddDimension(self.rank)
-        if self.rank < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.rank}")
+    _fields = ("rank",)
+
+    def __init__(self, rank: int):
+        if rank % 2:
+            raise OddDimension(rank)
+        if rank < 2:
+            raise ValueError(f"dimension must be at least 2, got {rank}")
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.rank,))
 
     @property
     def slots(self) -> int:
@@ -172,7 +185,9 @@ def circuits(fan: Fan) -> list[frozenset]:
     so each extension costs one reduction; a dependent extension is kept
     when dropping any single element leaves an independent set.
     """
-    from fractions import Fraction  # reference only: keep it off the command path
+    from fractions import Fraction  # reference only: keep these off the command path
+
+    from .linalg import rank
 
     rays = [tuple(Fraction(x) for x in r) for r in fan.rays]
     m = len(rays)
@@ -214,6 +229,8 @@ def circuit_relation(fan: Fan, circuit) -> tuple[int, ...]:
     Coefficients align with the sorted circuit indices; the kernel of the
     ray matrix is one-dimensional for a genuine circuit.
     """
+    from .linalg import kernel_basis  # the wall check only: keep it off the other commands
+
     idx = sorted(circuit)
     matrix = [[fan.rays[i][r] for i in idx] for r in range(fan.rank)]
     basis = kernel_basis(matrix)

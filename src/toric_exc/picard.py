@@ -11,8 +11,9 @@ F_{c,J} = c(E - H) - sum_{j in J} E_j up to replacing c by |J| - c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
+from .record import Record
 
 
 class NotInFamily(Exception):
@@ -23,17 +24,29 @@ class InvalidShape(Exception):
     """Family parameters (c, k, l) out of range for this dimension."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer coordinates (h, d_0, ..., d_n) in the basis H, E_0, ..., E_n."""
+class DivisorClass(Record):
+    """Integer coordinates (h, d_0, ..., d_n) in the basis H, E_0, ..., E_n.
 
-    coeffs: tuple[int, ...]
+    Classes are made, hashed and read on every hot path, so equality and
+    hash are written out rather than read from `Record._values`.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) < 3:
-            raise ValueError(f"{len(self.coeffs)} coordinates; a class needs at least 3")
-        if not all(isinstance(x, int) for x in self.coeffs):
-            raise ValueError(f"non-integer coordinates {self.coeffs}")
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        if len(coeffs) < 3:
+            raise ValueError(f"{len(coeffs)} coordinates; a class needs at least 3")
+        if not all(isinstance(x, int) for x in coeffs):
+            raise ValueError(f"non-integer coordinates {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def n(self) -> int:
@@ -79,6 +92,12 @@ def class_of_ray(n: int, ray_index: int) -> DivisorClass:
 
 def canonical_class(n: int) -> DivisorClass:
     return DivisorClass((-(n + 1),) + tuple(n - 1 for _ in range(n + 1)))
+
+
+def require_dimension(n: int, D: DivisorClass) -> None:
+    """Raise ValueError unless D is a class on V_n."""
+    if D.n != n:
+        raise ValueError(f"divisor class of dimension {D.n}, expected {n}")
 
 
 def label_set(n: int, J) -> frozenset:
@@ -191,8 +210,11 @@ def family_of_parsed(first, second) -> tuple[int, int, int]:
 def difference_family(n: int, D1: DivisorClass, D2: DivisorClass) -> tuple[int, int, int]:
     """Parameters (c, k, l) with D1 - D2 in the (c, k, l) family.
 
-    Both arguments must be of the form F_{c,J}; see family_of_parsed.
+    Both arguments must be of the form F_{c,J}, see family_of_parsed, and
+    classes on V_n; a class of another dimension raises ValueError.
     """
+    require_dimension(n, D1)
+    require_dimension(n, D2)
     p1 = parse_F(D1)
     p2 = parse_F(D2)
     if p1 is None or p2 is None:
@@ -206,8 +228,10 @@ def ray_coefficients(n: int, D: DivisorClass) -> tuple[int, ...]:
 
     Order matches the fan's rays. The choice puts the whole H-coefficient
     on the first antipodal ray; any other lift differs by a principal
-    divisor and gives the same cohomology.
+    divisor and gives the same cohomology. A class of another dimension
+    raises ValueError.
     """
+    require_dimension(n, D)
     h = D.h
     plus = (D.d[0],) + tuple(D.d[i] + h for i in range(1, n + 1))
     minus = (h,) + (0,) * n

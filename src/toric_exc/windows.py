@@ -39,13 +39,20 @@ the reference the tests compare that list with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import NamedTuple
 
 from .collection import Collection, build_Gn, dim_field, int_field, int_list
 from .fan import Fan, build_Vn, circuit_relation
-from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F
+from .picard import (
+    DivisorClass,
+    class_of_ray,
+    label_set,
+    make_F,
+    parse_F,
+    require_dimension,
+)
+from .record import Record
 
 
 class JTooLarge(Exception):
@@ -92,8 +99,7 @@ def weight(n: int, J, divisor: DivisorClass) -> int:
     raises ValueError.
     """
     J = label_set(n, J)
-    if divisor.n != n:
-        raise ValueError(f"divisor class of dimension {divisor.n}, expected {n}")
+    require_dimension(n, divisor)
     return _weight(J, divisor)
 
 
@@ -118,20 +124,19 @@ def koszul_components(J, twist: DivisorClass) -> tuple[DivisorClass, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WallPiece:
-    a: int
-    w: int
-    branch: str
-    components: tuple[DivisorClass, ...]
+class WallPiece(Record):
+    _fields = ("a", "w", "branch", "components")
+
+    def __init__(self, a: int, w: int, branch: str, components: tuple[DivisorClass, ...]):
+        vars(self).update(a=a, w=w, branch=branch, components=components)
 
 
-@dataclass(frozen=True)
-class WallRecord:
-    J: frozenset
-    window: tuple[int, int]
-    wall_range: tuple[int, int]
-    pieces: tuple[WallPiece, ...]
+class WallRecord(Record):
+    _fields = ("J", "window", "wall_range", "pieces")
+
+    def __init__(self, J: frozenset, window: tuple[int, int], wall_range: tuple[int, int],
+                 pieces: tuple[WallPiece, ...]):
+        vars(self).update(J=J, window=window, wall_range=wall_range, pieces=pieces)
 
 
 def wall_record(n: int, J) -> WallRecord:
@@ -168,12 +173,11 @@ def wall_record(n: int, J) -> WallRecord:
     return WallRecord(J, window, wall_range, tuple(pieces))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    n: int
-    d: int
-    walls: tuple[WallRecord, ...]
-    base_case: str = "empty"
+class Certificate(Record):
+    _fields = ("n", "d", "walls", "base_case")
+
+    def __init__(self, n: int, d: int, walls: tuple[WallRecord, ...], base_case: str = "empty"):
+        vars(self).update(n=n, d=d, walls=walls, base_case=base_case)
 
 
 def build_certificate(n: int, collection: Collection | None = None) -> Certificate:
@@ -268,12 +272,12 @@ def _walk_walls(collection, size, leaving, covered, labels) -> None:
 # -- circuits vs subgroup weights -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class WallCheck:
-    n: int
-    circuit_count: int
-    pair_count: int
-    sign_choice_count: int
+class WallCheck(Record):
+    _fields = ("n", "circuit_count", "pair_count", "sign_choice_count")
+
+    def __init__(self, n: int, circuit_count: int, pair_count: int, sign_choice_count: int):
+        vars(self).update(n=n, circuit_count=circuit_count, pair_count=pair_count,
+                          sign_choice_count=sign_choice_count)
 
 
 def _circuit_classes(fan: Fan):

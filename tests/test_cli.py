@@ -364,6 +364,27 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_start_up_loads_neither_dataclasses_nor_windows():
+    # the value classes are plain classes, so start-up loads no dataclasses
+    # (and through it inspect); windows and linalg load only for the
+    # generation and wall checks and the certificate
+    code = (
+        "import contextlib, io, sys\n"
+        "import toric_exc.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        "runs = [['verify', '--dim', '4', '--method', m]\n"
+        "        for m in ('inequalities', 'forbidden', 'oracle')]\n"
+        "runs += [['verify', '--dim', '4', '--what', w] for w in ('stability', 'cardinality')]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [toric_exc.cli.main(argv) for argv in runs]\n"
+        "print(codes, sorted(m for m in ('toric_exc.windows', 'toric_exc.linalg')\n"
+        "                    if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
+
+
 def test_production_path_loads_no_reference_layer():
     # the generic-fan and LP code is a reference layer that no command loads,
     # the pattern homology is a closed form, so no command loads the Smith

@@ -402,13 +402,13 @@ def test_views_agree_with_a_collection_that_holds_its_members():
 def count_made(monkeypatch):
     """Every DivisorClass made from now on."""
     made = []
-    post_init = DivisorClass.__post_init__
+    init = DivisorClass.__init__
 
-    def counted(self):
+    def counted(self, coeffs):
+        init(self, coeffs)
         made.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(DivisorClass, "__post_init__", counted)
+    monkeypatch.setattr(DivisorClass, "__init__", counted)
     return made
 
 
@@ -465,14 +465,7 @@ def test_checks_on_a_mutant_parse_each_member_once(monkeypatch, text):
 
 
 def test_intact_checks_make_no_member(monkeypatch):
-    made = []
-    post_init = DivisorClass.__post_init__
-
-    def counted(self):
-        made.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(DivisorClass, "__post_init__", counted)
+    made = count_made(monkeypatch)
     g8 = build_Gn(8)
     assert verify_exceptional(g8).pairs_checked == 396270
     assert verify_stability(g8).ok

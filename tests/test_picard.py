@@ -214,6 +214,13 @@ def test_difference_family_rejects_junk():
         difference_family(2, divisor(0, (0, 0, 1)), make_F(2, 0, set()))
     with pytest.raises(NotInFamily):
         difference_family(2, make_F(2, 0, set()), divisor(0, (0, 0, 1)))
+    # classes of another dimension, F_{c,J} or not
+    with pytest.raises(ValueError, match="dimension 2, expected 4"):
+        difference_family(4, make_F(2, 1, (0,)), make_F(6, 0, ()))
+    with pytest.raises(ValueError, match="dimension 6, expected 4"):
+        difference_family(4, make_F(4, 1, (0,)), make_F(6, 0, ()))
+    with pytest.raises(ValueError, match="dimension 4, expected 2"):
+        difference_family(2, divisor(0, (0, 0, 1)), make_F(4, 0, ()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,6 +232,13 @@ def test_ray_coefficients_reconstruct_class(n, data):
     for i, a in enumerate(coeffs):
         total = total + a * class_of_ray(n, i)
     assert total == D
+
+
+@pytest.mark.parametrize("n, D", [(2, make_F(4, 0, ())), (6, make_F(4, 0, ())),
+                                  (4, divisor(1, (2, 0, -1)))])
+def test_ray_coefficients_reject_another_dimension(n, D):
+    with pytest.raises(ValueError, match=f"dimension {D.n}, expected {n}"):
+        ray_coefficients(n, D)
 
 
 def test_divisor_arithmetic():

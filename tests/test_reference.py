@@ -83,11 +83,19 @@ def test_cones_are_listed_only_when_read():
      "Collection(4, [Block(3, (make_F(6, 1, (0, 1, 2)),))])"),
     ("from toric_exc.collection import Block, Collection\nfrom toric_exc.picard import make_F",
      "Collection(4, [Block(0, (make_F(2, 0, ()),))])"),
+    ("from toric_exc.picard import difference_family, make_F",
+     "difference_family(4, make_F(2, 1, (0,)), make_F(6, 0, ()))"),
+    ("from toric_exc.picard import make_F, ray_coefficients",
+     "ray_coefficients(2, make_F(4, 0, ()))"),
+    ("from toric_exc.picard import make_F, ray_coefficients",
+     "ray_coefficients(6, make_F(4, 0, ()))"),
 ], ids=["polyhedron-row", "contains-point", "engine-ray-count", "unions-ray-count",
         "subsets-ray-count", "primitive-ray-count", "wall-label-minus-1", "wall-label-3",
         "weight-other-dimension", "weight-label-3", "koszul-label-minus-1",
         "koszul-label-3", "certificate-other-dimension", "collection-not-F",
-        "collection-F-of-dimension-n-plus-2", "collection-F-on-V2"])
+        "collection-F-of-dimension-n-plus-2", "collection-F-on-V2",
+        "difference-other-dimensions", "ray-coefficients-larger-class",
+        "ray-coefficients-smaller-class"])
 def test_input_checks_survive_optimize(imports, call):
     code = (f"import sys\n{imports}\ntry:\n    {call}\n"
             "except ValueError:\n    print('ValueError', sys.flags.optimize)\n")

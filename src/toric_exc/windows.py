@@ -44,14 +44,7 @@ from typing import NamedTuple
 
 from .collection import Collection, build_Gn, dim_field, int_field, int_list
 from .fan import Fan, build_Vn, circuit_relation
-from .picard import (
-    DivisorClass,
-    class_of_ray,
-    label_set,
-    make_F,
-    parse_F,
-    require_dimension,
-)
+from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F, require_dimension
 from .record import Record
 
 

@@ -385,6 +385,18 @@ def test_start_up_loads_neither_dataclasses_nor_windows():
     assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
 
 
+def test_package_serves_every_exported_name():
+    # the windows names come through the package's module __getattr__
+    import toric_exc
+    from toric_exc import windows
+
+    assert all(callable(getattr(toric_exc, name)) for name in toric_exc.__all__)
+    assert toric_exc.wall_record is windows.wall_record
+    assert toric_exc.cohomology is importlib.import_module("toric_exc.cohomology").cohomology
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        toric_exc.no_such_name
+
+
 def test_production_path_loads_no_reference_layer():
     # the generic-fan and LP code is a reference layer that no command loads,
     # the pattern homology is a closed form, so no command loads the Smith

@@ -96,10 +96,3 @@ def test_construction_checks():
         Fan(3)
     with pytest.raises(ValueError, match="dimension must be at least 2"):
         Fan(0)
-
-
-def test_fan_caches_in_its_instance():
-    fan = Fan(4)
-    assert "max_cones" not in vars(fan)
-    assert len(fan.max_cones) == 30 and "max_cones" in vars(fan)
-    assert fan == Fan(4) and hash(fan) == hash((4,))

@@ -16,6 +16,10 @@ is one JSON object on stdout. Standard library only.
 The mutant layers at n = 16 run `verify --dim 16 --mutate drop:0`, and
 `mutant.swap` at n = 12 runs `verify --dim 12 --mutate swap:3958,6`, which
 swaps a member of a 1,716-member cell into another block; each must exit 1.
+`mutant.swap` at n = 20 runs `verify --dim 20 --what stability --mutate
+swap:1415650,1768365`, which swaps the first and last member of G_20's
+largest cell (352,716 members); the swap stays in one block, so it must
+exit 0.
 The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
 once, and each `cohomology.coeffs` call grades the next of five seeded
 coefficient vectors with entries in [-3, 3]. Both are timed cold: when
@@ -58,10 +62,16 @@ LAYERS = (
                                             "cardinality")]
     + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability",
                                             "generation")]
-    + [("mutant.swap", 12)]
+    + [("mutant.swap", 12), ("mutant.swap", 20)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
     + [("startup.import", None), ("startup.cardinality", 8)]
 )
+
+# (layer, n) -> the --what, --mutate and exit code of a mutant layer other than drop:0
+MUTANTS = {
+    ("mutant.swap", 12): ("exceptional", "swap:3958,6", 1),
+    ("mutant.swap", 20): ("stability", "swap:1415650,1768365", 0),
+}
 
 STARTUP = {
     "startup.import": ["-c", "import toric_exc.cli"],
@@ -98,16 +108,14 @@ elif name.startswith("sweep."):
         if not collection.verify_exceptional(col, name[6:]).ok:
             sys.exit("the sweep failed")
 elif name.startswith(("verify.", "mutant.")):
-    # a mutant drops one member, or swaps two for the exceptional check, so
-    # its checks must fail with exit 1
+    # a mutant drops one member, so its checks must fail with exit 1, or
+    # is one of MUTANTS
     kind, what = name.split(".")
     argv = ["verify", "--dim", str(n), "--what", what]
     expected = 0
     if kind == "mutant":
-        mutation = "drop:0"
-        if what == "swap":
-            argv[-1], mutation = "exceptional", "swap:3958,6"
-        argv, expected = argv + ["--mutate", mutation], 1
+        what, mutation, expected = {mutants!r}.get((name, n), (what, "drop:0", 1))
+        argv = ["verify", "--dim", str(n), "--what", what, "--mutate", mutation]
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != expected:
@@ -149,7 +157,7 @@ def time_startup(name: str, n: int | None) -> dict:
 def time_layer(name: str, n: int) -> dict:
     if name in STARTUP:
         return time_startup(name, n)
-    code = WORKER.format(src=str(ROOT / "src"), name=name, n=n, runs=RUNS)
+    code = WORKER.format(src=str(ROOT / "src"), name=name, n=n, runs=RUNS, mutants=MUTANTS)
     proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                             text=True)
     try:

@@ -18,29 +18,28 @@ even though every surviving pair still verifies.
 A collection is held as the l of each block and its cells, and nothing
 else: a member outside F_{c,J}, or of another dimension, is refused when
 the collection is made. A cell is a run of consecutive positions in one
-block sharing the twist c and |J| = l; it lists the J of each position,
-or nothing when they are every l-subset of 0..n in lexicographic order,
-as in each cell of G_n. It is complete when its J sets are the l-subsets,
-each once. A mutation regroups its parent's labels (_group) and makes
-no member; members are made when read.
+block sharing the twist c and |J| = l, whose J are a slice of the
+lexicographic order of the l-subsets of 0..n: it holds their ranks, the
+whole order in each cell of G_n. A mutation cuts its parent's rank
+ranges at the touched positions (_group) and makes no member; members
+are made when read.
 
 A full sweep counts pairs instead of walking them. The verdict of a
 pair depends only on its family (c, k, l) and its block relation. The
-members of one (block, c, l) are held as signed parts (_units), and the
-number of l-subsets meeting a given J in t labels is a product of
-binomials, so the pairs between two units are counted per key in closed
-form and graded by one representative per key. Only the pairs of two
-units with a failing key are walked one by one; an unmutated G_n walks
-none.
+members of one (block, c, l) are held as signed parts, read off the gaps
+and overlaps of their rank ranges (_units), and the number of l-subsets
+meeting a given J in t labels is a product of binomials, so the pairs
+between two units are counted per key in closed form and graded by one
+representative per key. Only the pairs of two units with a failing key
+are walked one by one; an unmutated G_n walks none.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from functools import cached_property
-from itertools import combinations, filterfalse, groupby, islice
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from .cohomology import cohomology, euler_pairing
@@ -94,7 +93,7 @@ class Collection:
             ells = [b.ell for b in blocks]
             runs = (_member_run(n, bi, m) for bi, b in enumerate(blocks) for m in b.members)
         self.n, self.ells = n, tuple(ells)
-        self.cells = _group(n, runs)
+        self.cells = _group(runs)
         self._starts = [cell.positions.start for cell in self.cells]
         self.at = _ReadOnce(self._read)
 
@@ -117,12 +116,8 @@ class Collection:
 
     @cached_property
     def members(self) -> tuple[DivisorClass, ...]:
-        members = [None] * self.size
-        for cell in self.cells:
-            labels = cell.labels or combinations(range(self.n + 1), cell.ell)
-            members[cell.positions.start:cell.positions.stop] = (
-                _F(self.n, cell.c, j) for j in labels)
-        return tuple(members)
+        return tuple(_F(self.n, cell.c, j) for cell in self.cells
+                     for j in _subsets(self.n, cell.ell, cell.ranks))
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -138,8 +133,7 @@ class Collection:
         r = p - cell.positions.start
         if not 0 <= r < len(cell.positions):
             raise IndexError(f"position {p} outside 0..{self.size - 1}")
-        j = cell.labels[r] if cell.labels else frozenset(_nth_subset(self.n + 1, cell.ell, r))
-        return cell.block, (cell.c, j)
+        return cell.block, (cell.c, frozenset(_nth_subset(self.n + 1, cell.ell, cell.ranks[r])))
 
 
 class _ReadOnce(dict):
@@ -172,6 +166,26 @@ def _nth_subset(m: int, ell: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rank(m: int, j) -> int:
+    """The lexicographic rank of the subset j of 0..m-1: the inverse of _nth_subset.
+
+    Where _nth_subset skips x, it passes C(m - x - 1, ell - 1) subsets; from
+    x up to the next label y of j these sum to C(m - x, ell) - C(m - y, ell).
+    """
+    r, x, ell = 0, 0, len(j)
+    for y in sorted(j):
+        r += math.comb(m - x, ell) - math.comb(m - y, ell)
+        ell, x = ell - 1, y + 1
+    return r
+
+
+def _subsets(n: int, ell: int, *ranges):
+    """The ell-subsets of 0..n with the ranks in ranges, in order: all of them by combinations."""
+    if ranges == (range(math.comb(n + 1, ell)),):
+        return combinations(range(n + 1), ell)
+    return (_nth_subset(n + 1, ell, r) for ranks in ranges for r in ranks)
+
+
 def _F(n: int, c: int, j) -> DivisorClass:
     """make_F(n, c, j) for labels j known to be distinct and in 0..n."""
     coeffs = [-c] + [c] * (n + 1)
@@ -180,42 +194,40 @@ def _F(n: int, c: int, j) -> DivisorClass:
     return DivisorClass(tuple(coeffs))
 
 
-def _lexicographic(n: int, ell: int):
-    """The ell-subsets of 0..n in lexicographic order."""
-    return map(frozenset, combinations(range(n + 1), ell))
+def _run(n, block, c, j):
+    """The run of the one member F_{c,J}, J a frozenset of labels in 0..n (see _group)."""
+    r = _rank(n + 1, j)
+    return block, c, len(j), range(r, r + 1)
 
 
 def _member_run(n, block, m):
-    """The run of one member (see _group); one outside F_{c,J} on V_n raises ValueError."""
+    """The run of one member; one outside F_{c,J} on V_n raises ValueError."""
     parsed = parse_F(m) if m.n == n else None
     if parsed is None:
         raise ValueError(f"member {m.coeffs} is not an F_{{c,J}} class on V_{n}")
-    c, j = parsed
-    return block, c, len(j), (j,)
+    return _run(n, block, *parsed)
 
 
-def _group(n: int, runs):
+def _group(runs):
     """The cells of a flat stream of runs, in position order.
 
-    A run is (block, c, ell, labels) for members F_{c,J} with |J| = ell,
-    labels being their J or None for every ell-subset in lexicographic
-    order. Adjacent runs of one block and (c, ell) join, and a cell listing
-    every ell-subset in lexicographic order gets labels None, so the cells
-    do not depend on how the runs were cut.
+    A run is (block, c, ell, ranks) for the members F_{c,J} whose J are the
+    ell-subsets with the lexicographic ranks in the range ranks. Adjacent
+    runs of one block and (c, ell) join when their ranks continue, and an
+    empty run is dropped, so the cells do not depend on how the runs were
+    cut.
     """
     cells = []
     start = 0
-    for (block, c, ell), group in groupby(runs, lambda run: run[:3]):
-        parts = [run[3] for run in group]
-        count = math.comb(n + 1, ell)
-        labels = None if parts == [None] else tuple(
-            j for part in parts for j in (part or _lexicographic(n, ell)))
-        complete = labels is None or len(labels) == len(set(labels)) == count
-        if labels and complete and labels == tuple(_lexicographic(n, ell)):
-            labels = None
-        size = count if labels is None else len(labels)
-        cells.append(Cell(block, c, ell, range(start, start + size), labels, complete))
-        start += size
+    for block, c, ell, ranks in runs:
+        if not ranks:
+            continue
+        stop = start + len(ranks)
+        if cells and cells[-1][:3] == (block, c, ell) and cells[-1].ranks.stop == ranks.start:
+            last = cells.pop()
+            start, ranks = last.positions.start, range(last.ranks.start, ranks.stop)
+        cells.append(Cell(block, c, ell, range(start, stop), ranks))
+        start = stop
     return tuple(cells)
 
 
@@ -247,26 +259,27 @@ def build_Fn(n: int) -> tuple[tuple[int, int], ...]:
 def build_Gn(n: int) -> Collection:
     """The full collection: every F_{c,J} with (c, |J|) admissible.
 
-    One complete cell per (c, |J|), its labels in lexicographic order.
+    One cell per (c, |J|), holding every |J|-subset in lexicographic order.
     """
     orbits = sorted({(ell, frozenset({c, ell - c})) for c, ell in build_Fn(n)},
                     key=lambda key: (-key[0], min(key[1])))
     return Collection(n, ells=[ell for ell, _ in orbits], runs=[
-        (bi, c, ell, None) for bi, (ell, cs) in enumerate(orbits) for c in sorted(cs)])
+        (bi, c, ell, range(math.comb(n + 1, ell)))
+        for bi, (ell, cs) in enumerate(orbits) for c in sorted(cs)])
 
 
 class Cell(NamedTuple):
     """A run of consecutive positions of one block sharing the twist c and |J| = ell.
 
-    labels None: the member at start + r is F_{c,J} for the r-th ell-subset J.
+    The member at positions[r] is F_{c,J} for the ell-subset J of 0..n of
+    lexicographic rank ranks[r] (_nth_subset).
     """
 
     block: int
     c: int
     ell: int
     positions: range  # flat positions
-    labels: tuple[frozenset, ...] | None  # the J of each position
-    complete: bool  # labels are the ell-subsets of 0..n, each once
+    ranks: range  # the lexicographic ranks of their J, as many
 
 
 # -- pairwise verification -----------------------------------------------------
@@ -420,28 +433,41 @@ class Unit(NamedTuple):
 def _units(n, cells):
     """One unit per (block, c, l), each listing the side of its J with fewer labels.
 
-    A lone complete cell is the one part "every l-subset". A unit holding
-    more than half of the l-subsets is every l-subset, less each it misses,
-    plus each duplicate; a smaller one lists its J, a duplicate twice.
+    A unit holding more than half of the l-subsets is every l-subset, less
+    each it misses, plus each duplicate (_gaps), so an intact cell is the
+    one part "every l-subset"; a smaller one lists its J, a duplicate twice.
     """
-    keyed = {}
-    for cell in cells:
-        keyed.setdefault((cell.block, cell.c, cell.ell), []).append(cell)
     units = []
-    for (block, c, ell), group in keyed.items():
-        parts = ((1, None),)
-        if len(group) > 1 or not group[0].complete:
-            labels = [j for cell in group for j in cell.labels or _lexicographic(n, ell)]
-            held = set(labels)
-            if 2 * len(held) <= math.comb(n + 1, ell):
-                parts = tuple((1, j) for j in labels)
-            else:
-                extra = Counter(labels) - Counter(held) if len(held) < len(labels) else Counter()
-                parts = ((1, None), *((-1, j) for j in filterfalse(held.__contains__,
-                                                                 _lexicographic(n, ell))),
-                         *((1, j) for j in extra.elements()))
+    for (block, c, ell), (group, missing, extra) in _gaps(n, cells, lambda cell: cell[:3]).items():
+        count, held = math.comb(n + 1, ell), [cell.ranks for cell in group]
+        if 2 * (count - sum(map(len, missing))) <= count:
+            parts = tuple((1, frozenset(j)) for j in _subsets(n, ell, *held))
+        else:
+            parts = ((1, None), *((-1, frozenset(j)) for j in _subsets(n, ell, *missing)),
+                     *((1, frozenset(j)) for j in _subsets(n, ell, *extra)))
         units.append(Unit(block, c, ell, tuple(cell.positions for cell in group), parts))
     return units
+
+
+def _gaps(n, cells, key):
+    """key(cell) -> (its cells, the ranks they miss, the ranks they hold again), as ranges.
+
+    Sorted by start, each rank range leaves a gap after the ranks reached so
+    far, which is missing, or overlaps them, which is held again: a rank held
+    k times lies in k - 1 extra ranges. This costs cells, not members.
+    """
+    groups = {}
+    for cell in cells:
+        groups.setdefault(key(cell), []).append(cell)
+    for k, group in groups.items():
+        missing, extra, reach = [], [], 0
+        for ranks in sorted((cell.ranks for cell in group), key=lambda ranks: ranks.start):
+            missing.append(range(reach, ranks.start))
+            extra.append(range(ranks.start, min(ranks.stop, reach)))
+            reach = max(reach, ranks.stop)
+        missing.append(range(reach, math.comb(n + 1, group[0].ell)))
+        groups[k] = group, [r for r in missing if r], [r for r in extra if r]
+    return groups
 
 
 def _tally(n, source, target):
@@ -608,9 +634,11 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
     """Deliberately damage a collection: drop:IDX, add:c,J, swap:I,J.
 
     Indices are flat positions. add parses J as dash-separated labels
-    (empty for the twist alone) and appends to the first block. The parent's
-    runs are regrouped with the change applied, a cell holding a dropped or
-    swapped position cut into one run per member; no member is made.
+    (empty for the twist alone) and appends to the first block. The rank
+    range of a cell holding a dropped or swapped position is cut at that
+    position, which becomes a run of its own, and the runs are regrouped
+    with the change applied (_group): this costs the number of cells, and
+    no member is made.
     """
     kind, _, arg = text.partition(":")
     n, size = collection.n, collection.size
@@ -622,9 +650,7 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
         touched = (idx,)
     elif kind == "add":
         c_text, _, j_text = arg.partition(",")
-        c = int(c_text)
-        labels = label_set(n, (int(x) for x in j_text.split("-") if x != ""))
-        added = (0, c, len(labels), (labels,))
+        added = _run(n, 0, int(c_text), label_set(n, (int(x) for x in j_text.split("-") if x)))
     elif kind == "swap":
         i_text, _, j_text = arg.partition(",")
         i, j = int(i_text), int(j_text)
@@ -633,15 +659,14 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
         touched = (i, j)
     else:
         raise ValueError(f"unknown mutation {text!r}")
-    runs, index = [], {}  # in flat order, a touched cell cut into its members
-    for block, c, ell, positions, labels, _ in collection.cells:
-        if any(p in positions for p in touched):
-            for p, label in zip(positions, labels or _lexicographic(n, ell)):
-                index[p] = len(runs)
-                runs.append((block, c, ell, (label,)))
-        else:
-            index[positions.start] = len(runs)
-            runs.append((block, c, ell, labels))
+    runs, index = [], {}  # in flat order; index: touched position -> its run
+    for block, c, ell, positions, ranks in collection.cells:
+        lo = 0
+        for r in sorted({p - positions.start for p in touched if p in positions}):
+            index[positions.start + r] = len(runs) + 1
+            runs += (block, c, ell, ranks[lo:r]), (block, c, ell, ranks[r:r + 1])
+            lo = r + 1
+        runs.append((block, c, ell, ranks[lo:]))
     if kind == "drop":
         del runs[index[idx]]
     elif kind == "add":
@@ -660,9 +685,8 @@ COLLECTION_SCHEMA = "toric-exc/collection/1"
 def labeled_blocks(collection: Collection) -> list:
     """(ell, [(c, sorted J), ...]) for each block, members in flat order."""
     rows = [[] for _ in collection.ells]
-    for cell in collection.cells:
-        rows[cell.block] += ((cell.c, sorted(j))
-                             for j in cell.labels or _lexicographic(collection.n, cell.ell))
+    for block, c, ell, _, ranks in collection.cells:
+        rows[block] += ((c, list(j)) for j in _subsets(collection.n, ell, ranks))
     return list(zip(collection.ells, rows))
 
 
@@ -676,9 +700,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def field(data: dict, key: str, kind: type = object):
+    """data[key], which must be a kind; data that is no dict, or lacks key, raises ValueError."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"expected an object with the field {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"{key!r} must be a {kind.__name__}, got {data[key]!r}")
+    return data[key]
+
+
 def int_field(data: dict, key: str) -> int:
     """data[key], which must be an int; anything else, a bool too, raises ValueError."""
-    value = data[key]
+    value = field(data, key)
     if not _is_int(value):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return value
@@ -694,16 +727,18 @@ def dim_field(data: dict) -> int:
 
 def int_list(data: dict, key: str) -> list[int]:
     """data[key], which must be a list of ints; a float or bool in it raises ValueError."""
-    value = data[key]
+    value = field(data, key)
     if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise ValueError(f"{key!r} must be a list of integers, got {value!r}")
     return value
 
 
 def collection_from_dict(data: dict) -> Collection:
-    if data.get("schema") != COLLECTION_SCHEMA:
+    """Read collection_to_dict's output; a malformed field raises ValueError."""
+    if not isinstance(data, dict) or data.get("schema") != COLLECTION_SCHEMA:
         raise ValueError(f"expected schema {COLLECTION_SCHEMA}")
     n = dim_field(data)
-    runs = [(bi, int_field(m, "c"), len(j), (j,)) for bi, block in enumerate(data["blocks"])
-            for m in block["members"] for j in [label_set(n, int_list(m, "J"))]]
-    return Collection(n, ells=[int_field(block, "ell") for block in data["blocks"]], runs=runs)
+    blocks = field(data, "blocks", list)
+    runs = [_run(n, bi, int_field(m, "c"), label_set(n, int_list(m, "J")))
+            for bi, block in enumerate(blocks) for m in field(block, "members", list)]
+    return Collection(n, ells=[int_field(block, "ell") for block in blocks], runs=runs)

@@ -42,7 +42,7 @@ import math
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .collection import Collection, build_Gn, dim_field, int_field, int_list
+from .collection import Collection, _gaps, _rank, build_Gn, dim_field, field, int_field, int_list
 from .fan import Fan, build_Vn, circuit_relation
 from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F, require_dimension
 from .record import Record
@@ -205,12 +205,9 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     if collection.n != n:
         raise ValueError(f"collection of dimension {collection.n}, expected {n}")
     cells = collection.cells
-    covered = {(cell.c, cell.ell) for cell in cells if cell.complete}
-    labels = {}
-    for cell in cells:
-        if not cell.complete:
-            labels.setdefault((cell.c, cell.ell), set()).update(cell.labels)
-    covered.update(key for key, js in labels.items() if len(js) == math.comb(n + 1, key[1]))
+    # (c, l) -> the ranks of the l-subsets that no block holds with twist c,
+    # [] when none is missing
+    missing = {key: gaps for key, (_, gaps, _) in _gaps(n, cells, lambda cell: cell[1:3]).items()}
     # the positions of each cell, in flat order, with its shape (h, sorted d):
     # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
     units = [(cell.positions, -cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
@@ -225,21 +222,22 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
                    if (1 - size) * h - sum(ds[n + 1 - size:]) < lo
                    or (1 - size) * h - sum(ds[:size]) > hi]
         terms = (parse_F(t) for piece in record.pieces for t in piece.components)
-        if leaving or any((c, len(j)) not in covered for c, j in terms):
-            _walk_walls(collection, size, leaving, covered, labels)
+        if leaving or any(missing.get((c, len(j))) != [] for c, j in terms):
+            _walk_walls(collection, size, leaving, missing)
         walls += math.comb(n + 1, size)
         pieces += math.comb(n + 1, size) * len(record.pieces)
     return GenerationCheck(n, walls, pieces)
 
 
-def _walk_walls(collection, size, leaving, covered, labels) -> None:
+def _walk_walls(collection, size, leaving, missing) -> None:
     """Raise the first failure of the walls of one size, in lexicographic order.
 
     This is the walk over every member and Koszul term at each wall, cut to
     what can fail: a member whose shape's weight range over the walls of
     this size lies in the window stays in it, so only the leaving positions
-    are read, and F_{c,K} is held exactly when its (c, |K|) is covered or K
-    labels an incomplete cell.
+    are read, and F_{c,K} is held exactly when the members of twist c and
+    size |K| miss no l-subset, or miss others than K: when the rank of K
+    lies in none of the missing ranges of its (c, |K|).
     """
     n = collection.n
     for j in combinations(range(n + 1), size):
@@ -255,7 +253,8 @@ def _walk_walls(collection, size, leaving, covered, labels) -> None:
         for piece in record.pieces:
             for component in piece.components:
                 c, k = parse_F(component)
-                if (c, len(k)) not in covered and k not in labels.get((c, len(k)), ()):
+                gaps = missing.get((c, len(k)), [range(math.comb(n + 1, len(k)))])
+                if any(_rank(n + 1, k) in gap for gap in gaps):
                     raise KoszulEscape(
                         f"component {component.coeffs} of the weight "
                         f"{piece.a} piece at wall J = {sorted(record.J)} "
@@ -373,16 +372,16 @@ def certificate_to_dict(certificate: Certificate) -> dict:
 
 def certificate_from_dict(data: dict) -> Certificate:
     """Read certificate_to_dict's output; a malformed field raises ValueError."""
-    if data.get("schema") != CERTIFICATE_SCHEMA:
+    if not isinstance(data, dict) or data.get("schema") != CERTIFICATE_SCHEMA:
         raise ValueError(f"expected schema {CERTIFICATE_SCHEMA}")
     n = dim_field(data)
     walls = []
-    for wall in data["walls"]:
+    for wall in field(data, "walls", list):
         pieces = tuple(
             WallPiece(int_field(p, "a"), int_field(p, "w"), _one_of(p, "branch", ("low", "high")),
                       tuple(make_F(n, int_field(comp, "c"), int_list(comp, "J"))
-                            for comp in p["components"]))
-            for p in wall["pieces"])
+                            for comp in field(p, "components", list)))
+            for p in field(wall, "pieces", list))
         window, wall_range = (tuple(int_list(wall, key)) for key in ("window", "wall_range"))
         if len(window) != 2 or len(wall_range) != 2:
             raise ValueError(f"window {window} and wall range {wall_range} need 2 entries each")
@@ -392,6 +391,6 @@ def certificate_from_dict(data: dict) -> Certificate:
 
 
 def _one_of(data: dict, key: str, allowed: tuple[str, ...]) -> str:
-    if data[key] not in allowed:
+    if field(data, key) not in allowed:
         raise ValueError(f"{key!r} must be one of {allowed}, got {data[key]!r}")
     return data[key]

@@ -334,16 +334,18 @@ def test_cells_of_a_mutant():
     col = apply_mutation(build_Gn(4), "add:1,0-1")
     cells = col.cells
     assert sum(len(cell.positions) for cell in cells) == col.size
-    # the added F_{1,{0,1}} sits alone in block 0, with |J| = 2, and every
-    # other cell keeps its lexicographic labels at shifted positions
-    (added,) = [cell for cell in cells if not cell.complete]
-    assert (added.block, added.c, added.ell, added.positions, added.labels) == (
-        0, 1, 2, range(2, 3), (frozenset({0, 1}),))
-    assert all(cell.labels is None for cell in cells if cell is not added)
-    # a swap inside a cell keeps it complete, with its labels held
-    (swapped,) = [cell for cell in apply_mutation(build_Gn(4), "swap:7,8").cells
-                  if cell.labels is not None]
-    assert swapped.complete and swapped.positions == range(7, 17)
+    # the added F_{1,{0,1}} sits alone in block 0, with |J| = 2 and the rank
+    # of {0, 1}, and every other cell keeps the whole order at shifted positions
+    (added,) = [cell for cell in cells if len(cell.ranks) < math.comb(5, cell.ell)]
+    assert (added.block, added.c, added.ell, added.positions, added.ranks) == (
+        0, 1, 2, range(2, 3), range(0, 1))
+    assert all(cell.ranks == range(math.comb(5, cell.ell)) for cell in cells if cell is not added)
+    # a swap inside the cell at 7..16 cuts it into three slices of the order
+    # that hold every J between them
+    swapped = [(cell.positions, cell.ranks) for cell in apply_mutation(build_Gn(4), "swap:7,8").cells
+               if cell.positions.start in range(7, 17)]
+    assert swapped == [(range(7, 8), range(1, 2)), (range(8, 9), range(0, 1)),
+                       (range(9, 17), range(2, 10))]
 
 
 def make_F_members(n):
@@ -358,10 +360,10 @@ def test_recorded_cells_match_parsed_cells():
     for n in range(2, 14, 2):
         col = build_Gn(n)
         assert "blocks" not in vars(col)  # held as cells: no member was made
-        # complete, with lexicographic labels at consecutive positions
-        assert all(cell.complete and cell.labels is None
+        # each cell is the whole lexicographic order, at consecutive positions
+        assert all(cell.ranks == range(math.comb(n + 1, cell.ell))
                    and isinstance(cell.positions, range) for cell in col.cells)
-        # its members, grouped back, give the same cells, labels=None included
+        # its members, ranked and grouped back, give the same cells
         assert Collection(n, col.blocks).cells == col.cells
 
 
@@ -385,6 +387,11 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
         for p in (-1, col.size):
             with pytest.raises(IndexError):
                 col.member(p)
+        # the rank of a J and the r-th subset invert each other, for every l
+        for ell in range(n + 2):
+            for r, j in enumerate(combinations(range(n + 1), ell)):
+                assert collection_module._nth_subset(n + 1, ell, r) == j
+                assert collection_module._rank(n + 1, j) == r
 
 
 def test_views_agree_with_a_collection_that_holds_its_members():
@@ -397,6 +404,42 @@ def test_views_agree_with_a_collection_that_holds_its_members():
         assert col.shape == grouped.shape
         assert "blocks" not in vars(col)
         assert col == grouped
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_one_member_mutation_cuts_only_what_it_damages(n):
+    # G_40's largest cell holds 2.7 * 10^11 members; a drop, add or swap cuts
+    # its rank range at the touched positions and lists none of its J
+    g = build_Gn(n)
+    big = max(g.cells, key=lambda cell: len(cell.positions))
+    if n == 40:
+        assert big.positions == range(2276098026922, 2545226964142)
+    first, last = big.positions[0], big.positions[-1]
+    mid = first + len(big.positions) // 2
+    block0 = g.shape[0][1]
+
+    def intact(p):  # what the parent holds at p: the subset of rank p - first
+        return big.block, (big.c, frozenset(collection_module._nth_subset(
+            n + 1, big.ell, p - first)))
+
+    j0 = "-".join(map(str, sorted(intact(first)[1][1])))
+    cases = [
+        # text, size change, cells added, stable, mutant position -> parent's
+        (f"drop:{mid}", -1, 1, False, {mid - 1: mid - 1, mid: mid + 1}),
+        (f"add:{big.c},{j0}", 1, 1, False, {first + 1: first, last + 1: last}),
+        (f"swap:{first},{last}", 0, 2, True,
+         {first: last, first + 1: first + 1, last - 1: last - 1, last: first}),
+    ]
+    for text, grown, cut, stable, edges in cases:
+        mutant = apply_mutation(g, text)
+        assert len(mutant.cells) - len(g.cells) == cut <= 4
+        assert mutant.size == g.size + grown
+        assert (mutant.size == expected_size(n)) == (grown == 0)
+        assert verify_stability(mutant).ok == stable
+        for p, parent in edges.items():
+            assert mutant.at[p] == intact(parent)
+        if text.startswith("add"):
+            assert mutant.at[block0] == (0, intact(first)[1])
 
 
 def count_made(monkeypatch):
@@ -868,6 +911,24 @@ def test_schema_guard():
         collection_from_dict(data)
 
 
+MISSING = object()  # edited's value for a deleted field
+
+
+def edited(data, path, value):
+    """data with the field at path set to value, deleted for MISSING; the whole for path ()."""
+    if not path:
+        return value
+    *parents, key = path
+    field = data
+    for step in parents:
+        field = field[step]
+    if value is MISSING:
+        del field[key]
+    else:
+        field[key] = value
+    return data
+
+
 @pytest.mark.parametrize("path, value", [
     (("n",), 2.9), (("n",), "2"), (("blocks", 0, "ell"), True),
     (("blocks", 0, "ell"), 3.0), (("blocks", 0, "members", 0, "c"), 2.4),
@@ -875,18 +936,17 @@ def test_schema_guard():
     (("blocks", 1, "members", 0, "J"), [0.0, 1.0]),
     (("blocks", 1, "members", 2, "J"), [True, 2]),
     (("blocks", 1, "members", 1, "J"), "02"), (("n",), 3), (("n",), 0),
+    (("blocks",), MISSING), (("blocks", 0, "members", 0, "c"), MISSING),
+    (("blocks", 0, "ell"), MISSING), (("blocks",), 5), (("blocks", 1, "members", 0), "F"),
+    ((), []),
 ])
 def test_loader_refuses_non_integers(path, value):
     # int() would truncate 2.9 to 2 and read True as 1; labels are checked
-    # by value, so 1.0 and True would pass as 1
-    data = collection_to_dict(build_Gn(2))
-    *parents, key = path
-    field = data
-    for step in parents:
-        field = field[step]
-    field[key] = value
+    # by value, so 1.0 and True would pass as 1. A missing field, a container
+    # of the wrong type and a top-level list are refused the same way.
     with pytest.raises(ValueError):
-        collection_from_dict(data)
+        collection_from_dict(edited(collection_to_dict(build_Gn(2)), path, value))
+
 
 
 # -- input validation -----------------------------------------------------------------

@@ -405,6 +405,9 @@ def test_certificate_schema_guard():
         certificate_from_dict(data)
 
 
+MISSING = object()  # edited_certificate's value for a deleted field
+
+
 @pytest.mark.parametrize("path, value", [
     (("n",), 2.9), (("d",), True), (("d",), "1"),
     (("walls", 0, "pieces", 0, "a"), -0.5), (("walls", 0, "pieces", 0, "w"), 1.0),
@@ -426,20 +429,31 @@ def test_certificate_loader_refuses_non_integers(path, value):
     (("walls", 0, "pieces", 0, "branch"), "sideways"),
     (("walls", 0, "pieces", 0, "branch"), None),
     (("base_case",), 7), (("base_case",), "full"),
+    (("walls",), MISSING), (("walls", 0, "pieces"), MISSING), (("d",), MISSING),
+    (("walls",), 5), (("walls", 0, "pieces", 0), "piece"), ((), []),
 ])
 def test_certificate_loader_refuses_malformed_fields(path, value):
+    # a missing field, a container of the wrong type and a top-level list too
     with pytest.raises(ValueError):
         certificate_from_dict(edited_certificate(path, value))
 
 
 def edited_certificate(path, value):
-    """The dict of the n = 2 certificate with the field at path set to value."""
+    """The dict of the n = 2 certificate with the field at path set to value.
+
+    MISSING deletes the field, and the empty path replaces the whole dict.
+    """
     data = certificate_to_dict(build_certificate(2))
+    if not path:
+        return value
     *parents, key = path
     field = data
     for step in parents:
         field = field[step]
-    field[key] = value
+    if value is MISSING:
+        del field[key]
+    else:
+        field[key] = value
     return data
 
 

@@ -462,11 +462,15 @@ def _gaps(n, cells, key):
     for k, group in groups.items():
         missing, extra, reach = [], [], 0
         for ranks in sorted((cell.ranks for cell in group), key=lambda ranks: ranks.start):
-            missing.append(range(reach, ranks.start))
-            extra.append(range(ranks.start, min(ranks.stop, reach)))
+            if ranks.start > reach:
+                missing.append(range(reach, ranks.start))
+            elif ranks.start < reach:
+                extra.append(range(ranks.start, min(ranks.stop, reach)))
             reach = max(reach, ranks.stop)
-        missing.append(range(reach, math.comb(n + 1, group[0].ell)))
-        groups[k] = group, [r for r in missing if r], [r for r in extra if r]
+        count = math.comb(n + 1, group[0].ell)
+        if reach < count:
+            missing.append(range(reach, count))
+        groups[k] = group, missing, extra
     return groups
 
 

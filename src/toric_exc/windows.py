@@ -235,9 +235,8 @@ def _walk_walls(collection, size, leaving, missing) -> None:
     This is the walk over every member and Koszul term at each wall, cut to
     what can fail: a member whose shape's weight range over the walls of
     this size lies in the window stays in it, so only the leaving positions
-    are read, and F_{c,K} is held exactly when the members of twist c and
-    size |K| miss no l-subset, or miss others than K: when the rank of K
-    lies in none of the missing ranges of its (c, |K|).
+    are read, and F_{c,K} is held exactly when the rank of K lies in none
+    of the missing ranges of its (c, |K|), an absent one missing every rank.
     """
     n = collection.n
     for j in combinations(range(n + 1), size):

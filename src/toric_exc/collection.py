@@ -443,8 +443,9 @@ def _units(n, cells):
         if 2 * (count - sum(map(len, missing))) <= count:
             parts = tuple((1, frozenset(j)) for j in _subsets(n, ell, *held))
         else:
-            parts = ((1, None), *((-1, frozenset(j)) for j in _subsets(n, ell, *missing)),
-                     *((1, frozenset(j)) for j in _subsets(n, ell, *extra)))
+            parts = ((1, None),
+                     *[(-1, frozenset(j)) for ranks in missing for j in _subsets(n, ell, ranks)],
+                     *[(1, frozenset(j)) for ranks in extra for j in _subsets(n, ell, ranks)])
         units.append(Unit(block, c, ell, tuple(cell.positions for cell in group), parts))
     return units
 

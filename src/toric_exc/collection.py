@@ -462,12 +462,12 @@ def _gaps(n, cells, key):
         groups.setdefault(key(cell), []).append(cell)
     for k, group in groups.items():
         missing, extra, reach = [], [], 0
-        for ranks in sorted((cell.ranks for cell in group), key=lambda ranks: ranks.start):
-            if ranks.start > reach:
-                missing.append(range(reach, ranks.start))
-            elif ranks.start < reach:
-                extra.append(range(ranks.start, min(ranks.stop, reach)))
-            reach = max(reach, ranks.stop)
+        for start, stop in sorted((cell.ranks.start, cell.ranks.stop) for cell in group):
+            if start > reach:
+                missing.append(range(reach, start))
+            elif start < reach:
+                extra.append(range(start, min(stop, reach)))
+            reach = max(reach, stop)
         count = math.comb(n + 1, group[0].ell)
         if reach < count:
             missing.append(range(reach, count))

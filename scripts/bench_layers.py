@@ -108,8 +108,7 @@ elif name.startswith("sweep."):
         if not collection.verify_exceptional(col, name[6:]).ok:
             sys.exit("the sweep failed")
 elif name.startswith(("verify.", "mutant.")):
-    # a mutant drops one member, so its checks must fail with exit 1, or
-    # is one of MUTANTS
+    # a mutant drops one member, so its checks must exit 1; MUTANTS holds the others
     kind, what = name.split(".")
     argv = ["verify", "--dim", str(n), "--what", what]
     expected = 0

@@ -456,7 +456,7 @@ def count_made(monkeypatch):
 
 
 def test_mutations_record_no_cells(monkeypatch):
-    # a mutation regroups its parent's labels: it makes no member
+    # a mutation cuts its parent's rank ranges: it makes no member
     g4 = build_Gn(4)
     made = count_made(monkeypatch)
     for text in ("drop:0", "add:0,0", "add:1,0-1", "swap:0,5", "swap:3,3"):

@@ -19,7 +19,9 @@ swaps a member of a 1,716-member cell into another block; each must exit 1.
 `mutant.swap` at n = 20 runs `verify --dim 20 --what stability --mutate
 swap:1415650,1768365`, which swaps the first and last member of G_20's
 largest cell (352,716 members); the swap stays in one block, so it must
-exit 0.
+exit 0. `mutant.add` at n = 16 runs `verify --dim 16 --mutate add:1,0-1`,
+whose added member fails against nearly every other: the sweep walks and
+reports 217,694 violating pairs, and it must exit 1.
 The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
 once, and each `cohomology.coeffs` call grades the next of five seeded
 coefficient vectors with entries in [-3, 3]. Both are timed cold: when
@@ -62,7 +64,7 @@ LAYERS = (
                                             "cardinality")]
     + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability",
                                             "generation")]
-    + [("mutant.swap", 12), ("mutant.swap", 20)]
+    + [("mutant.swap", 12), ("mutant.swap", 20), ("mutant.add", 16)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
     + [("startup.import", None), ("startup.cardinality", 8)]
 )
@@ -71,6 +73,7 @@ LAYERS = (
 MUTANTS = {
     ("mutant.swap", 12): ("exceptional", "swap:3958,6", 1),
     ("mutant.swap", 20): ("stability", "swap:1415650,1768365", 0),
+    ("mutant.add", 16): ("exceptional", "add:1,0-1", 1),
 }
 
 STARTUP = {

@@ -21,8 +21,8 @@ the collection is made. A cell is a run of consecutive positions in one
 block sharing the twist c and |J| = l, whose J are a slice of the
 lexicographic order of the l-subsets of 0..n: it holds their ranks, the
 whole order in each cell of G_n. A mutation cuts its parent's rank
-ranges at the touched positions (_group) and makes no member; members
-are made when read.
+ranges at the touched positions (_group) and makes no member; a walk
+reads its members in cell order and keeps none of them (_read).
 
 A full sweep counts pairs instead of walking them. The verdict of a
 pair depends only on its family (c, k, l) and its block relation. The
@@ -83,8 +83,8 @@ class Collection:
 
     Collection(n, blocks) groups the parsed members, Collection(n, ells=...,
     runs=...) a stream of runs (_group). A member outside F_{c,J}, or of
-    another dimension, raises ValueError. at maps a position to (block
-    index, (c, J)), read from its cell on first use.
+    another dimension, raises ValueError. Nothing read from a cell is kept
+    but the cached views shape, members and blocks.
     """
 
     def __init__(self, n: int, blocks=None, *, ells=(), runs=()):
@@ -95,7 +95,6 @@ class Collection:
         self.n, self.ells = n, tuple(ells)
         self.cells = _group(runs)
         self._starts = [cell.positions.start for cell in self.cells]
-        self.at = _ReadOnce(self._read)
 
     def __eq__(self, other):
         if not isinstance(other, Collection):
@@ -124,27 +123,17 @@ class Collection:
         members = iter(self.members)
         return tuple(Block(ell, tuple(islice(members, size))) for ell, size in self.shape)
 
-    def member(self, p: int) -> DivisorClass:
-        """The member at flat position p, made from the (c, J) that at reads."""
-        return _F(self.n, *self.at[p][1])
-
-    def _read(self, p):
+    def at(self, p: int):
+        """(block index, (c, J)) at flat position p, read from its cell."""
         cell = self.cells[bisect_right(self._starts, p) - 1]
         r = p - cell.positions.start
         if not 0 <= r < len(cell.positions):
             raise IndexError(f"position {p} outside 0..{self.size - 1}")
         return cell.block, (cell.c, frozenset(_nth_subset(self.n + 1, cell.ell, cell.ranks[r])))
 
-
-class _ReadOnce(dict):
-    """Key -> read(key), computed on the first lookup of each key."""
-
-    def __init__(self, read):
-        self.read = read
-
-    def __missing__(self, key):
-        value = self[key] = self.read(key)
-        return value
+    def member(self, p: int) -> DivisorClass:
+        """The member at flat position p, made from the (c, J) that at reads."""
+        return _F(self.n, *self.at(p)[1])
 
 
 def _nth_subset(m: int, ell: int, r: int) -> tuple[int, ...]:
@@ -184,6 +173,12 @@ def _subsets(n: int, ell: int, *ranges):
     if ranges == (range(math.comb(n + 1, ell)),):
         return combinations(range(n + 1), ell)
     return (_nth_subset(n + 1, ell, r) for ranks in ranges for r in ranks)
+
+
+def _read(n: int, cells):
+    """(position, (block, (c, J))) of each member of cells, in their order."""
+    return ((p, (cell.block, (cell.c, frozenset(j)))) for cell in cells
+            for p, j in zip(cell.positions, _subsets(n, cell.ell, cell.ranks)))
 
 
 def _F(n: int, c: int, j) -> DivisorClass:
@@ -366,11 +361,9 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         return grades[key]
 
     def walk(pairs, keep_passing):
-        """Grade pairs one by one: the failing results, or all of them."""
-        at = collection.at
+        """Grade pairs of _read entries one by one: the failing results, or all of them."""
         out = []
-        for i, j in pairs:
-            (block_i, parsed_i), (block_j, parsed_j) = at[i], at[j]
+        for (i, (block_i, parsed_i)), (j, (block_j, parsed_j)) in pairs:
             relation = _pair_relation(block_i, block_j)
             ok, detail = grade(family_of_parsed(parsed_j, parsed_i), relation != "forward")
             if keep_passing or not ok:
@@ -384,10 +377,12 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                     and 0 <= i < size and 0 <= j < size):
                 raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
                                  f"positions in 0..{size - 1}")
-        results = walk(pairs, full_report)
+        read = {p: collection.at(p) for pair in pairs for p in pair}
+        results = walk((((i, read[i]), (j, read[j])) for i, j in pairs), full_report)
         checked = len(pairs)
     elif full_report:
-        results = walk(_pairs_between(range(size), range(size)), True)
+        entries = list(_read(n, collection.cells))
+        results = walk(_pairs_between(entries, entries), True)
         checked = len(results)
     else:
         units = _units(n, collection.cells)
@@ -402,9 +397,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                         ok, _ = grade(family, need_all)
                         failed = failed or not ok
                 if failed:
-                    sources, targets = ([p for run in unit.positions for p in run]
-                                        for unit in (source, target))
-                    results += walk(_pairs_between(sources, targets), False)
+                    results += walk(_unit_pairs(n, source, target), False)
         results.sort(key=lambda r: (r.source, r.target))
 
     return Report(
@@ -416,8 +409,16 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
 
 def _pairs_between(sources, targets):
-    """Ordered pairs of distinct positions, in flat order for sorted inputs."""
-    return ((i, j) for i in sources for j in targets if i != j)
+    """Ordered pairs of _read entries at distinct positions, in flat order for sorted inputs."""
+    return ((s, t) for s in sources for t in targets if s[0] != t[0])
+
+
+def _unit_pairs(n, source, target):
+    """Pairs of _read entries from source to target, the larger unit read as it is walked."""
+    if source.size > target.size:
+        return _pairs_between(_read(n, source.cells), list(_read(n, target.cells)))
+    held = list(_read(n, source.cells))
+    return ((s, t) for t, s in _pairs_between(_read(n, target.cells), held))
 
 
 class Unit(NamedTuple):
@@ -426,7 +427,8 @@ class Unit(NamedTuple):
     block: int
     c: int
     ell: int
-    positions: tuple[range, ...]  # those of its cells, in flat order
+    cells: tuple[Cell, ...]  # in flat order
+    size: int  # members, over its cells
     parts: tuple[tuple[int, frozenset | None], ...]  # (sign, J), None for every l-subset
 
 
@@ -446,7 +448,7 @@ def _units(n, cells):
             parts = ((1, None),
                      *[(-1, frozenset(j)) for ranks in missing for j in _subsets(n, ell, ranks)],
                      *[(1, frozenset(j)) for ranks in extra for j in _subsets(n, ell, ranks)])
-        units.append(Unit(block, c, ell, tuple(cell.positions for cell in group), parts))
+        units.append(Unit(block, c, ell, tuple(group), sum(map(len, held)), parts))
     return units
 
 
@@ -503,7 +505,7 @@ def _tally(n, source, target):
                 key = (dc, l_s - t, l_t - t), need_all
                 counts[key] = counts.get(key, 0) + sign * comb(ell, t) * comb(rest, other - t)
     if source is target:
-        counts[(0, 0, 0), True] -= sum(map(len, source.positions))
+        counts[(0, 0, 0), True] -= source.size
     return counts
 
 
@@ -583,8 +585,8 @@ def verify_stability(collection: Collection) -> StabilityReport:
         for bi in range(len(labels)) if flipped else partial:
             if not _keeps(perm, flipped, labels[bi]):
                 failures.append(f"generator {gi} moves block {bi} off itself")
-    failures += (f"involution breaks closed form on {collection.member(p).coeffs}"
-                 for cell in cells if not closed[cell.c, cell.ell] for p in cell.positions)
+    failures += (f"involution breaks closed form on {_F(n, cell.c, j).coeffs}" for cell in cells
+                 if not closed[cell.c, cell.ell] for j in _subsets(n, cell.ell, cell.ranks))
     return StabilityReport(n, not failures, tuple(failures))
 
 
@@ -618,18 +620,17 @@ def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
     chi(E_i, E_j) depends only on the family of E_j - E_i, so each family
     is computed once; the diagonal is the family (0, 0, 0).
     """
-    fan = build_Vn(collection.n)
-    at, member = collection.at, collection.member
-    by_family = {}
+    n = collection.n
+    fan, by_family = build_Vn(n), {}
+    parsed = [parsed for _, (_, parsed) in _read(n, collection.cells)]
 
-    def entry(i, j):
-        family = family_of_parsed(at[j][1], at[i][1])
+    def entry(s, t):
+        family = family_of_parsed(t, s)
         if family not in by_family:
-            by_family[family] = euler_pairing(fan, member(i), member(j))
+            by_family[family] = euler_pairing(fan, _F(n, *s), _F(n, *t))
         return by_family[family]
 
-    indices = range(collection.size)
-    return tuple(tuple(entry(i, j) for j in indices) for i in indices)
+    return tuple(tuple(entry(s, t) for t in parsed) for s in parsed)
 
 
 # -- mutations -------------------------------------------------------------------

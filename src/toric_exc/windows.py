@@ -15,9 +15,9 @@ the walls from large J down to the empty set empties the category, so a
 clean pass certifies that the collection generates.
 
 `verify_generation` decides this one wall size at a time. As J runs
-over the walls of one size, the weight of a member runs over a range
-that depends only on h and the sorted d, so one check per such shape
-replaces the members x walls loop. A Koszul term F_{w,K} of one size |K|
+over the walls of one size, the weight of a member F_{c,L} runs over a
+range that depends only on c and |L|, so one check per cell replaces
+the members x walls loop. A Koszul term F_{w,K} of one size |K|
 is a member at every wall of that size exactly when the members with
 twist w and |J| = |K| hold every |K|-subset, over all blocks, so one
 representative wall per size decides the terms. When a size fails, its
@@ -39,10 +39,11 @@ the reference the tests compare that list with.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
-from .collection import Collection, _gaps, _rank, build_Gn, dim_field, field, int_field, int_list
+from .collection import (Collection, _F, _gaps, _rank, _subsets, build_Gn, dim_field, field,
+                         int_field, int_list)
 from .fan import Fan, build_Vn, circuit_relation
 from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F, require_dimension
 from .record import Record
@@ -208,42 +209,36 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     # (c, l) -> the ranks of the l-subsets that no block holds with twist c,
     # [] when none is missing
     missing = {key: gaps for key, (_, gaps, _) in _gaps(n, cells, lambda cell: cell[1:3]).items()}
-    # the positions of each cell, in flat order, with its shape (h, sorted d):
-    # F_{c,L} has h = -c and d sorted as (c - 1)^|L| c^(n + 1 - |L|)
-    units = [(cell.positions, -cell.c, (cell.c - 1,) * cell.ell + (cell.c,) * (n + 1 - cell.ell))
-             for cell in cells]
     walls = pieces = 0
     for size in range(n // 2, -1, -1):
         record = wall_record(n, frozenset(range(size)))
         lo, hi = record.window
-        # the weight (1 - |J|) h - sum_{j in J} d_j is least when J holds
-        # the largest d and most when it holds the smallest
-        leaving = [positions for positions, h, ds in units
-                   if (1 - size) * h - sum(ds[n + 1 - size:]) < lo
-                   or (1 - size) * h - sum(ds[:size]) > hi]
+        # F_{c,L} weighs |L inter J| - c, and over the walls J of this size
+        # |L inter J| runs from max(0, |L| + size - n - 1) to min(|L|, size)
+        leaving = [cell for cell in cells if max(0, cell.ell + size - n - 1) - cell.c < lo
+                   or min(cell.ell, size) - cell.c > hi]
         terms = (parse_F(t) for piece in record.pieces for t in piece.components)
         if leaving or any(missing.get((c, len(j))) != [] for c, j in terms):
-            _walk_walls(collection, size, leaving, missing)
+            _walk_walls(n, size, leaving, missing)
         walls += math.comb(n + 1, size)
         pieces += math.comb(n + 1, size) * len(record.pieces)
     return GenerationCheck(n, walls, pieces)
 
 
-def _walk_walls(collection, size, leaving, missing) -> None:
+def _walk_walls(n, size, leaving, missing) -> None:
     """Raise the first failure of the walls of one size, in lexicographic order.
 
     This is the walk over every member and Koszul term at each wall, cut to
-    what can fail: a member whose shape's weight range over the walls of
-    this size lies in the window stays in it, so only the leaving positions
-    are read, and F_{c,K} is held exactly when the rank of K lies in none
-    of the missing ranges of its (c, |K|), an absent one missing every rank.
+    what can fail: only the members of the leaving cells are made, once for
+    all walls, and F_{c,K} is held exactly when the rank of K, taken once,
+    lies in none of the missing ranges of its (c, |K|), an absent one
+    missing every rank.
     """
-    n = collection.n
+    members = [_F(n, cell.c, j) for cell in leaving for j in _subsets(n, cell.ell, cell.ranks)]
     for j in combinations(range(n + 1), size):
         record = wall_record(n, frozenset(j))
         lo, hi = record.window
-        for p in chain.from_iterable(leaving):
-            m = collection.member(p)
+        for m in members:
             lam = _weight(record.J, m)
             if not lo <= lam <= hi:
                 raise WindowViolation(
@@ -253,7 +248,8 @@ def _walk_walls(collection, size, leaving, missing) -> None:
             for component in piece.components:
                 c, k = parse_F(component)
                 gaps = missing.get((c, len(k)), [range(math.comb(n + 1, len(k)))])
-                if any(_rank(n + 1, k) in gap for gap in gaps):
+                rank = _rank(n + 1, k)
+                if any(rank in gap for gap in gaps):
                     raise KoszulEscape(
                         f"component {component.coeffs} of the weight "
                         f"{piece.a} piece at wall J = {sorted(record.J)} "

@@ -1,6 +1,7 @@
 """Collection construction, pairwise verification, stability, mutations."""
 
 import ast
+import copy
 import importlib
 import math
 import pathlib
@@ -321,7 +322,7 @@ def test_counted_keys_match_flat_tally(n, mutation):
     # add:2,0-1-2-3-4 duplicates the one member of block 0's (2, 5) cell
     col = mutant(n, mutation)
     units = collection_module._units(n, col.cells)
-    unit_of = {p: u for u, unit in enumerate(units) for run in unit.positions for p in run}
+    unit_of = {p: u for u, unit in enumerate(units) for cell in unit.cells for p in cell.positions}
     assert sorted(unit_of) == list(range(col.size))
     flat = flat_key_tally(col, unit_of)
     for s, source in enumerate(units):
@@ -382,7 +383,7 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
             for r, j in enumerate(combinations(range(n + 1), cell.ell)):
                 p = cell.positions[r]
                 assert col.member(p) == members[p] == make_F(n, cell.c, j)
-                assert col.at[p] == (cell.block, (cell.c, frozenset(j)))
+                assert col.at(p) == (cell.block, (cell.c, frozenset(j)))
         assert "blocks" not in vars(col)  # each was made from its cell alone
         for p in (-1, col.size):
             with pytest.raises(IndexError):
@@ -398,7 +399,7 @@ def test_views_agree_with_a_collection_that_holds_its_members():
     for n in (2, 4, 6):
         col, grouped = build_Gn(n), Collection(n, build_Gn(n).blocks)
         for p in range(col.size):
-            assert col.at[p] == grouped.at[p]
+            assert col.at(p) == grouped.at(p)
             assert col.member(p) == grouped.member(p)
         assert col.size == grouped.size == expected_size(n)
         assert col.shape == grouped.shape
@@ -437,9 +438,9 @@ def test_one_member_mutation_cuts_only_what_it_damages(n):
         assert (mutant.size == expected_size(n)) == (grown == 0)
         assert verify_stability(mutant).ok == stable
         for p, parent in edges.items():
-            assert mutant.at[p] == intact(parent)
+            assert mutant.at(p) == intact(parent)
         if text.startswith("add"):
-            assert mutant.at[block0] == (0, intact(first)[1])
+            assert mutant.at(block0) == (0, intact(first)[1])
 
 
 def count_made(monkeypatch):
@@ -561,10 +562,27 @@ def test_damaged_sweep_walks_about_its_violations(monkeypatch):
     # members of block 10's (3, 7) cell; only the unit pairs whose keys fail
     # are walked, so the pairs read track the violations, not that cell
     col = apply_mutation(build_Gn(10), "swap:5,900")
+    small = apply_mutation(build_Gn(4), "swap:1,20")  # across blocks too
+    views = {"shape", "members", "blocks"}  # the public cached views
+
+    def held(c):
+        return {key: copy.copy(value) for key, value in vars(c).items() if key not in views}
+
+    before = {id(c): held(c) for c in (col, small)}
     calls = count_calls(monkeypatch, ["family_of_parsed"])
     report = verify_exceptional(col)
     assert report.pairs_checked == col.size * (col.size - 1)
     assert report.violations and len(calls) <= 2 * len(report.violations)
+    # no check keeps a position it reads: the full report and the Gram
+    # matrix pair every position, so they run on the smaller mutant only
+    for c in (col, small):
+        verify_exceptional(c)
+        verify_exceptional(c, "oracle", sample=[(5, 20), (20, 5), (0, 1), (5, 1)])
+        verify_stability(c)
+        if c is small:
+            verify_exceptional(c, full_report=True)
+            gram_matrix(c)
+        assert held(c) == before[id(c)]
 
 
 def count_calls(monkeypatch, names, modules=(collection_module,)):
@@ -697,7 +715,7 @@ def assert_views_match_flat(col, ells, entries):
     assert col.members == tuple(m for _, m in entries)
     for p, (block, m) in enumerate(entries):
         parsed = parse_F(m)
-        assert col.at[p] == (block, parsed)
+        assert col.at(p) == (block, parsed)
         assert col.member(p) == m
     assert col.shape == tuple((ell, sum(block == bi for block, _ in entries))
                               for bi, ell in enumerate(ells))

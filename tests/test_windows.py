@@ -13,7 +13,7 @@ import toric_exc.linalg as linalg
 import toric_exc.windows as win
 from toric_exc.cohomology import euler_pairing
 from toric_exc.cli import main
-from toric_exc.collection import Collection, apply_mutation, build_Gn, expected_size
+from toric_exc.collection import Collection, _gaps, apply_mutation, build_Gn, expected_size
 from toric_exc.fan import build_Vn, circuit_relation, circuits
 from toric_exc.linalg import rank, smith_normal_form
 from toric_exc.picard import divisor, make_F, parse_F
@@ -273,6 +273,27 @@ def test_generation_reads_no_members(monkeypatch):
     monkeypatch.setattr(Collection, "members", property(unread))
     assert generation_outcome(lambda: verify_generation(8, drop)) == flat
     assert len(build_certificate(8).walls) == 256
+
+
+def test_failing_walk_ranks_each_koszul_term_once(monkeypatch):
+    # dropping the last and third-to-last members of G_6's (2, 5) cell leaves
+    # two missing ranges in one (c, l); the walk ranks each term it reads
+    # once, not once per missing range it tests
+    col = apply_mutation(apply_mutation(build_Gn(6), "drop:45"), "drop:43")
+    missing = _gaps(6, col.cells, lambda cell: cell[1:3])[2, 5][1]
+    assert missing == [range(18, 19), range(20, 21)]
+    ranked, terms = [], []
+    walk, parse, rank = win._walk_walls, win.parse_F, win._rank
+
+    def walking(*args):  # from here on, every term parsed is one walked
+        monkeypatch.setattr(win, "parse_F", lambda m: terms.append(m) or parse(m))
+        return walk(*args)
+
+    monkeypatch.setattr(win, "_walk_walls", walking)
+    monkeypatch.setattr(win, "_rank", lambda *args: ranked.append(args) or rank(*args))
+    with pytest.raises(KoszulEscape):
+        verify_generation(6, col)
+    assert 0 < len(ranked) <= len(terms)
 
 
 def test_generation_counts_in_closed_form():

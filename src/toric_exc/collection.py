@@ -377,7 +377,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                     and 0 <= i < size and 0 <= j < size):
                 raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
                                  f"positions in 0..{size - 1}")
-        read = {p: collection.at(p) for pair in pairs for p in pair}
+        read = {p: collection.at(p) for p in {p for pair in pairs for p in pair}}
         results = walk((((i, read[i]), (j, read[j])) for i, j in pairs), full_report)
         checked = len(pairs)
     elif full_report:

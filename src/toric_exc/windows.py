@@ -248,7 +248,7 @@ def _walk_walls(n, size, leaving, missing) -> None:
             for component in piece.components:
                 c, k = parse_F(component)
                 gaps = missing.get((c, len(k)), [range(math.comb(n + 1, len(k)))])
-                rank = _rank(n + 1, k)
+                rank = _rank(n + 1, k) if gaps else None
                 if any(rank in gap for gap in gaps):
                     raise KoszulEscape(
                         f"component {component.coeffs} of the weight "

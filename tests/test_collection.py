@@ -575,9 +575,13 @@ def test_damaged_sweep_walks_about_its_violations(monkeypatch):
     assert report.violations and len(calls) <= 2 * len(report.violations)
     # no check keeps a position it reads: the full report and the Gram
     # matrix pair every position, so they run on the smaller mutant only
+    sample = [(5, 20), (20, 5), (0, 1), (5, 1)]
+    reads = count_calls(monkeypatch, ["_nth_subset"])
     for c in (col, small):
         verify_exceptional(c)
-        verify_exceptional(c, "oracle", sample=[(5, 20), (20, 5), (0, 1), (5, 1)])
+        reads.clear()
+        verify_exceptional(c, "oracle", sample=sample)
+        assert len(reads) == 4  # each sampled position once
         verify_stability(c)
         if c is small:
             verify_exceptional(c, full_report=True)

@@ -229,9 +229,10 @@ def _walk_walls(n, size, leaving, missing) -> None:
     """Raise the first failure of the walls of one size, in lexicographic order.
 
     This is the walk over every member and Koszul term at each wall, cut to
-    what can fail: only the members of the leaving cells are made, once for
-    all walls, and F_{c,K} is held exactly when the rank of K, taken once,
-    lies in none of the missing ranges of its (c, |K|), an absent one
+    what can fail: a member of a cell whose weight range lies in the window
+    stays in it, so only the members of the leaving cells are made, once
+    for all walls, and F_{c,K} is held exactly when the rank of K, taken
+    once, lies in none of the missing ranges of its (c, |K|), an absent one
     missing every rank.
     """
     members = [_F(n, cell.c, j) for cell in leaving for j in _subsets(n, cell.ell, cell.ranks)]

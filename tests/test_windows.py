@@ -278,7 +278,7 @@ def test_generation_reads_no_members(monkeypatch):
 def test_failing_walk_ranks_each_koszul_term_once(monkeypatch):
     # dropping the last and third-to-last members of G_6's (2, 5) cell leaves
     # two missing ranges in one (c, l); the walk ranks each term it reads
-    # once, not once per missing range it tests
+    # at most once, not once per missing range it tests
     col = apply_mutation(apply_mutation(build_Gn(6), "drop:45"), "drop:43")
     missing = _gaps(6, col.cells, lambda cell: cell[1:3])[2, 5][1]
     assert missing == [range(18, 19), range(20, 21)]

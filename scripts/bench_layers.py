@@ -21,7 +21,10 @@ swap:1415650,1768365`, which swaps the first and last member of G_20's
 largest cell (352,716 members); the swap stays in one block, so it must
 exit 0. `mutant.add` at n = 16 runs `verify --dim 16 --mutate add:1,0-1`,
 whose added member fails against nearly every other: the sweep walks and
-reports 217,694 violating pairs, and it must exit 1.
+reports 217,694 violating pairs, and it must exit 1. `report.json` at n = 16
+runs the same command with `--format json`, which writes those pairs as a
+39.6 MB report; it must exit 1 too. The two differ by the cost of writing
+a failing run's JSON. A command's stdout goes to an in-memory buffer.
 The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
 once, and each `cohomology.coeffs` call grades the next of five seeded
 coefficient vectors with entries in [-3, 3]. Both are timed cold: when
@@ -64,16 +67,18 @@ LAYERS = (
                                             "cardinality")]
     + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability",
                                             "generation")]
-    + [("mutant.swap", 12), ("mutant.swap", 20), ("mutant.add", 16)]
+    + [("mutant.swap", 12), ("mutant.swap", 20), ("mutant.add", 16), ("report.json", 16)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
     + [("startup.import", None), ("startup.cardinality", 8)]
 )
 
-# (layer, n) -> the --what, --mutate and exit code of a mutant layer other than drop:0
+# (layer, n) -> the --what, --mutate and exit code of a mutant or report layer
+# other than drop:0
 MUTANTS = {
     ("mutant.swap", 12): ("exceptional", "swap:3958,6", 1),
     ("mutant.swap", 20): ("stability", "swap:1415650,1768365", 0),
     ("mutant.add", 16): ("exceptional", "add:1,0-1", 1),
+    ("report.json", 16): ("exceptional", "add:1,0-1", 1),
 }
 
 STARTUP = {
@@ -110,14 +115,16 @@ elif name.startswith("sweep."):
     def call():
         if not collection.verify_exceptional(col, name[6:]).ok:
             sys.exit("the sweep failed")
-elif name.startswith(("verify.", "mutant.")):
+elif name.startswith(("verify.", "mutant.", "report.")):
     # a mutant drops one member, so its checks must exit 1; MUTANTS holds the others
     kind, what = name.split(".")
     argv = ["verify", "--dim", str(n), "--what", what]
     expected = 0
-    if kind == "mutant":
+    if kind != "verify":
         what, mutation, expected = {mutants!r}.get((name, n), (what, "drop:0", 1))
         argv = ["verify", "--dim", str(n), "--what", what, "--mutate", mutation]
+    if kind == "report":
+        argv += ["--format", "json"]
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != expected:

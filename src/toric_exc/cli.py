@@ -16,6 +16,13 @@ written exits 2.
 
 `windows` is imported by the generation and wall checks and by
 certificate when they run, so no other command pays for loading it.
+
+JSON output has the bytes of json.dumps(payload, indent=2). A verify
+report's pair verdicts (its violations, and every pair under
+--full-report) are written from its PairResult tuples one fixed template
+at a time (_dumps): no dict is made per pair, and they skip the
+pure-Python encoder that any indent selects. Text output reads only the
+first five violations and their count.
 """
 
 from __future__ import annotations
@@ -25,10 +32,12 @@ import json
 import random
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _string
 
 from .cohomology import cohomology
 from .collection import (
     METHODS,
+    PairResult,
     Report,
     apply_mutation,
     build_Fn,
@@ -160,8 +169,51 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2)
+# one PairResult at depth 2 of an indent-2 payload, as json.dumps writes the
+# dict of its fields
+_PAIR = ('    {\n      "source": %d,\n      "target": %d,\n      "relation": %s,\n'
+         '      "ok": %s,\n      "detail": %s\n    }')
+
+
+def _dumps(payload: dict) -> str:
+    """json.dumps(payload, indent=2) of a non-empty dict, each PairResult
+    written as the dict of its fields.
+
+    The payload is written key by key. A non-empty tuple of PairResult
+    (a report's violations or pair results) is written record by record
+    from _PAIR: the two int positions with %d, as int.__repr__ writes
+    them, ok as true or false, and the relation and detail strings
+    through encode_basestring_ascii, the encoder json.dumps uses for
+    every string under its default ensure_ascii. Every other value is
+    json.dumps(value, indent=2) with each newline in it followed by two
+    more spaces.
+
+    Why the bytes are the same: with ensure_ascii an encoded string is
+    ASCII, and it escapes every character below U+0020, the newline
+    among them, as a backslash sequence. So a raw newline in
+    json.dumps(value, indent=2) is never inside a string: it is one of
+    the newlines indent=2 puts before an item or a closing bracket, and
+    the indentation after it is two spaces per level of depth. One level
+    deeper, the depth of every such line is one more, and appending two
+    spaces to every newline is exactly that re-indentation. A value
+    without newlines (a scalar, or an empty list or dict) is unchanged,
+    as json.dumps writes it at any depth.
+    """
+    items = []  # the text between the commas that end a line, joined once
+    for key, value in payload.items():
+        head = f"  {_string(key)}: "
+        if isinstance(value, tuple) and value and isinstance(value[0], PairResult):
+            first = len(items)
+            items += [_PAIR % (r.source, r.target, _string(r.relation),
+                               "true" if r.ok else "false", _string(r.detail))
+                      for r in value]
+            items[first] = head + "[\n" + items[first]
+            items[-1] += "\n  ]"
+        else:
+            items.append(head + json.dumps(value, indent=2).replace("\n", "\n  "))
+    items[0] = "{\n" + items[0]
+    items[-1] += "\n}"
+    return ",\n".join(items)
 
 
 # -- build ---------------------------------------------------------------------
@@ -283,18 +335,17 @@ def cmd_verify(args) -> int:
                       "pass --allow-large to run it")
     report = verify_exceptional(collection, method, sample=sample,
                                 full_report=args.full_report)
+    return _verdict(args, report.ok, _report_text(report), **_report_fields(report))
+
+
+def _report_fields(report: Report) -> dict:
+    """The report's JSON fields; its PairResult tuples are left for _dumps to write."""
     fields = {"method": report.method, "size": report.size, "expected": report.expected,
               "complete": report.complete, "pairs_checked": report.pairs_checked,
-              "sampled": report.sampled,
-              "violations": [_pair_dict(v) for v in report.violations]}
+              "sampled": report.sampled, "violations": report.violations}
     if report.pair_results is not None:
-        fields["pair_results"] = [_pair_dict(r) for r in report.pair_results]
-    return _verdict(args, report.ok, _report_text(report), **fields)
-
-
-def _pair_dict(r) -> dict:
-    return {"source": r.source, "target": r.target,
-            "relation": r.relation, "ok": r.ok, "detail": r.detail}
+        fields["pair_results"] = report.pair_results
+    return fields
 
 
 def _report_text(report: Report) -> str:

@@ -53,11 +53,10 @@ from .cones import (
 from .fan import build_Vn
 from .picard import (
     DivisorClass,
-    act,
+    antipodal_involution,
     family_of_parsed,
     group_generators,
     label_set,
-    make_F,
     parse_F,
 )
 from .record import Record
@@ -565,13 +564,16 @@ def verify_stability(collection: Collection) -> StabilityReport:
     c' being l - c under the involution and c otherwise, so it keeps a
     block when it maps each (c, l) set onto the (c', l) set. The
     involution is S_{n+1}-equivariant, so its closed form is checked once
-    per (c, l).
+    per (c, l), on J = {0, ..., l-1}.
     """
     n = collection.n
     cells = collection.cells
-    flip = (tuple(range(n + 1)), True)
-    closed = {(c, ell): act(flip, make_F(n, c, range(ell))) == make_F(n, ell - c, range(ell))
-              for c, ell in {(cell.c, cell.ell) for cell in cells}}
+
+    def first(c, ell):  # the coefficients of F_{c,J}, J = {0, ..., l-1}
+        return (-c,) + (c - 1,) * ell + (c,) * (n + 1 - ell)
+
+    closed = {(c, ell): antipodal_involution(DivisorClass(first(c, ell))).coeffs
+              == first(ell - c, ell) for c, ell in {(cell.c, cell.ell) for cell in cells}}
     labels = [{} for _ in collection.ells]  # per block: (c, l) -> the side of its J set
     for unit in _units(n, cells):
         complement = unit.parts[0][1] is None

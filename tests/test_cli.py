@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_exc.cli import build_parser, main, sample_pairs
+from toric_exc.cli import _dumps, _report_fields, build_parser, main, sample_pairs
+from toric_exc.collection import PairResult, Report, expected_size
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -726,6 +728,81 @@ def test_certificate_text(capsys):
     assert code == 0
     assert "4 walls" in out
     assert "J = []" in out
+
+
+# -- the JSON writer ------------------------------------------------------------------
+
+
+def _mutations(n):
+    """One seeded drop, add and swap of G_n."""
+    rng = random.Random(n)
+    size = expected_size(n)
+    labels = "-".join(map(str, sorted(rng.sample(range(n + 1), rng.randint(0, n + 1)))))
+    return [f"drop:{rng.randrange(size)}", f"add:{rng.randint(-n, n)},{labels}",
+            "swap:%d,%d" % tuple(rng.sample(range(size), 2))]
+
+
+def _json_commands(n):
+    """Every command that writes JSON at dim n: intact and mutated checks, full
+    reports at n <= 4, the oracle's default sample from n = 6 on."""
+    dim = ["--dim", str(n)]
+    yield ["build", *dim]
+    yield ["build", *dim, "--fan"]
+    yield ["figure", *dim]
+    yield ["certificate", *dim]
+    yield ["cohomology", *dim, "--coeffs=" + ",".join(str(i % 5 - 2) for i in range(n + 2))]
+    if n <= 4:
+        yield ["gram", *dim]
+    yield ["verify", *dim, "--what", "walls"]
+    for mutation in [[]] + [["--mutate", m] for m in _mutations(n)]:
+        for what in ("stability", "cardinality", "generation"):
+            yield ["verify", *dim, "--what", what, *mutation]
+        for method in ("inequalities", "oracle") + (("forbidden",) if n <= 6 else ()):
+            yield ["verify", *dim, "--method", method, *mutation]
+            if n <= 4:
+                yield ["verify", *dim, "--method", method, "--full-report", *mutation]
+    yield ["verify", *dim, "--method", "oracle", "--sample", "40", "--seed", "5",
+           "--full-report"]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_json_output_is_indent_2(capsys, n):
+    # every JSON payload reads back and writes out as the same bytes, so the
+    # writer is json.dumps(payload, indent=2) on the payload it stands for
+    failing = 0
+    for argv in _json_commands(n):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code in (0, 1), (argv, err)
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
+        failing += '"ok": false,\n      "detail"' in out
+    assert failing > 0  # some payload lists violations
+
+
+_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\r\t\x00\x1f\u2028\u2029')))
+_pairs = st.lists(st.builds(PairResult, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                            _text, st.booleans(), _text), max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(violations=_pairs, pair_results=st.one_of(st.none(), _pairs),
+       method=_text, sampled=st.booleans())
+def test_report_writer_matches_json_dumps(violations, pair_results, method, sampled):
+    report = Report(4, method, 30, 30, 12, violations, pair_results, sampled)
+    payload = {"schema": "toric-exc/report/1", "what": "exceptional", "n": 4,
+               "ok": report.ok, **_report_fields(report)}
+    dict_form = {key: [{f: getattr(r, f) for f in PairResult._fields} for r in value]
+                 if isinstance(value, tuple) else value for key, value in payload.items()}
+    assert _dumps(payload) == json.dumps(dict_form, indent=2)
+
+
+def test_out_file_matches_stdout_on_a_failing_mutant(capsys, tmp_path):
+    argv = ["verify", "--dim", "6", "--mutate", "add:1,0-1", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and '"violations": [\n' in out
+    target = tmp_path / "report.json"
+    code, written, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, written) == (1, f"wrote {target}\n")
+    assert target.read_bytes() == out.encode()
 
 
 # -- output files -------------------------------------------------------------------

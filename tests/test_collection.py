@@ -43,6 +43,7 @@ from toric_exc.fan import build_Vn, circuit_relation
 from toric_exc.picard import (
     DivisorClass,
     act,
+    antipodal_involution,
     difference_family,
     divisor,
     family_of_parsed,
@@ -863,14 +864,16 @@ def test_sweep_member_of_another_dimension_raises(method):
 
 
 def test_stability_acts_once_per_cell(monkeypatch):
+    # the generators act on the J sets of the cells; only the involution's
+    # closed form is applied to classes
     module = importlib.import_module("toric_exc.collection")
     calls = []
 
-    def counted(element, D):
-        calls.append(element)
-        return act(element, D)
+    def counted(D):
+        calls.append(D)
+        return antipodal_involution(D)
 
-    monkeypatch.setattr(module, "act", counted)
+    monkeypatch.setattr(module, "antipodal_involution", counted)
     g8 = build_Gn(8)
     assert verify_stability(g8).ok
     assert len(calls) < 100
@@ -883,6 +886,28 @@ def test_stability_acts_once_per_cell(monkeypatch):
     # one by one (the flat loop made over 1,000 calls)
     assert not verify_stability(apply_mutation(build_Gn(8), "drop:0")).ok
     assert len(calls) < 300
+
+
+@pytest.mark.parametrize("broken", [
+    lambda D: D,  # fixes every class: wrong wherever l != 2c
+    lambda D: D if D.h == -1 else antipodal_involution(D),  # wrong on c = 1 only
+], ids=["identity", "c=1"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_stability_reports_a_broken_involution(monkeypatch, broken, n):
+    # the closed form is proved on the involution at each call: every member
+    # it breaks is named, as the flat loop names it
+    module = importlib.import_module("toric_exc.collection")
+    col = build_Gn(n)
+    assert verify_stability(col).ok
+    expected = []
+    for m in col.members:
+        c, j = parse_F(m)
+        if broken(m) != make_F(n, len(j) - c, j):
+            expected.append(f"involution breaks closed form on {m.coeffs}")
+    assert expected
+    monkeypatch.setattr(module, "antipodal_involution", broken)
+    report = verify_stability(col)
+    assert report == StabilityReport(n, False, tuple(expected))
 
 
 # -- numerics ----------------------------------------------------------------------

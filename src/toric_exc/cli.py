@@ -32,6 +32,7 @@ import json
 import random
 import sys
 from functools import cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _string
 
 from .cohomology import cohomology
@@ -179,41 +180,39 @@ def _dumps(payload: dict) -> str:
     """json.dumps(payload, indent=2) of a non-empty dict, each PairResult
     written as the dict of its fields.
 
-    The payload is written key by key. A non-empty tuple of PairResult
-    (a report's violations or pair results) is written record by record
-    from _PAIR: the two int positions with %d, as int.__repr__ writes
-    them, ok as true or false, and the relation and detail strings
-    through encode_basestring_ascii, the encoder json.dumps uses for
-    every string under its default ensure_ascii. Every other value is
-    json.dumps(value, indent=2) with each newline in it followed by two
-    more spaces.
-
-    Why the bytes are the same: with ensure_ascii an encoded string is
-    ASCII, and it escapes every character below U+0020, the newline
-    among them, as a backslash sequence. So a raw newline in
-    json.dumps(value, indent=2) is never inside a string: it is one of
-    the newlines indent=2 puts before an item or a closing bracket, and
-    the indentation after it is two spaces per level of depth. One level
-    deeper, the depth of every such line is one more, and appending two
-    spaces to every newline is exactly that re-indentation. A value
-    without newlines (a scalar, or an empty list or dict) is unchanged,
-    as json.dumps writes it at any depth.
+    json.dumps(d, indent=2) writes a dict as "{\n", then its items joined
+    by ",\n", then "\n}"; an item is two spaces, the encoded key, ": " and
+    the value written at depth 1, so its text depends on its key and value
+    only. Each run of consecutive items whose value is not a non-empty
+    tuple of PairResult is therefore cut out of json.dumps of the run
+    alone, as a dict ([2:-2]). A non-empty tuple of PairResult (a
+    report's violations or pair results) is written as json.dumps writes
+    a list of dicts at depth 1, record by record from _PAIR: the two int
+    positions with %d, as int.__repr__ writes them, ok as true or false,
+    and the relation and detail strings through encode_basestring_ascii,
+    the encoder json.dumps uses for every string under its default
+    ensure_ascii. So no dict is made per pair, and the pairs skip the
+    pure-Python encoder that any indent selects.
     """
     items = []  # the text between the commas that end a line, joined once
-    for key, value in payload.items():
-        head = f"  {_string(key)}: "
-        if isinstance(value, tuple) and value and isinstance(value[0], PairResult):
+    for pairs, group in groupby(payload.items(), lambda item: _is_pairs(item[1])):
+        if not pairs:
+            items.append(json.dumps(dict(group), indent=2)[2:-2])
+            continue
+        for key, value in group:
             first = len(items)
             items += [_PAIR % (r.source, r.target, _string(r.relation),
                                "true" if r.ok else "false", _string(r.detail))
                       for r in value]
-            items[first] = head + "[\n" + items[first]
+            items[first] = f"  {_string(key)}: [\n" + items[first]
             items[-1] += "\n  ]"
-        else:
-            items.append(head + json.dumps(value, indent=2).replace("\n", "\n  "))
     items[0] = "{\n" + items[0]
     items[-1] += "\n}"
     return ",\n".join(items)
+
+
+def _is_pairs(value) -> bool:
+    return isinstance(value, tuple) and len(value) > 0 and isinstance(value[0], PairResult)
 
 
 # -- build ---------------------------------------------------------------------

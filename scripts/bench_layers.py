@@ -13,6 +13,12 @@ program does not have is reported as missing. The machine (CPU count and
 model, Python version) and the commit are recorded with the times. The output
 is one JSON object on stdout. Standard library only.
 
+The sweep layers at n = 20 and 30, and `verify_generation` at n = 30 and
+40, run past the command's MAX_DIM = 20 in process: each full sweep of the
+intact G_n reads its keys off unit-pair shapes, and the generation check
+its Koszul terms off closed-form shapes, so they show how far exhaustive
+checking reaches.
+
 The mutant layers at n = 16 run `verify --dim 16 --mutate drop:0`, and
 `mutant.swap` at n = 12 runs `verify --dim 12 --mutate swap:3958,6`, which
 swaps a member of a 1,716-member cell into another block; each must exit 1.
@@ -57,9 +63,12 @@ LAYERS = (
     [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
      for n in (8, 10, 12, 14)]
     + [(f"sweep.{method}", 16) for method in ("forbidden", "oracle")]
+    + [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
+       for n in (20, 30)]
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]
+    + [("verify_generation", n) for n in (30, 40)]
     + [(f"verify.{what}", 14) for what in ("exceptional", "stability", "generation",
                                             "walls")]
     + [("build_Gn", n) for n in (8, 10, 12, 14, 16, 18, 20)]

@@ -24,14 +24,14 @@ whole order in each cell of G_n. A mutation cuts its parent's rank
 ranges at the touched positions (_group) and makes no member; a walk
 reads its members in cell order and keeps none of them (_read).
 
-A full sweep counts pairs instead of walking them. The verdict of a
-pair depends only on its family (c, k, l) and its block relation. The
-members of one (block, c, l) are held as signed parts, read off the gaps
-and overlaps of their rank ranges (_units), and the number of l-subsets
-meeting a given J in t labels is a product of binomials, so the pairs
-between two units are counted per key in closed form and graded by one
-representative per key. Only the pairs of two units with a failing key
-are walked one by one; an unmutated G_n walks none.
+A full sweep reads its keys off shapes instead of walking pairs. The
+verdict of a pair depends only on its family (c, k, l) and its block
+relation, and the members of one (block, c, l) form a unit (_units). An
+l_s-subset and an l_t-subset of 0..n share t labels for some t in a range
+fixed by l_s and l_t, so every pair between two units has one of the keys
+that the shape of the unit pair gives (_keys), each graded once per call.
+Only the pairs of two units with a failing key are walked one by one; an
+unmutated G_n walks none.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     sample restricts the sweep to the given (source, target) flat index
     pairs; the size check still runs, and a pair that is not two distinct
     int positions (a bool is not one) raises ValueError. A sample or a full report grades pair by
-    pair; otherwise the pairs are counted by cell (module docstring).
+    pair; otherwise each unit pair's keys are read off its shape (_keys).
     Violations come in flat (source, target) order either way. The report
     never raises on its own, call raise_if_failed for that.
     """
@@ -385,19 +385,17 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         checked = len(results)
     else:
         units = _units(n, collection.cells)
+        passes = {}  # shape -> whether every key of the shape passes
         results = []
-        checked = 0
         for source in units:
             for target in units:
-                failed = False
-                for (family, need_all), count in _tally(n, source, target).items():
-                    if count > 0:
-                        checked += count
-                        ok, _ = grade(family, need_all)
-                        failed = failed or not ok
-                if failed:
+                shape = _shape(source, target)
+                if shape not in passes:
+                    passes[shape] = all(grade(*key)[0] for key in _keys(n, *shape))
+                if not passes[shape]:
                     results += walk(_unit_pairs(n, source, target), False)
         results.sort(key=lambda r: (r.source, r.target))
+        checked = size * (size - 1)  # the units partition the positions
 
     return Report(
         n=n, method=method, size=size, expected=expected_size(n),
@@ -421,34 +419,20 @@ def _unit_pairs(n, source, target):
 
 
 class Unit(NamedTuple):
-    """The members of one (block, c, l): their J are the sum of the signed parts."""
+    """The members of one (block, c, l)."""
 
     block: int
     c: int
     ell: int
     cells: tuple[Cell, ...]  # in flat order
     size: int  # members, over its cells
-    parts: tuple[tuple[int, frozenset | None], ...]  # (sign, J), None for every l-subset
+    repeats: bool  # some J is held twice
 
 
 def _units(n, cells):
-    """One unit per (block, c, l), each listing the side of its J with fewer labels.
-
-    A unit holding more than half of the l-subsets is every l-subset, less
-    each it misses, plus each duplicate (_gaps), so an intact cell is the
-    one part "every l-subset"; a smaller one lists its J, a duplicate twice.
-    """
-    units = []
-    for (block, c, ell), (group, missing, extra) in _gaps(n, cells, lambda cell: cell[:3]).items():
-        count, held = math.comb(n + 1, ell), [cell.ranks for cell in group]
-        if 2 * (count - sum(map(len, missing))) <= count:
-            parts = tuple((1, frozenset(j)) for j in _subsets(n, ell, *held))
-        else:
-            parts = ((1, None),
-                     *[(-1, frozenset(j)) for ranks in missing for j in _subsets(n, ell, ranks)],
-                     *[(1, frozenset(j)) for ranks in extra for j in _subsets(n, ell, ranks)])
-        units.append(Unit(block, c, ell, tuple(group), sum(map(len, held)), parts))
-    return units
+    """One unit per (block, c, l), in the order of their first cells; repeats is read off _gaps."""
+    return [Unit(block, c, ell, tuple(group), sum(len(cell.ranks) for cell in group), bool(extra))
+            for (block, c, ell), (group, _, extra) in _gaps(n, cells, lambda cell: cell[:3]).items()]
 
 
 def _gaps(n, cells, key):
@@ -476,36 +460,37 @@ def _gaps(n, cells, key):
     return groups
 
 
-def _tally(n, source, target):
-    """(family, need_all) -> number of pairs from the members of source to those of target.
+def _shape(source, target):
+    """(dc, l_s, l_t, need_all, diagonal) of a unit pair: what its keys depend on (_keys)."""
+    return (target.c - source.c, source.ell, target.ell, source.block >= target.block,
+            source is target and not source.repeats)
 
-    Bilinear in the parts. Target minus source is in the family
-    (c_t - c_s, l_s - t, l_t - t) when their J share t labels, and a J meets
-    C(|J|, t) C(n + 1 - |J|, l - t) of the l-subsets so, whatever J is. A
-    unit meeting itself loses its diagonal, its size in the family (0, 0, 0).
+
+def _keys(n, dc, l_s, l_t, need_all, diagonal):
+    """The (family, need_all) keys that the pairs from one unit to another can have.
+
+    The shape of a unit pair is dc = c_t - c_s, the two l, need_all =
+    (block_s >= block_t), and diagonal: the unit meets itself and holds no
+    J twice. Every pair of the unit pair has one of these keys, and for two
+    units that each hold every l-subset once, each key is some pair's.
+
+    Proof. Target minus source, F_{c_t,J_t} - F_{c_s,J_s}, is in the family
+    (dc, l_s - t, l_t - t) for t = |J_s & J_t| (family_of_parsed), and the
+    pair needs all of its cohomology to vanish exactly when need_all: inside
+    a unit pair only t varies. It is at most min(l_s, l_t), and since
+    |J_s | J_t| = l_s + l_t - t labels lie in 0..n, at least
+    l_s + l_t - n - 1. Conversely, J_s = {0..l_s - 1} and the l_t labels from
+    l_s - t on share t labels and lie in 0..n, for each t of that range.
+    A unit against itself has l_s = l_t = l and meets t = l only in pairs
+    J_s = J_t at distinct positions, so when it holds every J once, t = l
+    is dropped: its key (0, 0, 0), the zero class, always fails, and would
+    make each unit walk itself; with every l-subset held once, the pairs
+    J_s != J_t meet every t < l of the range. So when every key passes,
+    every pair of the unit pair passes; when one fails, the unit pair is
+    walked and each pair graded on its own key.
     """
-    c_s, l_s, c_t, l_t = source.c, source.ell, target.c, target.ell
-    dc, need_all, comb = c_t - c_s, source.block >= target.block, math.comb
-    counts = {}
-    for sign_s, j_s in source.parts:
-        for sign_t, j_t in target.parts:
-            sign = sign_s * sign_t
-            if j_s is not None and j_t is not None:
-                key = family_of_parsed((c_t, j_t), (c_s, j_s)), need_all
-                counts[key] = counts.get(key, 0) + sign
-                continue
-            # sign copies of an ell-set against every other-set
-            if j_t is None:
-                sign, ell, other = sign * (comb(n + 1, l_s) if j_s is None else 1), l_s, l_t
-            else:
-                ell, other = l_t, l_s
-            rest = n + 1 - ell
-            for t in range(max(0, ell + other - n - 1), min(ell, other) + 1):
-                key = (dc, l_s - t, l_t - t), need_all
-                counts[key] = counts.get(key, 0) + sign * comb(ell, t) * comb(rest, other - t)
-    if source is target:
-        counts[(0, 0, 0), True] -= source.size
-    return counts
+    top = min(l_s, l_t) - diagonal
+    return [((dc, l_s - t, l_t - t), need_all) for t in range(max(0, l_s + l_t - n - 1), top + 1)]
 
 
 def _family_class(n, family):
@@ -559,12 +544,13 @@ def verify_stability(collection: Collection) -> StabilityReport:
     Also pins the involution's closed form on each member: F_{c,J} must
     land on F_{|J|-c,J} exactly.
 
-    Decided on the J sets of each (c, l) in a block, each held by the side
-    its unit lists (_units). (perm, flip) sends F_{c,J} to F_{c',perm J},
-    c' being l - c under the involution and c otherwise, so it keeps a
-    block when it maps each (c, l) set onto the (c', l) set. The
-    involution is S_{n+1}-equivariant, so its closed form is checked once
-    per (c, l), on J = {0, ..., l-1}.
+    Decided on the J sets of each (c, l) in a block, each held by its
+    shorter side, read off its rank ranges (_gaps): the J it misses when it
+    holds more than half of the l-subsets, else the J it holds. (perm,
+    flip) sends F_{c,J} to F_{c',perm J}, c' being l - c under the
+    involution and c otherwise, so it keeps a block when it maps each
+    (c, l) set onto the (c', l) set. The involution is S_{n+1}-equivariant,
+    so its closed form is checked once per (c, l), on J = {0, ..., l-1}.
     """
     n = collection.n
     cells = collection.cells
@@ -575,10 +561,11 @@ def verify_stability(collection: Collection) -> StabilityReport:
     closed = {(c, ell): antipodal_involution(DivisorClass(first(c, ell))).coeffs
               == first(ell - c, ell) for c, ell in {(cell.c, cell.ell) for cell in cells}}
     labels = [{} for _ in collection.ells]  # per block: (c, l) -> the side of its J set
-    for unit in _units(n, cells):
-        complement = unit.parts[0][1] is None
-        labels[unit.block][unit.c, unit.ell] = complement, frozenset(
-            j for sign, j in unit.parts if complement == (sign < 0))
+    for (block, c, ell), (group, missing, _) in _gaps(n, cells, lambda cell: cell[:3]).items():
+        count = math.comb(n + 1, ell)
+        complement = 2 * (count - sum(map(len, missing))) > count
+        side = missing if complement else [cell.ranks for cell in group]
+        labels[block][c, ell] = complement, frozenset(map(frozenset, _subsets(n, ell, *side)))
     # a permutation keeps a block of "all" sets: decided once
     partial = [bi for bi, sets in enumerate(labels)
                if any(side != _ALL for side in sets.values())]
@@ -603,7 +590,7 @@ def _keeps(perm, flipped, sets):
     which move only the J holding exactly one of i and i+1: a set is kept
     when it holds the swap of each of those. A permutation keeps a set
     exactly when it keeps its complement among the l-subsets, so the test
-    reads the side that `_units` listed.
+    reads the side that verify_stability listed.
     """
     if flipped:
         return all(sets.get((ell - c, ell)) == side for (c, ell), side in sets.items())
@@ -642,11 +629,11 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
     """Deliberately damage a collection: drop:IDX, add:c,J, swap:I,J.
 
     Indices are flat positions. add parses J as dash-separated labels
-    (empty for the twist alone) and appends to the first block. The rank
-    range of a cell holding a dropped or swapped position is cut at that
-    position, which becomes a run of its own, and the runs are regrouped
-    with the change applied (_group): this costs the number of cells, and
-    no member is made.
+    (empty for the twist alone; an empty label raises ValueError) and
+    appends to the first block. The rank range of a cell holding a dropped
+    or swapped position is cut at that position, which becomes a run of its
+    own, and the runs are regrouped with the change applied (_group): this
+    costs the number of cells, and no member is made.
     """
     kind, _, arg = text.partition(":")
     n, size = collection.n, collection.size
@@ -658,7 +645,10 @@ def apply_mutation(collection: Collection, text: str) -> Collection:
         touched = (idx,)
     elif kind == "add":
         c_text, _, j_text = arg.partition(",")
-        added = _run(n, 0, int(c_text), label_set(n, (int(x) for x in j_text.split("-") if x)))
+        fields = j_text.split("-") if j_text else []
+        if "" in fields:
+            raise ValueError(f"empty label in {j_text!r}")
+        added = _run(n, 0, int(c_text), label_set(n, map(int, fields)))
     elif kind == "swap":
         i_text, _, j_text = arg.partition(",")
         i, j = int(i_text), int(j_text)

@@ -17,15 +17,16 @@ clean pass certifies that the collection generates.
 `verify_generation` decides this one wall size at a time. As J runs
 over the walls of one size, the weight of a member F_{c,L} runs over a
 range that depends only on c and |L|, so one check per cell replaces
-the members x walls loop. A Koszul term F_{w,K} of one size |K|
-is a member at every wall of that size exactly when the members with
-twist w and |J| = |K| hold every |K|-subset, over all blocks, so one
-representative wall per size decides the terms. When a size fails, its
-walls are walked in order against the members whose shape leaves the
-window and against their Koszul terms, which names the first failure of
-a walk over every wall and member. `build_certificate` takes its verdict
-from `verify_generation` and lists every wall's record, which
-`certificate` prints.
+the members x walls loop. The Koszul terms of a wall are read off their
+shapes (c, |K|), which depend only on the wall's size (`_pieces`), and
+a term F_{c,K} is a member at every wall of that size exactly when the
+members with twist c and |J| = |K| hold every |K|-subset, over all
+blocks: no term is made. When a size fails, its walls are walked in
+order against the members whose shape leaves the window and against
+their Koszul terms, which names the first failure of a walk over every
+wall and member. `build_certificate` takes its verdict from
+`verify_generation` and lists every wall's record, which `certificate`
+prints.
 
 The wall subgroups are read off the circuits of the fan: every circuit
 is an antipodal pair or picks one ray per slot, and then its relation is
@@ -167,6 +168,26 @@ def wall_record(n: int, J) -> WallRecord:
     return WallRecord(J, window, wall_range, tuple(pieces))
 
 
+def _pieces(n: int, size: int) -> list[tuple[int, int]]:
+    """(w, base) of each piece at a wall of this size, in weight order.
+
+    The piece's terms F_{w,K} have |K| = base + t with multiplicity C(size, t),
+    for t = 0..size. A size above n/2 is not a wall, and for even n every
+    weight has one branch, so this raises neither JTooLarge nor BranchGap.
+
+    Proof. wall_record takes w = -a for each weight a of its wall range,
+    d - (n + 1 - size) to d - 1 - size. A
+    low twist, 4w <= n, is F_{w,{}}, and its term for L inside J, the twist
+    less E_i for i in L, is F_{w,L}: |K| = t for |L| = t. A high twist,
+    4w >= n + 2, is F_{w,J^c}, whose term F_{w,J^c | L} has
+    |K| = n + 1 - size + t, as L is disjoint from J^c. L runs over the
+    C(size, t) t-subsets of J. BranchGap needs neither branch to hold, that
+    is 4w = n + 1, which is odd for even n; JTooLarge needs 2 size > n + 1.
+    """
+    d = default_gauge(n)
+    return [(-a, 0 if -4 * a <= n else n + 1 - size) for a in range(d - n - 1 + size, d - size)]
+
+
 class Certificate(Record):
     _fields = ("n", "d", "walls", "base_case")
 
@@ -210,18 +231,19 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     # [] when none is missing
     missing = {key: gaps for key, (_, gaps, _) in _gaps(n, cells, lambda cell: cell[1:3]).items()}
     walls = pieces = 0
+    d = default_gauge(n)
     for size in range(n // 2, -1, -1):
-        record = wall_record(n, frozenset(range(size)))
-        lo, hi = record.window
+        lo, hi = d - (n + 1 - size), d - 1  # the window
         # F_{c,L} weighs |L inter J| - c, and over the walls J of this size
         # |L inter J| runs from max(0, |L| + size - n - 1) to min(|L|, size)
         leaving = [cell for cell in cells if max(0, cell.ell + size - n - 1) - cell.c < lo
                    or min(cell.ell, size) - cell.c > hi]
-        terms = (parse_F(t) for piece in record.pieces for t in piece.components)
-        if leaving or any(missing.get((c, len(j))) != [] for c, j in terms):
+        shapes = _pieces(n, size)
+        if leaving or any(missing.get((w, base + t)) != [] for w, base in shapes
+                          for t in range(size + 1)):
             _walk_walls(n, size, leaving, missing)
         walls += math.comb(n + 1, size)
-        pieces += math.comb(n + 1, size) * len(record.pieces)
+        pieces += math.comb(n + 1, size) * len(shapes)
     return GenerationCheck(n, walls, pieces)
 
 

@@ -216,6 +216,22 @@ def test_add_repeated_label_exits_2(capsys, what):
     assert (code, out, err) == (2, "", "error: repeated label in [0, 0]\n")
 
 
+@pytest.mark.parametrize("mutation", ["add:1,-1", "add:1,0-", "add:1,0--1"])
+def test_add_empty_label_exits_2(capsys, mutation):
+    # add:1,-1 used to add F_{1,{1}}, and add:1,0- F_{1,{0}}: empty fields were dropped
+    code, out, err = run(capsys, "verify", "--dim", "4", "--mutate", mutation)
+    label = mutation.partition(",")[2]
+    assert (code, out, err) == (2, "", f"error: empty label in {label!r}\n")
+
+
+@pytest.mark.parametrize("mutation", ["add:0,", "add:-2,"])
+def test_add_without_labels_adds_the_twist_alone(capsys, mutation):
+    code, doc, _ = run_json(capsys, "verify", "--dim", "4", "--what", "cardinality",
+                            "--mutate", mutation)
+    assert code == 1
+    assert doc["size"] == 31
+
+
 def test_verify_mutate_bad_grammar(capsys):
     code, _, err = run(capsys, "verify", "--dim", "2", "--mutate", "explode")
     assert code == 2

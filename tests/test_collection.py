@@ -325,11 +325,22 @@ def test_counted_keys_match_flat_tally(n, mutation):
     units = collection_module._units(n, col.cells)
     unit_of = {p: u for u, unit in enumerate(units) for cell in unit.cells for p in cell.positions}
     assert sorted(unit_of) == list(range(col.size))
+    assert any(unit.repeats for unit in units) == (mutation == "add:2,0-1-2-3-4")
     flat = flat_key_tally(col, unit_of)
+    intact = [unit.size == math.comb(n + 1, unit.ell) and not unit.repeats for unit in units]
     for s, source in enumerate(units):
         for t, target in enumerate(units):
-            counted = collection_module._tally(n, source, target)
-            assert {key: count for key, count in counted.items() if count} == flat.get((s, t), {})
+            shape = collection_module._shape(source, target)
+            keys = collection_module._keys(n, *shape)
+            found = flat.get((s, t), {})
+            # every key that has pairs lies in the shape's range
+            assert set(found) <= set(keys)
+            if intact[s] and intact[t]:
+                assert set(keys) == set(found)
+            if s == t:
+                # the diagonal key appears exactly when the unit repeats a J
+                diagonal = ((0, 0, 0), True)
+                assert (diagonal in found) == (diagonal in keys) == source.repeats
 
 
 def test_cells_of_a_mutant():

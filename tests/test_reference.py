@@ -89,13 +89,15 @@ def test_cones_are_listed_only_when_read():
      "ray_coefficients(2, make_F(4, 0, ()))"),
     ("from toric_exc.picard import make_F, ray_coefficients",
      "ray_coefficients(6, make_F(4, 0, ()))"),
+    ("from toric_exc.collection import apply_mutation, build_Gn",
+     "apply_mutation(build_Gn(4), 'add:1,-1')"),
 ], ids=["polyhedron-row", "contains-point", "engine-ray-count", "unions-ray-count",
         "subsets-ray-count", "primitive-ray-count", "wall-label-minus-1", "wall-label-3",
         "weight-other-dimension", "weight-label-3", "koszul-label-minus-1",
         "koszul-label-3", "certificate-other-dimension", "collection-not-F",
         "collection-F-of-dimension-n-plus-2", "collection-F-on-V2",
         "difference-other-dimensions", "ray-coefficients-larger-class",
-        "ray-coefficients-smaller-class"])
+        "ray-coefficients-smaller-class", "add-empty-label"])
 def test_input_checks_survive_optimize(imports, call):
     code = (f"import sys\n{imports}\ntry:\n    {call}\n"
             "except ValueError:\n    print('ValueError', sys.flags.optimize)\n")

@@ -1,5 +1,6 @@
 """Weight windows, wall records, generation certificates, circuit matching."""
 
+import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -302,6 +303,25 @@ def test_generation_counts_in_closed_form():
             n, walls, expected_size(n))
     with pytest.raises(ValueError):
         verify_generation(4, build_Gn(2))
+
+
+def test_koszul_shapes_match_wall_record_terms():
+    # the closed-form (c, |K|) shapes, C(size, t) terms each, are the terms' own
+    branches = Counter()
+    for n in range(2, 14, 2):
+        for size in range(n // 2 + 1):
+            record = wall_record(n, range(size))
+            shapes = win._pieces(n, size)
+            assert len(shapes) == len(record.pieces)
+            for (w, base), piece in zip(shapes, record.pieces):
+                branches[piece.branch] += 1
+                assert (w, base == 0) == (piece.w, piece.branch == "low")
+                closed = Counter({(w, base + t): math.comb(size, t) for t in range(size + 1)})
+                assert Counter((c, len(k)) for c, k in map(parse_F, piece.components)) == closed
+        assert verify_generation(n, build_Gn(n)).pieces == sum(
+            math.comb(n + 1, size) * len(wall_record(n, range(size)).pieces)
+            for size in range(n // 2 + 1))
+    assert set(branches) == {"low", "high"}
 
 
 def test_generation_command_walks_no_wall(monkeypatch, capsys):

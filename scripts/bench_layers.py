@@ -13,10 +13,11 @@ program does not have is reported as missing. The machine (CPU count and
 model, Python version) and the commit are recorded with the times. The output
 is one JSON object on stdout. Standard library only.
 
-The sweep layers at n = 20 and 30, and `verify_generation` at n = 30 and
-40, run past the command's MAX_DIM = 20 in process: each full sweep of the
-intact G_n reads its keys off unit-pair shapes, and the generation check
-its Koszul terms off closed-form shapes, so they show how far exhaustive
+The sweep layers at n = 20 and 30, the inequality sweep at n = 40 and
+`verify_generation` at n = 30 and 40 run past the command's MAX_DIM = 20,
+in process: a full sweep of the intact G_n reads its keys off the shapes
+of its unit pairs, and the generation check the shapes of its Koszul
+terms off a closed form, so these layers show how far exhaustive
 checking reaches.
 
 The mutant layers at n = 16 run `verify --dim 16 --mutate drop:0`, and
@@ -65,6 +66,7 @@ LAYERS = (
     + [(f"sweep.{method}", 16) for method in ("forbidden", "oracle")]
     + [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
        for n in (20, 30)]
+    + [("sweep.inequalities", 40)]
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]

@@ -56,12 +56,13 @@ from .picard import DivisorClass
 WHATS = ("exceptional", "stability", "cardinality", "generation", "walls")
 FORMATS = ("text", "json", "csv")
 DEFAULT_SAMPLE = 500
-# At n = 20 the checks on the intact G_n, and cardinality, exceptional and
-# generation on a --mutate drop:0, take 0.1-0.35 s and under 25 MB. Making or
-# listing every member (build, gram) grows about 4x per step of 2: 4.3 s and
-# 300 MB at n = 18, so about 20 s and 1.3 GB at n = 20. certificate lists the
-# 2^n walls with their Koszul terms: 2.4 s and 100 MB at n = 12, about 6x per
-# step of 2
+# At n = 20 every check but walls, on the intact G_n and on a --mutate
+# drop:0, takes 0.1-0.25 s and about 17 MB through the command: the full sweep
+# and the generation check read their keys and Koszul terms off closed-form
+# shapes (in process 0.5 s and 0.01 s at n = 40). Making or listing every
+# member (build, gram) grows about 4x per step of 2: 4.3 s and 300 MB at
+# n = 18, so about 20 s and 1.3 GB at n = 20. certificate lists the 2^n walls
+# with their Koszul terms: 2.4 s and 100 MB at n = 12, about 6x per step of 2
 MAX_DIM = 20
 REPORT_SCHEMA = "toric-exc/report/1"
 

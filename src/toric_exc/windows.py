@@ -18,7 +18,7 @@ clean pass certifies that the collection generates.
 over the walls of one size, the weight of a member F_{c,L} runs over a
 range that depends only on c and |L|, so one check per cell replaces
 the members x walls loop. The Koszul terms of a wall are read off their
-shapes (c, |K|), which depend only on the wall's size (`_pieces`), and
+shapes (c, |K|), which depend only on the wall's size (`_wall_shape`), and
 a term F_{c,K} is a member at every wall of that size exactly when the
 members with twist c and |J| = |K| hold every |K|-subset, over all
 blocks: no term is made. When a size fails, its walls are walked in
@@ -146,46 +146,45 @@ def wall_record(n: int, J) -> WallRecord:
     J = label_set(n, J)
     if 2 * len(J) - n - 1 > 0:
         raise JTooLarge(f"|J| = {len(J)} exceeds n/2 = {n // 2}")
-    d = default_gauge(n)
-    comp = n + 1 - len(J)
-    window = (d - comp, d - 1)
-    wall_range = (d - comp, d - 1 - len(J))
+    window, wall_range, shapes = _wall_shape(n, len(J))
     pieces = []
-    for a in range(wall_range[0], wall_range[1] + 1):
-        w = -a
-        low = 4 * w <= n
-        high = 4 * w >= n + 2
-        if low == high:
-            raise BranchGap(f"weight {a} admits {'both' if low else 'no'} twists")
-        if low:
+    for w, base in shapes:
+        if 4 * w == n + 1:
+            raise BranchGap(f"weight {-w} admits no twists")
+        if base == 0:
             twist = make_F(n, w, [])
-            branch = "low"
         else:
             twist = make_F(n, w, [j for j in range(n + 1) if j not in J])
-            branch = "high"
-        components = koszul_components(J, twist)
-        pieces.append(WallPiece(a, w, branch, components))
+        branch = "low" if base == 0 else "high"
+        pieces.append(WallPiece(-w, w, branch, koszul_components(J, twist)))
     return WallRecord(J, window, wall_range, tuple(pieces))
 
 
-def _pieces(n: int, size: int) -> list[tuple[int, int]]:
-    """(w, base) of each piece at a wall of this size, in weight order.
+def _wall_shape(n: int, size: int):
+    """Window, wall range and the (w, base) of each piece at a wall of this size.
 
-    The piece's terms F_{w,K} have |K| = base + t with multiplicity C(size, t),
-    for t = 0..size. A size above n/2 is not a wall, and for even n every
-    weight has one branch, so this raises neither JTooLarge nor BranchGap.
+    The window is (d - (n + 1 - size), d - 1) at d = default_gauge(n), and
+    the wall range its weights a up to d - 1 - size. Each a of the range
+    gives a piece, in weight order, with w = -a and base 0 for a low twist
+    (4w <= n) or n + 1 - size for a high one (4w >= n + 2); wall_record
+    builds its records from these, and 4w = n + 1 has no twist. The
+    piece's terms F_{w,K} have |K| = base + t with multiplicity C(size, t),
+    for t = 0..size. For even n and size <= n/2 neither JTooLarge nor
+    BranchGap can occur.
 
-    Proof. wall_record takes w = -a for each weight a of its wall range,
-    d - (n + 1 - size) to d - 1 - size. A
-    low twist, 4w <= n, is F_{w,{}}, and its term for L inside J, the twist
-    less E_i for i in L, is F_{w,L}: |K| = t for |L| = t. A high twist,
-    4w >= n + 2, is F_{w,J^c}, whose term F_{w,J^c | L} has
-    |K| = n + 1 - size + t, as L is disjoint from J^c. L runs over the
-    C(size, t) t-subsets of J. BranchGap needs neither branch to hold, that
-    is 4w = n + 1, which is odd for even n; JTooLarge needs 2 size > n + 1.
+    Proof. A low twist is F_{w,{}}, and its term for L inside J, the twist
+    less E_i for i in L, is F_{w,L}: |K| = t for |L| = t. A high twist is
+    F_{w,J^c}, whose term F_{w,J^c | L} has |K| = n + 1 - size + t, as L
+    is disjoint from J^c. L runs over the C(size, t) t-subsets of J.
+    BranchGap needs neither branch to hold, that is 4w = n + 1, which is
+    odd for even n; JTooLarge needs 2 size > n + 1.
     """
     d = default_gauge(n)
-    return [(-a, 0 if -4 * a <= n else n + 1 - size) for a in range(d - n - 1 + size, d - size)]
+    window = (d - (n + 1 - size), d - 1)
+    wall_range = (window[0], d - 1 - size)
+    pieces = [(-a, 0 if -4 * a <= n else n + 1 - size)
+              for a in range(wall_range[0], wall_range[1] + 1)]
+    return window, wall_range, pieces
 
 
 class Certificate(Record):
@@ -231,14 +230,12 @@ def verify_generation(n: int, collection: Collection) -> GenerationCheck:
     # [] when none is missing
     missing = {key: gaps for key, (_, gaps, _) in _gaps(n, cells, lambda cell: cell[1:3]).items()}
     walls = pieces = 0
-    d = default_gauge(n)
     for size in range(n // 2, -1, -1):
-        lo, hi = d - (n + 1 - size), d - 1  # the window
+        (lo, hi), _, shapes = _wall_shape(n, size)
         # F_{c,L} weighs |L inter J| - c, and over the walls J of this size
         # |L inter J| runs from max(0, |L| + size - n - 1) to min(|L|, size)
         leaving = [cell for cell in cells if max(0, cell.ell + size - n - 1) - cell.c < lo
                    or min(cell.ell, size) - cell.c > hi]
-        shapes = _pieces(n, size)
         if leaving or any(missing.get((w, base + t)) != [] for w, base in shapes
                           for t in range(size + 1)):
             _walk_walls(n, size, leaving, missing)

@@ -311,7 +311,7 @@ def test_koszul_shapes_match_wall_record_terms():
     for n in range(2, 14, 2):
         for size in range(n // 2 + 1):
             record = wall_record(n, range(size))
-            shapes = win._pieces(n, size)
+            shapes = win._wall_shape(n, size)[2]
             assert len(shapes) == len(record.pieces)
             for (w, base), piece in zip(shapes, record.pieces):
                 branches[piece.branch] += 1

@@ -1,6 +1,6 @@
 """Time G_n's construction, the pair sweeps, the checks, the pattern homology
-table, cohomology on random classes, the n = 12, 14, 16 and 20 commands and
-the command's start-up.
+table, cohomology on random classes, the n = 12, 14, 16 and 20 commands, a
+generation check that fails late, and the command's start-up.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -19,6 +19,13 @@ in process: a full sweep of the intact G_n reads its keys off the shapes
 of its unit pairs, and the generation check the shapes of its Koszul
 terms off a closed form, so these layers show how far exhaustive
 checking reaches.
+
+`verify_walls` at n = 14 and 20 checks every circuit class of V_n against
+the wall weights, reading each class's relation off its closed form. The
+`generation.late_failure` layers run `verify_generation` on a G_n less the
+first member of a late cell, `drop:2671` at n = 12 ((c, l) = (4, 8)) and
+`drop:22492` at n = 14 ((5, 9)); each must raise KoszulEscape, which it
+finds after walking every wall of its size before the failing one.
 
 The mutant layers at n = 16 run `verify --dim 16 --mutate drop:0`, and
 `mutant.swap` at n = 12 runs `verify --dim 12 --mutate swap:3958,6`, which
@@ -70,6 +77,8 @@ LAYERS = (
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]
+    + [("verify_walls", n) for n in (14, 20)]
+    + [("generation.late_failure", n) for n in (12, 14)]
     + [("verify_generation", n) for n in (30, 40)]
     + [(f"verify.{what}", 14) for what in ("exceptional", "stability", "generation",
                                             "walls")]
@@ -91,6 +100,9 @@ MUTANTS = {
     ("mutant.add", 16): ("exceptional", "add:1,0-1", 1),
     ("report.json", 16): ("exceptional", "add:1,0-1", 1),
 }
+
+# n -> the drop of a generation.late_failure layer
+LATE = {12: "drop:2671", 14: "drop:22492"}
 
 STARTUP = {
     "startup.import": ["-c", "import toric_exc.cli"],
@@ -140,6 +152,14 @@ elif name.startswith(("verify.", "mutant.", "report.")):
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != expected:
                 sys.exit("the check did not exit " + str(expected))
+elif name == "generation.late_failure":
+    col = collection.apply_mutation(collection.build_Gn(n), {late!r}[n])
+    def call():
+        try:
+            windows.verify_generation(n, col)
+        except windows.KoszulEscape:
+            return
+        sys.exit("the generation check did not fail")
 elif hasattr(windows, name) or hasattr(collection, name):
     col = collection.build_Gn(n)
     args = {{"verify_stability": (col,), "verify_walls": (n,), "build_Gn": (n,)}}.get(
@@ -177,7 +197,8 @@ def time_startup(name: str, n: int | None) -> dict:
 def time_layer(name: str, n: int) -> dict:
     if name in STARTUP:
         return time_startup(name, n)
-    code = WORKER.format(src=str(ROOT / "src"), name=name, n=n, runs=RUNS, mutants=MUTANTS)
+    code = WORKER.format(src=str(ROOT / "src"), name=name, n=n, runs=RUNS, mutants=MUTANTS,
+                       late=LATE)
     proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                             text=True)
     try:

@@ -330,7 +330,7 @@ def cmd_verify(args) -> int:
         sample = sample_pairs(collection.size, args.sample, args.seed)
     elif method == "oracle" and n >= 6 and not args.allow_large:
         sample = sample_pairs(collection.size, DEFAULT_SAMPLE, args.seed)
-    if method == "forbidden" and n >= 8 and sample is None and not args.allow_large:
+    if method == "forbidden" and n >= 8 and args.sample is None and not args.allow_large:
         return _usage("the forbidden-cone sweep is slow for dim >= 8; "
                       "pass --allow-large to run it")
     report = verify_exceptional(collection, method, sample=sample,

@@ -222,14 +222,12 @@ def _sum_bounds(ends):
 
 
 @lru_cache(maxsize=256)
-def _group_options(states, size: int, base: int):
+def _group_options(states, size: int):
     """Ways to spread `size` slots with the same viable states over them.
 
-    Maps (plus slots, minus slots) to (weight, key, bounds, lo, hi): the
-    weight is the number of slot assignments with these state counts, key
-    holds the numbers of pair, plus and minus slots as three digits in
-    base `base`, bounds holds one (lo, hi) per slot, and lo and hi are
-    their summed ends. The options are cached, so they are tuples.
+    Maps (plus slots, minus slots) to (weight, bounds): the weight is the
+    number of slot assignments with these state counts, and bounds holds
+    one (lo, hi) per slot. The options are cached, so they are tuples.
     """
     options = {}
     for chosen in combinations_with_replacement(states, size):
@@ -237,12 +235,7 @@ def _group_options(states, size: int, base: int):
         weight = factorial(size)
         for k in tally.values():
             weight //= factorial(k)
-        key = (tally[_PAIR] * base + tally[_PLUS]) * base + tally[_MINUS]
-        bounds = tuple((lo, hi) for _, lo, hi in chosen)
-        options[tally[_PLUS], tally[_MINUS]] = (
-            weight, key, bounds,
-            _sum_bounds([lo for lo, _ in bounds]),
-            _sum_bounds([hi for _, hi in bounds]))
+        options[tally[_PLUS], tally[_MINUS]] = (weight, tuple((lo, hi) for _, lo, hi in chosen))
     return options
 
 
@@ -275,9 +268,6 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     """
     half = n + 1
     need = n // 2 + 1
-    # no slot count reaches the base, so the keys of a combination add
-    # digit by digit and one sum gives its pattern class
-    base = half + 1
     groups = []
     top = bottom = 0
     for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
@@ -298,7 +288,7 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
             plus_cost, minus_cost = third[1] - plus_hi, minus_lo - third[0]
         top += size * third[1]
         bottom += size * third[0]
-        groups.append((size, _group_options(states, size, base),
+        groups.append((size, _group_options(states, size),
                        plus_cost, minus_cost, pair_third))
     last = len(groups) - 1
 
@@ -348,21 +338,23 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
     slots, so one combination of per-group state counts stands for all
     its multinomially many slot assignments. Every class the walk yields
     has at least one character, so each count here is positive, and at
-    most one open side, so each count is finite.
+    most one open side, so each count is finite: a plus slot opens the lo
+    side and a minus slot the hi side, and a class with both is mixed and
+    has no homology.
     """
     n = fan.rank
     h = [0] * (n + 1)
-    for _, _, _, ranks, combo in _visible_classes(n, coeffs):
-        weights, _, group_bounds, group_los, group_his = zip(*combo)
+    for _, nplus, nminus, ranks, combo in _visible_classes(n, coeffs):
+        weights, group_bounds = zip(*combo)
         los = [lo for bounds in group_bounds for lo, _ in bounds]
         his = [hi for bounds in group_bounds for _, hi in bounds]
-        if None in group_los:
+        if nplus:
             total_hi = sum(his)
             los = [
                 hi - total_hi if lo is None else max(lo, hi - total_hi)
                 for lo, hi in zip(los, his)
             ]
-        elif None in group_his:
+        elif nminus:
             total_lo = sum(los)
             his = [
                 lo - total_lo if hi is None else min(hi, lo - total_lo)

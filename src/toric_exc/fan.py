@@ -14,14 +14,13 @@ something reads them. Slot permutations act on it by lattice
 automorphisms, so a ray set is determined up to symmetry by its slot
 class: the numbers of pair, plus-only and minus-only slots it uses.
 `Fan.class_rays` builds one representative per class for the wall
-check. Other fans live in `toric_exc.reference`; `complex_CI`, `circuits`
-and `circuit_relation` read only `rank`, `rays` and `is_face`, so they
-serve those fans as well. No command runs `complex_CI` or the generic
-`circuits` search: the pattern homology is a closed form and the wall
-check walks slot classes, and the tests compare those with them. So
-`complex_CI` imports `simplicial` only when it runs, and `circuits` and
-`circuit_relation` import `linalg` only when they run; of the commands,
-only the wall check calls `circuit_relation`.
+check, and `circuit_relation` reads a circuit's relation off its shape.
+No command loads `linalg` or `simplicial`: the pattern homology and the
+circuit relations are closed forms. The generic `complex_CI`, `circuits`
+and `_reduce_against` read only `rank`, `rays` and `is_face`; they stay
+here only because the benchmark's tracer binds them, and the tests
+compare the closed forms with them. Other fans live in
+`toric_exc.reference`.
 """
 
 from __future__ import annotations
@@ -224,17 +223,26 @@ def _reduce_against(vec, basis):
 
 
 def circuit_relation(fan: Fan, circuit) -> tuple[int, ...]:
-    """Primitive integer dependence among the circuit's rays.
+    """Primitive integer dependence among the circuit's rays, in closed form.
 
-    Coefficients align with the sorted circuit indices; the kernel of the
-    ray matrix is one-dimensional for a genuine circuit.
+    Coefficients align with the sorted indices: (1, 1) for an antipodal
+    pair, and for one ray per slot +1 on each plus ray and -1 on each minus
+    ray, or all 1 with no plus ray. These are the circuits
+    (`windows._circuit_classes`); anything else, a repeated index or one
+    outside 0..2n+1 raises ValueError. Proof: a ray and its antipode sum to
+    zero, and the plus rays less the minus rays of a slot choice sum to
+    e_0 + ... + e_n = 0. Entries +-1 make these primitive, a circuit's
+    relations form a line, and the sorted plus rays come first, so this is
+    the sign with the first entry positive, exact elimination's.
     """
-    from .linalg import kernel_basis  # the wall check only: keep it off the other commands
-
+    require_Vn(fan)
     idx = sorted(circuit)
-    matrix = [[fan.rays[i][r] for i in idx] for r in range(fan.rank)]
-    basis = kernel_basis(matrix)
-    if len(basis) != 1:
-        raise ValueError(f"{idx} is not a circuit: its dependence space "
-                         f"has dimension {len(basis)}")
-    return basis[0]
+    half = fan.slots
+    if len(set(idx)) != len(idx) or not all(0 <= i < 2 * half for i in idx):
+        raise ValueError(f"ray indices {idx} are not distinct and in 0..{2 * half - 1}")
+    slots = len({i % half for i in idx})
+    if len(idx) == 2 and slots == 1:
+        return (1, 1)
+    if len(idx) == slots == half:  # +1 on the side of the first ray
+        return tuple(1 if (i < half) == (idx[0] < half) else -1 for i in idx)
+    raise ValueError(f"{idx} is not a circuit: neither an antipodal pair nor one ray per slot")

@@ -5,8 +5,9 @@ rank and kernels over the rationals come from fraction-free elimination.
 The Smith normal form routine is tuned for the sparse, small-entry boundary
 matrices that show up in simplicial homology: it peels off unit pivots
 sparsely and only falls back to a dense algorithm for the residue. No
-command runs it: the pattern homology table is a closed form, and the
-Smith form on the induced complexes is the reference it is tested against.
+command loads this module: the pattern homology table and the circuit
+relations are closed forms, and the Smith form on the induced complexes
+and `kernel_basis` are the references the tests compare them with.
 """
 
 from __future__ import annotations

@@ -23,18 +23,18 @@ a term F_{c,K} is a member at every wall of that size exactly when the
 members with twist c and |J| = |K| hold every |K|-subset, over all
 blocks: no term is made. When a size fails, its walls are walked in
 order against the members whose shape leaves the window and against
-their Koszul terms, which names the first failure of a walk over every
-wall and member. `build_certificate` takes its verdict from
-`verify_generation` and lists every wall's record, which `certificate`
-prints.
+their Koszul terms, read as label sets, which names the first failure
+of a walk over every wall and member. `build_certificate` takes its
+verdict from `verify_generation` and lists every wall's record, which
+`certificate` prints.
 
 The wall subgroups are read off the circuits of the fan: every circuit
 is an antipodal pair or picks one ray per slot, and then its relation is
 the weight pattern of the subgroup indexed by its plus-side slots.
 `verify_walls` checks this once per slot class of ray sets, with the
-class multiplicities. The classes that hold circuits are listed in
-closed form (`_circuit_classes`); the generic search `fan.circuits` is
-the reference the tests compare that list with.
+class multiplicities. The classes that hold circuits and their relations
+are closed forms (`_circuit_classes`, `fan.circuit_relation`), which the
+tests compare with the generic search `fan.circuits` and elimination.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ def weight(n: int, J, divisor: DivisorClass) -> int:
     """
     J = label_set(n, J)
     require_dimension(n, divisor)
-    return _weight(J, divisor)
-
-
-def _weight(J: frozenset, divisor: DivisorClass) -> int:
     return (1 - len(J)) * divisor.h - sum(divisor.d[j] for j in J)
 
 
@@ -249,31 +245,33 @@ def _walk_walls(n, size, leaving, missing) -> None:
 
     This is the walk over every member and Koszul term at each wall, cut to
     what can fail: a member of a cell whose weight range lies in the window
-    stays in it, so only the members of the leaving cells are made, once
-    for all walls, and F_{c,K} is held exactly when the rank of K, taken
-    once, lies in none of the missing ranges of its (c, |K|), an absent one
-    missing every rank.
+    stays in it, so only the members (c, L) of the leaving cells are read,
+    weighing |L inter J| - c. The terms are read off `_wall_shape` in
+    wall_record's order, K = L (low) or J^c | L (high) for L inside J by
+    size, then lexicographically, and F_{w,K} is held exactly when the rank
+    of K, taken once, lies in none of the missing ranges of its (w, |K|),
+    an absent one missing every rank. A class is made only to word a failure.
     """
-    members = [_F(n, cell.c, j) for cell in leaving for j in _subsets(n, cell.ell, cell.ranks)]
+    (lo, hi), _, shapes = _wall_shape(n, size)
+    members = [(cell.c, j) for cell in leaving for j in _subsets(n, cell.ell, cell.ranks)]
     for j in combinations(range(n + 1), size):
-        record = wall_record(n, frozenset(j))
-        lo, hi = record.window
-        for m in members:
-            lam = _weight(record.J, m)
+        J = frozenset(j)
+        for c, L in members:
+            lam = len(J.intersection(L)) - c
             if not lo <= lam <= hi:
                 raise WindowViolation(
-                    f"weight {lam} of {m.coeffs} outside [{lo}, {hi}] "
-                    f"at wall J = {sorted(record.J)}")
-        for piece in record.pieces:
-            for component in piece.components:
-                c, k = parse_F(component)
-                gaps = missing.get((c, len(k)), [range(math.comb(n + 1, len(k)))])
-                rank = _rank(n + 1, k) if gaps else None
-                if any(rank in gap for gap in gaps):
-                    raise KoszulEscape(
-                        f"component {component.coeffs} of the weight "
-                        f"{piece.a} piece at wall J = {sorted(record.J)} "
-                        f"is not in the collection")
+                    f"weight {lam} of {_F(n, c, L).coeffs} outside [{lo}, {hi}] "
+                    f"at wall J = {list(j)}")
+        rest = tuple(x for x in range(n + 1) if x not in J)
+        for w, base in shapes:
+            for t in range(size + 1):
+                gaps = missing.get((w, base + t), [range(math.comb(n + 1, base + t))])
+                for sub in combinations(j, t) if gaps else ():
+                    k = sub if base == 0 else rest + sub
+                    rank = _rank(n + 1, k)
+                    if any(rank in gap for gap in gaps):
+                        raise KoszulEscape(f"component {_F(n, w, k).coeffs} of the weight {-w} "
+                                           f"piece at wall J = {list(j)} is not in the collection")
 
 
 # -- circuits vs subgroup weights -----------------------------------------------

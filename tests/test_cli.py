@@ -280,6 +280,16 @@ def test_verify_forbidden_large_dim_needs_flag(capsys):
     assert "--allow-large" in err
 
 
+@pytest.mark.parametrize("count", ["396270", "500000"])
+def test_verify_forbidden_sample_of_every_pair_needs_no_flag(capsys, count):
+    # a sample that covers every ordered pair runs the full sweep, unsampled
+    code, doc, _ = run_json(capsys, "verify", "--dim", "8", "--method",
+                            "forbidden", "--sample", count)
+    assert code == 0
+    assert doc["ok"] is True and doc["sampled"] is False
+    assert doc["pairs_checked"] == 396270
+
+
 def test_verify_forbidden_large_dim_sampled_needs_no_flag(capsys):
     code, doc, _ = run_json(capsys, "verify", "--dim", "8", "--method",
                             "forbidden", "--sample", "20")
@@ -418,8 +428,8 @@ def test_package_serves_every_exported_name():
 def test_production_path_loads_no_reference_layer():
     # the generic-fan and LP code is a reference layer that no command loads,
     # the pattern homology is a closed form, so no command loads the Smith
-    # form's simplicial complexes, and exact elimination runs on ints, so no
-    # command loads fractions either
+    # form's simplicial complexes; the circuit relations are a closed form too,
+    # so no command loads the exact elimination of linalg, nor fractions
     code = (
         "import contextlib, io, sys\n"
         "from toric_exc.cli import main\n"
@@ -434,7 +444,8 @@ def test_production_path_loads_no_reference_layer():
         "    codes = [main(argv) for argv in runs]\n"
         "print(codes, sorted(m for m in sys.modules\n"
         "                    if m in ('toric_exc.reference', 'toric_exc.polyhedra',\n"
-        "                             'toric_exc.simplicial', 'fractions')))\n")
+        "                             'toric_exc.simplicial', 'toric_exc.linalg',\n"
+        "                             'fractions')))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -329,19 +329,23 @@ def product_walk_reference(n, coeffs, higher_only=False):
     """The walk before bounding: every combination of group options, then the filters."""
     half = n + 1
     need = n // 2 + 1
-    base = half + 1
-    options = [coh._group_options(coh._slot_states(ap, am), size, base).values()
-               for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items()]
-    for combo in product(*options):
-        _, keys, _, los, his = zip(*combo)
-        key = sum(keys)
-        if higher_only and not key:
+    groups = []
+    for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
+        states = coh._slot_states(ap, am)
+        # the slots neither plus nor minus take the group's third state
+        paired = coh._PAIR in [state for state, _, _ in states]
+        groups.append([((size - p - m if paired else 0, p, m), option)
+                       for (p, m), option in coh._group_options(states, size).items()])
+    for chosen in product(*groups):
+        classes, combo = zip(*chosen)
+        pairs, nplus, nminus = map(sum, zip(*classes))
+        if higher_only and not (pairs or nplus or nminus):
             continue
-        pairs, rest = divmod(key, base * base)
-        nplus, nminus = divmod(rest, base)
         if nplus and pairs + nplus < need or nminus and pairs + nminus < need:
             continue
-        if not coh._meets(coh._sum_bounds(los), coh._sum_bounds(his)):
+        bounds = [b for _, group_bounds in combo for b in group_bounds]
+        los, his = [lo for lo, _ in bounds], [hi for _, hi in bounds]
+        if not coh._meets(None if None in los else sum(los), None if None in his else sum(his)):
             continue
         ranks = coh._pattern_homology(n, pairs, nplus, nminus)
         if any(ranks):

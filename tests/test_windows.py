@@ -1,5 +1,6 @@
 """Weight windows, wall records, generation certificates, circuit matching."""
 
+import ast
 import math
 import random
 from collections import Counter
@@ -279,22 +280,32 @@ def test_generation_reads_no_members(monkeypatch):
 def test_failing_walk_ranks_each_koszul_term_once(monkeypatch):
     # dropping the last and third-to-last members of G_6's (2, 5) cell leaves
     # two missing ranges in one (c, l); the walk ranks each term it reads
-    # at most once, not once per missing range it tests
+    # once, not once per missing range it tests, and only the terms whose
+    # (c, |K|) misses some rank
     col = apply_mutation(apply_mutation(build_Gn(6), "drop:45"), "drop:43")
-    missing = _gaps(6, col.cells, lambda cell: cell[1:3])[2, 5][1]
-    assert missing == [range(18, 19), range(20, 21)]
-    ranked, terms = [], []
-    walk, parse, rank = win._walk_walls, win.parse_F, win._rank
-
-    def walking(*args):  # from here on, every term parsed is one walked
-        monkeypatch.setattr(win, "parse_F", lambda m: terms.append(m) or parse(m))
-        return walk(*args)
-
-    monkeypatch.setattr(win, "_walk_walls", walking)
+    gaps = {key: found for key, (_, found, _) in _gaps(6, col.cells, lambda cell: cell[1:3]).items()}
+    assert gaps[2, 5] == [range(18, 19), range(20, 21)]
+    ranked, rank = [], win._rank
     monkeypatch.setattr(win, "_rank", lambda *args: ranked.append(args) or rank(*args))
-    with pytest.raises(KoszulEscape):
+    with pytest.raises(KoszulEscape) as failure:
         verify_generation(6, col)
-    assert 0 < len(ranked) <= len(terms)
+    text = str(failure.value)
+    J = ast.literal_eval(text[text.index("J = ") + 4:text.index("]") + 1])
+
+    def terms():  # wall_record's terms of the failing size, in the walk's order
+        for j in combinations(range(7), len(J)):
+            for piece in wall_record(6, j).pieces:
+                for term in piece.components:
+                    yield parse_F(term), (f"component {term.coeffs} of the weight {piece.a} "
+                                          f"piece at wall J = {list(j)} is not in the collection")
+
+    read = []
+    for shape, message in terms():
+        read.append(shape)
+        if message == text:
+            break
+    assert read[-1] == (2, frozenset({2, 3, 4, 5, 6}))
+    assert 0 < len(ranked) == sum(gaps.get((c, len(k))) != [] for c, k in read)
 
 
 def test_generation_counts_in_closed_form():
@@ -329,7 +340,7 @@ def test_generation_command_walks_no_wall(monkeypatch, capsys):
         raise AssertionError("the flat certificate walk ran")
 
     monkeypatch.setattr(win, "build_certificate", flat)
-    monkeypatch.setattr(win, "_weight", flat)
+    monkeypatch.setattr(win, "_walk_walls", flat)
     assert main(["verify", "--dim", "8", "--what", "generation"]) == 0
     assert capsys.readouterr().out == (
         "generation ok: 256 walls, 630 pieces, base case empty\n")
@@ -353,6 +364,37 @@ def test_circuit_mismatch_raises(monkeypatch):
         verify_walls(2)
 
 
+def kernel_relation(fan, circuit):
+    """The circuit's relation by exact elimination: the reference for the closed form."""
+    idx = sorted(circuit)
+    basis = linalg.kernel_basis([[fan.rays[i][r] for i in idx] for r in range(fan.rank)])
+    assert len(basis) == 1, idx
+    return basis[0]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_circuit_relation_matches_elimination_on_every_circuit(n):
+    fan = build_Vn(n)
+    for circuit in circuits(fan):
+        assert circuit_relation(fan, circuit) == kernel_relation(fan, circuit)
+
+
+def test_circuit_relation_matches_elimination_on_class_representatives():
+    for n in range(2, 14, 2):
+        fan = build_Vn(n)
+        for _, _, _, rays, _ in win._circuit_classes(fan):
+            assert circuit_relation(fan, rays) == kernel_relation(fan, rays)
+
+
+@pytest.mark.parametrize("rays", [
+    {0, 1}, {0, 4}, {0, 3, 1}, [0, 1, 2, 2], [-3, 1, 2], [1, 2, 6],
+], ids=["two-plus", "slot-short", "pair-and-ray", "repeated", "negative", "past-end"])
+def test_circuit_relation_rejects_non_circuits(rays):
+    # [-3, 1, 2] read through fan.rays[-3] would be the circuit {3, 1, 2}
+    with pytest.raises(ValueError):
+        circuit_relation(build_Vn(2), rays)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_class_walk_matches_generic_circuits(n):
     fan = build_Vn(n)
@@ -372,9 +414,9 @@ def test_class_walk_matches_generic_circuits(n):
         slots = pair_slots + plus_slots + minus_slots
         image = [slots[i] if i < half else slots[i - half] + half for i in rep]
         assert sorted(image) == sorted(circuit)
-        relation = dict(zip(sorted(circuit), circuit_relation(fan, circuit)))
+        relation = dict(zip(sorted(circuit), kernel_relation(fan, circuit)))
         moved = tuple(relation[i] for i in image)
-        expected = circuit_relation(fan, rep)
+        expected = kernel_relation(fan, rep)
         assert moved in (expected, tuple(-x for x in expected))
     # every class counts its flat circuits; a class the walk skips has none
     assert flat == {key: count for key, (_, count) in walk.items()}

@@ -13,12 +13,12 @@ program does not have is reported as missing. The machine (CPU count and
 model, Python version) and the commit are recorded with the times. The output
 is one JSON object on stdout. Standard library only.
 
-The sweep layers at n = 20 and 30, the inequality sweep at n = 40 and
-`verify_generation` at n = 30 and 40 run past the command's MAX_DIM = 20,
-in process: a full sweep of the intact G_n reads its keys off the shapes
-of its unit pairs, and the generation check the shapes of its Koszul
-terms off a closed form, so these layers show how far exhaustive
-checking reaches.
+The sweep layers at n = 20, 30 and 40, the inequality sweep at n = 60 and
+100 and `verify_generation` at n = 30 and 40 run past the command's
+MAX_DIM = 20, in process: a full sweep of the intact G_n grades each line
+of keys once over its span, with the shapes read off its units grouped by
+l, and the generation check reads the shapes of its Koszul terms off a
+closed form, so these layers show how far exhaustive checking reaches.
 
 `verify_walls` at n = 14 and 20 checks every circuit class of V_n against
 the wall weights, reading each class's relation off its closed form. The
@@ -73,7 +73,8 @@ LAYERS = (
     + [(f"sweep.{method}", 16) for method in ("forbidden", "oracle")]
     + [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
        for n in (20, 30)]
-    + [("sweep.inequalities", 40)]
+    + [("sweep.inequalities", n) for n in (40, 60, 100)]
+    + [(f"sweep.{method}", 40) for method in ("forbidden", "oracle")]
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]

@@ -26,39 +26,28 @@ reads its members in cell order and keeps none of them (_read).
 
 A full sweep reads its keys off shapes instead of walking pairs. The
 verdict of a pair depends only on its family (c, k, l) and its block
-relation, and the members of one (block, c, l) form a unit (_units). An
-l_s-subset and an l_t-subset of 0..n share t labels for some t in a range
-fixed by l_s and l_t, so every pair between two units has one of the keys
-that the shape of the unit pair gives (_keys), each graded once per call.
-Only the pairs of two units with a failing key are walked one by one; an
-unmutated G_n walks none.
+relation, and the members of one (block, c, l) form a unit (_units). The
+pairs between two units have keys on one line (dc, l_t - l_s, need_all),
+with k in a range fixed by the shape of the unit pair (_span); the shapes
+are read off the units grouped by l (_shapes). Each line is graded once
+over the union of its ranges, and only the unit pairs of a shape whose
+range holds a failing key are walked one by one; an intact G_n walks none.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import combinations, islice
 from typing import NamedTuple
 
 from .cohomology import cohomology, euler_pairing
-from .cones import (
-    HypothesisViolated,
-    certify_acyclic,
-    certify_higher_acyclic,
-    higher_acyclic_predicate,
-    lemma_acyclic_predicate,
-)
+from .cones import (HypothesisViolated, certify_acyclic, certify_higher_acyclic,
+                    higher_acyclic_predicate, lemma_acyclic_predicate)
 from .fan import build_Vn
-from .picard import (
-    DivisorClass,
-    antipodal_involution,
-    family_of_parsed,
-    group_generators,
-    label_set,
-    parse_F,
-)
+from .picard import (DivisorClass, antipodal_involution, family_of_parsed, group_generators,
+                     label_set, parse_F)
 from .record import Record
 
 METHODS = ("inequalities", "forbidden", "oracle")
@@ -105,7 +94,7 @@ class Collection:
         """(ell, size) of each block."""
         sizes = [0] * len(self.ells)
         for cell in self.cells:
-            sizes[cell.block] += len(cell.positions)
+            sizes[cell.block] += cell.positions.stop - cell.positions.start
         return tuple(zip(self.ells, sizes))
 
     @property
@@ -126,7 +115,7 @@ class Collection:
         """(block index, (c, J)) at flat position p, read from its cell."""
         cell = self.cells[bisect_right(self._starts, p) - 1]
         r = p - cell.positions.start
-        if not 0 <= r < len(cell.positions):
+        if not 0 <= r < cell.positions.stop - cell.positions.start:
             raise IndexError(f"position {p} outside 0..{self.size - 1}")
         return cell.block, (cell.c, frozenset(_nth_subset(self.n + 1, cell.ell, cell.ranks[r])))
 
@@ -141,8 +130,7 @@ def _nth_subset(m: int, ell: int, r: int) -> tuple[int, ...]:
     The combinatorial number system: C(m - x - 1, ell - 1) subsets have x
     as their least label, so the labels are found in one pass over x.
     """
-    out = []
-    x = 0
+    out, x = [], 0
     while ell:
         count = math.comb(m - x - 1, ell - 1)
         if r < count:
@@ -216,7 +204,7 @@ def _group(runs):
     for block, c, ell, ranks in runs:
         if not ranks:
             continue
-        stop = start + len(ranks)
+        stop = start + ranks.stop - ranks.start
         if cells and cells[-1][:3] == (block, c, ell) and cells[-1].ranks.stop == ranks.start:
             last = cells.pop()
             start, ranks = last.positions.start, range(last.ranks.start, ranks.stop)
@@ -241,13 +229,9 @@ def build_Fn(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("n must be a positive even integer")
     out = []
     for ell in range(n + 2):
-        if ell <= n // 2:
-            lo, hi = 4 * ell - n, n
-        else:
-            lo, hi = n + 2, 4 * ell - n - 2
-        for c in range(math.ceil(lo / 4), math.floor(hi / 4) + 1):
-            out.append((ell, c))
-    return tuple((c, ell) for ell, c in sorted(out))
+        lo, hi = (4 * ell - n, n) if ell <= n // 2 else (n + 2, 4 * ell - n - 2)
+        out += ((c, ell) for c in range(math.ceil(lo / 4), math.floor(hi / 4) + 1))
+    return tuple(out)
 
 
 def build_Gn(n: int) -> Collection:
@@ -308,8 +292,7 @@ class Report(Record):
     def headline(self) -> str:
         if self.ok:
             extra = " (sampled)" if self.sampled else ""
-            return (f"ok: {self.size} members, "
-                    f"{self.pairs_checked} pairs checked{extra}")
+            return f"ok: {self.size} members, {self.pairs_checked} pairs checked{extra}"
         parts = []
         if not self.complete:
             parts.append(f"size {self.size} != expected {self.expected}")
@@ -325,22 +308,17 @@ class Report(Record):
         return self
 
 
-def _pair_relation(block_s, block_t):
-    if block_s == block_t:
-        return "same-block"
-    return "forward" if block_s < block_t else "backward"
-
-
 def verify_exceptional(collection: Collection, method: str = "inequalities",
                        sample=None, full_report: bool = False) -> Report:
     """Grade every ordered pair of distinct positions, plus the size check.
 
     sample restricts the sweep to the given (source, target) flat index
     pairs; the size check still runs, and a pair that is not two distinct
-    int positions (a bool is not one) raises ValueError. A sample or a full report grades pair by
-    pair; otherwise each unit pair's keys are read off its shape (_keys).
-    Violations come in flat (source, target) order either way. The report
-    never raises on its own, call raise_if_failed for that.
+    int positions (a bool is not one) raises ValueError. A sample or a full
+    report grades pair by pair; otherwise each line of keys is graded once
+    over its span (_span), and only the unit pairs of a shape with a failing
+    key are walked. Violations come in flat (source, target) order either
+    way. The report never raises on its own, call raise_if_failed for that.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -348,32 +326,31 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     size = collection.size
     fan = build_Vn(n) if method in ("forbidden", "oracle") else None
 
-    # The verdict of a pair depends only on the S_{n+1}-orbit of its
-    # difference, the family (c, k, l), and on the block relation, so each
-    # key is graded once per call.
+    # A pair's verdict depends only on its family (c, k, l), the S_{n+1}-orbit of its
+    # difference, and its block relation: each key (c, k, l, need_all) is graded once.
     grades = {}
 
-    def grade(family, need_all):
-        key = (family, need_all)
+    def grade(key):
         if key not in grades:
-            grades[key] = _grade_pair(fan, method, n, family, need_all)
+            grades[key] = _grade_pair(fan, method, n, *key)
         return grades[key]
 
     def walk(pairs, keep_passing):
         """Grade pairs of _read entries one by one: the failing results, or all of them."""
         out = []
         for (i, (block_i, parsed_i)), (j, (block_j, parsed_j)) in pairs:
-            relation = _pair_relation(block_i, block_j)
-            ok, detail = grade(family_of_parsed(parsed_j, parsed_i), relation != "forward")
+            relation = ("same-block" if block_i == block_j
+                        else "forward" if block_i < block_j else "backward")
+            family = family_of_parsed(parsed_j, parsed_i)
+            ok, note = grade((*family, relation != "forward"))
             if keep_passing or not ok:
-                out.append(PairResult(i, j, relation, ok, detail))
+                out.append(PairResult(i, j, relation, ok, _detail(method, family, note)))
         return out
 
     if sample is not None:
         pairs = [(i, j) for i, j in sample]
         for i, j in pairs:
-            if not (_is_int(i) and _is_int(j) and i != j
-                    and 0 <= i < size and 0 <= j < size):
+            if not (_is_int(i) and _is_int(j) and i != j and 0 <= i < size and 0 <= j < size):
                 raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
                                  f"positions in 0..{size - 1}")
         read = {p: collection.at(p) for p in {p for pair in pairs for p in pair}}
@@ -384,25 +361,31 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         results = walk(_pairs_between(entries, entries), True)
         checked = len(results)
     else:
-        units = _units(n, collection.cells)
-        passes = {}  # shape -> whether every key of the shape passes
+        by_ell = {}
+        for unit in _units(n, collection.cells):
+            by_ell.setdefault(unit.ell, []).append(unit)
+        shapes = list(_shapes(n, by_ell))
+        spans = {}  # line (dc, l_t - l_s, need_all) -> the span of its keys' k
+        for l_s, l_t, need_all, _, dcs, ks in shapes:
+            for line in ((dc, l_t - l_s, need_all) for dc in dcs):
+                span = spans.get(line, ks)
+                spans[line] = range(min(span.start, ks.start), max(span.stop, ks.stop))
+        failing = {(dc, delta, need_all): bad for (dc, delta, need_all), ks in spans.items()
+                   if (bad := [k for k in ks if not grade((dc, k, k + delta, need_all))[0]])}
         results = []
-        for source in units:
-            for target in units:
-                shape = _shape(source, target)
-                if shape not in passes:
-                    passes[shape] = all(grade(*key)[0] for key in _keys(n, *shape))
-                if not passes[shape]:
-                    results += walk(_unit_pairs(n, source, target), False)
+        for l_s, l_t, need_all, diagonal, dcs, ks in shapes if failing else ():
+            for dc in dcs:
+                bad = failing.get((dc, l_t - l_s, need_all), ())
+                if bisect_left(bad, ks.start) < bisect_left(bad, ks.stop):
+                    results += (r for source in by_ell[l_s] for target in by_ell[l_t]
+                                if _shape(source, target) == (dc, l_s, l_t, need_all, diagonal)
+                                for r in walk(_unit_pairs(n, source, target), False))
         results.sort(key=lambda r: (r.source, r.target))
         checked = size * (size - 1)  # the units partition the positions
 
-    return Report(
-        n=n, method=method, size=size, expected=expected_size(n),
-        pairs_checked=checked, violations=tuple(r for r in results if not r.ok),
-        pair_results=tuple(results) if full_report else None,
-        sampled=sample is not None,
-    )
+    return Report(n=n, method=method, size=size, expected=expected_size(n),
+                  pairs_checked=checked, violations=tuple(r for r in results if not r.ok),
+                  pair_results=tuple(results) if full_report else None, sampled=sample is not None)
 
 
 def _pairs_between(sources, targets):
@@ -431,7 +414,7 @@ class Unit(NamedTuple):
 
 def _units(n, cells):
     """One unit per (block, c, l), in the order of their first cells; repeats is read off _gaps."""
-    return [Unit(block, c, ell, tuple(group), sum(len(cell.ranks) for cell in group), bool(extra))
+    return [Unit(block, c, ell, tuple(group), sum(r.stop - r.start for *_, r in group), bool(extra))
             for (block, c, ell), (group, _, extra) in _gaps(n, cells, lambda cell: cell[:3]).items()]
 
 
@@ -461,61 +444,85 @@ def _gaps(n, cells, key):
 
 
 def _shape(source, target):
-    """(dc, l_s, l_t, need_all, diagonal) of a unit pair: what its keys depend on (_keys)."""
+    """(dc, l_s, l_t, need_all, diagonal) of a unit pair: what its keys depend on (_span)."""
     return (target.c - source.c, source.ell, target.ell, source.block >= target.block,
             source is target and not source.repeats)
 
 
-def _keys(n, dc, l_s, l_t, need_all, diagonal):
-    """The (family, need_all) keys that the pairs from one unit to another can have.
+def _shapes(n, by_ell):
+    """(l_s, l_t, need_all, diagonal, its dc, _span) for the shapes of all unit pairs, each once.
 
-    The shape of a unit pair is dc = c_t - c_s, the two l, need_all =
-    (block_s >= block_t), and diagonal: the unit meets itself and holds no
-    J twice. Every pair of the unit pair has one of these keys, and for two
-    units that each hold every l-subset once, each key is some pair's.
-
-    Proof. Target minus source, F_{c_t,J_t} - F_{c_s,J_s}, is in the family
-    (dc, l_s - t, l_t - t) for t = |J_s & J_t| (family_of_parsed), and the
-    pair needs all of its cohomology to vanish exactly when need_all: inside
-    a unit pair only t varies. It is at most min(l_s, l_t), and since
-    |J_s | J_t| = l_s + l_t - t labels lie in 0..n, at least
-    l_s + l_t - n - 1. Conversely, J_s = {0..l_s - 1} and the l_t labels from
-    l_s - t on share t labels and lie in 0..n, for each t of that range.
-    A unit against itself has l_s = l_t = l and meets t = l only in pairs
-    J_s = J_t at distinct positions, so when it holds every J once, t = l
-    is dropped: its key (0, 0, 0), the zero class, always fails, and would
-    make each unit walk itself; with every l-subset held once, the pairs
-    J_s != J_t meet every t < l of the range. So when every key passes,
-    every pair of the unit pair passes; when one fails, the unit pair is
-    walked and each pair graded on its own key.
+    by_ell lists the units of each l. Where l_s != l_t, both c sets are
+    intervals (build_Fn) and the l_s units' blocks all lie on one side of the
+    l_t units', every unit pair has one need_all and is not diagonal, so its
+    dc = c_t - c_s form an interval. The others read each unit pair's shape.
     """
-    top = min(l_s, l_t) - diagonal
-    return [((dc, l_s - t, l_t - t), need_all) for t in range(max(0, l_s + l_t - n - 1), top + 1)]
+    sides = {}
+    for ell, units in by_ell.items():
+        cs, blocks = {unit.c for unit in units}, [unit.block for unit in units]
+        cs = range(min(cs), max(cs) + 1) if max(cs) - min(cs) < len(cs) else None
+        sides[ell] = cs, min(blocks), max(blocks)
+    for l_s, (cs_s, lo_s, hi_s) in sides.items():
+        for l_t, (cs_t, lo_t, hi_t) in sides.items():
+            if l_s != l_t and cs_s and cs_t and (lo_s >= hi_t or hi_s < lo_t):
+                dcs = range(cs_t.start - cs_s[-1], cs_t[-1] - cs_s.start + 1)
+                kinds = {(lo_s >= hi_t, False, dcs)}
+            else:  # one kind per distinct shape, its dc alone
+                kinds = {(need_all, diagonal, (dc,)) for source in by_ell[l_s]
+                         for target in by_ell[l_t]
+                         for dc, _, _, need_all, diagonal in [_shape(source, target)]}
+            for need_all, diagonal, dcs in kinds:
+                if ks := _span(n, l_s, l_t, diagonal):
+                    yield l_s, l_t, need_all, diagonal, dcs, ks
 
 
-def _family_class(n, family):
-    """c(E - H) + E_0 + ... + E_{k-1} - E_k - ... - E_{k+l-1}, in the (c, k, l) family."""
-    c, k, ell = family
-    return DivisorClass((-c,) + (c + 1,) * k + (c - 1,) * ell + (c,) * (n + 1 - k - ell))
+def _span(n, l_s, l_t, diagonal):
+    """The k of the keys ((dc, k, k + l_t - l_s), need_all) that the pairs of a shape can have.
+
+    Every pair of a unit pair of this shape (_shape) has a key with k in the
+    range; between two units that hold every l-subset once, each such key is
+    some pair's. Proof: F_{c_t,J_t} - F_{c_s,J_s} is in the family
+    (dc, k, k + l_t - l_s) for k = l_s - |J_s & J_t| (family_of_parsed). At
+    most min(l_s, l_t) labels are shared and the k + l_t labels of J_s | J_t
+    lie in 0..n, so max(0, l_s - l_t) <= k <= min(l_s, n + 1 - l_t), and
+    J_s = {0..l_s - 1} against the l_t labels from k on gives each such k. A
+    unit meets k = 0 against itself only where it holds some J twice; so a
+    diagonal shape drops k = 0 (the zero class, which always fails), and its
+    pairs J_s != J_t still meet every k > 0.
+
+    On one line (dc, l_t - l_s, need_all) every range starts at
+    max(0, l_s - l_t), or at 1 for a diagonal shape, which has l_s = l_t. So
+    the nonempty ranges of a line overlap or touch, and their union is one
+    span: grading each key of each span once grades every key of every shape.
+    """
+    return range(max(0, l_s - l_t) + diagonal, min(l_s, n + 1 - l_t) + 1)
 
 
-def _grade_pair(fan, method, n, family, need_all):
-    """Verdict and detail of a pair whose target minus source is in the (c, k, l) family."""
+def _grade_pair(fan, method, n, c, k, ell, need_all):
+    """(ok, note) of a pair whose difference is in the (c, k, l) family; no note: a constant."""
+    if method != "inequalities":  # c(E - H) + E_0 + ... + E_{k-1} - E_k - ... - E_{k+l-1}
+        D = DivisorClass((-c,) + (c + 1,) * k + (c - 1,) * ell + (c,) * (n + 1 - k - ell))
     if method == "oracle":
-        ranks = cohomology(fan, _family_class(n, family)).ranks
-        bad = any(ranks) if need_all else any(ranks[1:])
-        return not bad, f"h = {ranks}"
+        ranks = cohomology(fan, D).ranks
+        return not (any(ranks) if need_all else any(ranks[1:])), ranks
     if method == "forbidden":
-        certify = certify_acyclic if need_all else certify_higher_acyclic
-        return certify(fan, _family_class(n, family)), "forbidden-cone sweep"
-    c, k, ell = family
-    label = f"(c, k, l) = ({c}, {k}, {ell})"
-    if not need_all:
-        return higher_acyclic_predicate(n, c, k, ell), label
-    try:
-        return lemma_acyclic_predicate(n, c, k, ell), label
-    except HypothesisViolated as e:
-        return False, f"{label}: {e}"
+        ok = (certify_acyclic if need_all else certify_higher_acyclic)(fan, D)
+    elif need_all:
+        try:
+            ok = lemma_acyclic_predicate(n, c, k, ell)
+        except HypothesisViolated as e:
+            return False, e
+    else:
+        ok = higher_acyclic_predicate(n, c, k, ell)
+    return (True, None) if ok else (False, None)
+
+
+def _detail(method, family, note):
+    """The detail of a pair result, from its family and the note of its grade (_grade_pair)."""
+    if method != "inequalities":
+        return f"h = {note}" if method == "oracle" else "forbidden-cone sweep"
+    label = "(c, k, l) = ({}, {}, {})".format(*family)
+    return label if note is None else f"{label}: {note}"
 
 
 # -- group stability ------------------------------------------------------------
@@ -527,10 +534,7 @@ class StabilityReport(Record):
     def __init__(self, n: int, ok: bool, failures: tuple[str, ...]):
         vars(self).update(n=n, ok=ok, failures=failures)
 
-    def raise_if_failed(self):
-        if not self.ok:
-            raise VerificationFailed(self)
-        return self
+    raise_if_failed = Report.raise_if_failed
 
     def headline(self) -> str:
         if self.ok:
@@ -554,12 +558,8 @@ def verify_stability(collection: Collection) -> StabilityReport:
     """
     n = collection.n
     cells = collection.cells
-
-    def first(c, ell):  # the coefficients of F_{c,J}, J = {0, ..., l-1}
-        return (-c,) + (c - 1,) * ell + (c,) * (n + 1 - ell)
-
-    closed = {(c, ell): antipodal_involution(DivisorClass(first(c, ell))).coeffs
-              == first(ell - c, ell) for c, ell in {(cell.c, cell.ell) for cell in cells}}
+    closed = {(c, ell): antipodal_involution(_F(n, c, range(ell))) == _F(n, ell - c, range(ell))
+              for c, ell in {(cell.c, cell.ell) for cell in cells}}
     labels = [{} for _ in collection.ells]  # per block: (c, l) -> the side of its J set
     for (block, c, ell), (group, missing, _) in _gaps(n, cells, lambda cell: cell[:3]).items():
         count = math.comb(n + 1, ell)

@@ -6,6 +6,7 @@ import importlib
 import math
 import pathlib
 import random
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
@@ -330,17 +331,52 @@ def test_counted_keys_match_flat_tally(n, mutation):
     intact = [unit.size == math.comb(n + 1, unit.ell) and not unit.repeats for unit in units]
     for s, source in enumerate(units):
         for t, target in enumerate(units):
-            shape = collection_module._shape(source, target)
-            keys = collection_module._keys(n, *shape)
+            dc, l_s, l_t, need_all, diagonal = collection_module._shape(source, target)
+            ks = collection_module._span(n, l_s, l_t, diagonal)
             found = flat.get((s, t), {})
-            # every key that has pairs lies in the shape's range
-            assert set(found) <= set(keys)
+            # every key that has pairs lies on the shape's line, with k in its range
+            assert all((c, ell - k, relation) == (dc, l_t - l_s, need_all) and k in ks
+                       for (c, k, ell), relation in found)
             if intact[s] and intact[t]:
-                assert set(keys) == set(found)
+                assert sorted(k for (_, k, _), _ in found) == list(ks)
             if s == t:
-                # the diagonal key appears exactly when the unit repeats a J
-                diagonal = ((0, 0, 0), True)
-                assert (diagonal in found) == (diagonal in keys) == source.repeats
+                # the diagonal key, k = 0, appears exactly when the unit repeats a J
+                assert (((0, 0, 0), True) in found) == (0 in ks) == source.repeats
+
+
+@pytest.mark.parametrize("n, mutation", [pytest.param(n, None, id=str(n)) for n in range(2, 22, 2)]
+                         + [(n, m) for n, m in COUNTED_MUTANTS if m] + [(8, "swap:0,600")])
+def test_shapes_from_ell_groups_match_unit_pair_shapes(n, mutation):
+    col = mutant(n, mutation)
+    units = collection_module._units(n, col.cells)
+    by_ell = {}
+    for unit in units:
+        by_ell.setdefault(unit.ell, []).append(unit)
+    listed = [((dc, l_s, l_t, need_all, diagonal), ks)
+              for l_s, l_t, need_all, diagonal, dcs, ks in collection_module._shapes(n, by_ell)
+              for dc in dcs]
+    shapes = {collection_module._shape(s, t) for s in units for t in units}
+    # each shape once, with its keys' range; a shape whose range is empty (a
+    # unit of l = 0 or n + 1 against itself) has no key and is left out
+    assert len(listed) == len(dict(listed))
+    assert all(ks == collection_module._span(n, *shape[1:3], shape[4]) for shape, ks in listed)
+    assert {shape for shape, _ in listed} == {
+        shape for shape in shapes if collection_module._span(n, *shape[1:3], shape[4])}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n, keys, same_ell", [(6, 129, 44), (8, 256, 85)])
+def test_intact_sweep_grades_each_key_once(monkeypatch, method, n, keys, same_ell):
+    # G_8 has 25 units, so 625 unit pairs; only the 85 within one l read
+    # their shape one by one, and the 256 keys on their lines are graded once
+    col = build_Gn(n)
+    units = collection_module._units(n, col.cells)
+    assert same_ell == sum(s.ell == t.ell for s in units for t in units)
+    grades = count_calls(monkeypatch, ["_grade_pair"])
+    shapes = count_calls(monkeypatch, ["_shape"])
+    assert verify_exceptional(col, method).ok
+    assert len(grades) == len({args[3:] for args in grades}) == keys
+    assert len(shapes) == same_ell
 
 
 def test_cells_of_a_mutant():
@@ -787,6 +823,31 @@ def test_stability_every_dimension():
         report = verify_stability(build_Gn(n))
         assert report.ok and not report.failures
         report.raise_if_failed()
+
+
+def test_dim80_builds_and_checks_past_the_longest_range_length():
+    # C(81, 40) > 2^63 - 1 ranks fill a cell of G_80: len() of a range that
+    # long raises OverflowError, so lengths are read as stop - start
+    n = 80
+    col = build_Gn(n)
+    assert col.size == expected_size(n) > 2**63 + 12345
+    for p in (col.size - 1, 2**63 + 12345):
+        cell = col.cells[bisect_right(col._starts, p) - 1]
+        r = cell.ranks[p - cell.positions.start]
+        block, (c, j) = col.at(p)
+        assert (block, c, len(j)) == (cell.block, cell.c, cell.ell)
+        assert collection_module._rank(n + 1, j) == r
+        assert collection_module._nth_subset(n + 1, cell.ell, r) == tuple(sorted(j))
+    assert verify_stability(col).ok
+    assert verify_generation(n, col).pieces == col.size
+    # a drop near the end cuts a cell whose positions lie past 2^63
+    p = col.size - 6
+    dropped = apply_mutation(col, f"drop:{p}")
+    assert dropped.size == col.size - 1
+    assert dropped.shape[col.at(p)[0]][1] == col.shape[col.at(p)[0]][1] - 1
+    report = verify_stability(dropped)
+    assert not report.ok
+    assert f"moves block {col.at(p)[0]} off itself" in report.failures[0]
 
 
 def test_stability_broken_by_drop():

@@ -322,18 +322,15 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    n = collection.n
-    size = collection.size
+    n, size = collection.n, collection.size
     fan = build_Vn(n) if method in ("forbidden", "oracle") else None
 
     # A pair's verdict depends only on its family (c, k, l), the S_{n+1}-orbit of its
     # difference, and its block relation: each key (c, k, l, need_all) is graded once.
-    grades = {}
+    grades, details = {}, {}  # details: a key's, made for its first reported pair
 
-    def grade(key):
-        if key not in grades:
-            grades[key] = _grade_pair(fan, method, n, *key)
-        return grades[key]
+    def grade(key):  # every verdict is a nonempty tuple
+        return grades.get(key) or grades.setdefault(key, _grade_pair(fan, method, n, *key))
 
     def walk(pairs, keep_passing):
         """Grade pairs of _read entries one by one: the failing results, or all of them."""
@@ -341,10 +338,12 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
         for (i, (block_i, parsed_i)), (j, (block_j, parsed_j)) in pairs:
             relation = ("same-block" if block_i == block_j
                         else "forward" if block_i < block_j else "backward")
-            family = family_of_parsed(parsed_j, parsed_i)
-            ok, note = grade((*family, relation != "forward"))
+            c, k, ell = family_of_parsed(parsed_j, parsed_i)
+            key = (c, k, ell, relation != "forward")
+            ok, note = grade(key)
             if keep_passing or not ok:
-                out.append(PairResult(i, j, relation, ok, _detail(method, family, note)))
+                detail = details.get(key) or details.setdefault(key, _detail(method, key, note))
+                out.append(PairResult(i, j, relation, ok, detail))
         return out
 
     if sample is not None:
@@ -517,11 +516,11 @@ def _grade_pair(fan, method, n, c, k, ell, need_all):
     return (True, None) if ok else (False, None)
 
 
-def _detail(method, family, note):
-    """The detail of a pair result, from its family and the note of its grade (_grade_pair)."""
+def _detail(method, key, note):
+    """The detail of a pair result, from its key and the note of its grade (_grade_pair)."""
     if method != "inequalities":
         return f"h = {note}" if method == "oracle" else "forbidden-cone sweep"
-    label = "(c, k, l) = ({}, {}, {})".format(*family)
+    label = "(c, k, l) = ({}, {}, {})".format(*key[:3])
     return label if note is None else f"{label}: {note}"
 
 

@@ -371,14 +371,14 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                 spans[line] = range(min(span.start, ks.start), max(span.stop, ks.stop))
         failing = {(dc, delta, need_all): bad for (dc, delta, need_all), ks in spans.items()
                    if (bad := [k for k in ks if not grade((dc, k, k + delta, need_all))[0]])}
-        results = []
+        walked = []  # unit pairs of failing shapes, walked in unit order: results in sorted runs
         for l_s, l_t, need_all, diagonal, dcs, ks in shapes if failing else ():
             for dc in dcs:
                 bad = failing.get((dc, l_t - l_s, need_all), ())
                 if bisect_left(bad, ks.start) < bisect_left(bad, ks.stop):
-                    results += (r for source in by_ell[l_s] for target in by_ell[l_t]
-                                if _shape(source, target) == (dc, l_s, l_t, need_all, diagonal)
-                                for r in walk(_unit_pairs(n, source, target), False))
+                    walked += ((s, t) for s in by_ell[l_s] for t in by_ell[l_t]
+                               if _shape(s, t) == (dc, l_s, l_t, need_all, diagonal))
+        results = [r for s, t in sorted(walked) for r in walk(_unit_pairs(n, s, t), False)]
         results.sort(key=lambda r: (r.source, r.target))
         checked = size * (size - 1)  # the units partition the positions
 
@@ -509,8 +509,8 @@ def _grade_pair(fan, method, n, c, k, ell, need_all):
     elif need_all:
         try:
             ok = lemma_acyclic_predicate(n, c, k, ell)
-        except HypothesisViolated as e:
-            return False, e
+        except HypothesisViolated as e:  # its message, not e: its traceback holds the sweep's frame
+            return False, str(e)
     else:
         ok = higher_acyclic_predicate(n, c, k, ell)
     return (True, None) if ok else (False, None)

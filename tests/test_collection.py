@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import gc
 import importlib
 import math
 import pathlib
@@ -637,6 +638,22 @@ def test_damaged_sweep_walks_about_its_violations(monkeypatch):
         assert held(c) == before[id(c)]
 
 
+@pytest.mark.parametrize("n, mutation", [(2, "swap:0,5"), (4, "swap:1,20"), (8, "swap:0,600")])
+def test_failing_sweep_leaves_no_reference_cycle(n, mutation):
+    # a grade keeps a violated hypothesis's message: the exception's traceback
+    # would hold the sweep's frame, and all it made, until a cyclic collection
+    col = apply_mutation(build_Gn(n), mutation)
+    gc.collect()
+    gc.disable()
+    try:
+        report = verify_exceptional(col)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert any("predicate needs k <= l" in r.detail for r in report.violations)
+    assert unreachable == 0
+
+
 def count_calls(monkeypatch, names, modules=(collection_module,)):
     calls = []
     for module in modules:
@@ -842,12 +859,13 @@ def test_dim80_builds_and_checks_past_the_longest_range_length():
     assert verify_generation(n, col).pieces == col.size
     # a drop near the end cuts a cell whose positions lie past 2^63
     p = col.size - 6
+    block = col.at(p)[0]
     dropped = apply_mutation(col, f"drop:{p}")
     assert dropped.size == col.size - 1
-    assert dropped.shape[col.at(p)[0]][1] == col.shape[col.at(p)[0]][1] - 1
+    assert dropped.shape[block][1] == col.shape[block][1] - 1
     report = verify_stability(dropped)
     assert not report.ok
-    assert f"moves block {col.at(p)[0]} off itself" in report.failures[0]
+    assert f"moves block {block} off itself" in report.failures[0]
 
 
 def test_stability_broken_by_drop():

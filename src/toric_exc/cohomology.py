@@ -14,10 +14,14 @@ a full antipodal pair, a plus ray, or a minus ray, and the character
 count is a bounded sum-zero lattice count. Slots with the same pair of
 coefficients (a_plus, a_minus) have the same viable states, so the walk
 groups them and enumerates only how many slots of each group take each
-state, weighting each choice by its multinomial number of slot
-assignments. A difference of two members of G_n has at most four groups,
+state. A slot has at most one state besides plus and minus (neither
+needs -a_plus <= a_minus, pair needs a_minus <= -a_plus - 2), so a
+group of s slots with p plus and m minus slots puts the other s - p - m
+in that third state: the choice has C(s, p) C(s - p, m) slot assignments,
+and its bounds are p, m and s - p - m copies of the three slot
+intervals. A difference of two members of G_n has at most four groups,
 so the loop is polynomial in n where a walk over slot assignments takes
-up to 3^(n+1) steps.
+up to 3^(n+1) steps, and no table of choices is kept.
 
 That walk, `_visible_classes`, serves both the engine here and the
 forbidden-cone certificates in `cones`. It enters only the choices of
@@ -33,9 +37,7 @@ reference in `toric_exc.reference`.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb
 
 from .fan import Fan, require_Vn
 from .picard import DivisorClass, ray_coefficients
@@ -186,28 +188,32 @@ def _slot_states(aplus: int, aminus: int):
 def _count_sum_zero(bounds) -> int:
     """Number of integer tuples with given finite bounds summing to zero.
 
+    bounds maps each (lo, hi) to the positive number of entries it bounds.
     Shifted by their lower ends, the entries are 0 <= x_i <= len_i and sum
     to target = -sum lo, so the count is the coefficient of x^target in
     prod_i (1 - x^(len_i + 1)) / (1 - x). The numerator is expanded
     sparsely, one group of equal lengths at a time, dropping exponents
     above the target, so it holds at most min(target + 1, prod (m_g + 1))
-    terms for m_g slots of each length; 1 / (1 - x)^m then gives each
+    terms for m_g entries of each length; 1 / (1 - x)^m then gives each
     surviving exponent e the weight C(target - e + m - 1, m - 1).
     """
-    target = -sum(lo for lo, _ in bounds)
+    target = -sum(lo * k for (lo, _), k in bounds.items())
     if target < 0 or any(hi < lo for lo, hi in bounds):
         return 0
     if not bounds:
         return 1
+    lengths = Counter()
+    for (lo, hi), k in bounds.items():
+        lengths[hi - lo] += k
     poly = {0: 1}
-    for length, count in Counter(hi - lo for lo, hi in bounds).items():
+    for length, count in lengths.items():
         expanded = {}
         for e, coeff in poly.items():
             for i in range(min(count, (target - e) // (length + 1)) + 1):
                 f = e + i * (length + 1)
                 expanded[f] = expanded.get(f, 0) + (-1) ** i * comb(count, i) * coeff
         poly = expanded
-    m = len(bounds)
+    m = sum(bounds.values())
     return sum(coeff * comb(target - e + m - 1, m - 1) for e, coeff in poly.items())
 
 
@@ -221,32 +227,16 @@ def _sum_bounds(ends):
     return None if None in ends else sum(ends)
 
 
-@lru_cache(maxsize=256)
-def _group_options(states, size: int):
-    """Ways to spread `size` slots with the same viable states over them.
-
-    Maps (plus slots, minus slots) to (weight, bounds): the weight is the
-    number of slot assignments with these state counts, and bounds holds
-    one (lo, hi) per slot. The options are cached, so they are tuples.
-    """
-    options = {}
-    for chosen in combinations_with_replacement(states, size):
-        tally = Counter(state for state, _, _ in chosen)
-        weight = factorial(size)
-        for k in tally.values():
-            weight //= factorial(k)
-        options[tally[_PLUS], tally[_MINUS]] = (weight, tuple((lo, hi) for _, lo, hi in chosen))
-    return options
-
-
 def _visible_classes(n: int, coeffs, higher_only: bool = False):
     """Pattern classes of O(coeffs) on V_n with characters and homology.
 
     One choice of per-group state counts is one pattern class. The closed
     test holds exactly when the class has a character, because every slot
     interval is non-empty with integer ends. Yields (pairs, nplus, nminus,
-    ranks, combo) for each class with non-zero ranks, combo holding the
-    chosen _group_options entries; higher_only skips the empty class.
+    ranks, combo) for each class with non-zero ranks, combo holding one
+    (size, p, m, (plus, minus, third)) per group: its p plus and m minus
+    slots and the (lo, hi) of each of its states, third None for a group
+    with only plus and minus. higher_only skips the empty class.
 
     The walk enters only choices that can still pass the one-sided filter
     (a used side needs pairs + its slots >= n/2 + 1, or the set is not a
@@ -271,32 +261,31 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     groups = []
     top = bottom = 0
     for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
-        states = _slot_states(ap, am)
         third, pair_third = None, False
-        for state, lo, hi in states:
+        for state, lo, hi in _slot_states(ap, am):
             if state == _PLUS:
-                plus_hi = hi
+                plus = (lo, hi)
             elif state == _MINUS:
-                minus_lo = lo
+                minus = (lo, hi)
             else:
                 third, pair_third = (lo, hi), state == _PAIR
         if third is None:
             # only plus and minus: with one side closed, every slot takes
             # the other, so that state's end enters the sum at no cost
-            third, plus_cost, minus_cost = (minus_lo, plus_hi), 0, 0
+            reach, plus_cost, minus_cost = (minus[0], plus[1]), 0, 0
         else:
-            plus_cost, minus_cost = third[1] - plus_hi, minus_lo - third[0]
-        top += size * third[1]
-        bottom += size * third[0]
-        groups.append((size, _group_options(states, size),
-                       plus_cost, minus_cost, pair_third))
+            reach = third
+            plus_cost, minus_cost = third[1] - plus[1], minus[0] - third[0]
+        top += size * reach[1]
+        bottom += size * reach[0]
+        groups.append((size, (plus, minus, third), plus_cost, minus_cost, pair_third))
     last = len(groups) - 1
 
     # need_plus and need_minus are `need` for an open side and 0 for a
     # closed one; left counts the slots from group g on
     def walk(g, need_plus, need_minus, hi_room, lo_room, pairs, nplus, nminus,
              left, combo):
-        size, options, plus_cost, minus_cost, pair_third = groups[g]
+        size, intervals, plus_cost, minus_cost, pair_third = groups[g]
         left -= size
         top_p = size if need_plus else 0
         if plus_cost and not need_minus and hi_room < top_p * plus_cost:
@@ -314,7 +303,7 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
                 up, down = nplus + p, nminus + m
                 if paired + up + left < need_plus or paired + down + left < need_minus:
                     continue
-                chosen = combo + (options[p, m],)
+                chosen = combo + ((size, p, m, intervals),)
                 if g < last:
                     yield from walk(g + 1, need_plus, need_minus, hi_room - p * plus_cost,
                                     lo_room - m * minus_cost, paired, up, down,
@@ -336,31 +325,35 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
     Slots with equal (a_plus, a_minus) have the same viable states, and
     both the pattern class and the character count are symmetric in the
     slots, so one combination of per-group state counts stands for all
-    its multinomially many slot assignments. Every class the walk yields
-    has at least one character, so each count here is positive, and at
-    most one open side, so each count is finite: a plus slot opens the lo
-    side and a minus slot the hi side, and a class with both is mixed and
-    has no homology.
+    its multinomially many slot assignments. The weight and the bounds,
+    a slot count per (lo, hi), are built only for the classes the walk
+    yields. Every one of them has at least one character, so each count
+    here is positive, and at most one open side, so each count is finite:
+    a plus slot opens the lo side and a minus slot the hi side, and a
+    class with both is mixed and has no homology. The open ends are
+    closed once per distinct interval: on an open lo side no entry can
+    lie below its hi end less the sum of all hi ends, and likewise above.
     """
     n = fan.rank
     h = [0] * (n + 1)
     for _, nplus, nminus, ranks, combo in _visible_classes(n, coeffs):
-        weights, group_bounds = zip(*combo)
-        los = [lo for bounds in group_bounds for lo, _ in bounds]
-        his = [hi for bounds in group_bounds for _, hi in bounds]
-        if nplus:
-            total_hi = sum(his)
-            los = [
-                hi - total_hi if lo is None else max(lo, hi - total_hi)
-                for lo, hi in zip(los, his)
-            ]
-        elif nminus:
-            total_lo = sum(los)
-            his = [
-                lo - total_lo if hi is None else min(hi, lo - total_lo)
-                for lo, hi in zip(los, his)
-            ]
-        count = _count_sum_zero(list(zip(los, his))) * prod(weights)
+        weight, bounds = 1, Counter()
+        for size, p, m, (plus, minus, third) in combo:
+            weight *= comb(size, p) * comb(size - p, m)
+            for interval, k in ((plus, p), (minus, m), (third, size - p - m)):
+                if k:
+                    bounds[interval] += k
+        if nplus or nminus:
+            total = sum((hi if nplus else lo) * k for (lo, hi), k in bounds.items())
+            closed = Counter()
+            for (lo, hi), k in bounds.items():
+                if nplus:
+                    lo = hi - total if lo is None else max(lo, hi - total)
+                else:
+                    hi = lo - total if hi is None else min(hi, lo - total)
+                closed[lo, hi] += k
+            bounds = closed
+        count = _count_sum_zero(bounds) * weight
         for p, r in enumerate(ranks):
             if r:
                 h[p] += count * r

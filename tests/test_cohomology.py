@@ -1,6 +1,7 @@
 """Cohomology engine against Riemann-Roch, Serre duality, Bott, and itself."""
 
 import importlib
+import inspect
 import math
 import os
 import random
@@ -8,7 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -205,7 +206,7 @@ def per_slot_reference(fan, coeffs):
                 lo - total_lo if hi is None else min(hi, lo - total_lo)
                 for lo, hi in zip(los, his)
             ]
-        count = coh._count_sum_zero(list(zip(los, his)))
+        count = count_sum_zero_by_table(list(zip(los, his)))
         if not count:
             continue
         for p, r in enumerate(ranks):
@@ -252,7 +253,7 @@ def count_sum_zero_by_table(bounds):
 @given(st.lists(st.tuples(st.integers(-12, 6), st.integers(-1, 12)), max_size=8))
 def test_count_sum_zero_matches_table(spans):
     bounds = [(lo, lo + width) for lo, width in spans]
-    assert coh._count_sum_zero(bounds) == count_sum_zero_by_table(bounds)
+    assert coh._count_sum_zero(Counter(bounds)) == count_sum_zero_by_table(bounds)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
@@ -325,17 +326,35 @@ def test_engine_matches_per_slot_random_vectors(n, data):
 # -- the bounded class walk against the full product of group options ---------
 
 
+def group_options(states, size):
+    """Ways to spread `size` slots over the same viable states, one by one.
+
+    Maps (plus slots, minus slots) to (pair slots, weight, bounds): the
+    weight counts the slot assignments with these state counts, and bounds
+    is the multiset of the slots' (lo, hi), as a set of (interval, count).
+    """
+    options = {}
+    for chosen in combinations_with_replacement(states, size):
+        tally = Counter(state for state, _, _ in chosen)
+        weight = math.factorial(size)
+        for k in tally.values():
+            weight //= math.factorial(k)
+        bounds = frozenset(Counter((lo, hi) for _, lo, hi in chosen).items())
+        options[tally[coh._PLUS], tally[coh._MINUS]] = (tally[coh._PAIR], weight, bounds)
+    return options
+
+
 def product_walk_reference(n, coeffs, higher_only=False):
-    """The walk before bounding: every combination of group options, then the filters."""
+    """The walk before bounding: every combination of group options, then the filters.
+
+    Yields each class with one (weight, bounds) per group.
+    """
     half = n + 1
     need = n // 2 + 1
     groups = []
     for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
-        states = coh._slot_states(ap, am)
-        # the slots neither plus nor minus take the group's third state
-        paired = coh._PAIR in [state for state, _, _ in states]
-        groups.append([((size - p - m if paired else 0, p, m), option)
-                       for (p, m), option in coh._group_options(states, size).items()])
+        groups.append([((pairs, p, m), (weight, bounds)) for (p, m), (pairs, weight, bounds)
+                       in group_options(coh._slot_states(ap, am), size).items()])
     for chosen in product(*groups):
         classes, combo = zip(*chosen)
         pairs, nplus, nminus = map(sum, zip(*classes))
@@ -344,17 +363,33 @@ def product_walk_reference(n, coeffs, higher_only=False):
         if nplus and pairs + nplus < need or nminus and pairs + nminus < need:
             continue
         bounds = [b for _, group_bounds in combo for b in group_bounds]
-        los, his = [lo for lo, _ in bounds], [hi for _, hi in bounds]
-        if not coh._meets(None if None in los else sum(los), None if None in his else sum(his)):
+        los = [lo for (lo, _), _ in bounds]
+        his = [hi for (_, hi), _ in bounds]
+        lo_total = None if None in los else sum(lo * k for (lo, _), k in bounds)
+        hi_total = None if None in his else sum(hi * k for (_, hi), k in bounds)
+        if not coh._meets(lo_total, hi_total):
             continue
         ranks = coh._pattern_homology(n, pairs, nplus, nminus)
         if any(ranks):
             yield pairs, nplus, nminus, ranks, combo
 
 
+def weighed(found):
+    """A walked class with each group's (size, p, m, intervals) read as (weight, bounds)."""
+    *cls, combo = found
+    groups = []
+    for size, p, m, (plus, minus, third) in combo:
+        bounds = Counter({plus: p, minus: m})
+        if third is not None:
+            bounds[third] += size - p - m
+        groups.append((math.comb(size, p) * math.comb(size - p, m),
+                       frozenset((+bounds).items())))
+    return (*cls, tuple(groups))
+
+
 def assert_walks_agree(n, coeffs):
     for higher_only in (False, True):
-        walked = Counter(coh._visible_classes(n, coeffs, higher_only))
+        walked = Counter(map(weighed, coh._visible_classes(n, coeffs, higher_only)))
         assert walked == Counter(product_walk_reference(n, coeffs, higher_only)), \
             (coeffs, higher_only)
 
@@ -391,21 +426,43 @@ def test_walk_matches_product_walk_with_two_state_groups():
     assert [found[:3] for found in coh._visible_classes(n, only)] == [(0, 0, 5)]
 
 
-def test_oracle_sweep_G8_enters_few_group_options(monkeypatch):
-    # every option the walk takes from a group is one node it enters; the
+def test_oracle_sweep_G8_enters_few_group_options():
+    # every (plus, minus) count the walk takes in a group is one node it
+    # enters, counted here at the line that extends the chosen counts; the
     # full product of the sweep's group options has 78,723 combinations
-    real = coh._group_options
+    walk = next(code for code in coh._visible_classes.__code__.co_consts
+                if getattr(code, "co_name", None) == "walk")
+    lines, first = inspect.getsourcelines(coh._visible_classes)
+    node = first + next(i for i, line in enumerate(lines) if "chosen = combo +" in line)
     entered = [0]
 
-    class Counted(dict):
-        def __getitem__(self, key):
+    def count_node(frame, event, arg):
+        if event == "line" and frame.f_lineno == node:
             entered[0] += 1
-            return dict.__getitem__(self, key)
+        return count_node
 
-    monkeypatch.setattr(coh, "_group_options", lambda *args: Counted(real(*args)))
-    report = verify_exceptional(build_Gn(8), "oracle")
+    sys.settrace(lambda frame, event, arg: count_node if frame.f_code is walk else None)
+    try:
+        report = verify_exceptional(build_Gn(8), "oracle")
+    finally:
+        sys.settrace(None)
     assert report.ok and report.pairs_checked == 396_270
     assert 0 < entered[0] <= 10_000
+
+
+@pytest.mark.parametrize("method", ["oracle", "forbidden"])
+def test_sweep_G20_allocates_little(method):
+    # the walk keeps no table of group options: a cache of one (lo, hi)
+    # per slot held the traced peak at 6.1 (oracle) and 5.4 MB (forbidden)
+    code = ("import tracemalloc\n"
+            "from toric_exc.collection import build_Gn, verify_exceptional\n"
+            "collection = build_Gn(20)\n"
+            "tracemalloc.start()\n"
+            f"assert verify_exceptional(collection, {method!r}).ok\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 3 * 2**20
 
 
 def test_cohomology_rejects_divisor_class_on_other_fans():

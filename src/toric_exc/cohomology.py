@@ -188,7 +188,7 @@ def _slot_states(aplus: int, aminus: int):
 def _count_sum_zero(bounds) -> int:
     """Number of integer tuples with given finite bounds summing to zero.
 
-    bounds maps each (lo, hi) to the positive number of entries it bounds.
+    bounds holds ((lo, hi), k) pairs, k > 0 entries bounded by each.
     Shifted by their lower ends, the entries are 0 <= x_i <= len_i and sum
     to target = -sum lo, so the count is the coefficient of x^target in
     prod_i (1 - x^(len_i + 1)) / (1 - x). The numerator is expanded
@@ -197,13 +197,13 @@ def _count_sum_zero(bounds) -> int:
     terms for m_g entries of each length; 1 / (1 - x)^m then gives each
     surviving exponent e the weight C(target - e + m - 1, m - 1).
     """
-    target = -sum(lo * k for (lo, _), k in bounds.items())
-    if target < 0 or any(hi < lo for lo, hi in bounds):
+    target = -sum(lo * k for (lo, _), k in bounds)
+    if target < 0 or any(hi < lo for (lo, hi), _ in bounds):
         return 0
     if not bounds:
         return 1
     lengths = Counter()
-    for (lo, hi), k in bounds.items():
+    for (lo, hi), k in bounds:
         lengths[hi - lo] += k
     poly = {0: 1}
     for length, count in lengths.items():
@@ -213,7 +213,7 @@ def _count_sum_zero(bounds) -> int:
                 f = e + i * (length + 1)
                 expanded[f] = expanded.get(f, 0) + (-1) ** i * comb(count, i) * coeff
         poly = expanded
-    m = sum(bounds.values())
+    m = sum(k for _, k in bounds)
     return sum(coeff * comb(target - e + m - 1, m - 1) for e, coeff in poly.items())
 
 
@@ -326,33 +326,35 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
     both the pattern class and the character count are symmetric in the
     slots, so one combination of per-group state counts stands for all
     its multinomially many slot assignments. The weight and the bounds,
-    a slot count per (lo, hi), are built only for the classes the walk
-    yields. Every one of them has at least one character, so each count
-    here is positive, and at most one open side, so each count is finite:
-    a plus slot opens the lo side and a minus slot the hi side, and a
-    class with both is mixed and has no homology. The open ends are
-    closed once per distinct interval: on an open lo side no entry can
-    lie below its hi end less the sum of all hi ends, and likewise above.
+    one ((lo, hi), slots) pair per state a group uses, are built only for
+    the classes the walk yields. Every one of them has at least one
+    character, so each count here is positive, and at most one open side,
+    so each count is finite: a plus slot opens the lo side and a minus
+    slot the hi side, and a class with both is mixed and has no homology.
+    The open ends are closed once per pair, not once per slot: on an open
+    lo side no entry can lie below its hi end less the sum of all hi
+    ends, and likewise above.
     """
     n = fan.rank
     h = [0] * (n + 1)
     for _, nplus, nminus, ranks, combo in _visible_classes(n, coeffs):
-        weight, bounds = 1, Counter()
+        weight, bounds = 1, []
         for size, p, m, (plus, minus, third) in combo:
             weight *= comb(size, p) * comb(size - p, m)
-            for interval, k in ((plus, p), (minus, m), (third, size - p - m)):
-                if k:
-                    bounds[interval] += k
-        if nplus or nminus:
-            total = sum((hi if nplus else lo) * k for (lo, hi), k in bounds.items())
-            closed = Counter()
-            for (lo, hi), k in bounds.items():
-                if nplus:
-                    lo = hi - total if lo is None else max(lo, hi - total)
-                else:
-                    hi = lo - total if hi is None else min(hi, lo - total)
-                closed[lo, hi] += k
-            bounds = closed
+            if p:
+                bounds.append((plus, p))
+            if m:
+                bounds.append((minus, m))
+            if size - p - m:
+                bounds.append((third, size - p - m))
+        if nplus:
+            total = sum(hi * k for (_, hi), k in bounds)
+            bounds = [((hi - total if lo is None else max(lo, hi - total), hi), k)
+                      for (lo, hi), k in bounds]
+        elif nminus:
+            total = sum(lo * k for (lo, _), k in bounds)
+            bounds = [((lo, lo - total if hi is None else min(hi, lo - total)), k)
+                      for (lo, hi), k in bounds]
         count = _count_sum_zero(bounds) * weight
         for p, r in enumerate(ranks):
             if r:

@@ -253,7 +253,7 @@ def count_sum_zero_by_table(bounds):
 @given(st.lists(st.tuples(st.integers(-12, 6), st.integers(-1, 12)), max_size=8))
 def test_count_sum_zero_matches_table(spans):
     bounds = [(lo, lo + width) for lo, width in spans]
-    assert coh._count_sum_zero(Counter(bounds)) == count_sum_zero_by_table(bounds)
+    assert coh._count_sum_zero(list(Counter(bounds).items())) == count_sum_zero_by_table(bounds)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")

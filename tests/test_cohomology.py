@@ -452,8 +452,9 @@ def test_oracle_sweep_G8_enters_few_group_options():
 
 @pytest.mark.parametrize("method", ["oracle", "forbidden"])
 def test_sweep_G20_allocates_little(method):
-    # the walk keeps no table of group options: a cache of one (lo, hi)
-    # per slot held the traced peak at 6.1 (oracle) and 5.4 MB (forbidden)
+    # the walk keeps no table of group options; a cached table holding one
+    # (lo, hi) per slot put the traced peak at 6.1 (oracle) and 5.4 MB
+    # (forbidden), so the bound shows such a table coming back
     code = ("import tracemalloc\n"
             "from toric_exc.collection import build_Gn, verify_exceptional\n"
             "collection = build_Gn(20)\n"

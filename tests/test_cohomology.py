@@ -441,11 +441,12 @@ def test_oracle_sweep_G8_enters_few_group_options():
             entered[0] += 1
         return count_node
 
+    previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: count_node if frame.f_code is walk else None)
     try:
         report = verify_exceptional(build_Gn(8), "oracle")
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     assert report.ok and report.pairs_checked == 396_270
     assert 0 < entered[0] <= 10_000
 

@@ -32,9 +32,10 @@ def window_demo(n: int) -> None:
 
 def full_certificate(n: int) -> None:
     certificate = build_certificate(n)
-    pieces = sum(len(record.pieces) for record in certificate.walls)
-    print(f"V_{n} certificate: {len(certificate.walls)} walls, {pieces} pieces, "
-          f"base case {certificate.base_case!r}")
+    walls = sum(record.walls for record in certificate.sizes)
+    pieces = sum(record.walls * len(record.pieces) for record in certificate.sizes)
+    print(f"V_{n} certificate: {walls} walls in {len(certificate.sizes)} sizes, "
+          f"{pieces} pieces, base case {certificate.base_case!r}")
     check = verify_walls(n)
     print(f"  wall/circuit match: {check.circuit_count} circuits = "
           f"{check.pair_count} antipodal pairs + {check.sign_choice_count} "

@@ -21,7 +21,9 @@ l, and the generation check reads the shapes of its Koszul terms off a
 closed form, so these layers show how far exhaustive checking reaches.
 
 `verify_walls` at n = 14 and 20 checks every circuit class of V_n against
-the wall weights, reading each class's relation off its closed form. The
+the wall weights, reading each class's relation off its closed form.
+`build_certificate` at n = 14 and 20 runs the generation check on the
+intact G_n and then reads one record per wall size off the same shapes. The
 `generation.late_failure` layers run `verify_generation` on a G_n less the
 first member of a late cell, `drop:2671` at n = 12 ((c, l) = (4, 8)) and
 `drop:22492` at n = 14 ((5, 9)); each must raise KoszulEscape, which it
@@ -77,7 +79,7 @@ LAYERS = (
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]
-    + [("verify_walls", n) for n in (14, 20)]
+    + [(name, n) for name in ("build_certificate", "verify_walls") for n in (14, 20)]
     + [("generation.late_failure", n) for n in (12, 14)]
     + [("verify_generation", n) for n in (30, 40)]
     + [(f"verify.{what}", 14) for what in ("exceptional", "stability", "generation",

@@ -25,8 +25,9 @@ blocks: no term is made. When a size fails, its walls are walked in
 order against the members whose shape leaves the window and against
 their Koszul terms, read as label sets, which names the first failure
 of a walk over every wall and member. `build_certificate` takes its
-verdict from `verify_generation` and lists every wall's record, which
-`certificate` prints.
+verdict from `verify_generation` and lists one record per wall size,
+read off the same shapes, which `certificate` prints; `wall_record`
+spells out a single wall, terms included.
 
 The wall subgroups are read off the circuits of the fan: every circuit
 is an antipodal pair or picks one ray per slot, and then its relation is
@@ -43,10 +44,9 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
-from .collection import (Collection, _F, _gaps, _rank, _subsets, build_Gn, dim_field, field,
-                         int_field, int_list)
+from .collection import Collection, _F, _gaps, _rank, _subsets, build_Gn
 from .fan import Fan, build_Vn, circuit_relation
-from .picard import DivisorClass, class_of_ray, label_set, make_F, parse_F, require_dimension
+from .picard import DivisorClass, class_of_ray, label_set, make_F, require_dimension
 from .record import Record
 
 
@@ -162,11 +162,11 @@ def _wall_shape(n: int, size: int):
     The window is (d - (n + 1 - size), d - 1) at d = default_gauge(n), and
     the wall range its weights a up to d - 1 - size. Each a of the range
     gives a piece, in weight order, with w = -a and base 0 for a low twist
-    (4w <= n) or n + 1 - size for a high one (4w >= n + 2); wall_record
-    builds its records from these, and 4w = n + 1 has no twist. The
-    piece's terms F_{w,K} have |K| = base + t with multiplicity C(size, t),
-    for t = 0..size. For even n and size <= n/2 neither JTooLarge nor
-    BranchGap can occur.
+    (4w <= n) or n + 1 - size for a high one (4w >= n + 2); wall_record and
+    build_certificate build their records from these, and 4w = n + 1 has
+    no twist. The piece's terms F_{w,K} have |K| = base + t with
+    multiplicity C(size, t), for t = 0..size. For even n and size <= n/2
+    neither JTooLarge nor BranchGap can occur.
 
     Proof. A low twist is F_{w,{}}, and its term for L inside J, the twist
     less E_i for i in L, is F_{w,L}: |K| = t for |L| = t. A high twist is
@@ -183,25 +183,50 @@ def _wall_shape(n: int, size: int):
     return window, wall_range, pieces
 
 
-class Certificate(Record):
-    _fields = ("n", "d", "walls", "base_case")
+class SizeRecord(Record):
+    """The walls of one size: each is this record with its own J.
 
-    def __init__(self, n: int, d: int, walls: tuple[WallRecord, ...], base_case: str = "empty"):
-        vars(self).update(n=n, d=d, walls=walls, base_case=base_case)
+    pieces holds one (a, w, branch, terms) per weight a of the wall range,
+    and terms one (c, |K|, count) per shape of the piece's Koszul terms
+    F_{c,K}, as `_wall_shape` gives them.
+    """
+
+    _fields = ("size", "walls", "window", "wall_range", "pieces")
+
+    def __init__(self, size: int, walls: int, window: tuple[int, int],
+                 wall_range: tuple[int, int], pieces: tuple):
+        vars(self).update(size=size, walls=walls, window=window, wall_range=wall_range,
+                          pieces=pieces)
+
+
+class Certificate(Record):
+    _fields = ("n", "d", "sizes", "base_case")
+
+    def __init__(self, n: int, d: int, sizes: tuple[SizeRecord, ...], base_case: str = "empty"):
+        vars(self).update(n=n, d=d, sizes=sizes, base_case=base_case)
 
 
 def build_certificate(n: int, collection: Collection | None = None) -> Certificate:
-    """The record of every wall, from large J down to the empty set.
+    """One record per wall size, from n/2 down to the empty set.
 
     The verdict is verify_generation's, on G_n when no collection is given:
     it raises the first WindowViolation or KoszulEscape of the chain, and
     ValueError for a collection of another dimension. A returned
     certificate means every check passed down to the empty category.
+    A permutation of the n + 1 labels carries a wall of one size onto
+    any other, with its window, wall range and term shapes, so the
+    C(n + 1, size) walls of a size share one record, read off
+    `_wall_shape`: no wall, class or label set is made.
     """
     verify_generation(n, build_Gn(n) if collection is None else collection)
-    walls = (wall_record(n, frozenset(j)) for size in range(n // 2, -1, -1)
-             for j in combinations(range(n + 1), size))
-    return Certificate(n, default_gauge(n), tuple(walls))
+    sizes = []
+    for size in range(n // 2, -1, -1):
+        window, wall_range, shapes = _wall_shape(n, size)
+        pieces = tuple((-w, w, "low" if base == 0 else "high",
+                        tuple((w, base + t, math.comb(size, t)) for t in range(size + 1)))
+                       for w, base in shapes)
+        sizes.append(SizeRecord(size, math.comb(n + 1, size), window, wall_range, pieces))
+    return Certificate(n, default_gauge(n), tuple(sizes))
 
 
 class GenerationCheck(NamedTuple):
@@ -359,51 +384,16 @@ def verify_walls(n: int) -> WallCheck:
 
 # -- serialization ----------------------------------------------------------------
 
-CERTIFICATE_SCHEMA = "toric-exc/certificate/1"
+CERTIFICATE_SCHEMA = "toric-exc/certificate/2"
 
 
 def certificate_to_dict(certificate: Certificate) -> dict:
-    walls = []
-    for record in certificate.walls:
-        pieces = []
-        for piece in record.pieces:
-            components = []
-            for component in piece.components:
-                parsed = parse_F(component)
-                if parsed is None:
-                    raise ValueError(f"component {component.coeffs} is not an F_{{c,J}} class")
-                c, j = parsed
-                components.append({"c": c, "J": sorted(j)})
-            pieces.append({"a": piece.a, "w": piece.w, "branch": piece.branch,
-                           "components": components})
-        walls.append({"J": sorted(record.J), "window": list(record.window),
-                      "wall_range": list(record.wall_range), "pieces": pieces})
-    return {"schema": CERTIFICATE_SCHEMA, "n": certificate.n,
-            "d": certificate.d, "walls": walls,
-            "base_case": certificate.base_case}
-
-
-def certificate_from_dict(data: dict) -> Certificate:
-    """Read certificate_to_dict's output; a malformed field raises ValueError."""
-    if not isinstance(data, dict) or data.get("schema") != CERTIFICATE_SCHEMA:
-        raise ValueError(f"expected schema {CERTIFICATE_SCHEMA}")
-    n = dim_field(data)
-    walls = []
-    for wall in field(data, "walls", list):
-        pieces = tuple(
-            WallPiece(int_field(p, "a"), int_field(p, "w"), _one_of(p, "branch", ("low", "high")),
-                      tuple(make_F(n, int_field(comp, "c"), int_list(comp, "J"))
-                            for comp in field(p, "components", list)))
-            for p in field(wall, "pieces", list))
-        window, wall_range = (tuple(int_list(wall, key)) for key in ("window", "wall_range"))
-        if len(window) != 2 or len(wall_range) != 2:
-            raise ValueError(f"window {window} and wall range {wall_range} need 2 entries each")
-        walls.append(WallRecord(label_set(n, int_list(wall, "J")), window, wall_range, pieces))
-    return Certificate(n, int_field(data, "d"), tuple(walls),
-                       _one_of(data, "base_case", ("empty",)))
-
-
-def _one_of(data: dict, key: str, allowed: tuple[str, ...]) -> str:
-    if field(data, key) not in allowed:
-        raise ValueError(f"{key!r} must be one of {allowed}, got {data[key]!r}")
-    return data[key]
+    sizes = [{"size": record.size, "walls": record.walls, "window": list(record.window),
+              "wall_range": list(record.wall_range),
+              "pieces": [{"a": a, "w": w, "branch": branch,
+                          "terms": [{"c": c, "ell": ell, "count": count}
+                                    for c, ell, count in terms]}
+                         for a, w, branch, terms in record.pieces]}
+             for record in certificate.sizes]
+    return {"schema": CERTIFICATE_SCHEMA, "n": certificate.n, "d": certificate.d,
+            "sizes": sizes, "base_case": certificate.base_case}

@@ -265,9 +265,10 @@ def test_criterion_12_certificates():
     walls = {}
     for n in DIMS:
         certificate = build_certificate(n)
-        walls[n] = len(certificate.walls)
+        walls[n] = sum(r.walls for r in certificate.sizes)
+        assert [r.size for r in certificate.sizes] == list(range(n // 2, -1, -1))
         assert certificate.base_case == "empty"
-        assert sum(len(r.pieces) for r in certificate.walls) == expected_size(n)
+        assert sum(r.walls * len(r.pieces) for r in certificate.sizes) == expected_size(n)
     assert walls == {2: 4, 4: 16, 6: 64, 8: 256}
     report(12, "certificates", t0, budget=30.0)
 

@@ -745,16 +745,19 @@ def test_gram_large_dim_needs_flag(capsys):
 def test_certificate_json(capsys):
     code, doc, _ = run_json(capsys, "certificate", "--dim", "2")
     assert code == 0
-    assert doc["schema"] == "toric-exc/certificate/1"
-    assert len(doc["walls"]) == 4
+    assert doc["schema"] == "toric-exc/certificate/2"
+    assert [(r["size"], r["walls"]) for r in doc["sizes"]] == [(1, 3), (0, 1)]
     assert doc["base_case"] == "empty"
 
 
 def test_certificate_text(capsys):
     code, out, _ = run(capsys, "certificate", "--dim", "2")
     assert code == 0
-    assert "4 walls" in out
-    assert "J = []" in out
+    assert out == (
+        "generation certificate for dim 2: 4 walls, gauge d = 1, base case empty\n"
+        "|J| = 1: 3 walls, window (-1, 0), wall range (-1, -1): a = -1 (high, 2 terms)\n"
+        "|J| = 0: 1 walls, window (-2, 0), wall range (-2, 0): a = -2 (high, 1 terms), "
+        "a = -1 (high, 1 terms), a = 0 (low, 1 terms)\n")
 
 
 # -- the JSON writer ------------------------------------------------------------------

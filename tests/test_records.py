@@ -13,7 +13,7 @@ from toric_exc.collection import Block, PairResult, Report, StabilityReport
 from toric_exc.cones import ForbiddenConeSpec
 from toric_exc.fan import Fan, OddDimension
 from toric_exc.picard import DivisorClass, make_F
-from toric_exc.windows import Certificate, WallCheck, WallPiece, WallRecord
+from toric_exc.windows import Certificate, SizeRecord, WallCheck, WallPiece, WallRecord
 
 F = make_F(2, 1, (0,))
 F_REPR = "DivisorClass(coeffs=(-1, 0, 1, 1))"
@@ -24,6 +24,10 @@ PIECE_REPR = f"WallPiece(a=-1, w=1, branch='low', components=({F_REPR},))"
 RECORD = WallRecord(frozenset({0}), (-2, 0), (-2, -1), (PIECE,))
 RECORD_REPR = (f"WallRecord(J=frozenset({{0}}), window=(-2, 0), wall_range=(-2, -1), "
                f"pieces=({PIECE_REPR},))")
+SIZE_PIECES = ((-1, 1, "high", ((1, 2, 1), (1, 3, 1))),)
+SIZE = SizeRecord(1, 3, (-1, 0), (-1, -1), SIZE_PIECES)
+SIZE_REPR = ("SizeRecord(size=1, walls=3, window=(-1, 0), wall_range=(-1, -1), "
+             "pieces=((-1, 1, 'high', ((1, 2, 1), (1, 3, 1))),))")
 
 CASES = [
     (GradedCohomology, ((1, 0, 2),), "GradedCohomology(ranks=(1, 0, 2))"),
@@ -40,8 +44,9 @@ CASES = [
     (DivisorClass, ((0, 1, -1, 2),), "DivisorClass(coeffs=(0, 1, -1, 2))"),
     (WallPiece, (-1, 1, "low", (F,)), PIECE_REPR),
     (WallRecord, (frozenset({0}), (-2, 0), (-2, -1), (PIECE,)), RECORD_REPR),
-    (Certificate, (2, 1, (RECORD,), "empty"),
-     f"Certificate(n=2, d=1, walls=({RECORD_REPR},), base_case='empty')"),
+    (SizeRecord, (1, 3, (-1, 0), (-1, -1), SIZE_PIECES), SIZE_REPR),
+    (Certificate, (2, 1, (SIZE,), "empty"),
+     f"Certificate(n=2, d=1, sizes=({SIZE_REPR},), base_case='empty')"),
     (WallCheck, (4, 35, 5, 30),
      "WallCheck(n=4, circuit_count=35, pair_count=5, sign_choice_count=30)"),
 ]
@@ -82,7 +87,7 @@ def test_defaults_and_keywords():
     assert Report(2, "oracle", 6, 6, 30, ()) == Report(
         n=2, method="oracle", size=6, expected=6, pairs_checked=30, violations=(),
         pair_results=None, sampled=False)
-    assert Certificate(2, 1, ()) == Certificate(n=2, d=1, walls=(), base_case="empty")
+    assert Certificate(2, 1, ()) == Certificate(n=2, d=1, sizes=(), base_case="empty")
     assert DivisorClass(coeffs=(0, 0, 0)) == DivisorClass((0, 0, 0))
     assert Fan(rank=2) == Fan(2)
 

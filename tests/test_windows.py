@@ -1,8 +1,10 @@
 """Weight windows, wall records, generation certificates, circuit matching."""
 
 import ast
+import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -25,8 +27,8 @@ from toric_exc.windows import (
     KoszulEscape,
     WallMismatch,
     WindowViolation,
+    WallRecord,
     build_certificate,
-    certificate_from_dict,
     certificate_to_dict,
     default_gauge,
     koszul_components,
@@ -123,14 +125,15 @@ def test_koszul_components_frozen():
 def test_pieces_structurally_sound():
     for n in DIMS:
         cert = build_certificate(n)
-        for record in cert.walls:
-            for piece in record.pieces:
-                assert piece.w == -piece.a
-                low = 4 * piece.w <= n
-                high = 4 * piece.w >= n + 2
+        for record in cert.sizes:
+            for a, w, branch, terms in record.pieces:
+                assert w == -a
+                low = 4 * w <= n
+                high = 4 * w >= n + 2
                 assert low != high
-                assert piece.branch == ("low" if low else "high")
-                assert len(piece.components) == 2 ** len(record.J)
+                assert branch == ("low" if low else "high")
+                assert {c for c, _, _ in terms} == {w}
+                assert sum(count for _, _, count in terms) == 2 ** record.size
 
 
 # -- certificates ----------------------------------------------------------------
@@ -139,20 +142,16 @@ def test_pieces_structurally_sound():
 def test_certificate_counts():
     for n, walls in zip(DIMS, (4, 16, 64, 256)):
         cert = build_certificate(n)
-        assert len(cert.walls) == walls
+        assert sum(r.walls for r in cert.sizes) == walls
         assert cert.base_case == "empty"
         assert cert.d == default_gauge(n)
         # one Koszul piece per member of the collection, across all walls
-        assert sum(len(r.pieces) for r in cert.walls) == expected_size(n)
+        assert sum(r.walls * len(r.pieces) for r in cert.sizes) == expected_size(n)
 
 
 def test_certificate_wall_order():
-    cert = build_certificate(2)
-    assert [sorted(r.J) for r in cert.walls] == [[0], [1], [2], []]
-    cert = build_certificate(4)
-    sizes = [len(r.J) for r in cert.walls]
-    assert sizes == sorted(sizes, reverse=True)
-    assert sorted(cert.walls[-1].J) == []
+    assert [(r.size, r.walls) for r in build_certificate(2).sizes] == [(1, 3), (0, 1)]
+    assert [(r.size, r.walls) for r in build_certificate(4).sizes] == [(2, 10), (1, 5), (0, 1)]
 
 
 def test_window_lemma_exhaustive():
@@ -179,10 +178,10 @@ def test_missing_component_caught():
 
 
 def flat_certificate(n, collection):
-    """Reference: every wall against every member and every Koszul term, in chain order."""
+    """Reference: every wall against every member and every Koszul term, in
+    chain order; the wall records on a pass."""
     members = collection.members
     member_set = set(members)
-    d = default_gauge(n)
     walls = []
     for size in range(n // 2, -1, -1):
         for j in combinations(range(n + 1), size):
@@ -202,7 +201,28 @@ def flat_certificate(n, collection):
                             f"{piece.a} piece at wall J = {sorted(record.J)} "
                             f"is not in the collection")
             walls.append(record)
-    return win.Certificate(n, d, tuple(walls))
+    return tuple(walls)
+
+
+def size_records(n, walls):
+    """The wall records grouped by size, each size as one SizeRecord.
+
+    Every wall of a size must have the same window, wall range and pieces
+    (a, w, branch) with the same multiset of term shapes (c, |K|).
+    """
+    sizes = []
+    for size in range(n // 2, -1, -1):
+        shapes = {(record.window, record.wall_range, tuple(
+                      (p.a, p.w, p.branch, tuple(sorted(Counter(
+                          (c, len(k)) for c, k in map(parse_F, p.components)).items())))
+                      for p in record.pieces))
+                  for record in walls if len(record.J) == size}
+        ((window, wall_range, pieces),) = shapes
+        pieces = tuple((a, w, branch, tuple((c, ell, count) for (c, ell), count in terms))
+                       for a, w, branch, terms in pieces)
+        sizes.append(win.SizeRecord(size, sum(len(r.J) == size for r in walls), window,
+                                    wall_range, pieces))
+    return tuple(sizes)
 
 
 def random_mutation(rng, col):
@@ -247,17 +267,27 @@ def generation_outcome(check):
         return type(exc).__name__, str(exc)
 
 
+def flat_outcomes(n, collection):
+    """The flat walk's outcome as build_certificate and verify_generation give it.
+
+    A failure is (exception name, message) for both; a pass is the wall
+    records grouped by size, and their wall and piece counts.
+    """
+    flat = generation_outcome(lambda: flat_certificate(n, collection))
+    if not isinstance(flat[0], WallRecord):
+        return flat, flat
+    return (win.Certificate(n, default_gauge(n), size_records(n, flat)),
+            win.GenerationCheck(n, len(flat), sum(len(r.pieces) for r in flat)))
+
+
 def test_generation_classes_match_flat_certificate():
     kinds = Counter()
     for name, col in generation_cases() + seeded_mutants():
         n = col.n
-        flat = generation_outcome(lambda: flat_certificate(n, col))
-        kinds[flat[0] if isinstance(flat, tuple) else "ok"] += 1
-        assert generation_outcome(lambda: build_certificate(n, col)) == flat, name
-        if isinstance(flat, win.Certificate):
-            flat = win.GenerationCheck(n, len(flat.walls),
-                                       sum(len(r.pieces) for r in flat.walls))
-        assert generation_outcome(lambda: verify_generation(n, col)) == flat, name
+        certificate, check = flat_outcomes(n, col)
+        kinds[check[0] if isinstance(check[0], str) else "ok"] += 1
+        assert generation_outcome(lambda: build_certificate(n, col)) == certificate, name
+        assert generation_outcome(lambda: verify_generation(n, col)) == check, name
     # the cases reach both failures as well as passes
     assert set(kinds) == {"ok", "WindowViolation", "KoszulEscape"}, kinds
 
@@ -268,13 +298,45 @@ def test_generation_reads_no_members(monkeypatch):
     drop = apply_mutation(build_Gn(8), "drop:0")
     flat = generation_outcome(lambda: flat_certificate(8, drop))
     assert flat[0] == "KoszulEscape"
+    intact, _ = flat_outcomes(8, build_Gn(8))
 
     def unread(self):
         raise AssertionError("Collection.members was read")
 
     monkeypatch.setattr(Collection, "members", property(unread))
     assert generation_outcome(lambda: verify_generation(8, drop)) == flat
-    assert len(build_certificate(8).walls) == 256
+    assert build_certificate(8) == intact
+
+
+def test_size_records_match_every_wall():
+    # each size's record is the window, wall range and piece shapes of every
+    # wall J of that size, with C(n + 1, size) walls
+    branches = Counter()
+    for n in range(2, 12, 2):
+        walls = [wall_record(n, j) for size in range(n // 2, -1, -1)
+                 for j in combinations(range(n + 1), size)]
+        sizes = build_certificate(n).sizes
+        assert sizes == size_records(n, walls)
+        assert sum(r.walls for r in sizes) == 2 ** n
+        assert sum(r.walls * len(r.pieces) for r in sizes) == expected_size(n)
+        branches.update(branch for r in sizes for _, _, branch, _ in r.pieces)
+    assert set(branches) == {"low", "high"}
+
+
+def test_certificate_memory_is_bounded_by_the_sizes(capsys):
+    # the certificate holds n/2 + 1 size records, not 2^n walls with their terms
+    col = build_Gn(10)
+    tracemalloc.start()
+    try:
+        build_certificate(10, col)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert main(["certificate", "--dim", "20", "--format", "json"]) == 0
+    sizes = json.loads(capsys.readouterr().out)["sizes"]
+    assert sum(r["walls"] for r in sizes) == 2 ** 20
+    assert sum(r["walls"] * len(r["pieces"]) for r in sizes) == expected_size(20)
 
 
 def test_failing_walk_ranks_each_koszul_term_once(monkeypatch):
@@ -464,80 +526,15 @@ def test_koszul_rank_one_is_not_exact():
 # -- serialization ------------------------------------------------------------------
 
 
-def test_certificate_roundtrip():
-    for n in (2, 4):
-        cert = build_certificate(n)
-        assert certificate_from_dict(certificate_to_dict(cert)) == cert
-
-
 def test_certificate_dict_shape():
     data = certificate_to_dict(build_certificate(2))
-    assert data["schema"] == "toric-exc/certificate/1"
+    assert data["schema"] == "toric-exc/certificate/2"
     assert (data["n"], data["d"], data["base_case"]) == (2, 1, "empty")
-    first = data["walls"][0]
-    assert first["J"] == [0]
-    assert first["window"] == [-1, 0]
-    assert first["pieces"][0]["components"] \
-        == [{"c": 1, "J": [1, 2]}, {"c": 1, "J": [0, 1, 2]}]
-
-
-def test_certificate_schema_guard():
-    data = certificate_to_dict(build_certificate(2))
-    data["schema"] = "nope/1"
-    with pytest.raises(ValueError):
-        certificate_from_dict(data)
-
-
-MISSING = object()  # edited_certificate's value for a deleted field
-
-
-@pytest.mark.parametrize("path, value", [
-    (("n",), 2.9), (("d",), True), (("d",), "1"),
-    (("walls", 0, "pieces", 0, "a"), -0.5), (("walls", 0, "pieces", 0, "w"), 1.0),
-    (("walls", 0, "pieces", 0, "components", 0, "c"), 2.4),
-    (("walls", 0, "pieces", 0, "components", 0, "J"), [1.0, 2]),
-    (("walls", 0, "J"), [False]), (("walls", 0, "J"), [0.5]),
-    (("walls", 0, "window"), [-1.0, 0]), (("walls", 0, "wall_range"), [-1, True]),
-    (("walls", 0, "wall_range"), -1), (("n",), 3), (("n",), 0),
-])
-def test_certificate_loader_refuses_non_integers(path, value):
-    # int() would truncate -0.5 to 0 and read True as 1
-    with pytest.raises(ValueError):
-        certificate_from_dict(edited_certificate(path, value))
-
-
-@pytest.mark.parametrize("path, value", [
-    (("walls", 0, "window"), [-1, 0, 1]), (("walls", 0, "window"), [0]),
-    (("walls", 0, "wall_range"), []), (("walls", 0, "wall_range"), [-1, -1, -1]),
-    (("walls", 0, "pieces", 0, "branch"), "sideways"),
-    (("walls", 0, "pieces", 0, "branch"), None),
-    (("base_case",), 7), (("base_case",), "full"),
-    (("walls",), MISSING), (("walls", 0, "pieces"), MISSING), (("d",), MISSING),
-    (("walls",), 5), (("walls", 0, "pieces", 0), "piece"), ((), []),
-])
-def test_certificate_loader_refuses_malformed_fields(path, value):
-    # a missing field, a container of the wrong type and a top-level list too
-    with pytest.raises(ValueError):
-        certificate_from_dict(edited_certificate(path, value))
-
-
-def edited_certificate(path, value):
-    """The dict of the n = 2 certificate with the field at path set to value.
-
-    MISSING deletes the field, and the empty path replaces the whole dict.
-    """
-    data = certificate_to_dict(build_certificate(2))
-    if not path:
-        return value
-    *parents, key = path
-    field = data
-    for step in parents:
-        field = field[step]
-    if value is MISSING:
-        del field[key]
-    else:
-        field[key] = value
-    return data
+    assert [r["size"] for r in data["sizes"]] == [1, 0]
+    assert data["sizes"][0] == {
+        "size": 1, "walls": 3, "window": [-1, 0], "wall_range": [-1, -1],
+        "pieces": [{"a": -1, "w": 1, "branch": "high",
+                    "terms": [{"c": 1, "ell": 2, "count": 1}, {"c": 1, "ell": 3, "count": 1}]}]}
 
 
 @pytest.mark.parametrize("call", [

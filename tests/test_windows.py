@@ -26,8 +26,8 @@ from toric_exc.windows import (
     JTooLarge,
     KoszulEscape,
     WallMismatch,
-    WindowViolation,
     WallRecord,
+    WindowViolation,
     build_certificate,
     certificate_to_dict,
     default_gauge,
@@ -204,24 +204,27 @@ def flat_certificate(n, collection):
     return tuple(walls)
 
 
-def size_records(n, walls):
-    """The wall records grouped by size, each size as one SizeRecord.
+def size_records(walls):
+    """The wall records grouped by size, in chain order, each size as one SizeRecord.
 
-    Every wall of a size must have the same window, wall range and pieces
-    (a, w, branch) with the same multiset of term shapes (c, |K|).
+    Every wall of a size must give the same window, wall range and pieces
+    (a, w, branch, and a (c, |K|, count) per shape of its terms).
     """
+    def shape(record):
+        pieces = []
+        for p in record.pieces:
+            counts = Counter((c, len(k)) for c, k in map(parse_F, p.components))
+            pieces.append((p.a, p.w, p.branch,
+                           tuple((c, ell, count) for (c, ell), count in sorted(counts.items()))))
+        return record.window, record.wall_range, tuple(pieces)
+
+    by_size = {}
+    for record in walls:
+        by_size.setdefault(len(record.J), []).append(shape(record))
     sizes = []
-    for size in range(n // 2, -1, -1):
-        shapes = {(record.window, record.wall_range, tuple(
-                      (p.a, p.w, p.branch, tuple(sorted(Counter(
-                          (c, len(k)) for c, k in map(parse_F, p.components)).items())))
-                      for p in record.pieces))
-                  for record in walls if len(record.J) == size}
-        ((window, wall_range, pieces),) = shapes
-        pieces = tuple((a, w, branch, tuple((c, ell, count) for (c, ell), count in terms))
-                       for a, w, branch, terms in pieces)
-        sizes.append(win.SizeRecord(size, sum(len(r.J) == size for r in walls), window,
-                                    wall_range, pieces))
+    for size, shapes in by_size.items():
+        (one,) = set(shapes)
+        sizes.append(win.SizeRecord(size, len(shapes), *one))
     return tuple(sizes)
 
 
@@ -276,7 +279,7 @@ def flat_outcomes(n, collection):
     flat = generation_outcome(lambda: flat_certificate(n, collection))
     if not isinstance(flat[0], WallRecord):
         return flat, flat
-    return (win.Certificate(n, default_gauge(n), size_records(n, flat)),
+    return (win.Certificate(n, default_gauge(n), size_records(flat)),
             win.GenerationCheck(n, len(flat), sum(len(r.pieces) for r in flat)))
 
 
@@ -316,7 +319,7 @@ def test_size_records_match_every_wall():
         walls = [wall_record(n, j) for size in range(n // 2, -1, -1)
                  for j in combinations(range(n + 1), size)]
         sizes = build_certificate(n).sizes
-        assert sizes == size_records(n, walls)
+        assert sizes == size_records(walls)
         assert sum(r.walls for r in sizes) == 2 ** n
         assert sum(r.walls * len(r.pieces) for r in sizes) == expected_size(n)
         branches.update(branch for r in sizes for _, _, branch, _ in r.pieces)

@@ -46,11 +46,17 @@ once, and each `cohomology.coeffs` call grades the next of five seeded
 coefficient vectors with entries in [-3, 3], up to n = 20.
 
 The start-up layers time whole interpreters from outside: `startup.import`
-runs `python -c "import toric_exc.cli"` and `startup.cardinality` runs
-`python -m toric_exc verify --dim 8 --what cardinality`, each in RUNS fresh
-interpreters with this process's environment (so PYTHONDONTWRITEBYTECODE,
-which the record notes, applies as set) and src/ first on PYTHONPATH. They
-report the median wall time, and no peak RSS.
+runs `python -c "import toric_exc.cli"`; `startup.exceptional`,
+`startup.stability`, `startup.cardinality` and `startup.generation` run
+`python -m toric_exc verify --dim 8` with that `--what`, and
+`startup.walls` runs `verify --dim 6 --what walls`, the argvs of the
+benchmark's `certify` workload; `startup.setup` runs its set-up line at
+n = 8 (`build_Vn(8)` and `build_Gn(8)` after importing them from the
+package). Each runs in STARTUP_RUNS fresh interpreters with this process's
+environment (so PYTHONDONTWRITEBYTECODE, which the record notes, applies
+as set) and src/ first on PYTHONPATH, and reports the median wall time,
+and no peak RSS. A change of start-up is a few milliseconds, which the
+median of five launches does not resolve on a shared 2-core host.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5
+STARTUP_RUNS = 21
 BUDGET_S = 60
 
 LAYERS = (
@@ -92,7 +99,10 @@ LAYERS = (
     + [("mutant.swap", 12), ("mutant.swap", 20), ("mutant.add", 16), ("report.json", 16)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
     + [("cohomology.coeffs", n) for n in (16, 20)]
-    + [("startup.import", None), ("startup.cardinality", 8)]
+    + [("startup.import", None)]
+    + [(f"startup.{what}", 8) for what in ("exceptional", "stability", "cardinality",
+                                            "generation")]
+    + [("startup.walls", 6), ("startup.setup", 8)]
 )
 
 # (layer, n) -> the --what, --mutate and exit code of a mutant or report layer
@@ -107,9 +117,15 @@ MUTANTS = {
 # n -> the drop of a generation.late_failure layer
 LATE = {12: "drop:2671", 14: "drop:22492"}
 
+# layer -> the interpreter's argv, {n} standing for the layer's n
+_VERIFY = ["-m", "toric_exc", "verify", "--dim", "{n}"]
 STARTUP = {
     "startup.import": ["-c", "import toric_exc.cli"],
-    "startup.cardinality": ["-m", "toric_exc", "verify", "--dim", "8", "--what", "cardinality"],
+    "startup.exceptional": _VERIFY,
+    **{f"startup.{what}": [*_VERIFY, "--what", what]
+       for what in ("stability", "cardinality", "generation", "walls")},
+    "startup.setup": ["-c", "from toric_exc import apply_mutation, build_Gn, build_Vn\n"
+                      "build_Vn({n})\nbuild_Gn({n})"],
 }
 
 WORKER = """\
@@ -182,15 +198,16 @@ print(json.dumps({{"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_ma
 def time_startup(name: str, n: int | None) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    argv = [arg.format(n=n) for arg in STARTUP[name]]
     times = []
-    for _ in range(RUNS):
+    for _ in range(STARTUP_RUNS):
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, *STARTUP[name]], env=env, cwd=ROOT,
+        proc = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
                               capture_output=True, timeout=BUDGET_S)
         times.append(time.perf_counter() - start)
         if proc.returncode != 0:
             raise SystemExit(f"{name} exited {proc.returncode}")
-    return {"layer": name, "n": n, "median_s": statistics.median(times), "runs": RUNS,
+    return {"layer": name, "n": n, "median_s": statistics.median(times), "runs": STARTUP_RUNS,
             "cut_at_s": None, "peak_rss_mb": None}
 
 

@@ -14,8 +14,11 @@ full sweep. The full forbidden-cone sweep at dim 8 and above also needs
 --allow-large; a --sample run does not. --out to a path that cannot be
 written exits 2.
 
-`windows` is imported by the generation and wall checks and by
-certificate when they run, so no other command pays for loading it.
+Each handler imports what only it runs, when it runs: `windows` for the
+generation and wall checks and certificate, `fan` and the cohomology
+engine for build --fan and cohomology, `random` for a sample. So the
+inequality sweep, stability and cardinality load only `collection`,
+`picard` and `record`.
 
 JSON output has the bytes of json.dumps(payload, indent=2). A verify
 report's pair verdicts (its violations, and every pair under
@@ -29,13 +32,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from functools import cache
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _string
 
-from .cohomology import cohomology
 from .collection import (
     METHODS,
     PairResult,
@@ -50,8 +51,6 @@ from .collection import (
     verify_exceptional,
     verify_stability,
 )
-from .fan import build_Vn
-from .picard import DivisorClass
 
 WHATS = ("exceptional", "stability", "cardinality", "generation", "walls")
 FORMATS = ("text", "json", "csv")
@@ -223,6 +222,8 @@ def _is_pairs(value) -> bool:
 def cmd_build(args) -> int:
     n = args.dim
     if args.fan:
+        from .fan import build_Vn
+
         fan = build_Vn(n)
         if args.format == "csv":
             return _usage("the fan has no csv form; use json or text")
@@ -262,6 +263,8 @@ def cmd_build(args) -> int:
 
 def sample_pairs(size: int, count: int, seed: int):
     """count distinct ordered pairs drawn without replacement, or None for all."""
+    import random
+
     universe = size * (size - 1)
     if count >= universe:
         return None
@@ -376,6 +379,10 @@ def _verdict(args, ok: bool, text: str, **fields) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import cohomology
+    from .fan import build_Vn
+    from .picard import DivisorClass
+
     n = args.dim
     try:
         coeffs = tuple(int(x) for x in args.coeffs.split(","))

@@ -32,6 +32,10 @@ with k in a range fixed by the shape of the unit pair (_span); the shapes
 are read off the units grouped by l (_shapes). Each line is graded once
 over the union of its ranges, and only the unit pairs of a shape whose
 range holds a failing key are walked one by one; an intact G_n walks none.
+
+The fan, the cohomology engine and the forbidden cones load once per call
+of the functions that use them (`_class_grader`, `gram_matrix`), so the
+inequality sweep, the stability check and a mutation load none of them.
 """
 
 from __future__ import annotations
@@ -42,12 +46,9 @@ from functools import cached_property
 from itertools import combinations, islice
 from typing import NamedTuple
 
-from .cohomology import cohomology, euler_pairing
-from .cones import (HypothesisViolated, certify_acyclic, certify_higher_acyclic,
-                    higher_acyclic_predicate, lemma_acyclic_predicate)
-from .fan import build_Vn
-from .picard import (DivisorClass, antipodal_involution, family_of_parsed, group_generators,
-                     label_set, parse_F)
+from .picard import (DivisorClass, HypothesisViolated, antipodal_involution, family_of_parsed,
+                     group_generators, higher_acyclic_predicate, label_set,
+                     lemma_acyclic_predicate, parse_F)
 from .record import Record
 
 METHODS = ("inequalities", "forbidden", "oracle")
@@ -323,14 +324,14 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, size = collection.n, collection.size
-    fan = build_Vn(n) if method in ("forbidden", "oracle") else None
+    grade_class = None if method == "inequalities" else _class_grader(method, n)
 
     # A pair's verdict depends only on its family (c, k, l), the S_{n+1}-orbit of its
     # difference, and its block relation: each key (c, k, l, need_all) is graded once.
     grades, details = {}, {}  # details: a key's, made for its first reported pair
 
     def grade(key):  # every verdict is a nonempty tuple
-        return grades.get(key) or grades.setdefault(key, _grade_pair(fan, method, n, *key))
+        return grades.get(key) or grades.setdefault(key, _grade_pair(grade_class, method, n, *key))
 
     def walk(pairs, keep_passing):
         """Grade pairs of _read entries one by one: the failing results, or all of them."""
@@ -497,16 +498,31 @@ def _span(n, l_s, l_t, diagonal):
     return range(max(0, l_s - l_t) + diagonal, min(l_s, n + 1 - l_t) + 1)
 
 
-def _grade_pair(fan, method, n, c, k, ell, need_all):
+def _class_grader(method, n):
+    """grade(D, need_all) -> (ok, note) of a class D on V_n by the method; its engine loads here."""
+    from .fan import build_Vn
+
+    fan = build_Vn(n)
+    if method == "oracle":
+        from .cohomology import cohomology
+
+        def grade(D, need_all):
+            ranks = cohomology(fan, D).ranks
+            return not (any(ranks) if need_all else any(ranks[1:])), ranks
+    else:
+        from .cones import certify_acyclic, certify_higher_acyclic
+
+        def grade(D, need_all):
+            return (certify_acyclic if need_all else certify_higher_acyclic)(fan, D), None
+    return grade
+
+
+def _grade_pair(grade_class, method, n, c, k, ell, need_all):
     """(ok, note) of a pair whose difference is in the (c, k, l) family; no note: a constant."""
     if method != "inequalities":  # c(E - H) + E_0 + ... + E_{k-1} - E_k - ... - E_{k+l-1}
-        D = DivisorClass((-c,) + (c + 1,) * k + (c - 1,) * ell + (c,) * (n + 1 - k - ell))
-    if method == "oracle":
-        ranks = cohomology(fan, D).ranks
-        return not (any(ranks) if need_all else any(ranks[1:])), ranks
-    if method == "forbidden":
-        ok = (certify_acyclic if need_all else certify_higher_acyclic)(fan, D)
-    elif need_all:
+        return grade_class(DivisorClass((-c,) + (c + 1,) * k + (c - 1,) * ell
+                                        + (c,) * (n + 1 - k - ell)), need_all)
+    if need_all:
         try:
             ok = lemma_acyclic_predicate(n, c, k, ell)
         except HypothesisViolated as e:  # its message, not e: its traceback holds the sweep's frame
@@ -608,6 +624,9 @@ def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
     chi(E_i, E_j) depends only on the family of E_j - E_i, so each family
     is computed once; the diagonal is the family (0, 0, 0).
     """
+    from .cohomology import euler_pairing
+    from .fan import build_Vn
+
     n = collection.n
     fan, by_family = build_Vn(n), {}
     parsed = [parsed for _, (_, parsed) in _read(n, collection.cells)]

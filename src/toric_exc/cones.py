@@ -30,8 +30,10 @@ the reference the certificates are tested against. Other fans, and the
 LP membership test these are checked against, are in
 `toric_exc.reference`.
 
-The inequality predicates at the bottom certify vanishing for every
-member of a whole (c, k, l) family at once, with no region sweeps.
+The family-level inequality predicates live in `picard`, beside the
+(c, k, l) families they grade, so the inequality method loads neither
+this module nor the cohomology engine. They are imported here too, for
+`perfbench/tracer.py`, which binds them by these names, and the tests.
 """
 
 from __future__ import annotations
@@ -50,11 +52,8 @@ from .cohomology import (
     divisor_coefficients,
 )
 from .fan import Fan, require_Vn
+from .picard import HypothesisViolated, higher_acyclic_predicate, lemma_acyclic_predicate
 from .record import Record
-
-
-class HypothesisViolated(Exception):
-    """Family parameters outside the stated hypotheses of the predicate."""
 
 
 class ForbiddenConeSpec(Record):
@@ -156,51 +155,3 @@ def certify_acyclic(fan: Fan, divisor) -> bool:
 def certify_higher_acyclic(fan: Fan, divisor) -> bool:
     """True guarantees H^p(O(divisor)) = 0 for all p >= 1; h^0 is unconstrained."""
     return _certify(fan, divisor, higher_only=True)
-
-
-# -- family-level inequality predicates ---------------------------------------
-
-
-def _check_shape(n: int, k: int, ell: int):
-    if k < 0 or ell < 0 or k + ell > n + 1:
-        raise HypothesisViolated(f"invalid family shape ({k}, {ell}) in dimension {n}")
-
-
-def lemma_acyclic_predicate(n: int, c: int, k: int, ell: int) -> bool:
-    """Full-vanishing certificate for every member of the (c, k, l) family.
-
-    Requires k <= l and (c, k, l) != (0, 0, 0); outside those hypotheses
-    the question is not posed and HypothesisViolated is raised. A True
-    answer means every cohomology group of every member vanishes.
-    """
-    _check_shape(n, k, ell)
-    if k > ell:
-        raise HypothesisViolated(f"predicate needs k <= l, got ({k}, {ell})")
-    if (c, k, ell) == (0, 0, 0):
-        raise HypothesisViolated("the trivial class is never acyclic")
-    if ell <= n // 2:
-        return -(n // 2) + ell <= c <= n // 2 - k
-    return 1 <= c <= ell - k - 1
-
-
-def higher_acyclic_predicate(n: int, c: int, k: int, ell: int) -> bool:
-    """Positive-degree vanishing certificate for the whole (c, k, l) family.
-
-    No constraint relating k and l; a True answer means h^p = 0 for all
-    p >= 1 for every member, leaving h^0 free.
-    """
-    _check_shape(n, k, ell)
-    half = n // 2
-    if ell >= half + 1:
-        plus_ok = c >= 1
-    elif k <= half:
-        plus_ok = c >= ell - half
-    else:
-        plus_ok = c >= ell - k
-    if ell >= half + 1:
-        minus_ok = c <= ell - k - 1
-    elif k <= half:
-        minus_ok = c <= half - k
-    else:
-        minus_ok = c <= 0
-    return plus_ok and minus_ok

@@ -7,6 +7,11 @@ where E = E_0 + ... + E_n. Coordinates are stored as (h, d_0, ..., d_n).
 The symmetry group is a direct product: S_{n+1} permutes the E_i, and the
 antipodal involution acts linearly, fixing each line bundle family
 F_{c,J} = c(E - H) - sum_{j in J} E_j up to replacing c by |J| - c.
+
+The difference of two members F_{c,J} lies in a (c, k, l) family, one
+S_{n+1}-orbit (`family_of_parsed`). The inequality predicates beside it
+certify vanishing for every member of a whole family at once, with no
+region sweep, so the inequality method needs no cohomology engine.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ class NotInFamily(Exception):
 
 class InvalidShape(Exception):
     """Family parameters (c, k, l) out of range for this dimension."""
+
+
+class HypothesisViolated(Exception):
+    """Family parameters outside the stated hypotheses of the predicate."""
 
 
 class DivisorClass(Record):
@@ -221,6 +230,51 @@ def difference_family(n: int, D1: DivisorClass, D2: DivisorClass) -> tuple[int, 
         bad = "first" if p1 is None else "second"
         raise NotInFamily(f"{bad} argument is not an F_(c,J) class")
     return family_of_parsed(p1, p2)
+
+
+def _check_shape(n: int, k: int, ell: int):
+    if k < 0 or ell < 0 or k + ell > n + 1:
+        raise HypothesisViolated(f"invalid family shape ({k}, {ell}) in dimension {n}")
+
+
+def lemma_acyclic_predicate(n: int, c: int, k: int, ell: int) -> bool:
+    """Full-vanishing certificate for every member of the (c, k, l) family.
+
+    Requires k <= l and (c, k, l) != (0, 0, 0); outside those hypotheses
+    the question is not posed and HypothesisViolated is raised. A True
+    answer means every cohomology group of every member vanishes.
+    """
+    _check_shape(n, k, ell)
+    if k > ell:
+        raise HypothesisViolated(f"predicate needs k <= l, got ({k}, {ell})")
+    if (c, k, ell) == (0, 0, 0):
+        raise HypothesisViolated("the trivial class is never acyclic")
+    if ell <= n // 2:
+        return -(n // 2) + ell <= c <= n // 2 - k
+    return 1 <= c <= ell - k - 1
+
+
+def higher_acyclic_predicate(n: int, c: int, k: int, ell: int) -> bool:
+    """Positive-degree vanishing certificate for the whole (c, k, l) family.
+
+    No constraint relating k and l; a True answer means h^p = 0 for all
+    p >= 1 for every member, leaving h^0 free.
+    """
+    _check_shape(n, k, ell)
+    half = n // 2
+    if ell >= half + 1:
+        plus_ok = c >= 1
+    elif k <= half:
+        plus_ok = c >= ell - half
+    else:
+        plus_ok = c >= ell - k
+    if ell >= half + 1:
+        minus_ok = c <= ell - k - 1
+    elif k <= half:
+        minus_ok = c <= half - k
+    else:
+        minus_ok = c <= 0
+    return plus_ok and minus_ok
 
 
 def ray_coefficients(n: int, D: DivisorClass) -> tuple[int, ...]:

@@ -425,6 +425,60 @@ def test_package_serves_every_exported_name():
         toric_exc.no_such_name
 
 
+_BASE = "cli collection picard record"
+_WINDOWS = f"{_BASE} fan windows"
+
+# (a verify argv or a line of code, run in a fresh interpreter; the toric_exc
+# modules it loads, and no others)
+MODULE_SETS = [
+    ("import toric_exc", ""),
+    ("from toric_exc import apply_mutation, build_Gn, build_Vn", "collection fan picard record"),
+    *((f"verify --dim 4{what}{mutate}", _BASE)
+      for what in ("", " --what stability", " --what cardinality")
+      for mutate in ("", " --mutate drop:3")),
+    ("verify --dim 4 --what generation", _WINDOWS),
+    ("verify --dim 4 --what walls", _WINDOWS),
+    ("verify --dim 4 --method oracle", f"{_BASE} cohomology fan"),
+    ("verify --dim 4 --method forbidden", f"{_BASE} cohomology cones fan"),
+]
+
+
+@pytest.mark.parametrize("step, loaded", MODULE_SETS, ids=[step for step, _ in MODULE_SETS])
+def test_each_command_loads_only_the_modules_it_runs(step, loaded):
+    # the package loads a module on first use of one of its names, and the
+    # engines and windows load in the handlers and sweeps that use them
+    if step.startswith("verify"):
+        step = ("import contextlib, io\nfrom toric_exc.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({step.split()!r}) in (0, 1)")
+    code = f"import sys\n{step}\nprint(sorted(m for m in sys.modules if m.startswith('toric_exc.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(sorted(f"toric_exc.{m}" for m in loaded.split()))
+
+
+@pytest.mark.parametrize("load", [
+    "import toric_exc.cohomology",
+    "verify_exceptional(build_Gn(4), 'oracle')",
+], ids=["import", "oracle-sweep"])
+def test_package_names_outlive_their_modules_loading(load):
+    # dir lists every exported name, and loading the module cohomology does
+    # not replace the package's function of that name
+    code = (
+        "import types, toric_exc\n"
+        "print(set(toric_exc.__all__) <= set(dir(toric_exc)))\n"
+        "from toric_exc import build_Gn, verify_exceptional\n"
+        f"{load}\n"
+        "from toric_exc import cohomology\n"
+        "print(isinstance(cohomology, types.FunctionType))\n"
+        "from toric_exc import *\n"
+        "print(all(callable(globals().get(name)) for name in toric_exc.__all__),\n"
+        "      isinstance(cohomology, types.FunctionType))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 4
+
+
 def test_production_path_loads_no_reference_layer():
     # the generic-fan and LP code is a reference layer that no command loads,
     # the pattern homology is a closed form, so no command loads the Smith

@@ -1,17 +1,17 @@
 """Time G_n's construction, the pair sweeps, the checks, the pattern homology
-table, cohomology on random classes, the n = 12, 14, 16 and 20 commands, a
-generation check that fails late, and the command's start-up.
+table, cohomology on random vectors and classes, the n = 12, 14, 16 and 20
+commands, a generation check that fails late, and the command's start-up.
 
     python3 scripts/bench_layers.py > record.json
 
 Each layer runs in its own fresh interpreter on the program in this
 checkout's src/: one warm-up call, then up to five timed calls, stopped
-after BUDGET_S seconds. A layer reports the median of the calls that
-finished, their count, whether the budget cut it short, and the peak RSS
-of its interpreter (ru_maxrss; None for a layer cut short); a layer the
-program does not have is reported as missing. The machine (CPU count and
-model, Python version) and the commit are recorded with the times. The output
-is one JSON object on stdout. Standard library only.
+after BUDGET_S seconds. A layer reports the median and the maximum of the
+calls that finished, their count, whether the budget cut it short, and
+the peak RSS of its interpreter (ru_maxrss; None for a layer cut short);
+a layer the program does not have is reported as missing. The machine
+(CPU count and model, Python version) and the commit are recorded with
+the times. The output is one JSON object on stdout. Standard library only.
 
 The sweep layers at n = 20, 30 and 40, the inequality sweep at n = 60 and
 100 and `verify_generation` at n = 30 and 40 run past the command's
@@ -42,8 +42,13 @@ runs the same command with `--format json`, which writes those pairs as a
 39.6 MB report; it must exit 1 too. The two differ by the cost of writing
 a failing run's JSON. A command's stdout goes to an in-memory buffer.
 The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
-once, and each `cohomology.coeffs` call grades the next of five seeded
-coefficient vectors with entries in [-3, 3], up to n = 20.
+once. Each `cohomology.coeffs` call grades the next of five seeded
+per-ray coefficient vectors with entries in [-3, 3], up to n = 20, and
+each `cohomology.class` call the next of five seeded `DivisorClass`
+vectors with entries in [-3, 3] (`random.Random(n)`), at n = 16, 20 and
+24. The warm-up call takes the first vector and five timed calls take all
+five, so an in-process layer's `max_s`, the slowest timed call, is the
+slowest of the five vectors.
 
 The start-up layers time whole interpreters from outside: `startup.import`
 runs `python -c "import toric_exc.cli"`; `startup.exceptional`,
@@ -99,6 +104,7 @@ LAYERS = (
     + [("mutant.swap", 12), ("mutant.swap", 20), ("mutant.add", 16), ("report.json", 16)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
     + [("cohomology.coeffs", n) for n in (16, 20)]
+    + [("cohomology.class", n) for n in (16, 20, 24)]
     + [("startup.import", None)]
     + [(f"startup.{what}", 8) for what in ("exceptional", "stability", "cardinality",
                                             "generation")]
@@ -142,10 +148,12 @@ if name == "pattern_table":
     def call():
         for cls in classes:
             table(n, *cls)
-elif name == "cohomology.coeffs":
+elif name in ("cohomology.coeffs", "cohomology.class"):
+    from toric_exc.picard import DivisorClass
     rng = random.Random(n)
     fan = build_Vn(n)
-    vectors = itertools.cycle([tuple(rng.randint(-3, 3) for _ in range(2 * n + 2))
+    make, size = (tuple, 2 * n + 2) if name == "cohomology.coeffs" else (DivisorClass, n + 2)
+    vectors = itertools.cycle([make(tuple(rng.randint(-3, 3) for _ in range(size)))
                                for _ in range(5)])
     def call():
         coh.cohomology(fan, next(vectors))
@@ -232,7 +240,8 @@ def time_layer(name: str, n: int) -> dict:
         raise SystemExit(f"{name} at n = {n} exited {proc.returncode}")
     peak = runs.pop()["peak_rss_mb"] if runs and isinstance(runs[-1], dict) else None
     return {"layer": name, "n": n, "median_s": statistics.median(runs) if runs else None,
-            "runs": len(runs), "cut_at_s": BUDGET_S if cut else None, "peak_rss_mb": peak}
+            "max_s": max(runs, default=None), "runs": len(runs),
+            "cut_at_s": BUDGET_S if cut else None, "peak_rss_mb": peak}
 
 
 def git(*args: str) -> str:

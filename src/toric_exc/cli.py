@@ -16,9 +16,9 @@ written exits 2.
 
 Each handler imports what only it runs, when it runs: `windows` for the
 generation and wall checks and certificate, `fan` and the cohomology
-engine for build --fan and cohomology, `random` for a sample. So the
-inequality sweep, stability and cardinality load only `collection`,
-`picard` and `record`.
+engine for build --fan and cohomology, `random` for a sample, `json` for
+JSON output. So the inequality sweep, stability and cardinality load only
+`collection`, `picard` and `record`, and text output does not load `json`.
 
 JSON output has the bytes of json.dumps(payload, indent=2). A verify
 report's pair verdicts (its violations, and every pair under
@@ -31,11 +31,9 @@ first five violations and their count.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from itertools import groupby
-from json.encoder import encode_basestring_ascii as _string
 
 from .collection import (
     METHODS,
@@ -195,6 +193,9 @@ def _dumps(payload: dict) -> str:
     ensure_ascii. So no dict is made per pair, and the pairs skip the
     pure-Python encoder that any indent selects.
     """
+    import json
+    from json.encoder import encode_basestring_ascii as _string
+
     items = []  # the text between the commas that end a line, joined once
     for pairs, group in groupby(payload.items(), lambda item: _is_pairs(item[1])):
         if not pairs:

@@ -11,17 +11,16 @@ On the centrally symmetric fan the pattern factors through slots: with
 z_i = <m, u_{e_i}> every slot independently lands in one of at most three
 viable states, the induced subcomplex depends only on how many slots hold
 a full antipodal pair, a plus ray, or a minus ray, and the character
-count is a bounded sum-zero lattice count. Slots with the same pair of
-coefficients (a_plus, a_minus) have the same viable states, so the walk
-groups them and enumerates only how many slots of each group take each
-state. A slot has at most one state besides plus and minus (neither
-needs -a_plus <= a_minus, pair needs a_minus <= -a_plus - 2), so a
-group of s slots with p plus and m minus slots puts the other s - p - m
-in that third state: the choice has C(s, p) C(s - p, m) slot assignments,
-and its bounds are p, m and s - p - m copies of the three slot
-intervals. A difference of two members of G_n has at most four groups,
-so the loop is polynomial in n where a walk over slot assignments takes
-up to 3^(n+1) steps, and no table of choices is kept.
+count is a sum-zero lattice count, read from its closed side. Slots with
+the same pair of coefficients (a_plus, a_minus) have the same viable
+states, so the walk groups them and enumerates only how many slots of
+each group take each state. A slot has at most one state besides plus and
+minus (`_slot_intervals`), so a group of s slots with p plus and m minus
+slots puts the other s - p - m in that third state: the choice has
+C(s, p) C(s - p, m) slot assignments, and its bounds are p, m and
+s - p - m copies of the three slot intervals. A difference of two members
+of G_n has at most four groups, so the loop is polynomial in n where a
+walk over slot assignments takes up to 3^(n+1) steps, and keeps no table.
 
 That walk, `_visible_classes`, serves both the engine here and the
 forbidden-cone certificates in `cones`. It enters only the choices of
@@ -36,7 +35,6 @@ reference in `toric_exc.reference`.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import comb
 
 from .fan import Fan, require_Vn
@@ -173,38 +171,52 @@ def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int) -> tuple[int,
     return tuple(ranks)
 
 
+def _slot_intervals(aplus: int, aminus: int):
+    """A slot's plus, minus and third (lo, hi), and whether the third is the
+    pair state, not neither; None is an open end, or a slot with no third.
+    """
+    plus, minus = (None, min(-aplus - 1, aminus)), (max(-aplus, aminus + 1), None)
+    if -aplus <= aminus:
+        return plus, minus, (-aplus, aminus), False
+    if aminus + 1 <= -aplus - 1:
+        return plus, minus, (aminus + 1, -aplus - 1), True
+    return plus, minus, None, False
+
+
 def _slot_states(aplus: int, aminus: int):
     """Viable (state, lo, hi) triples for one slot; None is an open end."""
-    states = []
-    if -aplus <= aminus:
-        states.append((_NEITHER, -aplus, aminus))
-    states.append((_PLUS, None, min(-aplus - 1, aminus)))
-    states.append((_MINUS, max(-aplus, aminus + 1), None))
-    if aminus + 1 <= -aplus - 1:
-        states.append((_PAIR, aminus + 1, -aplus - 1))
-    return tuple(states)
+    plus, minus, third, pair = _slot_intervals(aplus, aminus)
+    states = ((_PLUS, *plus), (_MINUS, *minus))
+    if third is None:
+        return states
+    return states + ((_PAIR, *third),) if pair else ((_NEITHER, *third),) + states
 
 
 def _count_sum_zero(bounds) -> int:
-    """Number of integer tuples with given finite bounds summing to zero.
+    """Number of integer tuples with given bounds summing to zero.
 
-    bounds holds ((lo, hi), k) pairs, k > 0 entries bounded by each.
-    Shifted by their lower ends, the entries are 0 <= x_i <= len_i and sum
-    to target = -sum lo, so the count is the coefficient of x^target in
-    prod_i (1 - x^(len_i + 1)) / (1 - x). The numerator is expanded
+    bounds holds ((lo, hi), k) pairs, k > 0 entries bounded by each; an
+    end may be None (open), on one side only. Shift each entry by its
+    closed end: y = hi - x if some lo is open, else y = x - lo. Then
+    y >= 0, the y sum to target (sum hi k, or -sum lo k), and an entry
+    closed at both ends has y <= len = hi - lo, so the count is the
+    coefficient of x^target in prod (1 - x^(len + 1))^k over the closed
+    entries, over (1 - x)^m for all m entries. The numerator is expanded
     sparsely, one group of equal lengths at a time, dropping exponents
     above the target, so it holds at most min(target + 1, prod (m_g + 1))
-    terms for m_g entries of each length; 1 / (1 - x)^m then gives each
-    surviving exponent e the weight C(target - e + m - 1, m - 1).
+    terms for m_g closed entries of each length; 1 / (1 - x)^m then gives
+    each surviving exponent e the weight C(target - e + m - 1, m - 1).
     """
-    target = -sum(lo * k for (lo, _), k in bounds)
-    if target < 0 or any(hi < lo for (lo, hi), _ in bounds):
-        return 0
     if not bounds:
         return 1
-    lengths = Counter()
+    open_lo = any(lo is None for (lo, _), _ in bounds)
+    target = sum(hi * k if open_lo else -lo * k for (lo, hi), k in bounds)
+    lengths = {}
     for (lo, hi), k in bounds:
-        lengths[hi - lo] += k
+        if lo is not None and hi is not None:
+            lengths[hi - lo] = lengths.get(hi - lo, 0) + k
+    if target < 0 or any(length < 0 for length in lengths):
+        return 0
     poly = {0: 1}
     for length, count in lengths.items():
         expanded = {}
@@ -260,15 +272,11 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     need = n // 2 + 1
     groups = []
     top = bottom = 0
-    for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
-        third, pair_third = None, False
-        for state, lo, hi in _slot_states(ap, am):
-            if state == _PLUS:
-                plus = (lo, hi)
-            elif state == _MINUS:
-                minus = (lo, hi)
-            else:
-                third, pair_third = (lo, hi), state == _PAIR
+    sizes = {}
+    for slot in zip(coeffs[:half], coeffs[half:]):
+        sizes[slot] = sizes.get(slot, 0) + 1
+    for slot, size in sizes.items():
+        plus, minus, third, pair_third = _slot_intervals(*slot)
         if third is None:
             # only plus and minus: with one side closed, every slot takes
             # the other, so that state's end enters the sum at no cost
@@ -331,13 +339,12 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
     character, so each count here is positive, and at most one open side,
     so each count is finite: a plus slot opens the lo side and a minus
     slot the hi side, and a class with both is mixed and has no homology.
-    The open ends are closed once per pair, not once per slot: on an open
-    lo side no entry can lie below its hi end less the sum of all hi
-    ends, and likewise above.
+    `_count_sum_zero` counts from the closed side, so an open end costs
+    it no factor of the numerator.
     """
     n = fan.rank
     h = [0] * (n + 1)
-    for _, nplus, nminus, ranks, combo in _visible_classes(n, coeffs):
+    for *_, ranks, combo in _visible_classes(n, coeffs):
         weight, bounds = 1, []
         for size, p, m, (plus, minus, third) in combo:
             weight *= comb(size, p) * comb(size - p, m)
@@ -347,14 +354,6 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
                 bounds.append((minus, m))
             if size - p - m:
                 bounds.append((third, size - p - m))
-        if nplus:
-            total = sum(hi * k for (_, hi), k in bounds)
-            bounds = [((hi - total if lo is None else max(lo, hi - total), hi), k)
-                      for (lo, hi), k in bounds]
-        elif nminus:
-            total = sum(lo * k for (lo, _), k in bounds)
-            bounds = [((lo, lo - total if hi is None else min(hi, lo - total)), k)
-                      for (lo, hi), k in bounds]
         count = _count_sum_zero(bounds) * weight
         for p, r in enumerate(ranks):
             if r:

@@ -286,7 +286,7 @@ def ray_coefficients(n: int, D: DivisorClass) -> tuple[int, ...]:
     raises ValueError.
     """
     require_dimension(n, D)
-    h = D.h
-    plus = (D.d[0],) + tuple(D.d[i] + h for i in range(1, n + 1))
+    h, d = D.h, D.d
+    plus = (d[0], *[x + h for x in d[1:]])
     minus = (h,) + (0,) * n
     return plus + minus

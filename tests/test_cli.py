@@ -457,6 +457,22 @@ def test_each_command_loads_only_the_modules_it_runs(step, loaded):
     assert proc.stdout.strip() == repr(sorted(f"toric_exc.{m}" for m in loaded.split()))
 
 
+def test_text_run_loads_no_json():
+    # json loads in _dumps, its only user, so a text run does without it
+    code = ("import contextlib, io, sys\n"
+            "print('json' in sys.modules)\n"
+            "from toric_exc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--dim', '4']) == 0\n"
+            "print('json' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("this interpreter loads json at start-up")
+    assert after == "False"
+
+
 @pytest.mark.parametrize("load", [
     "import toric_exc.cohomology",
     "verify_exceptional(build_Gn(4), 'oracle')",

@@ -194,25 +194,30 @@ def per_slot_reference(fan, coeffs):
             raise UnboundedRegionWithHomology(
                 f"pattern with {pairs} pairs, {nplus} plus, {nminus} minus slots"
             )
-        if open_below:
-            total_hi = sum(his)
-            los = [
-                hi - total_hi if lo is None else max(lo, hi - total_hi)
-                for lo, hi in zip(los, his)
-            ]
-        elif open_above:
-            total_lo = sum(los)
-            his = [
-                lo - total_lo if hi is None else min(hi, lo - total_lo)
-                for lo, hi in zip(los, his)
-            ]
-        count = count_sum_zero_by_table(list(zip(los, his)))
+        count = count_sum_zero_by_table(close_open_ends(los, his))
         if not count:
             continue
         for p, r in enumerate(ranks):
             if r:
                 h[p] += count * r
     return GradedCohomology(tuple(h))
+
+
+def close_open_ends(los, his):
+    """(lo, hi) per entry with each open end clipped to what a zero sum allows.
+
+    On an open lo side no entry can lie below its hi end less the sum of
+    all hi ends, and likewise above; at most one side is open.
+    """
+    if None in los:
+        total_hi = sum(his)
+        los = [hi - total_hi if lo is None else max(lo, hi - total_hi)
+               for lo, hi in zip(los, his)]
+    elif None in his:
+        total_lo = sum(los)
+        his = [lo - total_lo if hi is None else min(hi, lo - total_lo)
+               for lo, hi in zip(los, his)]
+    return list(zip(los, his))
 
 
 def outcome(engine, fan, coeffs):
@@ -254,6 +259,34 @@ def count_sum_zero_by_table(bounds):
 def test_count_sum_zero_matches_table(spans):
     bounds = [(lo, lo + width) for lo, width in spans]
     assert coh._count_sum_zero(list(Counter(bounds).items())) == count_sum_zero_by_table(bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 6), st.integers(-1, 12), st.booleans()),
+                max_size=8), st.booleans())
+def test_count_sum_zero_counts_open_ends_from_the_closed_side(spans, open_lo):
+    # open ends on one side only, against the table after clipping them
+    bounds = [((None, lo + width) if open_lo else (lo, None)) if opened else (lo, lo + width)
+              for lo, width, opened in spans]
+    closed = close_open_ends([lo for lo, _ in bounds], [hi for _, hi in bounds])
+    assert coh._count_sum_zero(list(Counter(bounds).items())) == count_sum_zero_by_table(closed)
+
+
+def slot_states_reference(aplus, aminus):
+    """`_slot_states` as written before `_slot_intervals`: one test per state."""
+    states = []
+    if -aplus <= aminus:
+        states.append((coh._NEITHER, -aplus, aminus))
+    states.append((coh._PLUS, None, min(-aplus - 1, aminus)))
+    states.append((coh._MINUS, max(-aplus, aminus + 1), None))
+    if aminus + 1 <= -aplus - 1:
+        states.append((coh._PAIR, aminus + 1, -aplus - 1))
+    return tuple(states)
+
+
+def test_slot_states_keep_their_intervals_and_order():
+    for aplus, aminus in product(range(-6, 7), repeat=2):
+        assert coh._slot_states(aplus, aminus) == slot_states_reference(aplus, aminus)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
@@ -310,6 +343,18 @@ def test_engine_matches_per_slot_mutated_members(n, mutation, placed, count):
     if count is not None:
         pairs = random.Random(n).sample(pairs, count)
     assert_engines_agree(members, pairs)
+
+
+def test_engine_matches_per_slot_on_many_groups_V8():
+    # per-ray vectors split the slots into many groups, where an open side
+    # holds entries of several groups at once
+    n = 8
+    fan = build_Vn(n)
+    rng = random.Random(n)
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(fan.nrays)) for _ in range(3)]
+    for coeffs in vectors:
+        assert len(set(zip(coeffs[:n + 1], coeffs[n + 1:]))) >= 5, coeffs
+        assert outcome(cohomology, fan, coeffs) == outcome(per_slot_reference, fan, coeffs)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

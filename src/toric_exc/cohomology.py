@@ -101,10 +101,6 @@ def euler_pairing(fan: Fan, first: DivisorClass, second: DivisorClass) -> int:
 
 # -- centrally symmetric engine ----------------------------------------------
 
-# a slot's state is the sum of the codes of its rays in the pattern
-_NEITHER, _PLUS, _MINUS = 0, 1, 2
-_PAIR = _PLUS + _MINUS
-
 
 def _pattern_homology(n: int, pairs: int, nplus: int, nminus: int) -> tuple[int, ...]:
     """Ranks of H^0..H^n fed by one character of the pattern class.
@@ -183,15 +179,6 @@ def _slot_intervals(aplus: int, aminus: int):
     return plus, minus, None, False
 
 
-def _slot_states(aplus: int, aminus: int):
-    """Viable (state, lo, hi) triples for one slot; None is an open end."""
-    plus, minus, third, pair = _slot_intervals(aplus, aminus)
-    states = ((_PLUS, *plus), (_MINUS, *minus))
-    if third is None:
-        return states
-    return states + ((_PAIR, *third),) if pair else ((_NEITHER, *third),) + states
-
-
 def _count_sum_zero(bounds) -> int:
     """Number of integer tuples with given bounds summing to zero.
 
@@ -227,16 +214,6 @@ def _count_sum_zero(bounds) -> int:
         poly = expanded
     m = sum(k for _, k in bounds)
     return sum(coeff * comb(target - e + m - 1, m - 1) for e, coeff in poly.items())
-
-
-def _meets(lo_total, hi_total) -> bool:
-    """Closed test on summed slot bounds; None marks an open end."""
-    return (lo_total is None or lo_total <= 0) and (hi_total is None or hi_total >= 0)
-
-
-def _sum_bounds(ends):
-    """Sum of interval ends, or None when any of them is open."""
-    return None if None in ends else sum(ends)
 
 
 def _visible_classes(n: int, coeffs, higher_only: bool = False):

@@ -13,10 +13,11 @@ carried by a single character sitting exactly on the boundary of a pair
 cone, so a strict test would wrongly certify it acyclic.
 
 On the centrally symmetric fan every slot of a pattern is untouched,
-a full pair, a plus ray or a minus ray, and its interval of admissible
-values is the one `cohomology._slot_states` gives for that state, so
-the region is non-empty exactly when no slot's state is infeasible and
-the summed interval ends admit zero. The certificates run the same
+a full pair, a plus ray or a minus ray. `cohomology._slot_intervals`
+gives a slot's plus, minus and third interval of admissible values, the
+third for the pair or the untouched state, whichever the slot admits, so
+the region is non-empty exactly when every slot's state has its interval
+and the summed interval ends admit zero. The certificates run the same
 slot-class walk as the cohomology engine,
 `cohomology._visible_classes`: per coefficient group it chooses how
 many slots take each state, enters only choices whose class can still
@@ -32,8 +33,9 @@ LP membership test these are checked against, are in
 
 The family-level inequality predicates live in `picard`, beside the
 (c, k, l) families they grade, so the inequality method loads neither
-this module nor the cohomology engine. They are imported here too, for
-`perfbench/tracer.py`, which binds them by these names, and the tests.
+this module nor the cohomology engine. The two predicates are imported
+here too, only for `perfbench/tracer.py`, which binds them by these
+names.
 """
 
 from __future__ import annotations
@@ -41,18 +43,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .cohomology import (
-    _MINUS,
-    _PLUS,
-    _meets,
-    _pattern_homology,
-    _slot_states,
-    _sum_bounds,
-    _visible_classes,
-    divisor_coefficients,
-)
+from .cohomology import _pattern_homology, _slot_intervals, _visible_classes, divisor_coefficients
 from .fan import Fan, require_Vn
-from .picard import HypothesisViolated, higher_acyclic_predicate, lemma_acyclic_predicate
+from .picard import higher_acyclic_predicate, lemma_acyclic_predicate
 from .record import Record
 
 
@@ -112,23 +105,25 @@ def in_forbidden_cone(fan: Fan, spec: ForbiddenConeSpec, divisor) -> bool:
     """Whether the divisor's character region for this pattern has a real point.
 
     The test uses closed inequalities (see the module docstring) on the
-    per-slot intervals of `_slot_states`, in O(n). Input of the wrong type
-    or length raises ValueError.
+    per-slot intervals of `_slot_intervals`, in O(n): a slot holding one
+    of its rays takes that ray's interval, and a slot holding both or
+    neither takes the third interval if its third state is that one.
+    Input of the wrong type or length raises ValueError.
     """
     coeffs = divisor_coefficients(fan, divisor)
     half = fan.slots
-    los = []
-    his = []
+    ends = []
     for i in range(half):
-        state = _PLUS * (i in spec.rays) + _MINUS * ((i + half) in spec.rays)
-        for viable, lo, hi in _slot_states(coeffs[i], coeffs[i + half]):
-            if viable == state:
-                los.append(lo)
-                his.append(hi)
-                break
+        plus, minus, third, pair = _slot_intervals(coeffs[i], coeffs[i + half])
+        has_plus, has_minus = i in spec.rays, (i + half) in spec.rays
+        if has_plus != has_minus:
+            ends.append(plus if has_plus else minus)
+        elif third is not None and pair == has_plus:
+            ends.append(third)
         else:
             return False
-    return _meets(_sum_bounds(los), _sum_bounds(his))
+    los, his = zip(*ends)
+    return (None in los or sum(los) <= 0) and (None in his or sum(his) >= 0)
 
 
 def forbidden_witness(fan: Fan, divisor, higher_only: bool = False):

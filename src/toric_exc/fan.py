@@ -42,8 +42,7 @@ class OddDimension(Exception):
 class Fan(Record):
     """The fan of V_n, for the even dimension n = rank >= 2.
 
-    A fan is a cache key, so equality and hash are written out. The cached
-    properties live in the instance `__dict__` beside `rank`.
+    The cached properties live in the instance `__dict__` beside `rank`.
     """
 
     _fields = ("rank",)
@@ -54,14 +53,6 @@ class Fan(Record):
         if rank < 2:
             raise ValueError(f"dimension must be at least 2, got {rank}")
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.rank,))
 
     @property
     def slots(self) -> int:

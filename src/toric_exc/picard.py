@@ -34,11 +34,7 @@ class HypothesisViolated(Exception):
 
 
 class DivisorClass(Record):
-    """Integer coordinates (h, d_0, ..., d_n) in the basis H, E_0, ..., E_n.
-
-    Classes are made, hashed and read on every hot path, so equality and
-    hash are written out rather than read from `Record._values`.
-    """
+    """Integer coordinates (h, d_0, ..., d_n) in the basis H, E_0, ..., E_n."""
 
     _fields = ("coeffs",)
 
@@ -48,14 +44,6 @@ class DivisorClass(Record):
         if not all(isinstance(x, int) for x in coeffs):
             raise ValueError(f"non-integer coordinates {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs,))
 
     @property
     def n(self) -> int:

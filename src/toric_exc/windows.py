@@ -58,10 +58,6 @@ class WindowViolation(Exception):
     """A member's weight escapes the window of some wall."""
 
 
-class BranchGap(Exception):
-    """No witness twist is admissible at this wall weight."""
-
-
 class KoszulEscape(Exception):
     """A Koszul component falls outside the collection."""
 
@@ -136,17 +132,17 @@ def wall_record(n: int, J) -> WallRecord:
     The window sits at the offset d = default_gauge(n). Weights in the
     window above the wall range are handled by the window shift alone;
     each weight a in the wall range gets a witness twist by w = -a, low
-    twists plain, high twists corrected along J^c. A label outside 0..n,
-    or one given twice, raises ValueError.
+    twists plain, high twists corrected along J^c. An odd n or n < 2, a
+    label outside 0..n, or one given twice, raises ValueError.
     """
+    if n < 2 or n % 2:
+        raise ValueError("n must be a positive even integer")
     J = label_set(n, J)
     if 2 * len(J) - n - 1 > 0:
         raise JTooLarge(f"|J| = {len(J)} exceeds n/2 = {n // 2}")
     window, wall_range, shapes = _wall_shape(n, len(J))
     pieces = []
     for w, base in shapes:
-        if 4 * w == n + 1:
-            raise BranchGap(f"weight {-w} admits no twists")
         if base == 0:
             twist = make_F(n, w, [])
         else:
@@ -163,17 +159,17 @@ def _wall_shape(n: int, size: int):
     the wall range its weights a up to d - 1 - size. Each a of the range
     gives a piece, in weight order, with w = -a and base 0 for a low twist
     (4w <= n) or n + 1 - size for a high one (4w >= n + 2); wall_record and
-    build_certificate build their records from these, and 4w = n + 1 has
-    no twist. The piece's terms F_{w,K} have |K| = base + t with
-    multiplicity C(size, t), for t = 0..size. For even n and size <= n/2
-    neither JTooLarge nor BranchGap can occur.
+    build_certificate build their records from these. The piece's terms
+    F_{w,K} have |K| = base + t with multiplicity C(size, t), for
+    t = 0..size. For even n and size <= n/2 every w takes one of the two
+    branches, and JTooLarge cannot occur.
 
     Proof. A low twist is F_{w,{}}, and its term for L inside J, the twist
     less E_i for i in L, is F_{w,L}: |K| = t for |L| = t. A high twist is
     F_{w,J^c}, whose term F_{w,J^c | L} has |K| = n + 1 - size + t, as L
     is disjoint from J^c. L runs over the C(size, t) t-subsets of J.
-    BranchGap needs neither branch to hold, that is 4w = n + 1, which is
-    odd for even n; JTooLarge needs 2 size > n + 1.
+    A w in neither branch has 4w = n + 1, which is odd for even n;
+    JTooLarge needs 2 size > n + 1.
     """
     d = default_gauge(n)
     window = (d - (n + 1 - size), d - 1)

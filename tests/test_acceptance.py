@@ -27,18 +27,15 @@ from toric_exc.collection import (
     verify_exceptional,
     verify_stability,
 )
-from toric_exc.cones import (
-    HypothesisViolated,
-    certify_acyclic,
-    certify_higher_acyclic,
-    higher_acyclic_predicate,
-    lemma_acyclic_predicate,
-)
+from toric_exc.cones import certify_acyclic, certify_higher_acyclic
 from toric_exc.fan import build_Vn, circuits
 from toric_exc.picard import (
+    HypothesisViolated,
     antipodal_involution,
     canonical_class,
     divisor,
+    higher_acyclic_predicate,
+    lemma_acyclic_predicate,
     make_F,
     parse_F,
     ray_coefficients,

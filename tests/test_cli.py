@@ -705,6 +705,18 @@ def test_verify_walls_dim_12(capsys):
     assert (doc["circuits"], doc["pairs"], doc["sign_choices"]) == (8205, 13, 8192)
 
 
+def test_verify_walls_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("toric_exc.windows"), "circuit_relation",
+                        lambda fan, circuit: (9, 9))
+    code, out, err = run(capsys, "verify", "--dim", "4", "--what", "walls")
+    assert (code, err) == (1, "")
+    assert out.startswith("wall check FAILED: ") and out.count("\n") == 1
+    code, doc, err = run_json(capsys, "verify", "--dim", "4", "--what", "walls")
+    assert (code, err) == (1, "")
+    assert doc["ok"] is False
+    assert doc["error"] == out[len("wall check FAILED: "):-1]
+
+
 def test_verify_walls_rejects_mutate(capsys):
     code, _, err = run(capsys, "verify", "--dim", "2", "--what", "walls",
                        "--mutate", "drop:0")
@@ -828,6 +840,18 @@ def test_certificate_text(capsys):
         "|J| = 1: 3 walls, window (-1, 0), wall range (-1, -1): a = -1 (high, 2 terms)\n"
         "|J| = 0: 1 walls, window (-2, 0), wall range (-2, 0): a = -2 (high, 1 terms), "
         "a = -1 (high, 1 terms), a = 0 (low, 1 terms)\n")
+
+
+def test_certificate_failure_exits_1(capsys, monkeypatch):
+    win = importlib.import_module("toric_exc.windows")
+
+    def escape(n, collection=None):
+        raise win.KoszulEscape("component outside the collection")
+
+    monkeypatch.setattr(win, "verify_generation", escape)
+    code, out, err = run(capsys, "certificate", "--dim", "4")
+    assert (code, out) == (1, "")
+    assert err == "certificate construction failed: component outside the collection\n"
 
 
 # -- the JSON writer ------------------------------------------------------------------

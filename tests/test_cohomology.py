@@ -166,22 +166,47 @@ def test_symmetric_engine_matches_generic_V4():
 
 coh = importlib.import_module("toric_exc.cohomology")
 
+# a slot's state is the sum of the codes of its rays in the pattern
+NEITHER, PLUS, MINUS = 0, 1, 2
+PAIR = PLUS + MINUS
+
+
+def slot_states_reference(aplus, aminus):
+    """Viable (state, lo, hi) triples for one slot, one test per state; None is open."""
+    states = []
+    if -aplus <= aminus:
+        states.append((NEITHER, -aplus, aminus))
+    states.append((PLUS, None, min(-aplus - 1, aminus)))
+    states.append((MINUS, max(-aplus, aminus + 1), None))
+    if aminus + 1 <= -aplus - 1:
+        states.append((PAIR, aminus + 1, -aplus - 1))
+    return tuple(states)
+
+
+def test_slot_intervals_match_slot_states_reference():
+    for aplus, aminus in product(range(-6, 7), repeat=2):
+        plus, minus, third, pair = coh._slot_intervals(aplus, aminus)
+        states = {(PLUS, *plus), (MINUS, *minus)}
+        if third is not None:
+            states.add((PAIR if pair else NEITHER, *third))
+        assert states == set(slot_states_reference(aplus, aminus)), (aplus, aminus)
+
 
 def per_slot_reference(fan, coeffs):
     """The engine before slot grouping: one step per slot assignment."""
     n = fan.rank
     half = n + 1
     plus, minus = coeffs[:half], coeffs[half:]
-    options = [coh._slot_states(plus[i], minus[i]) for i in range(half)]
+    options = [slot_states_reference(plus[i], minus[i]) for i in range(half)]
     h = [0] * (n + 1)
     for combo in product(*options):
         pairs = nplus = nminus = 0
         for state, _, _ in combo:
-            if state == coh._PAIR:
+            if state == PAIR:
                 pairs += 1
-            elif state == coh._PLUS:
+            elif state == PLUS:
                 nplus += 1
-            elif state == coh._MINUS:
+            elif state == MINUS:
                 nminus += 1
         ranks = coh._pattern_homology(n, pairs, nplus, nminus)
         if not any(ranks):
@@ -270,23 +295,6 @@ def test_count_sum_zero_counts_open_ends_from_the_closed_side(spans, open_lo):
               for lo, width, opened in spans]
     closed = close_open_ends([lo for lo, _ in bounds], [hi for _, hi in bounds])
     assert coh._count_sum_zero(list(Counter(bounds).items())) == count_sum_zero_by_table(closed)
-
-
-def slot_states_reference(aplus, aminus):
-    """`_slot_states` as written before `_slot_intervals`: one test per state."""
-    states = []
-    if -aplus <= aminus:
-        states.append((coh._NEITHER, -aplus, aminus))
-    states.append((coh._PLUS, None, min(-aplus - 1, aminus)))
-    states.append((coh._MINUS, max(-aplus, aminus + 1), None))
-    if aminus + 1 <= -aplus - 1:
-        states.append((coh._PAIR, aminus + 1, -aplus - 1))
-    return tuple(states)
-
-
-def test_slot_states_keep_their_intervals_and_order():
-    for aplus, aminus in product(range(-6, 7), repeat=2):
-        assert coh._slot_states(aplus, aminus) == slot_states_reference(aplus, aminus)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
@@ -385,7 +393,7 @@ def group_options(states, size):
         for k in tally.values():
             weight //= math.factorial(k)
         bounds = frozenset(Counter((lo, hi) for _, lo, hi in chosen).items())
-        options[tally[coh._PLUS], tally[coh._MINUS]] = (tally[coh._PAIR], weight, bounds)
+        options[tally[PLUS], tally[MINUS]] = (tally[PAIR], weight, bounds)
     return options
 
 
@@ -399,7 +407,7 @@ def product_walk_reference(n, coeffs, higher_only=False):
     groups = []
     for (ap, am), size in Counter(zip(coeffs[:half], coeffs[half:])).items():
         groups.append([((pairs, p, m), (weight, bounds)) for (p, m), (pairs, weight, bounds)
-                       in group_options(coh._slot_states(ap, am), size).items()])
+                       in group_options(slot_states_reference(ap, am), size).items()])
     for chosen in product(*groups):
         classes, combo = zip(*chosen)
         pairs, nplus, nminus = map(sum, zip(*classes))
@@ -412,7 +420,7 @@ def product_walk_reference(n, coeffs, higher_only=False):
         his = [hi for (_, hi), _ in bounds]
         lo_total = None if None in los else sum(lo * k for (lo, _), k in bounds)
         hi_total = None if None in his else sum(hi * k for (_, hi), k in bounds)
-        if not coh._meets(lo_total, hi_total):
+        if lo_total is not None and lo_total > 0 or hi_total is not None and hi_total < 0:
             continue
         ranks = coh._pattern_homology(n, pairs, nplus, nminus)
         if any(ranks):
@@ -459,7 +467,7 @@ def test_walk_matches_product_walk_random_vectors(n, data):
 def test_walk_matches_product_walk_with_two_state_groups():
     # a_minus = -a_plus - 1 leaves a slot only its plus and minus states
     n = 4
-    assert [state for state, _, _ in coh._slot_states(2, -3)] == [coh._PLUS, coh._MINUS]
+    assert [state for state, _, _ in slot_states_reference(2, -3)] == [PLUS, MINUS]
     for coeffs in [(2, 2, 0, 0, 1, -3, -3, 0, 0, -2),
                    (2, -3, 2, 3, -3, -3, -3, -3, -4, 0),
                    (-2, 1, 1, -2, -1, 0, -3, 3, 1, -2),

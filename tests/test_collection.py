@@ -34,22 +34,19 @@ from toric_exc.collection import (
     verify_exceptional,
     verify_stability,
 )
-from toric_exc.cones import (
-    HypothesisViolated,
-    certify_acyclic,
-    certify_higher_acyclic,
-    higher_acyclic_predicate,
-    lemma_acyclic_predicate,
-)
+from toric_exc.cones import certify_acyclic, certify_higher_acyclic
 from toric_exc.fan import build_Vn, circuit_relation
 from toric_exc.picard import (
     DivisorClass,
+    HypothesisViolated,
     act,
     antipodal_involution,
     difference_family,
     divisor,
     family_of_parsed,
     group_generators,
+    higher_acyclic_predicate,
+    lemma_acyclic_predicate,
     make_F,
     parse_F,
 )
@@ -202,6 +199,8 @@ def test_sample_restricts_pair_sweep():
     col = build_Gn(2)
     report = verify_exceptional(col, "oracle", sample=[(0, 1), (5, 0)])
     assert report.sampled and report.pairs_checked == 2 and report.ok
+    assert report.headline() == "ok: 6 members, 2 pairs checked (sampled)"
+    assert verify_exceptional(col, "oracle").headline() == "ok: 6 members, 30 pairs checked"
     dropped = apply_mutation(col, "drop:0")
     report = verify_exceptional(dropped, "oracle", sample=[(0, 1)])
     assert not report.complete and not report.ok
@@ -689,6 +688,17 @@ def test_drop_caught_by_size_check():
     with pytest.raises(VerificationFailed):
         report.raise_if_failed()
     assert "size 5 != expected 6" in report.headline()
+
+
+@pytest.mark.parametrize("method, count, detail", [
+    ("inequalities", 8, "(c, k, l) = (-1, 3, 0): predicate needs k <= l, got (3, 0)"),
+    ("oracle", 6, "h = (3, 0, 0, 0, 0)"),
+    ("forbidden", 6, "forbidden-cone sweep"),
+])
+def test_failing_headline_names_the_count_and_the_first_pair(method, count, detail):
+    report = verify_exceptional(apply_mutation(build_Gn(4), "add:1,0-1"), method)
+    assert report.headline() == (f"size 31 != expected 30; {count} violating pairs, "
+                                 f"first 0->2: {detail}")
 
 
 def test_add_duplicate_caught_by_pair_sweep():

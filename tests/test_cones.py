@@ -11,17 +11,23 @@ from toric_exc.cohomology import cohomology
 from toric_exc.collection import apply_mutation, build_Gn
 from toric_exc.cones import (
     ForbiddenConeSpec,
-    HypothesisViolated,
     certify_acyclic,
     certify_higher_acyclic,
     enumerate_forbidden,
     forbidden_witness,
-    higher_acyclic_predicate,
     in_forbidden_cone,
-    lemma_acyclic_predicate,
 )
 from toric_exc.fan import build_Vn, complex_CI
-from toric_exc.picard import DivisorClass, divisor, make_F, orbit_Fckl, ray_coefficients
+from toric_exc.picard import (
+    DivisorClass,
+    HypothesisViolated,
+    divisor,
+    higher_acyclic_predicate,
+    lemma_acyclic_predicate,
+    make_F,
+    orbit_Fckl,
+    ray_coefficients,
+)
 from toric_exc.polyhedra import feasible, polyhedron
 from toric_exc.simplicial import reduced_homology
 
@@ -428,3 +434,32 @@ def test_lemma_is_higher_plus_no_sections():
                 effective = ell == 0 and -k <= c <= 0
                 assert lemma_acyclic_predicate(n, c, k, ell) \
                     == (higher_acyclic_predicate(n, c, k, ell) and not effective)
+
+
+def family_representative(n, c, k, ell):
+    """c(E - H) + E_0 + ... + E_(k-1) - E_k - ... - E_(k+l-1), one member of the family."""
+    return DivisorClass((-c,) + tuple(c + (i < k) - (k <= i < k + ell) for i in range(n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_predicates_equal_the_oracle_and_certificates_on_every_family(n):
+    # a family is one S_(n+1)-orbit, so its representative decides it; both
+    # directions are checked, and each predicate answers both ways
+    fan = build_Vn(n)
+    answers = {"lemma": set(), "higher": set()}
+    for k, ell in family_shapes(n):
+        for c in range(-n - 2, n + 3):
+            member = family_representative(n, c, k, ell)
+            assert n > 4 or member == orbit_Fckl(n, c, k, ell)[0]
+            ranks = cohomology(fan, member).ranks
+            higher = higher_acyclic_predicate(n, c, k, ell)
+            assert higher == certify_higher_acyclic(fan, member) == (not any(ranks[1:])), \
+                (c, k, ell)
+            answers["higher"].add(higher)
+            try:
+                lemma = lemma_acyclic_predicate(n, c, k, ell)
+            except HypothesisViolated:
+                continue
+            assert lemma == certify_acyclic(fan, member) == (not any(ranks)), (c, k, ell)
+            answers["lemma"].add(lemma)
+    assert answers == {"lemma": {False, True}, "higher": {False, True}}

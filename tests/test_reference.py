@@ -67,6 +67,10 @@ def test_cones_are_listed_only_when_read():
      "primitive_collections(GenericFan(1, ((1,),) * 17, ()))"),
     ("from toric_exc.windows import wall_record", "wall_record(2, [-1])"),
     ("from toric_exc.windows import wall_record", "wall_record(2, [3])"),
+    ("from toric_exc.windows import wall_record", "wall_record(1, [])"),
+    ("from toric_exc.windows import wall_record", "wall_record(0, [])"),
+    ("from toric_exc.windows import wall_record", "wall_record(-2, [])"),
+    ("from toric_exc.windows import wall_record", "wall_record(3, [])"),
     ("from toric_exc.windows import weight\nfrom toric_exc.picard import make_F",
      "weight(4, [0], make_F(2, 1, [0]))"),
     ("from toric_exc.windows import weight\nfrom toric_exc.picard import make_F",
@@ -93,6 +97,7 @@ def test_cones_are_listed_only_when_read():
      "apply_mutation(build_Gn(4), 'add:1,-1')"),
 ], ids=["polyhedron-row", "contains-point", "engine-ray-count", "unions-ray-count",
         "subsets-ray-count", "primitive-ray-count", "wall-label-minus-1", "wall-label-3",
+        "wall-dim-1", "wall-dim-0", "wall-dim-minus-2", "wall-dim-3",
         "weight-other-dimension", "weight-label-3", "koszul-label-minus-1",
         "koszul-label-3", "certificate-other-dimension", "collection-not-F",
         "collection-F-of-dimension-n-plus-2", "collection-F-on-V2",

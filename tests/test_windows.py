@@ -22,7 +22,6 @@ from toric_exc.fan import build_Vn, circuit_relation, circuits
 from toric_exc.linalg import rank, smith_normal_form
 from toric_exc.picard import divisor, make_F, parse_F
 from toric_exc.windows import (
-    BranchGap,
     JTooLarge,
     KoszulEscape,
     WallMismatch,

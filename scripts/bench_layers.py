@@ -13,12 +13,16 @@ a layer the program does not have is reported as missing. The machine
 (CPU count and model, Python version) and the commit are recorded with
 the times. The output is one JSON object on stdout. Standard library only.
 
-The sweep layers at n = 20, 30 and 40, the inequality sweep at n = 60 and
-100 and `verify_generation` at n = 30 and 40 run past the command's
+The sweep layers at n = 20, 30, 40 and 60, the inequality sweep at n = 100
+and `verify_generation` at n = 30 and 40 run past the command's
 MAX_DIM = 20, in process: a full sweep of the intact G_n grades each line
 of keys once over its span, with the shapes read off its units grouped by
 l, and the generation check reads the shapes of its Koszul terms off a
 closed form, so these layers show how far exhaustive checking reaches.
+The `predicates.every_family` layers at n = 12, 16 and 20 grade every
+family (c, k, l) with -n - 2 <= c <= n + 2 by both inequality predicates
+(the lemma only inside its hypotheses) and by the ranks of the oracle's
+grader, and exit with an error where a predicate differs from the oracle.
 
 `verify_walls` at n = 14 and 20 checks every circuit class of V_n against
 the wall weights, reading each class's relation off its closed form.
@@ -87,7 +91,8 @@ LAYERS = (
     + [(f"sweep.{method}", n) for method in ("inequalities", "forbidden", "oracle")
        for n in (20, 30)]
     + [("sweep.inequalities", n) for n in (40, 60, 100)]
-    + [(f"sweep.{method}", 40) for method in ("forbidden", "oracle")]
+    + [(f"sweep.{method}", n) for method in ("forbidden", "oracle") for n in (40, 60)]
+    + [("predicates.every_family", n) for n in (12, 16, 20)]
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]
@@ -157,6 +162,18 @@ elif name in ("cohomology.coeffs", "cohomology.class"):
                                for _ in range(5)])
     def call():
         coh.cohomology(fan, next(vectors))
+elif name == "predicates.every_family":
+    from toric_exc.picard import higher_acyclic_predicate, lemma_acyclic_predicate
+    grade = collection._class_grader("oracle", n)
+    families = [(c, k, ell) for k in range(n + 2) for ell in range(n + 2 - k)
+                for c in range(-n - 2, n + 3)]
+    def call():
+        for c, k, ell in families:
+            ranks = grade(c, k, ell, True)[1]  # the oracle's note: the family's ranks
+            if higher_acyclic_predicate(n, c, k, ell) == any(ranks[1:]) or (
+                    k <= ell and (c, k, ell) != (0, 0, 0)
+                    and lemma_acyclic_predicate(n, c, k, ell) == any(ranks)):
+                sys.exit(f"a predicate differs from the oracle at {{(c, k, ell)}}")
 elif name.startswith("sweep."):
     col = collection.build_Gn(n)
     def call():

@@ -23,13 +23,16 @@ of G_n has at most four groups, so the loop is polynomial in n where a
 walk over slot assignments takes up to 3^(n+1) steps, and keeps no table.
 
 That walk, `_visible_classes`, serves both the engine here and the
-forbidden-cone certificates in `cones`. It enters only the choices of
-state counts that can still pass the one-sided filter (a set that is not
-a union of primitive collections has a cone point) and the closed test
-on the summed slot bounds, bounding each group's counts by what the
-groups after it can still reach. A class that passes both reads its
-homology from `_pattern_homology`, a closed form on the three slot
-counts; the Smith form on the induced complex that it replaces is the
+forbidden-cone certificates in `cones`. It takes slot groups
+{(a_plus, a_minus): slots}, which `cohomology` and the certificates count
+off per-ray coefficients (`_slot_groups`) and the oracle and forbidden
+sweeps make from a family (c, k, l) (`picard.family_slots`). It enters
+only the choices of state counts that can still pass the one-sided filter
+(a set that is not a union of primitive collections has a cone point) and
+the closed test on the summed slot bounds, bounding each group's counts
+by what the groups after it can still reach. A class that passes both
+reads its homology from `_pattern_homology`, a closed form on the three
+slot counts; the Smith form on the induced complex that it replaces is the
 reference in `toric_exc.reference`.
 """
 
@@ -72,7 +75,7 @@ def cohomology(fan: Fan, divisor) -> GradedCohomology:
     coefficients in the fan's ray order. Another fan, or input of the
     wrong type or length, raises ValueError.
     """
-    return _symmetric_engine(fan, divisor_coefficients(fan, divisor))
+    return _symmetric_engine(fan.rank, _slot_groups(divisor_coefficients(fan, divisor)))
 
 
 def divisor_coefficients(fan: Fan, divisor) -> tuple[int, ...]:
@@ -216,12 +219,22 @@ def _count_sum_zero(bounds) -> int:
     return sum(coeff * comb(target - e + m - 1, m - 1) for e, coeff in poly.items())
 
 
-def _visible_classes(n: int, coeffs, higher_only: bool = False):
-    """Pattern classes of O(coeffs) on V_n with characters and homology.
+def _slot_groups(coeffs) -> dict:
+    """{(a_plus, a_minus): slots} of per-ray coefficients, in order of first slot."""
+    half = len(coeffs) // 2
+    groups = {}
+    for slot in zip(coeffs[:half], coeffs[half:]):
+        groups[slot] = groups.get(slot, 0) + 1
+    return groups
 
-    One choice of per-group state counts is one pattern class. The closed
-    test holds exactly when the class has a character, because every slot
-    interval is non-empty with integer ends. Yields (pairs, nplus, nminus,
+
+def _visible_classes(n: int, groups, higher_only: bool = False):
+    """Pattern classes of the slot groups on V_n with characters and homology.
+
+    groups maps each (a_plus, a_minus) to its number of slots. One choice
+    of per-group state counts is one pattern class. The closed test holds
+    exactly when the class has a character, because every slot interval is
+    non-empty with integer ends. Yields (pairs, nplus, nminus,
     ranks, combo) for each class with non-zero ranks, combo holding one
     (size, p, m, (plus, minus, third)) per group: its p plus and m minus
     slots and the (lo, hi) of each of its states, third None for a group
@@ -245,14 +258,10 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
     plus and minus states has no third state: its slots all go to the
     open side.
     """
-    half = n + 1
     need = n // 2 + 1
-    groups = []
     top = bottom = 0
-    sizes = {}
-    for slot in zip(coeffs[:half], coeffs[half:]):
-        sizes[slot] = sizes.get(slot, 0) + 1
-    for slot, size in sizes.items():
+    options = []
+    for slot, size in groups.items():
         plus, minus, third, pair_third = _slot_intervals(*slot)
         if third is None:
             # only plus and minus: with one side closed, every slot takes
@@ -263,14 +272,14 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
             plus_cost, minus_cost = third[1] - plus[1], minus[0] - third[0]
         top += size * reach[1]
         bottom += size * reach[0]
-        groups.append((size, (plus, minus, third), plus_cost, minus_cost, pair_third))
-    last = len(groups) - 1
+        options.append((size, (plus, minus, third), plus_cost, minus_cost, pair_third))
+    last = len(options) - 1
 
     # need_plus and need_minus are `need` for an open side and 0 for a
     # closed one; left counts the slots from group g on
     def walk(g, need_plus, need_minus, hi_room, lo_room, pairs, nplus, nminus,
              left, combo):
-        size, intervals, plus_cost, minus_cost, pair_third = groups[g]
+        size, intervals, plus_cost, minus_cost, pair_third = options[g]
         left -= size
         top_p = size if need_plus else 0
         if plus_cost and not need_minus and hi_room < top_p * plus_cost:
@@ -301,11 +310,11 @@ def _visible_classes(n: int, coeffs, higher_only: bool = False):
 
     for need_plus, need_minus in ((0, 0), (need, 0), (0, need)):
         if (need_minus or top >= 0) and (need_plus or bottom <= 0):
-            yield from walk(0, need_plus, need_minus, top, -bottom, 0, 0, 0, half, ())
+            yield from walk(0, need_plus, need_minus, top, -bottom, 0, 0, 0, n + 1, ())
 
 
-def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
-    """Cohomology ranks summed over slot multisets.
+def _symmetric_engine(n: int, groups) -> GradedCohomology:
+    """Cohomology ranks on V_n summed over slot multisets of the slot groups.
 
     Slots with equal (a_plus, a_minus) have the same viable states, and
     both the pattern class and the character count are symmetric in the
@@ -319,9 +328,8 @@ def _symmetric_engine(fan: Fan, coeffs) -> GradedCohomology:
     `_count_sum_zero` counts from the closed side, so an open end costs
     it no factor of the numerator.
     """
-    n = fan.rank
     h = [0] * (n + 1)
-    for *_, ranks, combo in _visible_classes(n, coeffs):
+    for *_, ranks, combo in _visible_classes(n, groups):
         weight, bounds = 1, []
         for size, p, m, (plus, minus, third) in combo:
             weight *= comb(size, p) * comb(size - p, m)

@@ -32,6 +32,8 @@ with k in a range fixed by the shape of the unit pair (_span); the shapes
 are read off the units grouped by l (_shapes). Each line is graded once
 over the union of its ranges, and only the unit pairs of a shape whose
 range holds a failing key are walked one by one; an intact G_n walks none.
+The oracle and forbidden methods grade a key on its family's slot groups
+(`picard.family_slots`), with no divisor class made per key.
 
 The fan, the cohomology engine and the forbidden cones load once per call
 of the functions that use them (`_class_grader`, `gram_matrix`), so the
@@ -47,7 +49,7 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .picard import (DivisorClass, HypothesisViolated, antipodal_involution, family_of_parsed,
-                     group_generators, higher_acyclic_predicate, label_set,
+                     family_slots, group_generators, higher_acyclic_predicate, label_set,
                      lemma_acyclic_predicate, parse_F)
 from .record import Record
 
@@ -499,29 +501,33 @@ def _span(n, l_s, l_t, diagonal):
 
 
 def _class_grader(method, n):
-    """grade(D, need_all) -> (ok, note) of a class D on V_n by the method; its engine loads here."""
-    from .fan import build_Vn
+    """grade(c, k, l, need_all) -> (ok, note) of the (c, k, l) family on V_n by the method.
 
-    fan = build_Vn(n)
+    The method's engine loads here and walks the family's slot groups
+    (`family_slots`). Every acyclic family shares one oracle grade.
+    """
     if method == "oracle":
-        from .cohomology import cohomology
+        from .cohomology import _symmetric_engine
 
-        def grade(D, need_all):
-            ranks = cohomology(fan, D).ranks
-            return not (any(ranks) if need_all else any(ranks[1:])), ranks
+        acyclic = True, (0,) * (n + 1)
+
+        def grade(c, k, ell, need_all):
+            ranks = _symmetric_engine(n, family_slots(n, c, k, ell)).ranks
+            if not any(ranks):
+                return acyclic
+            return not need_all and not any(ranks[1:]), ranks
     else:
-        from .cones import certify_acyclic, certify_higher_acyclic
+        from .cones import certify_groups
 
-        def grade(D, need_all):
-            return (certify_acyclic if need_all else certify_higher_acyclic)(fan, D), None
+        def grade(c, k, ell, need_all):
+            return certify_groups(n, family_slots(n, c, k, ell), not need_all), None
     return grade
 
 
 def _grade_pair(grade_class, method, n, c, k, ell, need_all):
     """(ok, note) of a pair whose difference is in the (c, k, l) family; no note: a constant."""
-    if method != "inequalities":  # c(E - H) + E_0 + ... + E_{k-1} - E_k - ... - E_{k+l-1}
-        return grade_class(DivisorClass((-c,) + (c + 1,) * k + (c - 1,) * ell
-                                        + (c,) * (n + 1 - k - ell)), need_all)
+    if method != "inequalities":
+        return grade_class(c, k, ell, need_all)
     if need_all:
         try:
             ok = lemma_acyclic_predicate(n, c, k, ell)

@@ -19,12 +19,13 @@ third for the pair or the untouched state, whichever the slot admits, so
 the region is non-empty exactly when every slot's state has its interval
 and the summed interval ends admit zero. The certificates run the same
 slot-class walk as the cohomology engine,
-`cohomology._visible_classes`: per coefficient group it chooses how
-many slots take each state, enters only choices whose class can still
-be a union of primitive collections with a non-empty closed region
-(the higher certificate also skips the empty class), and reads the
-closed-form homology of `cohomology._pattern_homology` for only the
-classes that pass. A divisor is certified when the walk yields nothing.
+`cohomology._visible_classes`: per slot group it chooses how many slots
+take each state, enters only choices whose class can still be a union of
+primitive collections with a non-empty closed region (the higher
+certificate also skips the empty class), and reads the closed-form
+homology of `cohomology._pattern_homology` for only the classes that
+pass. Slot groups are certified when the walk yields nothing
+(`certify_groups`); the forbidden sweep makes them from a family (c, k, l).
 `enumerate_forbidden`, `in_forbidden_cone` and `forbidden_witness` walk
 the ray sets one by one; they name the cone that is hit and serve as
 the reference the certificates are tested against. Other fans, and the
@@ -43,7 +44,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .cohomology import _pattern_homology, _slot_intervals, _visible_classes, divisor_coefficients
+from .cohomology import (_pattern_homology, _slot_groups, _slot_intervals, _visible_classes,
+                         divisor_coefficients)
 from .fan import Fan, require_Vn
 from .picard import higher_acyclic_predicate, lemma_acyclic_predicate
 from .record import Record
@@ -137,16 +139,16 @@ def forbidden_witness(fan: Fan, divisor, higher_only: bool = False):
     return None
 
 
-def _certify(fan: Fan, divisor, higher_only: bool) -> bool:
-    coeffs = divisor_coefficients(fan, divisor)
-    return next(_visible_classes(fan.rank, coeffs, higher_only), None) is None
+def certify_groups(n: int, groups, higher_only: bool) -> bool:
+    """The certificate of the slot groups on V_n: True when the walk yields no class."""
+    return next(_visible_classes(n, groups, higher_only), None) is None
 
 
 def certify_acyclic(fan: Fan, divisor) -> bool:
     """True guarantees every cohomology group of O(divisor) vanishes."""
-    return _certify(fan, divisor, higher_only=False)
+    return certify_groups(fan.rank, _slot_groups(divisor_coefficients(fan, divisor)), False)
 
 
 def certify_higher_acyclic(fan: Fan, divisor) -> bool:
     """True guarantees H^p(O(divisor)) = 0 for all p >= 1; h^0 is unconstrained."""
-    return _certify(fan, divisor, higher_only=True)
+    return certify_groups(fan.rank, _slot_groups(divisor_coefficients(fan, divisor)), True)

@@ -278,3 +278,20 @@ def ray_coefficients(n: int, D: DivisorClass) -> tuple[int, ...]:
     plus = (d[0], *[x + h for x in d[1:]])
     minus = (h,) + (0,) * n
     return plus + minus
+
+
+def family_slots(n: int, c: int, k: int, ell: int) -> dict:
+    """The slot groups {(a_plus, a_minus): slots} of one member of the (c, k, l) family.
+
+    The member is c(E - H) + E_0 + ... + E_(k-1) - E_k - ... - E_(k+l-1), its
+    slots read in the order of `ray_coefficients`: slot 0 is (d_0, -c), and
+    slot i >= 1 is (1, 0) in K, (-1, 0) in L and (0, 0) elsewhere.
+    """
+    sizes = [k, ell, n + 1 - k - ell]  # the slots in K, in L, in neither
+    first = 0 if k else 1 if ell else 2  # slot 0's
+    sizes[first] -= 1
+    groups = {(c + (1, -1, 0)[first], -c): 1}
+    for a, size in zip((1, -1, 0), sizes):
+        if size:
+            groups[a, 0] = groups.get((a, 0), 0) + size
+    return groups

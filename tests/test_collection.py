@@ -665,13 +665,13 @@ def test_full_dim6_oracle_sweep_grades_each_family_once(monkeypatch):
     col = build_Gn(6)
     calls = []
     engine = importlib.import_module("toric_exc.cohomology")
-    original = engine.cohomology
+    original = engine._symmetric_engine
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(engine, "cohomology", counted)
+    monkeypatch.setattr(engine, "_symmetric_engine", counted)
     report = verify_exceptional(col, "oracle")
     assert report.ok and report.pairs_checked == 19460
     assert len(calls) <= 129

@@ -26,14 +26,17 @@ That walk, `_visible_classes`, serves both the engine here and the
 forbidden-cone certificates in `cones`. It takes slot groups
 {(a_plus, a_minus): slots}, which `cohomology` and the certificates count
 off per-ray coefficients (`_slot_groups`) and the oracle and forbidden
-sweeps make from a family (c, k, l) (`picard.family_slots`). It enters
-only the choices of state counts that can still pass the one-sided filter
-(a set that is not a union of primitive collections has a cone point) and
-the closed test on the summed slot bounds, bounding each group's counts
-by what the groups after it can still reach. A class that passes both
-reads its homology from `_pattern_homology`, a closed form on the three
-slot counts; the Smith form on the induced complex that it replaces is the
-reference in `toric_exc.reference`.
+sweeps make from a family (c, k, l) (`picard.family_slots`). A class
+with both a plus and a minus slot has no homology, so the walk takes the
+class with every slot in its third state as one closed-form check, and
+on each open side one count per group, its slots on that side. Three
+bounds keep it to the counts that can still end in a class with homology
+and a character: at most n/2 pairs, pairs and open slots reaching
+n/2 + 1 (below that the set is not a union of primitive collections and
+has a cone point), and what the closed side's summed ends can spend. A
+class reads its homology from `_pattern_homology`, a closed form on the
+three slot counts; the Smith form on the induced complex that it replaces
+is the reference in `toric_exc.reference`.
 """
 
 from __future__ import annotations
@@ -240,77 +243,104 @@ def _visible_classes(n: int, groups, higher_only: bool = False):
     slots and the (lo, hi) of each of its states, third None for a group
     with only plus and minus. higher_only skips the empty class.
 
-    The walk enters only choices that can still pass the one-sided filter
-    (a used side needs pairs + its slots >= n/2 + 1, or the set is not a
-    union of primitive collections and has a cone point) and the closed
-    test. That test splits by the open sides, plus slots opening the lo
+    The closed test splits by the open sides, plus slots opening the lo
     sum and minus slots the hi sum: with no minus slot the summed hi ends
     must reach 0, with no plus slot the summed lo ends must stay at most
-    0, and with both it holds. In a group with a third state (neither or
-    pair), a plus slot's hi end is below the third state's and a minus
-    slot's lo end above it, so the hi sum is largest and the lo sum
-    smallest with every undecided slot in the third state. A class with
-    both sides open is mixed and has no homology (`_pattern_homology`),
-    so the walk takes the three ways to open at most one side one at a
-    time. Each group's plus count then has a budget on a closed minus
-    side, and its minus count one on a closed plus side; the slots still
-    undecided bound what the open side can reach. A group with only the
-    plus and minus states has no third state: its slots all go to the
-    open side.
+    0, and with both it holds. A class with both sides open is mixed and
+    has no homology (`_pattern_homology`), so every class yielded has at
+    most one open side. Let top and bottom be the summed hi and lo ends
+    with every slot in its third state (neither or pair), a group with
+    only plus and minus counted on plus for top and on minus for bottom.
+
+    - Both sides closed: every slot is in its third state. That is one
+      class, with a character exactly when every group has a third state
+      and bottom <= 0 <= top, and its homology is the pairs' sphere. It is
+      yielded without a walk, unless higher_only and it has no pairs.
+    - One side open: take plus; the minus side is its mirror image, with
+      -bottom for top. No slot is minus, so a group with a third state
+      chooses one count x of plus slots, the rest staying third, and a
+      group with only plus and minus puts every slot on plus. A plus slot's
+      hi end lies cost = |a_plus + a_minus + 1| >= 1 below the third
+      state's (a minus slot's lo end as far above it), so the class has a
+      character exactly when the chosen counts spend at most top, at x
+      cost a group; a two-state group's plus end is in top already.
+
+    An open class (pairs, x, 0) has homology exactly when pairs <= n/2 and
+    pairs + x >= need = n/2 + 1 (`_pattern_homology`; the second bound
+    makes x >= 1, so the class is open). The walk bounds each count so
+    that every choice it enters can still end in such a class, and every
+    class it ends in is one:
+
+    - A pair-third group adds size - x pairs, so x starts at
+      pairs + size - n/2: pairs only grow down the walk, and no later
+      choice can bring them back to n/2.
+    - A pair-third or two-state group adds size to pairs + opened whatever
+      its x, so only a neither-third group can fall short of need: its x
+      starts at need - pairs - opened - left, with left slots in the
+      groups after it. So pairs + opened + size + left >= need holds at
+      every group: at the first it reads n + 1 >= need, and each group's
+      x keeps it for the next.
+    - Each group after the current one can open at most min(size,
+      room // cost) slots on the room left (all its slots at no cost for a
+      two-state group, and a pair-third group adds size whatever it
+      opens). A choice after which pairs + opened cannot reach need even
+      so is skipped; the sum stops as soon as it reaches need.
     """
-    need = n // 2 + 1
-    top = bottom = 0
+    half = n // 2
+    need = half + 1
+    top = bottom = pairs = 0
+    closed = True  # every group has a third state
     options = []
     for slot, size in groups.items():
         plus, minus, third, pair_third = _slot_intervals(*slot)
         if third is None:
-            # only plus and minus: with one side closed, every slot takes
-            # the other, so that state's end enters the sum at no cost
-            reach, plus_cost, minus_cost = (minus[0], plus[1]), 0, 0
+            # only plus and minus: an open side takes every slot at no cost
+            reach, cost, closed = (minus[0], plus[1]), 0, False
         else:
-            reach = third
-            plus_cost, minus_cost = third[1] - plus[1], minus[0] - third[0]
+            reach, cost = third, third[1] - plus[1]
+            pairs += size if pair_third else 0
         top += size * reach[1]
         bottom += size * reach[0]
-        options.append((size, (plus, minus, third), plus_cost, minus_cost, pair_third))
+        options.append((size, (plus, minus, third), cost, pair_third))
+    if closed and bottom <= 0 <= top and (pairs or not higher_only):
+        yield pairs, 0, 0, _pattern_homology(n, pairs, 0, 0), tuple(
+            (size, 0, 0, intervals) for size, intervals, _, _ in options)
     last = len(options) - 1
 
-    # need_plus and need_minus are `need` for an open side and 0 for a
-    # closed one; left counts the slots from group g on
-    def walk(g, need_plus, need_minus, hi_room, lo_room, pairs, nplus, nminus,
-             left, combo):
-        size, intervals, plus_cost, minus_cost, pair_third = options[g]
+    # left counts the slots after group g and room what the closed side's
+    # sum can still spend
+    def walk(g, minus_side, room, pairs, opened, left, combo):
+        size, intervals, cost, pair_third = options[g]
         left -= size
-        top_p = size if need_plus else 0
-        if plus_cost and not need_minus and hi_room < top_p * plus_cost:
-            top_p = hi_room // plus_cost
-        for p in range(top_p + 1):
-            if not plus_cost:
-                low_m = size - p
-                top_m = low_m if need_minus else 0
-            else:
-                low_m, top_m = 0, size - p if need_minus else 0
-                if not need_plus and lo_room < top_m * minus_cost:
-                    top_m = lo_room // minus_cost
-            for m in range(low_m, top_m + 1):
-                paired = pairs + (size - p - m if pair_third else 0)
-                up, down = nplus + p, nminus + m
-                if paired + up + left < need_plus or paired + down + left < need_minus:
+        if not cost:  # only plus and minus: every slot opens
+            low = high = size
+        else:
+            low = pairs + size - half if pair_third else need - pairs - opened - left
+            high = size if room >= size * cost else room // cost
+        for x in range(max(low, 0), high + 1):
+            paired = pairs + size - x if pair_third else pairs
+            spare = room - x * cost
+            if g < last:
+                # the most that the later groups can open on the spare room
+                total = paired + opened + x
+                for later, _, later_cost, later_pair in options[g + 1:]:
+                    total += later if later_pair or spare >= later * later_cost \
+                        else spare // later_cost
+                    if total >= need:
+                        break
+                else:
                     continue
-                chosen = combo + ((size, p, m, intervals),)
-                if g < last:
-                    yield from walk(g + 1, need_plus, need_minus, hi_room - p * plus_cost,
-                                    lo_room - m * minus_cost, paired, up, down,
-                                    left, chosen)
-                elif (up or not need_plus) and (down or not need_minus) \
-                        and (paired or up or down or not higher_only):
-                    ranks = _pattern_homology(n, paired, up, down)
-                    if any(ranks):
-                        yield paired, up, down, ranks, chosen
+            chosen = combo + ((size, 0, x, intervals) if minus_side else (size, x, 0, intervals),)
+            if g < last:
+                yield from walk(g + 1, minus_side, spare, paired, opened + x, left, chosen)
+            else:
+                up, down = (0, opened + x) if minus_side else (opened + x, 0)
+                yield paired, up, down, _pattern_homology(n, paired, up, down), chosen
 
-    for need_plus, need_minus in ((0, 0), (need, 0), (0, need)):
-        if (need_minus or top >= 0) and (need_plus or bottom <= 0):
-            yield from walk(0, need_plus, need_minus, top, -bottom, 0, 0, 0, n + 1, ())
+    if top >= 0:
+        yield from walk(0, False, top, 0, 0, n + 1, ())
+    if bottom <= 0:
+        yield from walk(0, True, -bottom, 0, 0, n + 1, ())
 
 
 def _symmetric_engine(n: int, groups) -> GradedCohomology:

@@ -19,12 +19,13 @@ third for the pair or the untouched state, whichever the slot admits, so
 the region is non-empty exactly when every slot's state has its interval
 and the summed interval ends admit zero. The certificates run the same
 slot-class walk as the cohomology engine,
-`cohomology._visible_classes`: per slot group it chooses how many slots
-take each state, enters only choices whose class can still be a union of
-primitive collections with a non-empty closed region (the higher
-certificate also skips the empty class), and reads the closed-form
-homology of `cohomology._pattern_homology` for only the classes that
-pass. Slot groups are certified when the walk yields nothing
+`cohomology._visible_classes`: it checks the class with every slot in its
+third state in closed form, then on each open side chooses one count per
+slot group, its slots on that side, entering only counts whose class can
+still be a union of primitive collections with a non-empty closed region
+(the higher certificate also skips the empty class), and reads the
+closed-form homology of `cohomology._pattern_homology` for only the
+classes that pass. Slot groups are certified when the walk yields nothing
 (`certify_groups`); the forbidden sweep makes them from a family (c, k, l).
 `enumerate_forbidden`, `in_forbidden_cone` and `forbidden_witness` walk
 the ray sets one by one; they name the cone that is hit and serve as

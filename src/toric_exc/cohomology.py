@@ -262,8 +262,8 @@ def _visible_classes(n: int, groups, higher_only: bool = False):
       group with only plus and minus puts every slot on plus. A plus slot's
       hi end lies cost = |a_plus + a_minus + 1| >= 1 below the third
       state's (a minus slot's lo end as far above it), so the class has a
-      character exactly when the chosen counts spend at most top, at x
-      cost a group; a two-state group's plus end is in top already.
+      character exactly when the groups' x * cost sum to at most top; a
+      two-state group's plus end is in top already.
 
     An open class (pairs, x, 0) has homology exactly when pairs <= n/2 and
     pairs + x >= need = n/2 + 1 (`_pattern_homology`; the second bound

@@ -24,6 +24,8 @@ The `predicates.every_family` layers at n = 12, 16 and 20 grade every
 family (c, k, l) with -n - 2 <= c <= n + 2 by both inequality predicates
 (the lemma only inside its hypotheses) and by the ranks of the oracle's
 grader, and exit with an error where a predicate differs from the oracle.
+The `gram_matrix` layers at n = 6 and 8 read every Euler pairing of G_n,
+one engine call per family of differences.
 
 `verify_walls` at n = 14 and 20 checks every circuit class of V_n against
 the wall weights, reading each class's relation off its closed form.
@@ -94,6 +96,7 @@ LAYERS = (
     + [("sweep.inequalities", n) for n in (40, 60, 100)]
     + [(f"sweep.{method}", n) for method in ("forbidden", "oracle") for n in (40, 60, 100)]
     + [("predicates.every_family", n) for n in (12, 16, 20)]
+    + [("gram_matrix", n) for n in (6, 8)]
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]
@@ -204,8 +207,8 @@ elif name == "generation.late_failure":
         sys.exit("the generation check did not fail")
 elif hasattr(windows, name) or hasattr(collection, name):
     col = collection.build_Gn(n)
-    args = {{"verify_stability": (col,), "verify_walls": (n,), "build_Gn": (n,)}}.get(
-        name, (n, col))
+    args = {{"verify_stability": (col,), "gram_matrix": (col,), "verify_walls": (n,),
+             "build_Gn": (n,)}}.get(name, (n, col))
     check = getattr(windows, name, None) or getattr(collection, name)
     def call():
         check(*args)

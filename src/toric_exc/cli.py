@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.dim < 2 or args.dim % 2:
-        return _usage("n must be even")
+        return _usage("n must be even and at least 2")
     if args.dim > MAX_DIM:
         return _usage(f"n must be at most {MAX_DIM}")
     handler = {

@@ -32,12 +32,14 @@ with k in a range fixed by the shape of the unit pair (_span); the shapes
 are read off the units grouped by l (_shapes). Each line is graded once
 over the union of its ranges, and only the unit pairs of a shape whose
 range holds a failing key are walked one by one; an intact G_n walks none.
-The oracle and forbidden methods grade a key on its family's slot groups
-(`picard.family_slots`), with no divisor class made per key.
+One grader, `_class_grader`, grades a key by any method: by the two
+predicates, or on its family's slot groups (`picard.family_slots`), with
+no divisor class made per key; `gram_matrix` reads those slot groups too.
 
-The fan, the cohomology engine and the forbidden cones load once per call
-of the functions that use them (`_class_grader`, `gram_matrix`), so the
-inequality sweep, the stability check and a mutation load none of them.
+The cohomology engine and the forbidden cones load once per call of the
+functions that use them (`_class_grader`, `gram_matrix`), so the
+inequality sweep, the stability check and a mutation load neither. No
+function here builds the fan.
 """
 
 from __future__ import annotations
@@ -326,14 +328,14 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, size = collection.n, collection.size
-    grade_class = None if method == "inequalities" else _class_grader(method, n)
+    grade_family = _class_grader(method, n)
 
     # A pair's verdict depends only on its family (c, k, l), the S_{n+1}-orbit of its
     # difference, and its block relation: each key (c, k, l, need_all) is graded once.
     grades, details = {}, {}  # details: a key's, made for its first reported pair
 
     def grade(key):  # every verdict is a nonempty tuple
-        return grades.get(key) or grades.setdefault(key, _grade_pair(grade_class, method, n, *key))
+        return grades.get(key) or grades.setdefault(key, grade_family(*key))
 
     def walk(pairs, keep_passing):
         """Grade pairs of _read entries one by one: the failing results, or all of them."""
@@ -388,6 +390,10 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     return Report(n=n, method=method, size=size, expected=expected_size(n),
                   pairs_checked=checked, violations=tuple(r for r in results if not r.ok),
                   pair_results=tuple(results) if full_report else None, sampled=sample is not None)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _pairs_between(sources, targets):
@@ -503,10 +509,20 @@ def _span(n, l_s, l_t, diagonal):
 def _class_grader(method, n):
     """grade(c, k, l, need_all) -> (ok, note) of the (c, k, l) family on V_n by the method.
 
-    The method's engine loads here and walks the family's slot groups
-    (`family_slots`). Every acyclic family shares one oracle grade.
+    The inequality method reads the two predicates; its note is None, or a
+    violated hypothesis's message. The other methods load their engine here
+    and walk the family's slot groups (`family_slots`); every acyclic family
+    shares one oracle grade.
     """
-    if method == "oracle":
+    if method == "inequalities":
+        def grade(c, k, ell, need_all):
+            if not need_all:
+                return higher_acyclic_predicate(n, c, k, ell), None
+            try:
+                return lemma_acyclic_predicate(n, c, k, ell), None
+            except HypothesisViolated as e:
+                return False, str(e)  # its message, not e: its traceback holds the sweep's frame
+    elif method == "oracle":
         from .cohomology import _symmetric_engine
 
         acyclic = True, (0,) * (n + 1)
@@ -524,22 +540,8 @@ def _class_grader(method, n):
     return grade
 
 
-def _grade_pair(grade_class, method, n, c, k, ell, need_all):
-    """(ok, note) of a pair whose difference is in the (c, k, l) family; no note: a constant."""
-    if method != "inequalities":
-        return grade_class(c, k, ell, need_all)
-    if need_all:
-        try:
-            ok = lemma_acyclic_predicate(n, c, k, ell)
-        except HypothesisViolated as e:  # its message, not e: its traceback holds the sweep's frame
-            return False, str(e)
-    else:
-        ok = higher_acyclic_predicate(n, c, k, ell)
-    return (True, None) if ok else (False, None)
-
-
 def _detail(method, key, note):
-    """The detail of a pair result, from its key and the note of its grade (_grade_pair)."""
+    """The detail of a pair result, from its key and the note of its grade (_class_grader)."""
     if method != "inequalities":
         return f"h = {note}" if method == "oracle" else "forbidden-cone sweep"
     label = "(c, k, l) = ({}, {}, {})".format(*key[:3])
@@ -627,20 +629,21 @@ def _keeps(perm, flipped, sets):
 def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
     """Euler pairings chi(E_i, E_j) over flat positions, by the oracle.
 
-    chi(E_i, E_j) depends only on the family of E_j - E_i, so each family
-    is computed once; the diagonal is the family (0, 0, 0).
+    chi(E_i, E_j) is the Euler characteristic of E_j - E_i, which depends
+    only on its family, so each family's is read once off its slot groups
+    (`family_slots`), as the oracle grader reads its ranks; the diagonal is
+    the family (0, 0, 0).
     """
-    from .cohomology import euler_pairing
-    from .fan import build_Vn
+    from .cohomology import _symmetric_engine
 
     n = collection.n
-    fan, by_family = build_Vn(n), {}
+    by_family = {}
     parsed = [parsed for _, (_, parsed) in _read(n, collection.cells)]
 
     def entry(s, t):
         family = family_of_parsed(t, s)
         if family not in by_family:
-            by_family[family] = euler_pairing(fan, _F(n, *s), _F(n, *t))
+            by_family[family] = _symmetric_engine(n, family_slots(n, *family)).euler
         return by_family[family]
 
     return tuple(tuple(entry(s, t) for t in parsed) for s in parsed)
@@ -716,51 +719,3 @@ def collection_to_dict(collection: Collection) -> dict:
     blocks = [{"ell": ell, "members": [{"c": c, "J": j} for c, j in rows]}
               for ell, rows in labeled_blocks(collection)]
     return {"schema": COLLECTION_SCHEMA, "n": collection.n, "blocks": blocks}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def field(data: dict, key: str, kind: type = object):
-    """data[key], which must be a kind; data that is no dict, or lacks key, raises ValueError."""
-    if not isinstance(data, dict) or key not in data:
-        raise ValueError(f"expected an object with the field {key!r}")
-    if not isinstance(data[key], kind):
-        raise ValueError(f"{key!r} must be a {kind.__name__}, got {data[key]!r}")
-    return data[key]
-
-
-def int_field(data: dict, key: str) -> int:
-    """data[key], which must be an int; anything else, a bool too, raises ValueError."""
-    value = field(data, key)
-    if not _is_int(value):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def dim_field(data: dict) -> int:
-    """data["n"], which must be an even int >= 2; anything else raises ValueError."""
-    n = int_field(data, "n")
-    if n < 2 or n % 2:
-        raise ValueError(f"'n' must be an even integer >= 2, got {n}")
-    return n
-
-
-def int_list(data: dict, key: str) -> list[int]:
-    """data[key], which must be a list of ints; a float or bool in it raises ValueError."""
-    value = field(data, key)
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
-        raise ValueError(f"{key!r} must be a list of integers, got {value!r}")
-    return value
-
-
-def collection_from_dict(data: dict) -> Collection:
-    """Read collection_to_dict's output; a malformed field raises ValueError."""
-    if not isinstance(data, dict) or data.get("schema") != COLLECTION_SCHEMA:
-        raise ValueError(f"expected schema {COLLECTION_SCHEMA}")
-    n = dim_field(data)
-    blocks = field(data, "blocks", list)
-    runs = [_run(n, bi, int_field(m, "c"), label_set(n, int_list(m, "J")))
-            for bi, block in enumerate(blocks) for m in field(block, "members", list)]
-    return Collection(n, ells=[int_field(block, "ell") for block in blocks], runs=runs)

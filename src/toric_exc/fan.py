@@ -16,10 +16,10 @@ class: the numbers of pair, plus-only and minus-only slots it uses.
 `Fan.class_rays` builds one representative per class for the wall
 check, and `circuit_relation` reads a circuit's relation off its shape.
 No command loads `linalg` or `simplicial`: the pattern homology and the
-circuit relations are closed forms. The generic `complex_CI`, `circuits`
-and `_reduce_against` read only `rank`, `rays` and `is_face`; they stay
-here only because the benchmark's tracer binds them, and the tests
-compare the closed forms with them. Other fans live in
+circuit relations are closed forms. The generic `complex_CI` and `circuits`
+(with its helper `_reduce_against`) read only `rank`, `rays` and
+`is_face`; they stay here only because the benchmark's tracer binds them,
+and the tests compare the closed forms with them. Other fans live in
 `toric_exc.reference`.
 """
 

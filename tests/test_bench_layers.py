@@ -27,6 +27,7 @@ def bench():
     ("mutant.exceptional", 8),
     ("generation.late_failure", 12),
     ("verify_stability", 8),
+    ("gram_matrix", 6),
     ("build_Gn", 8),
 ])
 def test_each_worker_branch_times_its_layer(bench, name, n):

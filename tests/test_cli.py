@@ -40,6 +40,9 @@ def test_zero_dim_rejected(capsys):
     code, _, err = run(capsys, "build", "--dim", "0")
     assert code == 2
     assert "n must be even" in err
+    # one message for an odd n and for an even n below 2
+    assert run(capsys, "verify", "--dim", "-2") == (
+        2, "", "error: n must be even and at least 2\n")
 
 
 def test_unknown_command_exits_2(capsys):

@@ -4,6 +4,9 @@ commands, a generation check that fails late, and the command's start-up.
 
     python3 scripts/bench_layers.py > record.json
 
+It takes no options: --help prints this text, and any other argument
+exits 2, before any layer runs.
+
 Each layer runs in its own fresh interpreter on the program in this
 checkout's src/: one warm-up call, then up to five timed calls, stopped
 after BUDGET_S seconds. A layer reports the median and the maximum of the
@@ -25,7 +28,10 @@ family (c, k, l) with -n - 2 <= c <= n + 2 by both inequality predicates
 (the lemma only inside its hypotheses) and by the ranks of the oracle's
 grader, and exit with an error where a predicate differs from the oracle.
 The `gram_matrix` layers at n = 6 and 8 read every Euler pairing of G_n,
-one engine call per family of differences.
+one engine call per family of differences. The `sample.oracle` and
+`sample.forbidden` layers at n = 8 and 20 run `verify_exceptional` on G_n
+with a seeded sample of 2,000 ordered pairs (`random.Random(n)`), the
+sampled path that `verify --sample` takes.
 
 `verify_walls` at n = 14 and 20 checks every circuit class of V_n against
 the wall weights, reading each class's relation off its closed form.
@@ -73,6 +79,7 @@ median of five launches does not resolve on a shared 2-core host.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -97,6 +104,7 @@ LAYERS = (
     + [(f"sweep.{method}", n) for method in ("forbidden", "oracle") for n in (40, 60, 100)]
     + [("predicates.every_family", n) for n in (12, 16, 20)]
     + [("gram_matrix", n) for n in (6, 8)]
+    + [(f"sample.{method}", n) for method in ("oracle", "forbidden") for n in (8, 20)]
     + [(name, n) for name in ("verify_generation", "build_certificate",
                               "verify_stability", "verify_walls")
        for n in (8, 10, 12)]
@@ -183,6 +191,14 @@ elif name.startswith("sweep."):
     def call():
         if not collection.verify_exceptional(col, name[6:]).ok:
             sys.exit("the sweep failed")
+elif name.startswith("sample."):
+    col = collection.build_Gn(n)
+    rng = random.Random(n)
+    pairs = [(i, r + (r >= i)) for i, r in (divmod(p, col.size - 1) for p in
+                                            rng.sample(range(col.size * (col.size - 1)), 2000))]
+    def call():
+        if not collection.verify_exceptional(col, name[7:], sample=pairs).ok:
+            sys.exit("the sampled sweep failed")
 elif name.startswith(("verify.", "mutant.", "report.")):
     # a mutant drops one member, so its checks must exit 1; MUTANTS holds the others
     kind, what = name.split(".")
@@ -283,6 +299,8 @@ def cpu_model() -> str:
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     record = {
         "commit": git("rev-parse", "--short", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--", "src")),

@@ -26,7 +26,8 @@ That walk, `_visible_classes`, serves both the engine here and the
 forbidden-cone certificates in `cones`. It takes slot groups
 {(a_plus, a_minus): slots}, which `cohomology` and the certificates count
 off per-ray coefficients (`_slot_groups`) and the oracle and forbidden
-sweeps make from a family (c, k, l) (`picard.family_slots`). A class
+sweeps make from a family (c, k, l) (`picard.family_slots`), and reads
+each slot kind's option once from a bounded memo (`_slot_option`). A class
 with both a plus and a minus slot has no homology, so the walk takes the
 class with every slot in its third state as one closed-form check, and
 on each open side one count per group, its slots on that side. Three
@@ -41,6 +42,7 @@ is the reference in `toric_exc.reference`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .fan import Fan, require_Vn
@@ -185,6 +187,17 @@ def _slot_intervals(aplus: int, aminus: int):
     return plus, minus, None, False
 
 
+@lru_cache(maxsize=1024)
+def _slot_option(aplus: int, aminus: int):
+    """The walk's option for a slot kind: its (plus, minus, third) intervals,
+    its reach, its cost and whether its third is the pair state (`_visible_classes`).
+    """
+    plus, minus, third, pair_third = _slot_intervals(aplus, aminus)
+    if third is None:  # only plus and minus: an open side takes every slot at no cost
+        return (plus, minus, None), (minus[0], plus[1]), 0, False
+    return (plus, minus, third), third, third[1] - plus[1], pair_third
+
+
 def _count_sum_zero(bounds) -> int:
     """Number of integer tuples with given bounds summing to zero.
 
@@ -292,16 +305,12 @@ def _visible_classes(n: int, groups, higher_only: bool = False):
     closed = True  # every group has a third state
     options = []
     for slot, size in groups.items():
-        plus, minus, third, pair_third = _slot_intervals(*slot)
-        if third is None:
-            # only plus and minus: an open side takes every slot at no cost
-            reach, cost, closed = (minus[0], plus[1]), 0, False
-        else:
-            reach, cost = third, third[1] - plus[1]
-            pairs += size if pair_third else 0
+        intervals, reach, cost, pair_third = _slot_option(*slot)
+        closed = closed and cost > 0
+        pairs += size if pair_third else 0
         top += size * reach[1]
         bottom += size * reach[0]
-        options.append((size, (plus, minus, third), cost, pair_third))
+        options.append((size, intervals, cost, pair_third))
     if closed and bottom <= 0 <= top and (pairs or not higher_only):
         yield pairs, 0, 0, _pattern_homology(n, pairs, 0, 0), tuple(
             (size, 0, 0, intervals) for size, intervals, _, _ in options)

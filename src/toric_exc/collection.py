@@ -22,7 +22,8 @@ block sharing the twist c and |J| = l, whose J are a slice of the
 lexicographic order of the l-subsets of 0..n: it holds their ranks, the
 whole order in each cell of G_n. A mutation cuts its parent's rank
 ranges at the touched positions (_group) and makes no member; a walk
-reads its members in cell order and keeps none of them (_read).
+reads its members in cell order, each J as a bitmask, and keeps none of
+them (_read).
 
 A full sweep reads its keys off shapes instead of walking pairs. The
 verdict of a pair depends only on its family (c, k, l) and its block
@@ -32,6 +33,10 @@ with k in a range fixed by the shape of the unit pair (_span); the shapes
 are read off the units grouped by l (_shapes). Each line is graded once
 over the union of its ranges, and only the unit pairs of a shape whose
 range holds a failing key are walked one by one; an intact G_n walks none.
+A walked pair is keyed by its overlap o = |J_s & J_t|, one bit count: its
+key is (c_t - c_s, l_s - o, l_t - o, need_all), so a unit pair looks its
+failing keys up by overlap, and a sample, a full report and `gram_matrix`
+key their pairs the same way.
 One grader, `_class_grader`, grades a key by any method: by the two
 predicates, or on its family's slot groups (`picard.family_slots`), with
 no divisor class made per key; `gram_matrix` reads those slot groups too.
@@ -45,13 +50,13 @@ function here builds the fan.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cached_property
 from itertools import combinations, islice
 from typing import NamedTuple
 
-from .picard import (DivisorClass, HypothesisViolated, antipodal_involution, family_of_parsed,
-                     family_slots, group_generators, higher_acyclic_predicate, label_set,
+from .picard import (DivisorClass, HypothesisViolated, antipodal_involution, family_slots,
+                     group_generators, higher_acyclic_predicate, label_set,
                      lemma_acyclic_predicate, parse_F)
 from .record import Record
 
@@ -118,11 +123,16 @@ class Collection:
 
     def at(self, p: int):
         """(block index, (c, J)) at flat position p, read from its cell."""
+        block, c, j = self._read_at(p)
+        return block, (c, frozenset(j))
+
+    def _read_at(self, p: int):
+        """(block, c, sorted J) at flat position p: the one unranking of `at` and a sample."""
         cell = self.cells[bisect_right(self._starts, p) - 1]
         r = p - cell.positions.start
         if not 0 <= r < cell.positions.stop - cell.positions.start:
             raise IndexError(f"position {p} outside 0..{self.size - 1}")
-        return cell.block, (cell.c, frozenset(_nth_subset(self.n + 1, cell.ell, cell.ranks[r])))
+        return cell.block, cell.c, _nth_subset(self.n + 1, cell.ell, cell.ranks[r])
 
     def member(self, p: int) -> DivisorClass:
         """The member at flat position p, made from the (c, J) that at reads."""
@@ -168,9 +178,17 @@ def _subsets(n: int, ell: int, *ranges):
 
 
 def _read(n: int, cells):
-    """(position, (block, (c, J))) of each member of cells, in their order."""
-    return ((p, (cell.block, (cell.c, frozenset(j)))) for cell in cells
+    """(position, block, c, l, mask of J) of each member of cells, in their order."""
+    return ((p, cell.block, cell.c, cell.ell, _mask(j)) for cell in cells
             for p, j in zip(cell.positions, _subsets(n, cell.ell, cell.ranks)))
+
+
+def _mask(j) -> int:
+    """The labels j as a bitmask: |J_s & J_t| is then (m_s & m_t).bit_count()."""
+    mask = 0
+    for x in j:
+        mask |= 1 << x
+    return mask
 
 
 def _F(n: int, c: int, j) -> DivisorClass:
@@ -320,10 +338,11 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     sample restricts the sweep to the given (source, target) flat index
     pairs; the size check still runs, and a pair that is not two distinct
     int positions (a bool is not one) raises ValueError. A sample or a full
-    report grades pair by pair; otherwise each line of keys is graded once
-    over its span (_span), and only the unit pairs of a shape with a failing
-    key are walked. Violations come in flat (source, target) order either
-    way. The report never raises on its own, call raise_if_failed for that.
+    report keys pair by pair, by overlap (module docstring); otherwise each
+    line of keys is graded once over its span (_span), and only the unit
+    pairs of a shape with a failing key are walked. Violations come in flat
+    (source, target) order either way. The report never raises on its own,
+    call raise_if_failed for that.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -337,33 +356,27 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
     def grade(key):  # every verdict is a nonempty tuple
         return grades.get(key) or grades.setdefault(key, grade_family(*key))
 
-    def walk(pairs, keep_passing):
-        """Grade pairs of _read entries one by one: the failing results, or all of them."""
-        out = []
-        for (i, (block_i, parsed_i)), (j, (block_j, parsed_j)) in pairs:
-            relation = ("same-block" if block_i == block_j
-                        else "forward" if block_i < block_j else "backward")
-            c, k, ell = family_of_parsed(parsed_j, parsed_i)
-            key = (c, k, ell, relation != "forward")
-            ok, note = grade(key)
-            if keep_passing or not ok:
-                detail = details.get(key) or details.setdefault(key, _detail(method, key, note))
-                out.append(PairResult(i, j, relation, ok, detail))
-        return out
-
-    if sample is not None:
-        pairs = [(i, j) for i, j in sample]
-        for i, j in pairs:
-            if not (_is_int(i) and _is_int(j) and i != j and 0 <= i < size and 0 <= j < size):
-                raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
-                                 f"positions in 0..{size - 1}")
-        read = {p: collection.at(p) for p in {p for pair in pairs for p in pair}}
-        results = walk((((i, read[i]), (j, read[j])) for i, j in pairs), full_report)
-        checked = len(pairs)
-    elif full_report:
-        entries = list(_read(n, collection.cells))
-        results = walk(_pairs_between(entries, entries), True)
-        checked = len(results)
+    found = []  # (source, target, their blocks, key) of each pair reported
+    checked = size * (size - 1)
+    if sample is not None or full_report:
+        if sample is not None:
+            pairs = [(i, j) for i, j in sample]
+            for i, j in pairs:
+                if not (_is_int(i) and _is_int(j) and i != j and 0 <= i < size and 0 <= j < size):
+                    raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
+                                     f"positions in 0..{size - 1}")
+            read = {p: (p, block, c, len(j), _mask(j))  # each sampled position once
+                    for p in {p for pair in pairs for p in pair}
+                    for block, c, j in [collection._read_at(p)]}
+            checked, pairs = len(pairs), [(read[i], read[j]) for i, j in pairs]
+        else:
+            entries = list(_read(n, collection.cells))
+            pairs = ((s, t) for s in entries for t in entries if s[0] != t[0])
+        for (i, b_s, c_s, l_s, m_s), (j, b_t, c_t, l_t, m_t) in pairs:
+            o = (m_s & m_t).bit_count()
+            key = (c_t - c_s, l_s - o, l_t - o, b_s >= b_t)
+            if full_report or not grade(key)[0]:
+                found.append((i, j, b_s, b_t, key))
     else:
         by_ell = {}
         for unit in _units(n, collection.cells):
@@ -376,17 +389,22 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                 spans[line] = range(min(span.start, ks.start), max(span.stop, ks.stop))
         failing = {(dc, delta, need_all): bad for (dc, delta, need_all), ks in spans.items()
                    if (bad := [k for k in ks if not grade((dc, k, k + delta, need_all))[0]])}
-        walked = []  # unit pairs of failing shapes, walked in unit order: results in sorted runs
+        # a shape's failing keys, by overlap: its unit pairs are walked if there are any
         for l_s, l_t, need_all, diagonal, dcs, ks in shapes if failing else ():
             for dc in dcs:
-                bad = failing.get((dc, l_t - l_s, need_all), ())
-                if bisect_left(bad, ks.start) < bisect_left(bad, ks.stop):
-                    walked += ((s, t) for s in by_ell[l_s] for t in by_ell[l_t]
-                               if _shape(s, t) == (dc, l_s, l_t, need_all, diagonal))
-        results = [r for s, t in sorted(walked) for r in walk(_unit_pairs(n, s, t), False)]
-        results.sort(key=lambda r: (r.source, r.target))
-        checked = size * (size - 1)  # the units partition the positions
+                keys = {l_s - k: (dc, k, k + l_t - l_s, need_all)
+                        for k in failing.get((dc, l_t - l_s, need_all), ()) if k in ks}
+                found += (pair for s in by_ell[l_s] if keys for t in by_ell[l_t]
+                          if _shape(s, t) == (dc, l_s, l_t, need_all, diagonal)
+                          for pair in _unit_violations(n, s, t, keys))
+        found.sort()
 
+    results = []
+    for i, j, b_s, b_t, key in found:
+        ok, note = grade(key)
+        detail = details.get(key) or details.setdefault(key, _detail(method, key, note))
+        relation = "same-block" if b_s == b_t else "forward" if b_s < b_t else "backward"
+        results.append(PairResult(i, j, relation, ok, detail))
     return Report(n=n, method=method, size=size, expected=expected_size(n),
                   pairs_checked=checked, violations=tuple(r for r in results if not r.ok),
                   pair_results=tuple(results) if full_report else None, sampled=sample is not None)
@@ -396,17 +414,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _pairs_between(sources, targets):
-    """Ordered pairs of _read entries at distinct positions, in flat order for sorted inputs."""
-    return ((s, t) for s in sources for t in targets if s[0] != t[0])
-
-
-def _unit_pairs(n, source, target):
-    """Pairs of _read entries from source to target, the larger unit read as it is walked."""
-    if source.size > target.size:
-        return _pairs_between(_read(n, source.cells), list(_read(n, target.cells)))
-    held = list(_read(n, source.cells))
-    return ((s, t) for t, s in _pairs_between(_read(n, target.cells), held))
+def _unit_violations(n, source, target, keys):
+    """(i, j, b_s, b_t, key) of the pairs from source to target whose overlap
+    |J_s & J_t| is in keys, which maps it to its failing key.
+    """
+    targets = [(j, m) for j, _, _, _, m in _read(n, target.cells)]
+    return [(i, j, source.block, target.block, key) for i, _, _, _, m_s in _read(n, source.cells)
+            for j, m_t in targets if (key := keys.get((m_s & m_t).bit_count())) and i != j]
 
 
 class Unit(NamedTuple):
@@ -630,23 +644,23 @@ def gram_matrix(collection: Collection) -> tuple[tuple[int, ...], ...]:
     """Euler pairings chi(E_i, E_j) over flat positions, by the oracle.
 
     chi(E_i, E_j) is the Euler characteristic of E_j - E_i, which depends
-    only on its family, so each family's is read once off its slot groups
-    (`family_slots`), as the oracle grader reads its ranks; the diagonal is
-    the family (0, 0, 0).
+    only on its family, keyed by overlap as the sweep keys a pair, so each
+    family's is read once off its slot groups (`family_slots`), as the
+    oracle grader reads its ranks; the diagonal is the family (0, 0, 0).
     """
     from .cohomology import _symmetric_engine
 
     n = collection.n
     by_family = {}
-    parsed = [parsed for _, (_, parsed) in _read(n, collection.cells)]
+    entries = [read[2:] for read in _read(n, collection.cells)]  # (c, l, mask)
 
-    def entry(s, t):
-        family = family_of_parsed(t, s)
+    def euler(family):
         if family not in by_family:
             by_family[family] = _symmetric_engine(n, family_slots(n, *family)).euler
         return by_family[family]
 
-    return tuple(tuple(entry(s, t) for t in parsed) for s in parsed)
+    return tuple(tuple(euler((c_t - c_s, l_s - o, l_t - o)) for c_t, l_t, m_t in entries
+                       for o in [(m_s & m_t).bit_count()]) for c_s, l_s, m_s in entries)
 
 
 # -- mutations -------------------------------------------------------------------

@@ -192,6 +192,35 @@ def test_slot_intervals_match_slot_states_reference():
         assert states == set(slot_states_reference(aplus, aminus)), (aplus, aminus)
 
 
+def test_slot_options_read_off_slot_intervals():
+    # the walk's option for a slot kind: a kind with a third state opens a
+    # plus slot cost >= 1 below the third's hi end and a minus slot as far
+    # above its lo end; a kind without one reaches from minus lo to plus hi
+    rng = random.Random(29)
+    huge = [(rng.randint(-10**29, 10**29), rng.randint(-10**29, 10**29)) for _ in range(300)]
+    for aplus, aminus in list(product(range(-12, 13), repeat=2)) + huge:
+        plus, minus, third, pair = coh._slot_intervals(aplus, aminus)
+        intervals, reach, cost, pair_third = coh._slot_option(aplus, aminus)
+        assert intervals == (plus, minus, third) and pair_third == pair
+        if third is None:
+            assert (reach, cost) == ((minus[0], plus[1]), 0)
+        else:
+            assert reach == third and cost == third[1] - plus[1] == minus[0] - third[0] >= 1
+
+
+def test_slot_option_memo_stays_bounded():
+    coh._slot_option.cache_clear()
+    rng = random.Random(30)
+    fan = build_Vn(4)
+    for _ in range(300):
+        coeffs = tuple(rng.randint(-10**29, 10**29) for _ in range(fan.nrays))
+        dual = tuple(-1 - a for a in coeffs)  # K - D, K = -(sum of the rays)
+        assert cohomology(fan, coeffs).ranks == cohomology(fan, dual).ranks[::-1]
+    info = coh._slot_option.cache_info()
+    # 300 vectors of 5 slots meet more kinds than the memo keeps
+    assert info.currsize == info.maxsize == 1024 < info.misses
+
+
 def per_slot_reference(fan, coeffs):
     """The engine before slot grouping: one step per slot assignment."""
     n = fan.rank

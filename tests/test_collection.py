@@ -276,6 +276,23 @@ def test_reduced_sweep_matches_flat_sweep_on_sampled_dim6_mutant(method):
     assert report.pair_results == reference_sweep(col, method, pairs)
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n, mutation", [
+    (n, m) for n in (2, 4, 6) for m in ("add:1,0-1", "add:2,0-1-2-3-4", "swap:1,20", "drop:3")
+    if n > 2 or m in ("add:1,0-1", "drop:3")  # G_2 has labels 0..2 and 6 positions
+])
+def test_sampled_overlap_keys_match_flat_sweep(method, n, mutation):
+    # an added member repeats a J, so a sampled pair between the two has
+    # overlap l: the zero class
+    col = mutant(n, mutation)
+    labels = [col.at(p)[1] for p in range(col.size)]
+    repeated = [(i, j) for i, j in all_pairs(col) if labels[i] == labels[j]]
+    assert bool(repeated) == mutation.startswith("add")
+    pairs = repeated + random.Random(n).sample(all_pairs(col), min(300, col.size * (col.size - 1)))
+    report = verify_exceptional(col, method, sample=pairs, full_report=True)
+    assert report.pair_results == reference_sweep(col, method, pairs)
+
+
 def mutant(n, mutation):
     col = build_Gn(n)
     return apply_mutation(col, mutation) if mutation else col
@@ -289,7 +306,8 @@ COUNTED_MUTANTS = [
 
 
 @pytest.mark.parametrize("method, n, mutation", [
-    (method, n, m) for method in METHODS for n, m in COUNTED_MUTANTS if n < 6
+    (method, n, m) for method in METHODS
+    for n, m in COUNTED_MUTANTS + [(4, "add:2,0-1-2-3-4")] if n < 6
 ] + [("inequalities", n, m) for n, m in COUNTED_MUTANTS if n == 6])
 def test_counted_sweep_matches_flat_sweep(method, n, mutation):
     col = mutant(n, mutation)
@@ -599,21 +617,33 @@ def test_stability_on_a_mutant_reads_no_members(monkeypatch, text):
     assert not verify_stability(mutant).ok
 
 
+def count_walked(monkeypatch):
+    """The pairs of each unit pair walked from now on: its source's size times its target's."""
+    walked, original = [], collection_module._unit_violations
+
+    def counted(n, source, target, keys):
+        walked.append(source.size * target.size)
+        return original(n, source, target, keys)
+
+    monkeypatch.setattr(collection_module, "_unit_violations", counted)
+    return walked
+
+
 def test_unmutated_dim8_sweep_walks_no_pair(monkeypatch):
-    calls = count_calls(monkeypatch, ["family_of_parsed"])
+    walked = count_walked(monkeypatch)
     report = verify_exceptional(build_Gn(8), "inequalities")
     assert report.ok and report.pairs_checked == 396270
-    assert len(calls) < 10000
+    assert sum(walked) < 10000
 
 
 def test_swap_inside_a_block_walks_no_pair(monkeypatch):
     # positions 313 and 397 start the two cells of G_8's block 7: the swap
     # cuts them, but the parts of each still hold every label once, so they
     # are counted as whole cells and no pair is walked
-    calls = count_calls(monkeypatch, ["family_of_parsed"])
+    walked = count_walked(monkeypatch)
     report = verify_exceptional(apply_mutation(build_Gn(8), "swap:313,397"))
     assert report.ok and report.pairs_checked == 396270
-    assert calls == []
+    assert walked == []
 
 
 def test_damaged_sweep_walks_about_its_violations(monkeypatch):
@@ -628,10 +658,11 @@ def test_damaged_sweep_walks_about_its_violations(monkeypatch):
         return {key: copy.copy(value) for key, value in vars(c).items() if key not in views}
 
     before = {id(c): held(c) for c in (col, small)}
-    calls = count_calls(monkeypatch, ["family_of_parsed"])
+    walked = count_walked(monkeypatch)
     report = verify_exceptional(col)
     assert report.pairs_checked == col.size * (col.size - 1)
-    assert report.violations and len(calls) <= 2 * len(report.violations)
+    # every violation is found on a walked pair, so the count cannot read 0
+    assert report.violations and len(report.violations) <= sum(walked) <= 2 * len(report.violations)
     # no check keeps a position it reads: the full report and the Gram
     # matrix pair every position, so they run on the smaller mutant only
     sample = [(5, 20), (20, 5), (0, 1), (5, 1)]

@@ -1,6 +1,6 @@
 """Time G_n's construction, the pair sweeps, the checks, the pattern homology
-table, cohomology on random vectors and classes, the n = 12, 14, 16 and 20
-commands, a generation check that fails late, and the command's start-up.
+table, cohomology on random vectors and classes, the n = 12, 14, 16, 18 and
+20 commands, a generation check that fails late, and the command's start-up.
 
     python3 scripts/bench_layers.py > record.json
 
@@ -50,10 +50,13 @@ swap:1415650,1768365`, which swaps the first and last member of G_20's
 largest cell (352,716 members); the swap stays in one block, so it must
 exit 0. `mutant.add` at n = 16 runs `verify --dim 16 --mutate add:1,0-1`,
 whose added member fails against nearly every other: the sweep walks and
-reports 217,694 violating pairs, and it must exit 1. `report.json` at n = 16
-runs the same command with `--format json`, which writes those pairs as a
-39.6 MB report; it must exit 1 too. The two differ by the cost of writing
-a failing run's JSON. A command's stdout goes to an in-memory buffer.
+reports 217,694 violating pairs, and it must exit 1. At n = 18 it runs the
+same mutation on G_18, with 922,423 violating pairs: the text report
+streams them past its first five, so its peak shows whether memory follows
+the violations. `report.json` at n = 16 runs the n = 16 command with
+`--format json`, which writes those pairs as a 39.6 MB report; it must exit
+1 too. The two differ by the cost of writing a failing run's JSON. A
+command's stdout goes to an in-memory buffer, which holds that report.
 The `pattern_table` layer reads every (pairs, plus, minus) class of V_n
 once. Each `cohomology.coeffs` call grades the next of five seeded
 per-ray coefficient vectors with entries in [-3, 3], up to n = 20, and
@@ -118,7 +121,8 @@ LAYERS = (
                                             "cardinality")]
     + [(f"mutant.{what}", 16) for what in ("cardinality", "exceptional", "stability",
                                             "generation")]
-    + [("mutant.swap", 12), ("mutant.swap", 20), ("mutant.add", 16), ("report.json", 16)]
+    + [("mutant.swap", 12), ("mutant.swap", 20), ("mutant.add", 16), ("mutant.add", 18),
+       ("report.json", 16)]
     + [(name, n) for name in ("pattern_table", "cohomology.coeffs") for n in (8, 10, 12)]
     + [("cohomology.coeffs", n) for n in (16, 20)]
     + [("cohomology.class", n) for n in (16, 20, 24)]
@@ -134,6 +138,7 @@ MUTANTS = {
     ("mutant.swap", 12): ("exceptional", "swap:3958,6", 1),
     ("mutant.swap", 20): ("stability", "swap:1415650,1768365", 0),
     ("mutant.add", 16): ("exceptional", "add:1,0-1", 1),
+    ("mutant.add", 18): ("exceptional", "add:1,0-1", 1),
     ("report.json", 16): ("exceptional", "add:1,0-1", 1),
 }
 

@@ -21,11 +21,11 @@ JSON output. So the inequality sweep, stability and cardinality load only
 `collection`, `picard` and `record`, and text output does not load `json`.
 
 JSON output has the bytes of json.dumps(payload, indent=2). A verify
-report's pair verdicts (its violations, and every pair under
---full-report) are written from its PairResult tuples one fixed template
-at a time (_dumps): no dict is made per pair, and they skip the
-pure-Python encoder that any indent selects. Text output reads only the
-first five violations and their count.
+report's violations stream from the sweep's rows (collection.pair_rows),
+which it grades in full before the first byte: JSON writes them in chunks
+of one fixed template (_json), and text keeps the first five and a count.
+So no PairResult is made, and only --full-report, which lists every pair,
+holds its rows.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby, islice
 
 from .collection import (
     METHODS,
-    PairResult,
-    Report,
     apply_mutation,
     build_Fn,
     build_Gn,
@@ -46,7 +44,7 @@ from .collection import (
     expected_size,
     gram_matrix,
     labeled_blocks,
-    verify_exceptional,
+    pair_rows,
     verify_stability,
 )
 
@@ -155,66 +153,65 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(args, text) -> None:
+    """Write text to --out or stdout: a string, newline added, or chunks that end in one."""
+    if isinstance(text, str):
+        text = (text if text.endswith("\n") else text + "\n",)
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(text)
         except OSError as exc:
             raise OutputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(text)
+        except BrokenPipeError:  # the reader left early; one write of it all drops the rest too
+            pass
 
 
-# one PairResult at depth 2 of an indent-2 payload, as json.dumps writes the
-# dict of its fields
+# one pair row at depth 2 of an indent-2 payload, as json.dumps writes the
+# dict of its fields, and the rows written in one chunk
 _PAIR = ('    {\n      "source": %d,\n      "target": %d,\n      "relation": %s,\n'
          '      "ok": %s,\n      "detail": %s\n    }')
+_CHUNK = 1024
 
 
-def _dumps(payload: dict) -> str:
-    """json.dumps(payload, indent=2) of a non-empty dict, each PairResult
-    written as the dict of its fields.
+def _json(payload: dict):
+    """The chunks of json.dumps(payload, indent=2) and a newline, for a non-empty
+    dict whose iterator values stream pair rows (source, target, relation, ok,
+    detail), each written as the dict of its fields.
 
-    json.dumps(d, indent=2) writes a dict as "{\n", then its items joined
-    by ",\n", then "\n}"; an item is two spaces, the encoded key, ": " and
-    the value written at depth 1, so its text depends on its key and value
-    only. Each run of consecutive items whose value is not a non-empty
-    tuple of PairResult is therefore cut out of json.dumps of the run
-    alone, as a dict ([2:-2]). A non-empty tuple of PairResult (a
-    report's violations or pair results) is written as json.dumps writes
-    a list of dicts at depth 1, record by record from _PAIR: the two int
-    positions with %d, as int.__repr__ writes them, ok as true or false,
-    and the relation and detail strings through encode_basestring_ascii,
-    the encoder json.dumps uses for every string under its default
-    ensure_ascii. So no dict is made per pair, and the pairs skip the
-    pure-Python encoder that any indent selects.
+    json.dumps(d, indent=2) writes a dict as "{\n", then its items joined by
+    ",\n", then "\n}"; an item is two spaces, the encoded key, ": " and the
+    value written at depth 1, so its text depends on its key and value only.
+    Each run of consecutive items that are not row streams is therefore cut
+    out of json.dumps of the run alone, as a dict ([2:-2]). A row stream is
+    written as json.dumps writes a list of dicts at depth 1, _CHUNK rows at a
+    time from _PAIR: positions with %d, as int.__repr__ writes them, ok as
+    true or false, and the strings through encode_basestring_ascii, the
+    encoder of json.dumps under its default ensure_ascii. So no dict is made
+    per pair, no pure-Python encoder runs, and the payload is never held whole.
     """
     import json
-    from json.encoder import encode_basestring_ascii as _string
+    from json.encoder import encode_basestring_ascii as string
 
-    items = []  # the text between the commas that end a line, joined once
-    for pairs, group in groupby(payload.items(), lambda item: _is_pairs(item[1])):
-        if not pairs:
-            items.append(json.dumps(dict(group), indent=2)[2:-2])
-            continue
-        for key, value in group:
-            first = len(items)
-            items += [_PAIR % (r.source, r.target, _string(r.relation),
-                               "true" if r.ok else "false", _string(r.detail))
-                      for r in value]
-            items[first] = f"  {_string(key)}: [\n" + items[first]
-            items[-1] += "\n  ]"
-    items[0] = "{\n" + items[0]
-    items[-1] += "\n}"
-    return ",\n".join(items)
-
-
-def _is_pairs(value) -> bool:
-    return isinstance(value, tuple) and len(value) > 0 and isinstance(value[0], PairResult)
+    head = "{\n"
+    for rows, group in groupby(payload.items(), lambda item: hasattr(item[1], "__next__")):
+        if not rows:
+            yield head + json.dumps(dict(group), indent=2)[2:-2]
+            head = ",\n"
+        for key, value in group if rows else ():
+            start, sep = f"{head}  {string(key)}: [", "\n"
+            while chunk := list(islice(value, _CHUNK)):
+                yield start + sep + ",\n".join(
+                    _PAIR % (i, j, string(relation), "true" if ok else "false", string(detail))
+                    for i, j, relation, ok, detail in chunk)
+                start, sep = "", ",\n"
+            yield start + "]" if start else "\n  ]"
+            head = ",\n"
+    yield "\n}\n"
 
 
 # -- build ---------------------------------------------------------------------
@@ -232,7 +229,7 @@ def cmd_build(args) -> int:
                    "rays": [list(r) for r in fan.rays],
                    "cones": [sorted(c) for c in fan.max_cones]}
         if args.format == "json":
-            _emit(args, _dumps(payload))
+            _emit(args, _json(payload))
         else:
             lines = [f"rank {fan.rank}, {fan.nrays} rays, "
                      f"{len(fan.max_cones)} maximal cones"]
@@ -242,7 +239,7 @@ def cmd_build(args) -> int:
         return 0
     collection = build_Gn(n)
     if args.format == "json":
-        _emit(args, _dumps(collection_to_dict(collection)))
+        _emit(args, _json(collection_to_dict(collection)))
     elif args.format == "csv":
         lines = ["block,ell,c,J"]
         for bi, (ell, rows) in enumerate(labeled_blocks(collection)):
@@ -338,39 +335,36 @@ def cmd_verify(args) -> int:
     if method == "forbidden" and n >= 8 and args.sample is None and not args.allow_large:
         return _usage("the forbidden-cone sweep is slow for dim >= 8; "
                       "pass --allow-large to run it")
-    report = verify_exceptional(collection, method, sample=sample,
-                                full_report=args.full_report)
-    return _verdict(args, report.ok, _report_text(report), **_report_fields(report))
+    checked, rows = pair_rows(collection, method, sample, args.full_report)
+    size, expected = collection.size, expected_size(n)
+    fields = {"method": method, "size": size, "expected": expected,
+              "complete": size == expected, "pairs_checked": checked,
+              "sampled": sample is not None, "violations": rows}
+    if args.full_report:  # every pair is listed, so its rows are kept
+        results = list(rows)
+        rows, fields["pair_results"] = (row for row in results if not row[3]), iter(results)
+    first = next(rows, None)  # all is graded: from here on the rows only walk pairs
+    fields["violations"] = rows if first is None else chain((first,), rows)
+    ok = size == expected and first is None
+    return _verdict(args, ok, _report_text(ok, **fields), **fields)
 
 
-def _report_fields(report: Report) -> dict:
-    """The report's JSON fields; its PairResult tuples are left for _dumps to write."""
-    fields = {"method": report.method, "size": report.size, "expected": report.expected,
-              "complete": report.complete, "pairs_checked": report.pairs_checked,
-              "sampled": report.sampled, "violations": report.violations}
-    if report.pair_results is not None:
-        fields["pair_results"] = report.pair_results
-    return fields
+def _report_text(ok, size, expected, method, pairs_checked, sampled, violations, **_):
+    """The chunks of a sweep's text report: its first five violations and their count."""
+    yield (f"members: {size} (expected {expected})\nmethod: {method}\n"
+           f"pairs checked: {pairs_checked}" + (" (sampled)" if sampled else ""))
+    for i, j, relation, _, detail in islice(violations, 5):
+        yield f"\nviolation {i}->{j} ({relation}): {detail}"
+    if more := sum(1 for _ in violations):
+        yield f"\n... and {more} more violations"
+    yield "\nresult: ok\n" if ok else "\nresult: FAILED\n"
 
 
-def _report_text(report: Report) -> str:
-    lines = [f"members: {report.size} (expected {report.expected})",
-             f"method: {report.method}",
-             f"pairs checked: {report.pairs_checked}"
-             + (" (sampled)" if report.sampled else "")]
-    for v in report.violations[:5]:
-        lines.append(f"violation {v.source}->{v.target} ({v.relation}): {v.detail}")
-    if len(report.violations) > 5:
-        lines.append(f"... and {len(report.violations) - 5} more violations")
-    lines.append("result: ok" if report.ok else "result: FAILED")
-    return "\n".join(lines)
-
-
-def _verdict(args, ok: bool, text: str, **fields) -> int:
+def _verdict(args, ok: bool, text, **fields) -> int:
     """Emit a check's report, as JSON or as text, and return its exit code."""
     if args.format == "json":
-        _emit(args, _dumps({"schema": REPORT_SCHEMA, "what": args.what, "n": args.dim,
-                            "ok": ok, **fields}))
+        _emit(args, _json({"schema": REPORT_SCHEMA, "what": args.what, "n": args.dim,
+                           "ok": ok, **fields}))
     else:
         _emit(args, text)
     return 0 if ok else 1
@@ -393,7 +387,7 @@ def cmd_cohomology(args) -> int:
         return _usage(f"--coeffs wants {n + 2} integers for dim {n}")
     graded = cohomology(build_Vn(n), DivisorClass(coeffs))
     if args.format == "json":
-        _emit(args, _dumps({"schema": "toric-exc/cohomology/1", "n": n,
+        _emit(args, _json({"schema": "toric-exc/cohomology/1", "n": n,
                             "coeffs": list(coeffs), "h": list(graded.ranks),
                             "euler": graded.euler}))
     elif args.format == "csv":
@@ -421,7 +415,7 @@ def cmd_figure(args) -> int:
                    "points": [[c, ell] for c, ell in points]}
         if note:
             payload["note"] = note
-        _emit(args, _dumps(payload))
+        _emit(args, _json(payload))
     elif args.format == "csv":
         _emit(args, "\n".join(["c,ell"] + [f"{c},{ell}" for c, ell in points]))
     else:
@@ -442,7 +436,7 @@ def cmd_gram(args) -> int:
                       "pass --allow-large to run it")
     matrix = gram_matrix(build_Gn(n))
     if args.format == "json":
-        _emit(args, _dumps({"schema": "toric-exc/gram/1", "n": n,
+        _emit(args, _json({"schema": "toric-exc/gram/1", "n": n,
                             "matrix": [list(row) for row in matrix]}))
     elif args.format == "csv":
         _emit(args, "\n".join(",".join(map(str, row)) for row in matrix))
@@ -466,7 +460,7 @@ def cmd_certificate(args) -> int:
         print(f"certificate construction failed: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        _emit(args, _dumps(certificate_to_dict(certificate)))
+        _emit(args, _json(certificate_to_dict(certificate)))
     else:
         lines = [f"generation certificate for dim {n}: "
                  f"{sum(record.walls for record in certificate.sizes)} walls, "

@@ -50,7 +50,6 @@ function here builds the fan.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import cached_property
 from itertools import combinations, islice
 from typing import NamedTuple
@@ -123,44 +122,53 @@ class Collection:
 
     def at(self, p: int):
         """(block index, (c, J)) at flat position p, read from its cell."""
-        block, c, j = self._read_at(p)
-        return block, (c, frozenset(j))
+        (_, block, c, _, mask), = self._read_at((p,))
+        return block, (c, frozenset(_labels(self.n + 1, mask)))
 
-    def _read_at(self, p: int):
-        """(block, c, sorted J) at flat position p: the one unranking of `at` and a sample."""
-        cell = self.cells[bisect_right(self._starts, p) - 1]
-        r = p - cell.positions.start
-        if not 0 <= r < cell.positions.stop - cell.positions.start:
-            raise IndexError(f"position {p} outside 0..{self.size - 1}")
-        return cell.block, cell.c, _nth_subset(self.n + 1, cell.ell, cell.ranks[r])
+    def _read_at(self, positions):
+        """(p, block, c, l, mask of J) at each of the sorted positions: the one unranking
+        of `at` and a sample, with one pointer over the cells."""
+        k, starts = 0, self._starts
+        for p in positions:
+            while k + 1 < len(starts) and starts[k + 1] <= p:
+                k += 1
+            block, c, ell, cell_positions, ranks = self.cells[k]
+            if p not in cell_positions:
+                raise IndexError(f"position {p} outside 0..{self.size - 1}")
+            yield p, block, c, ell, _nth_mask(self.n + 1, ell, ranks[p - cell_positions.start])
 
     def member(self, p: int) -> DivisorClass:
         """The member at flat position p, made from the (c, J) that at reads."""
         return _F(self.n, *self.at(p)[1])
 
 
-def _nth_subset(m: int, ell: int, r: int) -> tuple[int, ...]:
-    """The r-th ell-subset of 0..m-1 in lexicographic order.
+def _nth_mask(m: int, ell: int, r: int) -> int:
+    """The r-th ell-subset of 0..m-1 in lexicographic order, as a bitmask (_mask).
 
     The combinatorial number system: C(m - x - 1, ell - 1) subsets have x
     as their least label, so the labels are found in one pass over x.
     """
-    out, x = [], 0
+    mask, x = 0, 0
     while ell:
         count = math.comb(m - x - 1, ell - 1)
         if r < count:
-            out.append(x)
+            mask |= 1 << x
             ell -= 1
         else:
             r -= count
         x += 1
-    return tuple(out)
+    return mask
+
+
+def _labels(m: int, mask: int):
+    """The labels in 0..m-1 of a bitmask, in order."""
+    return (x for x in range(m) if mask >> x & 1)
 
 
 def _rank(m: int, j) -> int:
-    """The lexicographic rank of the subset j of 0..m-1: the inverse of _nth_subset.
+    """The lexicographic rank of the subset j of 0..m-1: the inverse of _nth_mask.
 
-    Where _nth_subset skips x, it passes C(m - x - 1, ell - 1) subsets; from
+    Where _nth_mask skips x, it passes C(m - x - 1, ell - 1) subsets; from
     x up to the next label y of j these sum to C(m - x, ell) - C(m - y, ell).
     """
     r, x, ell = 0, 0, len(j)
@@ -174,7 +182,7 @@ def _subsets(n: int, ell: int, *ranges):
     """The ell-subsets of 0..n with the ranks in ranges, in order: all of them by combinations."""
     if ranges == (range(math.comb(n + 1, ell)),):
         return combinations(range(n + 1), ell)
-    return (_nth_subset(n + 1, ell, r) for ranks in ranges for r in ranks)
+    return (tuple(_labels(n + 1, _nth_mask(n + 1, ell, r))) for ranks in ranges for r in ranks)
 
 
 def _read(n: int, cells):
@@ -273,7 +281,7 @@ class Cell(NamedTuple):
     """A run of consecutive positions of one block sharing the twist c and |J| = ell.
 
     The member at positions[r] is F_{c,J} for the ell-subset J of 0..n of
-    lexicographic rank ranks[r] (_nth_subset).
+    lexicographic rank ranks[r] (_nth_mask).
     """
 
     block: int
@@ -337,12 +345,29 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     sample restricts the sweep to the given (source, target) flat index
     pairs; the size check still runs, and a pair that is not two distinct
-    int positions (a bool is not one) raises ValueError. A sample or a full
-    report keys pair by pair, by overlap (module docstring); otherwise each
-    line of keys is graded once over its span (_span), and only the unit
-    pairs of a shape with a failing key are walked. Violations come in flat
-    (source, target) order either way. The report never raises on its own,
-    call raise_if_failed for that.
+    int positions (a bool is not one) raises ValueError. The report holds
+    `pair_rows` in its order: a full sweep's violations in flat (source,
+    target) order, a sample's in the sample's order. The report never
+    raises on its own, call raise_if_failed for that.
+    """
+    checked, rows = pair_rows(collection, method, sample, full_report)
+    results = tuple(PairResult(*row) for row in rows)
+    return Report(n=collection.n, method=method, size=collection.size,
+                  expected=expected_size(collection.n), pairs_checked=checked,
+                  violations=tuple(r for r in results if not r.ok),
+                  pair_results=results if full_report else None, sampled=sample is not None)
+
+
+def pair_rows(collection: Collection, method: str = "inequalities", sample=None,
+              full_report: bool = False):
+    """(pairs checked, an iterator of the rows (source, target, relation, ok, detail)
+    of the violations, or of every pair under full_report).
+
+    Every key is graded before this returns. A sample or a full report keys
+    pair by pair, by overlap (module docstring), and keeps its rows in the
+    order of its pairs. Otherwise each line of keys is graded once over its
+    span (_span), and the rows stream from the walks of the unit pairs of a
+    shape with a failing key, merged in flat order; an intact G_n walks none.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -351,12 +376,6 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
 
     # A pair's verdict depends only on its family (c, k, l), the S_{n+1}-orbit of its
     # difference, and its block relation: each key (c, k, l, need_all) is graded once.
-    grades, details = {}, {}  # details: a key's, made for its first reported pair
-
-    def grade(key):  # every verdict is a nonempty tuple
-        return grades.get(key) or grades.setdefault(key, grade_family(*key))
-
-    found = []  # (source, target, their blocks, key) of each pair reported
     checked = size * (size - 1)
     if sample is not None or full_report:
         if sample is not None:
@@ -365,62 +384,69 @@ def verify_exceptional(collection: Collection, method: str = "inequalities",
                 if not (_is_int(i) and _is_int(j) and i != j and 0 <= i < size and 0 <= j < size):
                     raise ValueError(f"sample pair ({i}, {j}) is not two distinct "
                                      f"positions in 0..{size - 1}")
-            read = {p: (p, block, c, len(j), _mask(j))  # each sampled position once
-                    for p in {p for pair in pairs for p in pair}
-                    for block, c, j in [collection._read_at(p)]}
+            read = {entry[0]: entry  # each sampled position once
+                    for entry in collection._read_at(sorted({p for pair in pairs for p in pair}))}
             checked, pairs = len(pairs), [(read[i], read[j]) for i, j in pairs]
         else:
             entries = list(_read(n, collection.cells))
             pairs = ((s, t) for s in entries for t in entries if s[0] != t[0])
+        verdicts, rows = {}, []  # key -> (ok, detail)
         for (i, b_s, c_s, l_s, m_s), (j, b_t, c_t, l_t, m_t) in pairs:
             o = (m_s & m_t).bit_count()
             key = (c_t - c_s, l_s - o, l_t - o, b_s >= b_t)
-            if full_report or not grade(key)[0]:
-                found.append((i, j, b_s, b_t, key))
-    else:
-        by_ell = {}
-        for unit in _units(n, collection.cells):
-            by_ell.setdefault(unit.ell, []).append(unit)
-        shapes = list(_shapes(n, by_ell))
-        spans = {}  # line (dc, l_t - l_s, need_all) -> the span of its keys' k
-        for l_s, l_t, need_all, _, dcs, ks in shapes:
-            for line in ((dc, l_t - l_s, need_all) for dc in dcs):
-                span = spans.get(line, ks)
-                spans[line] = range(min(span.start, ks.start), max(span.stop, ks.stop))
-        failing = {(dc, delta, need_all): bad for (dc, delta, need_all), ks in spans.items()
-                   if (bad := [k for k in ks if not grade((dc, k, k + delta, need_all))[0]])}
-        # a shape's failing keys, by overlap: its unit pairs are walked if there are any
-        for l_s, l_t, need_all, diagonal, dcs, ks in shapes if failing else ():
-            for dc in dcs:
-                keys = {l_s - k: (dc, k, k + l_t - l_s, need_all)
-                        for k in failing.get((dc, l_t - l_s, need_all), ()) if k in ks}
-                found += (pair for s in by_ell[l_s] if keys for t in by_ell[l_t]
-                          if _shape(s, t) == (dc, l_s, l_t, need_all, diagonal)
-                          for pair in _unit_violations(n, s, t, keys))
-        found.sort()
+            if key not in verdicts:
+                ok, note = grade_family(*key)
+                verdicts[key] = ok, _detail(method, key, note) if full_report or not ok else None
+            ok, detail = verdicts[key]
+            if full_report or not ok:
+                rows.append((i, j, _relation(b_s, b_t), ok, detail))
+        return checked, iter(rows)
 
-    results = []
-    for i, j, b_s, b_t, key in found:
-        ok, note = grade(key)
-        detail = details.get(key) or details.setdefault(key, _detail(method, key, note))
-        relation = "same-block" if b_s == b_t else "forward" if b_s < b_t else "backward"
-        results.append(PairResult(i, j, relation, ok, detail))
-    return Report(n=n, method=method, size=size, expected=expected_size(n),
-                  pairs_checked=checked, violations=tuple(r for r in results if not r.ok),
-                  pair_results=tuple(results) if full_report else None, sampled=sample is not None)
+    by_ell = {}
+    for unit in _units(n, collection.cells):
+        by_ell.setdefault(unit.ell, []).append(unit)
+    shapes = list(_shapes(n, by_ell))
+    spans = {}  # line (dc, l_t - l_s, need_all) -> the span of its keys' k
+    for l_s, l_t, need_all, _, dcs, ks in shapes:
+        for line in ((dc, l_t - l_s, need_all) for dc in dcs):
+            span = spans.get(line, ks)
+            spans[line] = range(min(span.start, ks.start), max(span.stop, ks.stop))
+    failing = {}  # (l_t - l_s, need_all) -> dc -> k -> the detail of its failing key
+    for (dc, delta, need_all), ks in spans.items():
+        for k in ks:
+            ok, note = grade_family(*(key := (dc, k, k + delta, need_all)))
+            if not ok:
+                line = failing.setdefault((delta, need_all), {}).setdefault(dc, {})
+                line[k] = _detail(method, key, note)
+    walks = []  # of the unit pairs of each shape with a failing key, which it maps by overlap
+    for l_s, l_t, need_all, diagonal, dcs, ks in shapes if failing else ():
+        for dc, bad in failing.get((l_t - l_s, need_all), {}).items():
+            details = dc in dcs and {l_s - k: detail for k, detail in bad.items() if k in ks}
+            walks += (_unit_violations(n, s, t, details) for s in by_ell[l_s] if details
+                      for t in by_ell[l_t] if _shape(s, t) == (dc, l_s, l_t, need_all, diagonal))
+    if not walks:
+        return checked, iter(())
+    import heapq
+
+    return checked, heapq.merge(*walks)
+
+
+def _relation(b_s, b_t):
+    return "same-block" if b_s == b_t else "forward" if b_s < b_t else "backward"
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _unit_violations(n, source, target, keys):
-    """(i, j, b_s, b_t, key) of the pairs from source to target whose overlap
-    |J_s & J_t| is in keys, which maps it to its failing key.
-    """
-    targets = [(j, m) for j, _, _, _, m in _read(n, target.cells)]
-    return [(i, j, source.block, target.block, key) for i, _, _, _, m_s in _read(n, source.cells)
-            for j, m_t in targets if (key := keys.get((m_s & m_t).bit_count())) and i != j]
+def _unit_violations(n, source, target, details):
+    """The rows (i, j, relation, False, detail), in flat order, of the pairs from source
+    to target whose overlap |J_s & J_t| details maps to the detail of a failing key."""
+    relation = _relation(source.block, target.block)
+    targets = [(cell.positions, [m for *_, m in _read(n, (cell,))]) for cell in target.cells]
+    return ((i, j, relation, False, detail) for i, *_, m_s in _read(n, source.cells)
+            for positions, masks in targets for j, m_t in zip(positions, masks)
+            if (detail := details.get((m_s & m_t).bit_count())) and i != j)
 
 
 class Unit(NamedTuple):

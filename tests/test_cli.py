@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_exc.cli import _dumps, _report_fields, build_parser, main, sample_pairs
-from toric_exc.collection import PairResult, Report, expected_size
+from toric_exc.cli import _json, build_parser, main, sample_pairs
+from toric_exc.collection import PairResult, expected_size
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -590,6 +590,24 @@ def test_dim_16_mutant_check_is_fast_and_small(what):
     assert elapsed < 2.0
 
 
+def test_failing_verify_memory_does_not_follow_its_violations():
+    # the 50,859 violations stream past the text report, which keeps five;
+    # holding every one as a PairResult put the traced peak at 19 MB, where
+    # the intact run's is 0.5 MB
+    code = ("import contextlib, io, tracemalloc\n"
+            "from toric_exc.cli import main\n"
+            "tracemalloc.start()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = main(['verify', '--dim', '14', '--mutate', 'add:1,0-1'])\n"
+            "print(code, tracemalloc.get_traced_memory()[1])\n"
+            "print(out.getvalue())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split("\n")[0].split())
+    assert code == 1 and "... and 50854 more violations" in proc.stdout
+    assert peak < 8 << 20
+
+
 def test_dim_12_failing_generation_is_fast():
     # the class check names the missing (c, |J|) shape, and only the walls of
     # its size are walked, reading the members whose shape can leave a window;
@@ -620,6 +638,28 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("error: internal: OverflowError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failing_verify_grades_every_key_before_it_writes(capsys, monkeypatch, fmt):
+    # the violations stream out as the report is written, but every key is
+    # graded first: an error in the last count exits 3 with nothing written
+    cohomology = importlib.import_module("toric_exc.cohomology")
+    argv = ["verify", "--dim", "4", "--method", "oracle", "--mutate", "add:1,0-1",
+            "--format", fmt]
+    calls, count = [], cohomology._count_sum_zero
+
+    def counted(bounds):
+        calls.append(bounds)
+        if len(calls) == last:
+            raise OverflowError("the last count")
+        return count(bounds)
+
+    monkeypatch.setattr(cohomology, "_count_sum_zero", counted)
+    last = None
+    assert run(capsys, *argv)[0] == 1
+    last, calls[:] = len(calls), []
+    assert run(capsys, *argv) == (3, "", "error: internal: OverflowError: the last count\n")
 
 
 def test_huge_coefficient_is_counted(capsys):
@@ -906,20 +946,42 @@ def test_json_output_is_indent_2(capsys, n):
 
 
 _text = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\r\t\x00\x1f\u2028\u2029')))
-_pairs = st.lists(st.builds(PairResult, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
-                            _text, st.booleans(), _text), max_size=4).map(tuple)
+_rows = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), _text,
+                           st.booleans(), _text), max_size=4)
+
+
+def report_payload(violations, pair_results=None, method="inequalities", sampled=False):
+    """A verify payload whose row lists are streams, and its dict form."""
+    payload = {"schema": "toric-exc/report/1", "what": "exceptional", "n": 4,
+               "ok": not violations, "method": method, "size": 30, "expected": 30,
+               "complete": True, "pairs_checked": 12, "sampled": sampled,
+               "violations": violations}
+    if pair_results is not None:
+        payload["pair_results"] = pair_results
+    dict_form = {key: [dict(zip(PairResult._fields, row)) for row in value]
+                 if key.endswith(("violations", "results")) else value
+                 for key, value in payload.items()}
+    streams = {key: iter(value) if key in ("violations", "pair_results") else value
+               for key, value in payload.items()}
+    return streams, dict_form
 
 
 @settings(max_examples=200, deadline=None)
-@given(violations=_pairs, pair_results=st.one_of(st.none(), _pairs),
-       method=_text, sampled=st.booleans())
+@given(violations=_rows, pair_results=st.one_of(st.none(), _rows), method=_text,
+       sampled=st.booleans())
 def test_report_writer_matches_json_dumps(violations, pair_results, method, sampled):
-    report = Report(4, method, 30, 30, 12, violations, pair_results, sampled)
-    payload = {"schema": "toric-exc/report/1", "what": "exceptional", "n": 4,
-               "ok": report.ok, **_report_fields(report)}
-    dict_form = {key: [{f: getattr(r, f) for f in PairResult._fields} for r in value]
-                 if isinstance(value, tuple) else value for key, value in payload.items()}
-    assert _dumps(payload) == json.dumps(dict_form, indent=2)
+    payload, dict_form = report_payload(violations, pair_results, method, sampled)
+    assert "".join(_json(payload)) == json.dumps(dict_form, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 3000])
+def test_report_writer_joins_its_chunks(count):
+    # a stream is written _CHUNK rows at a time; the chunks join as one list
+    rows = [(i, i + 1, "forward", False, f"h = {i}") for i in range(count)]
+    payload, dict_form = report_payload(rows, rows[:3])
+    chunks = list(_json(payload))
+    assert "".join(chunks) == json.dumps(dict_form, indent=2) + "\n"
+    assert len(chunks) >= count // 1024 + 4  # the rows were not joined in one string
 
 
 def test_out_file_matches_stdout_on_a_failing_mutant(capsys, tmp_path):

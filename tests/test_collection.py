@@ -205,6 +205,17 @@ def test_sample_restricts_pair_sweep():
     assert not report.complete and not report.ok
 
 
+def test_sample_reports_in_the_sample_order():
+    # a full sweep reports its violations in flat order, a sample in its own
+    # order, which the benchmark's mutated workload pins
+    col = apply_mutation(build_Gn(6), "add:1,0-1-2")
+    flat = [(0, 2), (1, 2), (2, 1), (2, 16)]
+    assert [(v.source, v.target) for v in verify_exceptional(col, "oracle").violations
+            if (v.source, v.target) in flat] == flat
+    report = verify_exceptional(col, "oracle", sample=flat[::-1])
+    assert [(v.source, v.target) for v in report.violations] == flat[::-1]
+
+
 @pytest.mark.parametrize("pair", [(0, 6), (6, 0), (-1, 0), (0, -6), (2, 2),
                                   (0.9, 1.7), (True, 2), (1, 2.0)])
 def test_sample_rejects_bad_pairs(pair):
@@ -473,7 +484,7 @@ def test_rth_member_of_every_cell_matches_the_listed_one():
         # the rank of a J and the r-th subset invert each other, for every l
         for ell in range(n + 2):
             for r, j in enumerate(combinations(range(n + 1), ell)):
-                assert collection_module._nth_subset(n + 1, ell, r) == j
+                assert collection_module._nth_mask(n + 1, ell, r) == collection_module._mask(j)
                 assert collection_module._rank(n + 1, j) == r
 
 
@@ -502,8 +513,8 @@ def test_one_member_mutation_cuts_only_what_it_damages(n):
     block0 = g.shape[0][1]
 
     def intact(p):  # what the parent holds at p: the subset of rank p - first
-        return big.block, (big.c, frozenset(collection_module._nth_subset(
-            n + 1, big.ell, p - first)))
+        return big.block, (big.c, frozenset(collection_module._labels(
+            n + 1, collection_module._nth_mask(n + 1, big.ell, p - first))))
 
     j0 = "-".join(map(str, sorted(intact(first)[1][1])))
     cases = [
@@ -666,7 +677,7 @@ def test_damaged_sweep_walks_about_its_violations(monkeypatch):
     # no check keeps a position it reads: the full report and the Gram
     # matrix pair every position, so they run on the smaller mutant only
     sample = [(5, 20), (20, 5), (0, 1), (5, 1)]
-    reads = count_calls(monkeypatch, ["_nth_subset"])
+    reads = count_calls(monkeypatch, ["_nth_mask"])
     for c in (col, small):
         verify_exceptional(c)
         reads.clear()
@@ -909,7 +920,7 @@ def test_dim80_builds_and_checks_past_the_longest_range_length():
         block, (c, j) = col.at(p)
         assert (block, c, len(j)) == (cell.block, cell.c, cell.ell)
         assert collection_module._rank(n + 1, j) == r
-        assert collection_module._nth_subset(n + 1, cell.ell, r) == tuple(sorted(j))
+        assert collection_module._nth_mask(n + 1, cell.ell, r) == collection_module._mask(j)
     assert verify_stability(col).ok
     assert verify_generation(n, col).pieces == col.size
     # a drop near the end cuts a cell whose positions lie past 2^63
